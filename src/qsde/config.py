@@ -17,6 +17,7 @@ config produces the full list of problems, not just the first.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -160,9 +161,16 @@ class _Collector:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             self.add(f"{path}.{key}", f"expected a number, got {v!r}")
             return default if default is not None else 0.0
-        if positive and v <= 0:
+        try:
+            value = float(v)
+        except OverflowError:   # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            self.add(f"{path}.{key}", f"must be a finite number, got {v!r}")
+            return default if default is not None else 0.0
+        if positive and value <= 0:
             self.add(f"{path}.{key}", "must be positive")
-        return float(v)
+        return value
 
 
 def _parse_model(section, col: _Collector):
@@ -272,6 +280,9 @@ def _parse_run(section, col: _Collector, dim: int | None):
             record_times = None
         else:
             record_times = tuple(float(t) for t in record_times)
+            for i, t in enumerate(record_times):
+                if not 0.0 <= t <= horizon:
+                    col.add(f"run.record_times[{i}]", f"{t!r} is outside [0, horizon = {horizon!r}]")
     nu_grid = _parse_nu_grid(section.get("nu_grid"), col)
     pairs = []
     for p, entry in enumerate(section.get("pairs", [])):

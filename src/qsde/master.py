@@ -152,17 +152,36 @@ class LindbladPropagator:
         return build_heisenberg_generator(self.coeffs, t)
 
 
+def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dv/dt = g v as a matrix.
+
+    For a constant generator the four stages collapse to the degree-4
+    Taylor polynomial I + hg + (hg)^2/2 + (hg)^3/6 + (hg)^4/24, evaluated
+    here in Horner form.
+    """
+    eye = np.eye(g.shape[0], dtype=complex)
+    hg = h * g
+    step = eye
+    for k in (4, 3, 2, 1):
+        step = eye + (hg / k) @ step
+    return step
+
+
 def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
                h: float, record=None) -> np.ndarray:
     """March vec(rho) with classical RK4; optionally record every grid point."""
-    constant = gen.time_independent
-    if constant:
-        g = gen.generator_at(t0)
+    if gen.time_independent:
+        step = _rk4_step_matrix(gen.generator_at(t0), h)
+        for n in range(nsteps):
+            v = step @ v
+            if record is not None:
+                record[n + 1] = v
+        return v
     for n in range(nsteps):
         t = t0 + n * h
-        g1 = g if constant else gen.generator_at(t)
-        gm = g if constant else gen.generator_at(t + 0.5 * h)
-        g2 = g if constant else gen.generator_at(t + h)
+        g1 = gen.generator_at(t)
+        gm = gen.generator_at(t + 0.5 * h)
+        g2 = gen.generator_at(t + h)
         k1 = g1 @ v
         k2 = gm @ (v + 0.5 * h * k1)
         k3 = gm @ (v + 0.5 * h * k2)
@@ -174,9 +193,14 @@ def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
 
 
 def _cleanup(rho: np.ndarray, check_positivity: bool) -> np.ndarray:
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    if check_positivity and np.linalg.eigvalsh(rho).min() < POSITIVITY_FAIL:
+    """Symmetrize and trace-normalize a state or a stack of states.
+
+    The positivity check, when asked for, looks at the last state only.
+    """
+    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    last = rho.reshape((-1,) + rho.shape[-2:])[-1]
+    if check_positivity and np.linalg.eigvalsh(last).min() < POSITIVITY_FAIL:
         raise PositivityError("master-equation state developed a negative eigenvalue")
     return rho
 
@@ -215,10 +239,8 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
         if not np.allclose(np.diff(times), h):
             raise ValueError("master_series needs a uniform time grid")
         _rk4_march(gen, record[0].copy(), times[0], nsteps, h, record=record)
-    out = np.empty((nsteps + 1, d, d), dtype=complex)
-    for n in range(nsteps + 1):
-        out[n] = _cleanup(devectorize(record[n], d), check_positivity and n == nsteps)
-    return out
+    # Column-stacked vectors reshape row-major to the transposed matrices.
+    return _cleanup(record.reshape(nsteps + 1, d, d).swapaxes(1, 2), check_positivity)
 
 
 def evolution_operator(gen: LindbladPropagator, s: float, t: float,

@@ -98,6 +98,12 @@ class DetectionSpec:
             return np.exp(1j * self.nu * t) * np.eye(nchannels)
         return self.matrix.conj().T
 
+    def conj_transpose_on(self, times: np.ndarray, nchannels: int) -> np.ndarray:
+        """V(t)^dagger for each of ``times``, shape (n, J, J)."""
+        if self.kind == "diagonal-phase":
+            return np.exp(1j * self.nu * times)[:, None, None] * np.eye(nchannels)
+        return np.broadcast_to(self.matrix.conj().T, (len(times), nchannels, nchannels))
+
 
 @dataclass(frozen=True)
 class SystemModel:
@@ -169,10 +175,11 @@ class Coefficients:
         self._frame_trivial = max_abs(model.frame) == 0.0
         self._lstack = np.stack(model.channels)
 
-    def _frame_rotation(self, t: float) -> np.ndarray:
-        """e^{i H0 t} from the cached eigendecomposition."""
-        phases = np.exp(1j * self._frame_eigs * t)
-        return (self._frame_vecs * phases) @ self._frame_vecs.conj().T
+    def _frame_rotation(self, t) -> np.ndarray:
+        """e^{i H0 t} from the cached eigendecomposition; an array of times
+        gives a stack of rotations."""
+        phases = np.exp(1j * self._frame_eigs * np.expand_dims(t, -1))
+        return (self._frame_vecs * phases[..., None, :]) @ self._frame_vecs.conj().T
 
     def k_at(self, t: float) -> np.ndarray:
         model = self.model
@@ -196,17 +203,30 @@ class Coefficients:
             rotated = u @ self._lstack @ u.conj().T
         return np.einsum("ji,ikl->jkl", vdag, rotated)
 
+    def r_table(self, times: np.ndarray) -> np.ndarray:
+        """Stacked (n, J, d, d) array of the R_j(t) on a time grid.
+
+        The same arithmetic as :meth:`r_at`, batched over time: each slice
+        equals the per-time value bit for bit.
+        """
+        times = np.asarray(times, dtype=float)
+        vdag = self.model.detection.conj_transpose_on(times, self.nchannels)
+        if self._frame_trivial:
+            rotated = np.broadcast_to(self._lstack, (len(times),) + self._lstack.shape)
+        else:
+            u = self._frame_rotation(times)[:, None]
+            rotated = u @ self._lstack @ u.conj().swapaxes(-1, -2)
+        return np.einsum("nji,nikl->njkl", vdag, rotated)
+
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return self.k_at(t), self.r_at(t)
 
     def tabulate(self, times: np.ndarray) -> "CoefficientTable":
         times = np.asarray(times, dtype=float)
         k = np.empty((len(times), self.dim, self.dim), dtype=complex)
-        r = np.empty((len(times), self.nchannels, self.dim, self.dim), dtype=complex)
         for n, t in enumerate(times):
             k[n] = self.k_at(t)
-            r[n] = self.r_at(t)
-        return CoefficientTable(times=times, k=k, r=r)
+        return CoefficientTable(times=times, k=k, r=self.r_table(times))
 
 
 @dataclass(frozen=True)

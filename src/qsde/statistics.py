@@ -25,7 +25,23 @@ unraveling).  Error bars are leave-one-trajectory-out jackknife.
 Spectrum.  S(nu) = E[W_0(T)^2] / T with the system started in the
 stationary state, scanned over the local-oscillator frequency nu; a
 variance-rate variant subtracting E[W_0(T)]^2/T is available (it removes
-the coherent-scattering line at the carrier).
+the coherent-scattering line at the carrier).  With diagonal-phase
+detection the measured operator is R^{(nu)}(s) = p(s) B(s), p(s) = e^{i nu s},
+so the states rho_n, the table B_n and the one-step propagator E = e^{h L_*}
+are shared by all nu.  The inner trapezoid sum obeys
+
+    acc_{n+1} = E (acc_n + (h/2) m_n) + (h/2) m_{n+1},
+    m_n = p_n vec(B_n rho_n) + conj(p_n) vec(rho_n B_n^*).
+
+Every rho_n is exactly Hermitian (master_series symmetrizes each state) and
+E maps X^* to (E X)^*, as every Lindblad-form generator does, so the second
+half of m_n is the vec-adjoint of the first and acc_n = c_n + P conj(c_n),
+with P the vec-transpose permutation and c_n driven by p_n vec(B_n rho_n)
+alone.  The outer summand folds to 2 Re(conj(p_n) c_n.q1_n + p_n c_n.q2_n),
+q1 = conj vec(B), q2 = conj vec(B^*): the scan carries one d^2 vector per
+nu, and the fold changes the sum by rounding only.  Times are swept in fixed
+blocks, so the scan's working memory is O(block x len(nu_grid) x d^2) on
+top of the O(nsteps x d^2) shared streams, whatever the horizon.
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .linalg import adjoint, matrix_exp, vectorize
+from .linalg import matrix_exp
 from .master import (
     DegenerateStationaryState,
     LindbladPropagator,
@@ -81,10 +97,7 @@ def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     """
     times = _uniform_grid(t, dt)
     rho = master_series(gen, rho0, times)
-    integrand = np.empty((len(times), coeffs.nchannels))
-    for n, s in enumerate(times):
-        r = coeffs.r_at(s)
-        integrand[n] = 2.0 * np.einsum("jkl,lk->j", r, rho[n]).real
+    integrand = 2.0 * np.einsum("njkl,nlk->nj", coeffs.r_table(times), rho).real
     h = times[1] - times[0] if len(times) > 1 else 0.0
     means = np.zeros_like(integrand)
     if len(times) > 1:
@@ -102,15 +115,21 @@ def analytic_mean_output(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     return float(means[-1, k])
 
 
-def _ordered_double_integral(coeffs: Coefficients, gen: LindbladPropagator,
-                             rho: np.ndarray, i: int, j: int,
-                             t_outer: float, t_inner: float, dt: float) -> float:
+def _vectorize_stack(m: np.ndarray) -> np.ndarray:
+    """Column-stack each matrix of an (n, d, d) stack: shape (n, d*d)."""
+    return m.swapaxes(-1, -2).reshape(len(m), -1)
+
+
+def _ordered_double_integral(gen: LindbladPropagator, r: np.ndarray, rho: np.ndarray,
+                             i: int, j: int, t_outer: float, t_inner: float,
+                             dt: float) -> float:
     """One ordered term of the second-moment formula.
 
     Integral over 0 <= s2 <= min(t_inner, s1), 0 <= s1 <= t_outer of
     Tr{(R_i(s1)+R_i^*(s1)) U(s1,s2)[R_j(s2) rho_{s2} + rho_{s2} R_j^*(s2)]},
-    as an iterated trapezoid sum on the grid of spacing dt.  The inner sum
-    is carried along with the one-step propagator, so each grid diagonal is
+    as an iterated trapezoid sum on the grid of spacing dt, with ``r`` and
+    ``rho`` the R table and the states on that grid.  The inner sum is
+    carried along with the one-step propagator, so each grid diagonal is
     visited once.
     """
     n_out = int(round(t_outer / dt))
@@ -121,26 +140,22 @@ def _ordered_double_integral(coeffs: Coefficients, gen: LindbladPropagator,
     constant = gen.time_independent
     if constant:
         e_step = matrix_exp(gen.generator_at(0.0), dt)
-
-    def m_vec(n: int) -> np.ndarray:
-        rj = coeffs.r_at(n * dt)[j]
-        return vectorize(rj @ rho[n] + rho[n] @ adjoint(rj))
+    ri = r[:n_out + 1, i]
+    q = _vectorize_stack(ri + ri.conj().swapaxes(-1, -2)).conj()
+    n_m = min(n_cap, n_out) + 1
+    rj, rho_j = r[:n_m, j], rho[:n_m]
+    m = _vectorize_stack(rj @ rho_j + rho_j @ rj.conj().swapaxes(-1, -2))
 
     acc = np.zeros(d * d, dtype=complex)
     total = 0.0
-    m_prev = m_vec(0)
     for n1 in range(n_out + 1):
-        ri = coeffs.r_at(n1 * dt)[i]
-        q = vectorize(ri + adjoint(ri))
         w_out = 0.5 if n1 in (0, n_out) else 1.0
-        total += w_out * (q.conj() @ acc).real * dt
+        total += w_out * (q[n1] @ acc).real * dt
         if n1 == n_out:
             break
         step = e_step if constant else matrix_exp(gen.generator_at((n1 + 0.5) * dt), dt)
         if n1 < n_cap:
-            m_next = m_vec(n1 + 1)
-            acc = step @ (acc + (0.5 * dt) * m_prev) + (0.5 * dt) * m_next
-            m_prev = m_next
+            acc = step @ (acc + (0.5 * dt) * m[n1]) + (0.5 * dt) * m[n1 + 1]
         else:
             acc = step @ acc
     return total
@@ -164,9 +179,10 @@ def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: 
     times = _uniform_grid(t_max, dt)
     h = times[1] - times[0]
     rho = master_series(gen, rho0, times)
+    r = coeffs.r_table(times)
     total = min(t1, t2) if i == j else 0.0
-    total += _ordered_double_integral(coeffs, gen, rho, i, j, t1, t2, h)
-    total += _ordered_double_integral(coeffs, gen, rho, j, i, t2, t1, h)
+    total += _ordered_double_integral(gen, r, rho, i, j, t1, t2, h)
+    total += _ordered_double_integral(gen, r, rho, j, i, t2, t1, h)
     return float(total)
 
 
@@ -357,6 +373,12 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
 # Spectrum scan
 # ---------------------------------------------------------------------------
 
+# Time steps per block of the spectrum sweep.  A block holds the carried
+# accumulator, its forcing terms and its phases for every nu, so the sweep's
+# working memory is O(_SPECTRUM_BLOCK x len(nu_grid) x d^2) at any horizon.
+_SPECTRUM_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class SpectrumScan:
     """S(nu) on a local-oscillator frequency grid."""
@@ -391,11 +413,15 @@ def spectrum_scan(model_factory, nu_grid, horizon: float, dt: float,
 
     The initial state defaults to the stationary state of the (detection
     independent) generator; a non-unique stationary manifold is an error
-    unless ``rho0`` is supplied.  All nu values share the correlation
-    kernels; only the detection phases differ, so the scan costs one kernel
-    sweep regardless of the grid size.  Each value equals the iterated
-    trapezoid evaluation of the printed second-moment formula at
-    t1 = t2 = horizon.
+    unless ``rho0`` is supplied.  All nu values share the states, the R
+    table and the one-step propagator; only the detection phases differ.
+    The sweep is the phase-folded recurrence of the module docstring, taken
+    in blocks of _SPECTRUM_BLOCK time steps: per nu it carries one d^2
+    vector, and no array spans both the nu grid and the whole time grid.
+    The fold needs Hermitian states and a Hermiticity-preserving generator,
+    which every state from ``master_series`` and every Lindblad generator
+    built here are.  Each value equals, to rounding, the iterated trapezoid
+    evaluation of the printed second-moment formula at t1 = t2 = horizon.
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
     if len(nu_grid) == 0:
@@ -413,7 +439,6 @@ def spectrum_scan(model_factory, nu_grid, horizon: float, dt: float,
             raise DegenerateStationaryState(
                 f"stationary manifold has dimension {st.nullity}; supply rho0")
         rho0 = st.rho
-    d = base.dim
     nsteps = max(1, int(round(horizon / dt)))
     h = horizon / nsteps
     times = h * np.arange(nsteps + 1)
@@ -421,41 +446,13 @@ def spectrum_scan(model_factory, nu_grid, horizon: float, dt: float,
 
     # nu-independent streams: with diagonal-phase detection the measured
     # channel operator is R^{(nu)}(s) = e^{i nu s} B(s).
-    b_ops = np.empty((nsteps + 1, d, d), dtype=complex)
-    for n, s in enumerate(times):
-        b_ops[n] = base.r_at(s)[channel]
-    mu1 = np.empty((nsteps + 1, d * d), dtype=complex)
-    mu2 = np.empty((nsteps + 1, d * d), dtype=complex)
-    qv1c = np.empty((nsteps + 1, d * d), dtype=complex)
-    qv2c = np.empty((nsteps + 1, d * d), dtype=complex)
-    tr_b_rho = np.empty(nsteps + 1, dtype=complex)
-    for n in range(nsteps + 1):
-        bn = b_ops[n]
-        mu1[n] = vectorize(bn @ rho[n])
-        mu2[n] = vectorize(rho[n] @ adjoint(bn))
-        qv1c[n] = vectorize(bn).conj()
-        qv2c[n] = vectorize(adjoint(bn)).conj()
-        tr_b_rho[n] = np.trace(bn @ rho[n])
-
-    e_step = matrix_exp(gen.generator_at(0.0), h)
-    e_t = e_step.T.copy()
-    nnu = len(nu_grid)
-    acc = np.zeros((nnu, d * d), dtype=complex)
-    total = np.zeros(nnu)
-    mean_acc = np.zeros(nnu, dtype=complex)
-    phases = np.exp(1j * np.outer(nu_grid, times))  # (nnu, nsteps + 1)
-    for n in range(nsteps + 1):
-        ph = phases[:, n]
-        val = ph.conj() * (acc @ qv1c[n]) + ph * (acc @ qv2c[n])
-        w_out = 0.5 if n in (0, nsteps) else 1.0
-        total += w_out * val.real * h
-        mean_acc += w_out * ph * tr_b_rho[n] * h
-        if n == nsteps:
-            break
-        m_n = ph[:, None] * mu1[n][None, :] + ph.conj()[:, None] * mu2[n][None, :]
-        ph1 = phases[:, n + 1]
-        m_next = ph1[:, None] * mu1[n + 1][None, :] + ph1.conj()[:, None] * mu2[n + 1][None, :]
-        acc = (acc + (0.5 * h) * m_n) @ e_t + (0.5 * h) * m_next
+    b_ops = base.r_table(times)[:, channel]
+    b_rho = b_ops @ rho
+    q1 = _vectorize_stack(b_ops).conj()
+    q2 = _vectorize_stack(b_ops.swapaxes(1, 2))   # conj vec(B^*) = vec(B^T)
+    e_t = np.ascontiguousarray(matrix_exp(gen.generator_at(0.0), h).T)
+    total, mean_acc = _folded_sweep(nu_grid, times, _vectorize_stack(b_rho), q1, q2,
+                                    np.trace(b_rho, axis1=1, axis2=2), e_t)
 
     second = horizon + 2.0 * total
     values = second / horizon
@@ -464,3 +461,44 @@ def spectrum_scan(model_factory, nu_grid, horizon: float, dt: float,
         values = (second - mean ** 2) / horizon
     return SpectrumScan(nu=nu_grid, values=values, horizon=horizon, dt=h,
                         channel=channel, subtract_mean=subtract_mean)
+
+
+def _folded_sweep(nu_grid, times, mu1, q1, q2, tr_b_rho, e_t):
+    """Phase-folded trapezoid sweep of the spectrum kernel, block by block.
+
+    Returns the double-integral sum and the first-moment sum, one entry per
+    nu.  The carried part c_n (rows: nu; row vectors, so E acts as
+    e_t = E^T) obeys c_{n+1} = (c_n + (h/2) p_n mu1_n) E^T + (h/2) p_{n+1} mu1_{n+1}
+    with p_n = e^{i nu t_n}.  Times are swept in blocks of _SPECTRUM_BLOCK:
+    the phases, the forcing terms and the reductions of a block are
+    whole-array operations, and only the matrix step is taken once per time.
+    """
+    nsteps = len(times) - 1
+    h = times[1] - times[0]
+    block = min(_SPECTRUM_BLOCK, nsteps)
+    w = np.full(nsteps + 1, h)
+    w[[0, -1]] = 0.5 * h
+    half_mu = (0.5 * h) * mu1
+    # Forcing of step n: [p_n, p_{n+1}] @ [(h/2) mu1_n E^T; (h/2) mu1_{n+1}].
+    kicks = np.stack([half_mu[:-1] @ e_t, half_mu[1:]], axis=1)
+    q12 = np.stack([q1, q2], axis=-1)
+    block_phase = np.exp(1j * np.outer(h * np.arange(block + 1), nu_grid))
+    c = np.zeros((block + 1, len(nu_grid), mu1.shape[1]), dtype=complex)
+    rows = list(c)   # row views made once: indexing c anew costs a third of each step
+    total = np.zeros(len(nu_grid))
+    mean_acc = np.zeros(len(nu_grid), dtype=complex)
+    for n0 in range(0, nsteps + 1, block):
+        m = min(block, nsteps + 1 - n0)        # times n0 .. n0 + m - 1 are reduced here
+        k_end = min(m, nsteps - n0)            # steps taken: c[k_end] is c_{n0 + k_end}
+        ph = np.exp(1j * nu_grid * times[n0]) * block_phase[:k_end + 1]
+        force = np.stack([ph[:k_end], ph[1:]], axis=-1) @ kicks[n0:n0 + k_end]
+        for k, f in enumerate(force):
+            np.matmul(rows[k], e_t, out=rows[k + 1])
+            rows[k + 1] += f
+        sl = slice(n0, n0 + m)
+        ph = ph[:m]
+        dots = c[:m] @ q12[sl]
+        total += 2.0 * (w[sl] @ (ph.conj() * dots[..., 0] + ph * dots[..., 1]).real)
+        mean_acc += (w[sl] * tr_b_rho[sl]) @ ph
+        c[0] = c[k_end]
+    return total, mean_acc

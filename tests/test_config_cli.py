@@ -80,6 +80,21 @@ def test_all_errors_collected():
         assert needle in text, text
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400])
+def test_non_finite_numbers_rejected(value):
+    with pytest.raises(ConfigError, match=r"run\.dt: must be a finite number"):
+        parse_config(json.dumps(make_config(**{"run.dt": value})))
+
+
+def test_record_times_outside_horizon_rejected():
+    doc = make_config(**{"run.command": "trajectories", "run.horizon": 1.0,
+                         "run.record_times": [0.0, 0.5, 7.0, -0.1, 1.0]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == [
+        "run.record_times[2]", "run.record_times[3]"]
+
+
 def test_explicit_model_section():
     doc = {
         "model": {

@@ -37,6 +37,23 @@ def random_model(rng, d=3, nchan=2):
         frame=random_hermitian(rng, d))
 
 
+def test_r_table_equals_per_time_values_bitwise():
+    rng = np.random.default_rng(41)
+    unitary = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    constant_unitary = SystemModel(
+        hamiltonian=random_hermitian(rng, 2), channels=(SIGMA_MINUS, 0.4 * EXCITED_PROJECTOR),
+        drive=DriveSpec(amplitudes=np.array([0.5, 0.2j]), carrier=1.3),
+        detection=DetectionSpec(kind="constant-unitary", matrix=unitary),
+        frame=random_hermitian(rng, 2))
+    times = 0.013 * np.arange(1001)
+    plain = simple_model(channels=(SIGMA_MINUS,),
+                         detection=DetectionSpec(kind="diagonal-phase", nu=2.5))
+    for model in (build_mollow_model(canonical_config()), constant_unitary, plain):
+        coeffs = build_coefficients(model)
+        table = coeffs.r_table(times)
+        assert table.tobytes() == np.stack([coeffs.r_at(t) for t in times]).tobytes()
+
+
 def test_model_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         simple_model(hamiltonian=SIGMA_MINUS)

@@ -7,6 +7,7 @@ from qsde.master import LindbladPropagator, master_series, stationary_state
 from qsde.model import CoefficientTable, build_coefficients
 from qsde.mollow import EXCITED_PROJECTOR, SIGMA_MINUS, build_mollow_model, canonical_config
 from qsde.statistics import (
+    _SPECTRUM_BLOCK,
     analytic_mean_output,
     analytic_second_moment,
     jackknife_stderr,
@@ -254,6 +255,44 @@ def test_spectrum_matches_per_frequency_route(mollow_setup):
         c_nu = build_coefficients(factory(nu))
         direct = analytic_second_moment(c_nu, gen, st.rho, 0, 0, horizon, horizon, dt) / horizon
         assert abs(scan.values[k] - direct) <= 1e-9
+
+
+def mollow_factory(nu):
+    return build_mollow_model(canonical_config(nu=nu))
+
+
+@pytest.mark.parametrize("horizon, rho0", [
+    (13.0, None),      # 650 steps: two full blocks and a partial one
+    (10.24, RHO_E),    # 512 steps: the last block holds the final time alone
+])
+def test_spectrum_blocks_and_start_state_match_per_frequency_route(mollow_setup, horizon, rho0):
+    coeffs, gen = mollow_setup
+    dt = 0.02
+    nsteps = int(round(horizon / dt))
+    assert nsteps > _SPECTRUM_BLOCK and nsteps + 1 > 2 * _SPECTRUM_BLOCK
+    start = stationary_state(gen).rho if rho0 is None else rho0
+    nus = np.array([5.0, 9.5, 10.0, 14.0])
+    scan = spectrum_scan(mollow_factory, nus, horizon=horizon, dt=dt, rho0=rho0)
+    for k, nu in enumerate(nus):
+        c_nu = build_coefficients(mollow_factory(nu))
+        direct = analytic_second_moment(c_nu, gen, start, 0, 0, horizon, horizon, dt) / horizon
+        assert abs(scan.values[k] - direct) <= 1e-9
+
+
+def test_spectrum_subtract_mean_is_variance_rate(mollow_setup):
+    coeffs, gen = mollow_setup
+    horizon, dt = 5.0, 0.02
+    nus = np.array([8.0, 10.0, 11.0])
+    rho = stationary_state(gen).rho
+    scan = spectrum_scan(mollow_factory, nus, horizon=horizon, dt=dt, subtract_mean=True)
+    means = []
+    for k, nu in enumerate(nus):
+        c_nu = build_coefficients(mollow_factory(nu))
+        second = analytic_second_moment(c_nu, gen, rho, 0, 0, horizon, horizon, dt)
+        mean = analytic_mean_output(c_nu, gen, rho, 0, horizon, dt)
+        assert abs(scan.values[k] - (second - mean ** 2) / horizon) <= 1e-9
+        means.append(mean)
+    assert max(abs(m) for m in means) > 0.1   # the coherent line: the subtraction matters
 
 
 def test_spectrum_undriven_decay_lorentzian():
