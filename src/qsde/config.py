@@ -120,6 +120,14 @@ class RunConfig:
     echo: dict = field(default_factory=dict, repr=False)
 
 
+def _as_float(v) -> float:
+    """``float(v)``, with an integer beyond the float range read as inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 class _Collector:
     def __init__(self):
         self.errors: list[str] = []
@@ -161,10 +169,7 @@ class _Collector:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             self.add(f"{path}.{key}", f"expected a number, got {v!r}")
             return default if default is not None else 0.0
-        try:
-            value = float(v)
-        except OverflowError:   # an integer beyond the float range
-            value = math.inf
+        value = _as_float(v)
         if not math.isfinite(value):
             self.add(f"{path}.{key}", f"must be a finite number, got {v!r}")
             return default if default is not None else 0.0
@@ -263,7 +268,9 @@ def _parse_run(section, col: _Collector, dim: int | None):
         col.add("run.command", f"must be one of {', '.join(COMMANDS)}")
         command = "verify"
     dt = col.number(section, "dt", "run", default=1e-3, positive=True)
+    nerrors = len(col.errors)
     horizon = col.number(section, "horizon", "run", default=2.0, positive=True)
+    horizon_ok = len(col.errors) == nerrors
     ntraj = section.get("ntraj", 10_000)
     if not isinstance(ntraj, int) or ntraj < 1:
         col.add("run.ntraj", "must be a positive integer")
@@ -279,9 +286,11 @@ def _parse_run(section, col: _Collector, dim: int | None):
             col.add("run.record_times", "expected a list of times")
             record_times = None
         else:
-            record_times = tuple(float(t) for t in record_times)
+            record_times = tuple(_as_float(t) for t in record_times)
             for i, t in enumerate(record_times):
-                if not 0.0 <= t <= horizon:
+                if not math.isfinite(t):
+                    col.add(f"run.record_times[{i}]", f"must be a finite number, got {t!r}")
+                elif horizon_ok and not 0.0 <= t <= horizon:
                     col.add(f"run.record_times[{i}]", f"{t!r} is outside [0, horizon = {horizon!r}]")
     nu_grid = _parse_nu_grid(section.get("nu_grid"), col)
     pairs = []

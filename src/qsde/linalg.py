@@ -77,17 +77,21 @@ def matrix_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:
-    """Column-stack a d x d matrix into a length-d^2 vector."""
+    """Column-stack a d x d matrix into a length-d^2 vector.
+
+    Acts on the last two axes, so a stack of matrices gives a stack of
+    vectors.
+    """
     m = np.asarray(m, dtype=complex)
-    return m.flatten(order="F")
+    return np.swapaxes(m, -1, -2).reshape(m.shape[:-2] + (-1,))
 
 
 def devectorize(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
+    """Inverse of :func:`vectorize`, on the last axis."""
     v = np.asarray(v, dtype=complex)
-    if v.size != d * d:
-        raise ValueError(f"vector of size {v.size} cannot be a {d}x{d} matrix")
-    return v.reshape((d, d), order="F")
+    if v.shape[-1:] != (d * d,):
+        raise ValueError(f"shape {v.shape} cannot hold vectorized {d}x{d} matrices")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:

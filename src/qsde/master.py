@@ -239,8 +239,7 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
         if not np.allclose(np.diff(times), h):
             raise ValueError("master_series needs a uniform time grid")
         _rk4_march(gen, record[0].copy(), times[0], nsteps, h, record=record)
-    # Column-stacked vectors reshape row-major to the transposed matrices.
-    return _cleanup(record.reshape(nsteps + 1, d, d).swapaxes(1, 2), check_positivity)
+    return _cleanup(devectorize(record, d), check_positivity)
 
 
 def evolution_operator(gen: LindbladPropagator, s: float, t: float,

@@ -92,12 +92,6 @@ class DetectionSpec:
             object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "nu", float(self.nu))
 
-    def conj_transpose_at(self, t: float, nchannels: int) -> np.ndarray:
-        """V(t)^dagger as a J x J matrix."""
-        if self.kind == "diagonal-phase":
-            return np.exp(1j * self.nu * t) * np.eye(nchannels)
-        return self.matrix.conj().T
-
     def conj_transpose_on(self, times: np.ndarray, nchannels: int) -> np.ndarray:
         """V(t)^dagger for each of ``times``, shape (n, J, J)."""
         if self.kind == "diagonal-phase":
@@ -195,20 +189,10 @@ class Coefficients:
 
     def r_at(self, t: float) -> np.ndarray:
         """Stacked (J, d, d) array of the R_j(t)."""
-        vdag = self.model.detection.conj_transpose_at(t, self.nchannels)
-        if self._frame_trivial:
-            rotated = self._lstack
-        else:
-            u = self._frame_rotation(t)
-            rotated = u @ self._lstack @ u.conj().T
-        return np.einsum("ji,ikl->jkl", vdag, rotated)
+        return self.r_table(np.array([t], dtype=float))[0]
 
     def r_table(self, times: np.ndarray) -> np.ndarray:
-        """Stacked (n, J, d, d) array of the R_j(t) on a time grid.
-
-        The same arithmetic as :meth:`r_at`, batched over time: each slice
-        equals the per-time value bit for bit.
-        """
+        """Stacked (n, J, d, d) array of the R_j(t) on a time grid."""
         times = np.asarray(times, dtype=float)
         vdag = self.model.detection.conj_transpose_on(times, self.nchannels)
         if self._frame_trivial:

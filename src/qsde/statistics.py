@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .linalg import matrix_exp
+from .linalg import matrix_exp, vectorize
 from .master import (
     DegenerateStationaryState,
     LindbladPropagator,
@@ -115,11 +115,6 @@ def analytic_mean_output(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     return float(means[-1, k])
 
 
-def _vectorize_stack(m: np.ndarray) -> np.ndarray:
-    """Column-stack each matrix of an (n, d, d) stack: shape (n, d*d)."""
-    return m.swapaxes(-1, -2).reshape(len(m), -1)
-
-
 def _ordered_double_integral(gen: LindbladPropagator, r: np.ndarray, rho: np.ndarray,
                              i: int, j: int, t_outer: float, t_inner: float,
                              dt: float) -> float:
@@ -141,10 +136,10 @@ def _ordered_double_integral(gen: LindbladPropagator, r: np.ndarray, rho: np.nda
     if constant:
         e_step = matrix_exp(gen.generator_at(0.0), dt)
     ri = r[:n_out + 1, i]
-    q = _vectorize_stack(ri + ri.conj().swapaxes(-1, -2)).conj()
+    q = vectorize(ri + ri.conj().swapaxes(-1, -2)).conj()
     n_m = min(n_cap, n_out) + 1
     rj, rho_j = r[:n_m, j], rho[:n_m]
-    m = _vectorize_stack(rj @ rho_j + rho_j @ rj.conj().swapaxes(-1, -2))
+    m = vectorize(rj @ rho_j + rho_j @ rj.conj().swapaxes(-1, -2))
 
     acc = np.zeros(d * d, dtype=complex)
     total = 0.0
@@ -448,10 +443,10 @@ def spectrum_scan(model_factory, nu_grid, horizon: float, dt: float,
     # channel operator is R^{(nu)}(s) = e^{i nu s} B(s).
     b_ops = base.r_table(times)[:, channel]
     b_rho = b_ops @ rho
-    q1 = _vectorize_stack(b_ops).conj()
-    q2 = _vectorize_stack(b_ops.swapaxes(1, 2))   # conj vec(B^*) = vec(B^T)
+    q1 = vectorize(b_ops).conj()
+    q2 = vectorize(b_ops.swapaxes(1, 2))   # conj vec(B^*) = vec(B^T)
     e_t = np.ascontiguousarray(matrix_exp(gen.generator_at(0.0), h).T)
-    total, mean_acc = _folded_sweep(nu_grid, times, _vectorize_stack(b_rho), q1, q2,
+    total, mean_acc = _folded_sweep(nu_grid, times, vectorize(b_rho), q1, q2,
                                     np.trace(b_rho, axis1=1, axis2=2), e_t)
 
     second = horizon + 2.0 * total

@@ -88,11 +88,18 @@ def test_non_finite_numbers_rejected(value):
 
 def test_record_times_outside_horizon_rejected():
     doc = make_config(**{"run.command": "trajectories", "run.horizon": 1.0,
-                         "run.record_times": [0.0, 0.5, 7.0, -0.1, 1.0]})
+                         "run.record_times": [0.0, 0.5, 7.0, -0.1, 1.0, 10 ** 400]})
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert [e.partition(":")[0] for e in err.value.errors] == [
-        "run.record_times[2]", "run.record_times[3]"]
+        "run.record_times[2]", "run.record_times[3]", "run.record_times[5]"]
+    assert "finite" in err.value.errors[2]
+    # With an invalid horizon only the horizon is reported, not every time.
+    doc = make_config(**{"run.command": "trajectories", "run.horizon": -1,
+                         "run.record_times": [0.0, 0.5]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == ["run.horizon"]
 
 
 def test_explicit_model_section():

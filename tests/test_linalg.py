@@ -103,6 +103,16 @@ def test_vectorize_roundtrip_and_linearity(rng):
         devectorize(np.zeros(5), 2)
 
 
+def test_vectorize_acts_on_last_two_axes(rng):
+    stack = np.stack([random_matrix(rng) for _ in range(4)]).reshape(2, 2, 3, 3)
+    vecs = vectorize(stack)
+    assert vecs.shape == (2, 2, 9)
+    assert np.array_equal(vecs[1, 0], vectorize(stack[1, 0]))
+    assert np.array_equal(devectorize(vecs, 3), stack)
+    with pytest.raises(ValueError):
+        devectorize(np.zeros((3, 5)), 2)
+
+
 def test_vectorize_sandwich_identity(rng):
     """vec(A X B) = kron(B.T, A) vec(X), the fixed global convention."""
     a, b, x = (random_matrix(rng) for _ in range(3))

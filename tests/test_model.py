@@ -48,7 +48,10 @@ def test_r_table_equals_per_time_values_bitwise():
     times = 0.013 * np.arange(1001)
     plain = simple_model(channels=(SIGMA_MINUS,),
                          detection=DetectionSpec(kind="diagonal-phase", nu=2.5))
-    for model in (build_mollow_model(canonical_config()), constant_unitary, plain):
+    # r_at evaluates a one-time grid: the table rows must not depend on the
+    # grid length, so that tabulated and per-time coefficients agree exactly.
+    for model in (build_mollow_model(canonical_config()), constant_unitary, plain,
+                  random_model(rng)):
         coeffs = build_coefficients(model)
         table = coeffs.r_table(times)
         assert table.tobytes() == np.stack([coeffs.r_at(t) for t in times]).tobytes()
