@@ -165,17 +165,32 @@ class _Collector:
                 self.add(f"{path}.{key}", "missing required value")
                 return 0.0
             return default
-        v = section[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            self.add(f"{path}.{key}", f"expected a number, got {v!r}")
-            return default if default is not None else 0.0
-        value = _as_float(v)
-        if not math.isfinite(value):
-            self.add(f"{path}.{key}", f"must be a finite number, got {v!r}")
+        value = self.finite(section[key], f"{path}.{key}")
+        if value is None:
             return default if default is not None else 0.0
         if positive and value <= 0:
             self.add(f"{path}.{key}", "must be positive")
         return value
+
+    def finite(self, v, path: str) -> float | None:
+        """``v`` as a finite float, or None after recording why it is not one."""
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            self.add(path, f"expected a number, got {v!r}")
+            return None
+        value = _as_float(v)
+        if not math.isfinite(value):
+            self.add(path, f"must be a finite number, got {v!r}")
+            return None
+        return value
+
+    def time(self, v, path: str, horizon: float | None) -> float:
+        """A finite time, checked against [0, horizon] unless the horizon is invalid."""
+        t = self.finite(v, path)
+        if t is None:
+            return 0.0
+        if horizon is not None and not 0.0 <= t <= horizon:
+            self.add(path, f"{t!r} is outside [0, horizon = {horizon!r}]")
+        return t
 
 
 def _parse_model(section, col: _Collector):
@@ -246,7 +261,8 @@ def _parse_nu_grid(value, col: _Collector):
         if not value:
             col.add("run.nu_grid", "frequency grid must not be empty")
             return None
-        return np.asarray([float(v) for v in value])
+        grid = [col.finite(v, f"run.nu_grid[{i}]") for i, v in enumerate(value)]
+        return None if None in grid else np.asarray(grid)
     if isinstance(value, dict):
         start = col.number(value, "start", "run.nu_grid")
         stop = col.number(value, "stop", "run.nu_grid")
@@ -270,7 +286,8 @@ def _parse_run(section, col: _Collector, dim: int | None):
     dt = col.number(section, "dt", "run", default=1e-3, positive=True)
     nerrors = len(col.errors)
     horizon = col.number(section, "horizon", "run", default=2.0, positive=True)
-    horizon_ok = len(col.errors) == nerrors
+    # Times are range-checked only against a valid horizon.
+    time_bound = horizon if len(col.errors) == nerrors else None
     ntraj = section.get("ntraj", 10_000)
     if not isinstance(ntraj, int) or ntraj < 1:
         col.add("run.ntraj", "must be a positive integer")
@@ -286,12 +303,8 @@ def _parse_run(section, col: _Collector, dim: int | None):
             col.add("run.record_times", "expected a list of times")
             record_times = None
         else:
-            record_times = tuple(_as_float(t) for t in record_times)
-            for i, t in enumerate(record_times):
-                if not math.isfinite(t):
-                    col.add(f"run.record_times[{i}]", f"must be a finite number, got {t!r}")
-                elif horizon_ok and not 0.0 <= t <= horizon:
-                    col.add(f"run.record_times[{i}]", f"{t!r} is outside [0, horizon = {horizon!r}]")
+            record_times = tuple(col.time(t, f"run.record_times[{i}]", time_bound)
+                                 for i, t in enumerate(record_times))
     nu_grid = _parse_nu_grid(section.get("nu_grid"), col)
     pairs = []
     for p, entry in enumerate(section.get("pairs", [])):
@@ -299,7 +312,9 @@ def _parse_run(section, col: _Collector, dim: int | None):
                 or not all(isinstance(x, (int, float)) for x in entry)):
             col.add(f"run.pairs[{p}]", "expected [i, j, t1, t2]")
             continue
-        pairs.append((int(entry[0]), int(entry[1]), float(entry[2]), float(entry[3])))
+        pairs.append((int(entry[0]), int(entry[1]),
+                      col.time(entry[2], f"run.pairs[{p}][2]", time_bound),
+                      col.time(entry[3], f"run.pairs[{p}][3]", time_bound)))
     initial = section.get("initial_state")
     if initial is not None:
         if not isinstance(initial, list):
@@ -361,7 +376,8 @@ def parse_config(text: str) -> RunConfig:
     model, mollow_cfg = _parse_model(doc.get("model"), col)
     run = _parse_run(doc.get("run", {}), col, model.dim if model is not None else None)
     output = _parse_output(doc.get("output"), col)
-    if run is not None and run.command in ("spectrum", "mollow") and run.nu_grid is None:
+    if (run is not None and run.command in ("spectrum", "mollow") and run.nu_grid is None
+            and not any(e.startswith("run.nu_grid") for e in col.errors)):
         col.add("run.nu_grid", f"the {run.command} command requires a frequency grid")
     if run is not None and run.command == "mollow" and mollow_cfg is None and not col.errors:
         col.add("model", "the mollow command requires the mollow preset")

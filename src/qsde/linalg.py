@@ -34,7 +34,7 @@ __all__ = [
 def ensure_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex array, raising if any entry is NaN/Inf."""
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

@@ -61,9 +61,6 @@ class DriveSpec:
         object.__setattr__(self, "amplitudes", ensure_finite(amps, "drive amplitudes"))
         object.__setattr__(self, "carrier", float(self.carrier))
 
-    def at(self, t: float) -> np.ndarray:
-        return self.amplitudes * np.exp(-1j * self.carrier * t)
-
 
 @dataclass(frozen=True)
 class DetectionSpec:
@@ -176,16 +173,26 @@ class Coefficients:
         return (self._frame_vecs * phases[..., None, :]) @ self._frame_vecs.conj().T
 
     def k_at(self, t: float) -> np.ndarray:
+        """K(t), shape (d, d)."""
+        return self.k_table(np.array([t], dtype=float))[0]
+
+    def k_table(self, times: np.ndarray) -> np.ndarray:
+        """Stacked (n, d, d) array of the K(t) on a time grid."""
+        times = np.asarray(times, dtype=float)
         model = self.model
-        f = model.drive.at(t)
-        core = self._keff - model.frame
-        for j, L in enumerate(model.channels):
-            if f[j] != 0:
-                core = core + 1j * (np.conj(f[j]) * L - f[j] * adjoint(L))
+        phase = np.exp(-1j * model.drive.carrier * times)
+        core = np.broadcast_to(self._keff - model.frame, (len(times), self.dim, self.dim))
+        for amplitude, L in zip(model.drive.amplitudes, model.channels):
+            if amplitude != 0:
+                # f_j(t) as one scalar-times-grid product per channel: numpy
+                # rounds it the same way for every grid length, so each row
+                # equals the one-time table k_at builds, bit for bit.
+                f = (amplitude * phase)[:, None, None]
+                core = core + 1j * (np.conj(f) * L - f * adjoint(L))
         if self._frame_trivial:
-            return core
-        u = self._frame_rotation(t)
-        return u @ core @ u.conj().T
+            return np.array(core)
+        u = self._frame_rotation(times)
+        return u @ core @ u.conj().swapaxes(-1, -2)
 
     def r_at(self, t: float) -> np.ndarray:
         """Stacked (J, d, d) array of the R_j(t)."""
@@ -207,10 +214,7 @@ class Coefficients:
 
     def tabulate(self, times: np.ndarray) -> "CoefficientTable":
         times = np.asarray(times, dtype=float)
-        k = np.empty((len(times), self.dim, self.dim), dtype=complex)
-        for n, t in enumerate(times):
-            k[n] = self.k_at(t)
-        return CoefficientTable(times=times, k=k, r=self.r_table(times))
+        return CoefficientTable(times=times, k=self.k_table(times), r=self.r_table(times))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,32 @@ Both use the Euler-Maruyama scheme (weak order 1) with left-point
 evaluation of all time-dependent quantities, so the two routes agree up to
 O(dt) and can be cross-checked path by path through the shared noise.
 
+Kernel layout: a batch of B states is stored column-major as a (d, B)
+array, and the noise of a chunk time-major as (nsteps, J, B).  Before
+stepping, one batched call stacks the per-step operators
+
+    ops[n] = [G_n; R_1(t_n); ...; R_J(t_n)],    shape ((J+1)d, d),
+
+so that one product ``ops[n] @ psi`` yields G_n psi and every R_j psi.
+For the linear equation G_n = -i dt K(t_n) and a step is
+dpsi = G psi + sum_j dW_j R_j psi.  For the normalized one, write
+m_j = <psi|R_j psi> (psi has unit norm) and
+
+    Khat = (K+K^*)/2 - (i/2) sum_j (R_j^*R_j - 2 conj(m_j) R_j + |m_j|^2),
+
+the drift of the normalized equation.  Splitting off the psi-independent
+part G_n = -i dt [(K+K^*)/2 - (i/2) sum_j R_j^*R_j], the step
+-i Khat psi dt + sum_j (R_j - m_j) psi dW_j is exactly
+
+    dpsi = G psi + sum_j e_j R_j psi - s psi,
+    e_j = dt conj(m_j) + dW_j,   s = sum_j m_j (dt/2 conj(m_j) + dW_j),
+
+so a step costs one small matmul plus a few elementwise operations on
+(J, B) arrays.  W at the record times is summed in the same loop.  The
+freeze masks are applied only once some path has frozen.  Ensembles with
+several workers fork a pool whose initializer hands each worker the step
+table once; chunks then carry only their trajectory range.
+
 Reproducibility: every trajectory owns a Philox counter-based stream keyed
 by (seed, trajectory index), so ensembles are bit-reproducible regardless
 of chunking or worker scheduling.
@@ -28,6 +54,7 @@ of chunking or worker scheduling.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
@@ -157,67 +184,92 @@ def _as_table(coeffs: Coefficients | CoefficientTable, times: np.ndarray) -> Coe
     return coeffs.tabulate(times)
 
 
-def _rpsi(r_n: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply each channel operator: (J,d,d) x (B,d) -> (B,J,d)."""
-    return np.einsum("jkl,bl->bjk", r_n, psi)
+def _step_ops(table: CoefficientTable, dt: float, nonlinear: bool) -> np.ndarray:
+    """Per-step operator stack ops[n] = [G_n; R_1(t_n); ...; R_J(t_n)].
+
+    Shape (n, (J+1)d, d), so that ``ops[n] @ psi`` gives the drift term
+    G_n psi and every R_j psi in one product.  G_n = -i dt K_n for the
+    linear equation and -i dt [(K_n + K_n^*)/2 - (i/2) sum_j R_j^* R_j]
+    for the normalized one.
+    """
+    k, r = table.k, table.r
+    if nonlinear:
+        rr = np.einsum("njlk,njlm->nkm", r.conj(), r)
+        k = 0.5 * (k + k.conj().swapaxes(-1, -2)) - 0.5j * rr
+    n, nchan, d, _ = r.shape
+    return np.concatenate([(-1j * dt) * k, r.reshape(n, nchan * d, d)], axis=1)
 
 
-def _normalized_expectation(psi: np.ndarray, rpsi: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """<psi|R_j psi>/||psi||^2 per channel, zero where the weight vanished."""
-    num = np.einsum("bk,bjk->bj", psi.conj(), rpsi)
-    safe = np.where(weight > 0, weight, 1.0)
-    return np.where(weight[:, None] > 0, num / safe[:, None], 0.0)
+def _sq_norm(psi: np.ndarray) -> np.ndarray:
+    """||psi||^2 per column of a (d, B) batch."""
+    return np.einsum("kb,kb->b", psi.conj(), psi).real
 
 
-def _step_linear_batch(table: CoefficientTable, psi0: np.ndarray, dw: np.ndarray,
+def _step_linear_batch(ops: np.ndarray, dt: float, psi0: np.ndarray, dw: np.ndarray,
                        record_idx: np.ndarray, weight_floor: float):
     """Euler-Maruyama for a batch of linear trajectories.
 
-    psi0: (B, d) initial states; dw: (B, nsteps, J) increments.
-    Returns states/weights/expectations/drift integrals sampled at
-    ``record_idx`` plus the per-path freeze step (-1 if never frozen).
+    ops: the linear step table of :func:`_step_ops`; psi0: (d, B) initial
+    states; dw: (nsteps, J, B) increments.  Returns, at ``record_idx``, the
+    states (nrec, d, B), weights (nrec, B), normalized expectations, drift
+    integrals and noise W (each (nrec, J, B)), plus the per-path freeze
+    step (-1 if never frozen).
     """
-    nsteps = dw.shape[1]
-    dt = table.times[1] - table.times[0] if nsteps else 0.0
-    batch, d = psi0.shape
-    nchan = table.nchannels
-    nrec = len(record_idx)
-
-    psi = psi0.astype(complex).copy()
-    weight = np.einsum("bk,bk->b", psi.conj(), psi).real
+    nsteps, nchan, batch = dw.shape
+    d = psi0.shape[0]
+    psi = np.ascontiguousarray(psi0, dtype=complex)
+    weight = _sq_norm(psi)
     floor = weight_floor * weight
-    drift = np.zeros((batch, nchan))
-    active = np.ones(batch, dtype=bool)
+    drift = np.zeros((nchan, batch))
+    w = np.zeros((nchan, batch))
     frozen_step = np.full(batch, -1, dtype=np.int64)
+    # None while no path is frozen: the masks below are needed only after
+    # the first freeze (or when a floor is zero and weights may vanish).
+    active = None if np.all(floor > 0) else np.ones(batch, dtype=bool)
 
-    rec_psi = np.empty((batch, nrec, d), dtype=complex)
-    rec_weight = np.empty((batch, nrec))
-    rec_rexp = np.empty((batch, nrec, nchan), dtype=complex)
-    rec_drift = np.empty((batch, nrec, nchan))
+    nrec = len(record_idx)
+    rec_psi = np.empty((nrec, d, batch), dtype=complex)
+    rec_weight = np.empty((nrec, batch))
+    rec_rexp = np.empty((nrec, nchan, batch), dtype=complex)
+    rec_drift = np.empty((nrec, nchan, batch))
+    rec_w = np.empty((nrec, nchan, batch))
     rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
 
     for n in range(nsteps + 1):
-        rpsi = _rpsi(table.r[n], psi)
-        rexp = _normalized_expectation(psi, rpsi, weight)
+        y = ops[n] @ psi
+        rpsi = y[d:].reshape(nchan, d, batch)
+        num = (psi.conj() * rpsi).sum(axis=1)
+        if active is None:
+            rexp = num / weight
+        else:
+            rexp = np.where(weight > 0, num / np.where(weight > 0, weight, 1.0), 0.0)
         pos = rec_pos.get(n)
         if pos is not None:
-            rec_psi[:, pos] = psi
-            rec_weight[:, pos] = weight
-            rec_rexp[:, pos] = rexp
-            rec_drift[:, pos] = drift
+            rec_psi[pos] = psi
+            rec_weight[pos] = weight
+            rec_rexp[pos] = rexp
+            rec_drift[pos] = drift
+            rec_w[pos] = w
         if n == nsteps:
             break
-        dpsi = (-1j * dt) * (psi @ table.k[n].T)
-        dpsi += np.einsum("bj,bjk->bk", dw[:, n].astype(complex), rpsi)
-        psi = psi + np.where(active[:, None], dpsi, 0.0)
-        drift = drift + np.where(active[:, None], dt * rexp.real, 0.0)
-        weight = np.where(active, np.einsum("bk,bk->b", psi.conj(), psi).real, weight)
-        newly_frozen = active & (weight < floor)
-        if np.any(newly_frozen):
+        dw_n = dw[n]
+        dpsi = y[:d] + (dw_n[:, None] * rpsi).sum(axis=0)
+        w = w + dw_n
+        if active is None:
+            psi = psi + dpsi
+            drift = drift + dt * rexp.real
+            weight = _sq_norm(psi)
+            newly_frozen = weight < floor
+        else:
+            psi = psi + np.where(active, dpsi, 0.0)
+            drift = drift + np.where(active, dt * rexp.real, 0.0)
+            weight = np.where(active, _sq_norm(psi), weight)
+            newly_frozen = active & (weight < floor)
+        if newly_frozen.any():
             frozen_step[newly_frozen] = n + 1
-            active &= ~newly_frozen
+            active = ~newly_frozen if active is None else active & ~newly_frozen
 
-    return rec_psi, rec_weight, rec_rexp, rec_drift, frozen_step
+    return rec_psi, rec_weight, rec_rexp, rec_drift, rec_w, frozen_step
 
 
 def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
@@ -235,13 +287,13 @@ def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
         raise ValueError("initial state dimension does not match the coefficients")
     if table.nchannels != path.nchannels:
         raise ValueError("noise channel count does not match the coefficients")
-    record_idx = np.arange(path.nsteps + 1)
-    psi, weight, rexp, drift, frozen = _step_linear_batch(
-        table, psi0[None, :], path.increments[None, :, :], record_idx, weight_floor)
+    psi, weight, rexp, drift, w, frozen = _step_linear_batch(
+        _step_ops(table, path.dt, nonlinear=False), path.dt, psi0[:, None],
+        path.increments[:, :, None], np.arange(path.nsteps + 1), weight_floor)
     frozen_at = None if frozen[0] < 0 else int(frozen[0])
     return TrajectoryRecord(
-        times=times, psi=psi[0], weight=weight[0], r_expect=rexp[0],
-        w_path=path.cumulative(), drift_integral=drift[0],
+        times=times, psi=psi[..., 0], weight=weight[:, 0], r_expect=rexp[..., 0],
+        w_path=w[..., 0], drift_integral=drift[..., 0],
         seed=path.seed, stream=path.stream, frozen_at=frozen_at)
 
 
@@ -255,63 +307,63 @@ def apply_girsanov_shift(record: TrajectoryRecord) -> TrajectoryRecord:
     return replace(record, innovation_path=innovation)
 
 
-def _step_nonlinear_batch(table: CoefficientTable, psi0: np.ndarray, dw: np.ndarray,
+def _step_nonlinear_batch(ops: np.ndarray, dt: float, psi0: np.ndarray, dw: np.ndarray,
                           record_idx: np.ndarray, weight_floor: float):
-    """Euler-Maruyama for the normalized equation, renormalizing each step."""
-    nsteps = dw.shape[1]
-    dt = table.times[1] - table.times[0] if nsteps else 0.0
-    batch, d = psi0.shape
-    nchan = table.nchannels
-    nrec = len(record_idx)
+    """Euler-Maruyama for the normalized equation, renormalizing each step.
 
-    psi = psi0.astype(complex).copy()
-    norms = np.sqrt(np.einsum("bk,bk->b", psi.conj(), psi).real)
-    psi = psi / norms[:, None]
-    ones = np.ones(batch)
-    drift = np.zeros((batch, nchan))
-    active = np.ones(batch, dtype=bool)
+    Same layout as :func:`_step_linear_batch` with the nonlinear step table;
+    returns states, expectations, drift integrals, W and freeze steps.
+    """
+    nsteps, nchan, batch = dw.shape
+    d = psi0.shape[0]
+    psi = np.ascontiguousarray(psi0, dtype=complex)
+    psi = psi / np.sqrt(_sq_norm(psi))
+    drift = np.zeros((nchan, batch))
+    w = np.zeros((nchan, batch))
     frozen_step = np.full(batch, -1, dtype=np.int64)
+    active = None if weight_floor > 0 else np.ones(batch, dtype=bool)  # as in the linear stepper
+    half_dt = 0.5 * dt
 
-    rec_psi = np.empty((batch, nrec, d), dtype=complex)
-    rec_rexp = np.empty((batch, nrec, nchan), dtype=complex)
-    rec_drift = np.empty((batch, nrec, nchan))
+    nrec = len(record_idx)
+    rec_psi = np.empty((nrec, d, batch), dtype=complex)
+    rec_rexp = np.empty((nrec, nchan, batch), dtype=complex)
+    rec_drift = np.empty((nrec, nchan, batch))
+    rec_w = np.empty((nrec, nchan, batch))
     rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
 
     for n in range(nsteps + 1):
-        r_n = table.r[n]
-        rpsi = _rpsi(r_n, psi)
-        m = _normalized_expectation(psi, rpsi, ones)
+        y = ops[n] @ psi
+        rpsi = y[d:].reshape(nchan, d, batch)
+        m = (psi.conj() * rpsi).sum(axis=1)
         pos = rec_pos.get(n)
         if pos is not None:
-            rec_psi[:, pos] = psi
-            rec_rexp[:, pos] = m
-            rec_drift[:, pos] = drift
+            rec_psi[pos] = psi
+            rec_rexp[pos] = m
+            rec_drift[pos] = drift
+            rec_w[pos] = w
         if n == nsteps:
             break
-        kh = table.k[n] + table.k[n].conj().T
-        rr = np.einsum("jlk,jlm->km", r_n.conj(), r_n)
-        # Khat psi = (K+K*)/2 psi - (i/2) sum_j (R_j^*R_j - 2 conj(m_j) R_j + |m_j|^2) psi,
-        # the drift of the normalized equation with conditional expectations m_j.
-        khat_psi = 0.5 * (psi @ kh.T)
-        khat_psi += -0.5j * (psi @ rr.T)
-        khat_psi += -0.5j * (
-            -2.0 * np.einsum("bj,bjk->bk", m.conj(), rpsi)
-            + np.sum(np.abs(m) ** 2, axis=1)[:, None] * psi
-        )
-        dpsi = (-1j * dt) * khat_psi
-        centered = rpsi - m[:, :, None] * psi[:, None, :]
-        dpsi += np.einsum("bj,bjk->bk", dw[:, n].astype(complex), centered)
-        psi_new = psi + np.where(active[:, None], dpsi, 0.0)
-        nn = np.einsum("bk,bk->b", psi_new.conj(), psi_new).real
-        newly_frozen = active & (nn < weight_floor)
-        if np.any(newly_frozen):
+        # dpsi = G psi + sum_j e_j R_j psi - s psi (module docstring)
+        dw_n = dw[n]
+        m_conj = m.conj()
+        e = dt * m_conj + dw_n
+        s = (m * (half_dt * m_conj + dw_n)).sum(axis=0)
+        psi_new = psi + (y[:d] + (e[:, None] * rpsi).sum(axis=0) - s * psi)
+        w = w + dw_n
+        nn = _sq_norm(psi_new)
+        newly_frozen = nn < weight_floor if active is None else active & (nn < weight_floor)
+        if newly_frozen.any():
             frozen_step[newly_frozen] = n + 1
-            active &= ~newly_frozen
-        scale = np.where(active & (nn > 0), 1.0 / np.sqrt(np.where(nn > 0, nn, 1.0)), 1.0)
-        psi = np.where(active[:, None], psi_new * scale[:, None], psi)
-        drift = drift + np.where(active[:, None], dt * m.real, 0.0)
+            active = ~newly_frozen if active is None else active & ~newly_frozen
+        if active is None:
+            psi = psi_new * (1.0 / np.sqrt(nn))
+            drift = drift + dt * m.real
+        else:
+            scale = np.where(active & (nn > 0), 1.0 / np.sqrt(np.where(nn > 0, nn, 1.0)), 1.0)
+            psi = np.where(active, psi_new * scale, psi)
+            drift = drift + np.where(active, dt * m.real, 0.0)
 
-    return rec_psi, rec_rexp, rec_drift, frozen_step
+    return rec_psi, rec_rexp, rec_drift, rec_w, frozen_step
 
 
 def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.ndarray,
@@ -333,14 +385,13 @@ def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.nda
         raise ValueError("initial state dimension does not match the coefficients")
     if table.nchannels != path.nchannels:
         raise ValueError("noise channel count does not match the coefficients")
-    record_idx = np.arange(path.nsteps + 1)
-    psi, rexp, drift, frozen = _step_nonlinear_batch(
-        table, psihat0[None, :], path.increments[None, :, :], record_idx, weight_floor)
+    psi, rexp, drift, innovation, frozen = _step_nonlinear_batch(
+        _step_ops(table, path.dt, nonlinear=True), path.dt, psihat0[:, None],
+        path.increments[:, :, None], np.arange(path.nsteps + 1), weight_floor)
     frozen_at = None if frozen[0] < 0 else int(frozen[0])
-    innovation = path.cumulative()
     return NormalizedRecord(
-        times=times, psihat=psi[0], r_expect=rexp[0],
-        innovation_path=innovation, w_path=innovation + 2.0 * drift[0],
+        times=times, psihat=psi[..., 0], r_expect=rexp[..., 0],
+        innovation_path=innovation[..., 0], w_path=innovation[..., 0] + 2.0 * drift[..., 0],
         seed=path.seed, stream=path.stream, frozen_at=frozen_at)
 
 
@@ -446,46 +497,65 @@ def _draw_initials(initial, ntraj: int, first: int, dim: int, base_seed: int) ->
 
 def _chunk_noise(base_seed: int, first: int, ntraj: int, dt: float,
                  nsteps: int, nchannels: int) -> np.ndarray:
-    dw = np.empty((ntraj, nsteps, nchannels))
+    """Increments of trajectories first..first+ntraj-1, time-major (nsteps, J, B)."""
+    dw = np.empty((nsteps, nchannels, ntraj))
     sigma = np.sqrt(dt)
     for b in range(ntraj):
         rng = _philox_stream(base_seed, first + b)
-        dw[b] = rng.normal(0.0, sigma, size=(nsteps, nchannels))
+        dw[:, :, b] = rng.normal(0.0, sigma, size=(nsteps, nchannels))
     return dw
 
 
-def _linear_chunk(args):
-    table, initial, base_seed, first, ntraj, nsteps, dt, record_idx, weight_floor = args
-    dw = _chunk_noise(base_seed, first, ntraj, dt, nsteps, table.nchannels)
-    psi0 = _draw_initials(initial, ntraj, first, table.dim, base_seed)
-    psi, weight, rexp, drift, frozen = _step_linear_batch(table, psi0, dw, record_idx, weight_floor)
-    w = np.concatenate([np.zeros((ntraj, 1, table.nchannels)),
-                        np.cumsum(dw, axis=1)], axis=1)[:, record_idx, :]
-    return psi, weight, rexp, drift, frozen, w
+@dataclass(frozen=True)
+class _Job:
+    """What every chunk of one ensemble shares."""
+
+    stepper: Callable  # _step_linear_batch or _step_nonlinear_batch
+    ops: np.ndarray
+    dt: float
+    initial: object
+    base_seed: int
+    record_idx: np.ndarray
+    weight_floor: float
 
 
-def _nonlinear_chunk(args):
-    table, initial, base_seed, first, ntraj, nsteps, dt, record_idx, weight_floor = args
-    dw = _chunk_noise(base_seed, first, ntraj, dt, nsteps, table.nchannels)
-    psi0 = _draw_initials(initial, ntraj, first, table.dim, base_seed)
-    psi, rexp, drift, frozen = _step_nonlinear_batch(table, psi0, dw, record_idx, weight_floor)
-    w = np.concatenate([np.zeros((ntraj, 1, table.nchannels)),
-                        np.cumsum(dw, axis=1)], axis=1)[:, record_idx, :]
-    return psi, rexp, drift, frozen, w
+def _run_chunk(job: _Job, first: int, ntraj: int) -> list[np.ndarray]:
+    """Step trajectories first..first+ntraj-1; arrays come back batch-first.
+
+    They are made C-contiguous here, so that downstream reductions see the
+    same memory layout whether a chunk ran in this process or in a worker.
+    """
+    npoints, rows, dim = job.ops.shape
+    dw = _chunk_noise(job.base_seed, first, ntraj, job.dt, npoints - 1, rows // dim - 1)
+    psi0 = _draw_initials(job.initial, ntraj, first, dim, job.base_seed).T
+    out = job.stepper(job.ops, job.dt, psi0, dw, job.record_idx, job.weight_floor)
+    return [np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in out]
 
 
-def _run_chunks(worker, table, initial, base_seed, ntraj, nsteps, dt,
-                record_idx, weight_floor, chunk_size):
-    chunks = [(table, initial, base_seed, first, min(chunk_size, ntraj - first),
-               nsteps, dt, record_idx, weight_floor)
-              for first in range(0, ntraj, chunk_size)]
-    nworkers = worker_count()
-    if nworkers > 1 and len(chunks) > 1:
-        with get_context("fork").Pool(processes=min(nworkers, len(chunks))) as pool:
-            results = pool.map(worker, chunks)
+_worker_job: _Job | None = None
+
+
+def _adopt_job(job: _Job):
+    """Pool initializer: each worker receives the job, step table included, once."""
+    global _worker_job
+    _worker_job = job
+
+
+def _pool_chunk(first: int, ntraj: int) -> list[np.ndarray]:
+    return _run_chunk(_worker_job, first, ntraj)
+
+
+def _run_chunks(job: _Job, ntraj: int, chunk_size: int) -> list[np.ndarray]:
+    """Run all chunks and join their arrays along the trajectory axis."""
+    spans = [(first, min(chunk_size, ntraj - first)) for first in range(0, ntraj, chunk_size)]
+    nworkers = min(worker_count(), len(spans))
+    if nworkers > 1:
+        with get_context("fork").Pool(processes=nworkers, initializer=_adopt_job,
+                                      initargs=(job,)) as pool:
+            results = pool.starmap(_pool_chunk, spans)
     else:
-        results = [worker(c) for c in chunks]
-    return results
+        results = [_run_chunk(job, *span) for span in spans]
+    return [np.concatenate(parts) for parts in zip(*results)]
 
 
 def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,
@@ -500,16 +570,10 @@ def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: fl
     only groups trajectories for vectorized stepping.
     """
     times = dt * np.arange(nsteps + 1)
-    table = _as_table(coeffs, times)
     record_idx = _record_indices(nsteps, dt, record_times)
-    results = _run_chunks(_linear_chunk, table, initial, base_seed, ntraj,
-                          nsteps, dt, record_idx, weight_floor, chunk_size)
-    psi = np.concatenate([r[0] for r in results])
-    weight = np.concatenate([r[1] for r in results])
-    rexp = np.concatenate([r[2] for r in results])
-    drift = np.concatenate([r[3] for r in results])
-    frozen = np.concatenate([r[4] for r in results])
-    w = np.concatenate([r[5] for r in results])
+    job = _Job(_step_linear_batch, _step_ops(_as_table(coeffs, times), dt, nonlinear=False),
+               dt, initial, base_seed, record_idx, weight_floor)
+    psi, weight, rexp, drift, w, frozen = _run_chunks(job, ntraj, chunk_size)
     return LinearEnsemble(times=times[record_idx], psi=psi, weight=weight,
                           r_expect=rexp, w_path=w, innovation=w - 2.0 * drift,
                           frozen_at=frozen, base_seed=base_seed, dt=dt)
@@ -521,15 +585,10 @@ def run_nonlinear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt:
                            chunk_size: int = 1024) -> NonlinearEnsemble:
     """Integrate ``ntraj`` normalized trajectories driven by innovation noise."""
     times = dt * np.arange(nsteps + 1)
-    table = _as_table(coeffs, times)
     record_idx = _record_indices(nsteps, dt, record_times)
-    results = _run_chunks(_nonlinear_chunk, table, initial, base_seed, ntraj,
-                          nsteps, dt, record_idx, weight_floor, chunk_size)
-    psi = np.concatenate([r[0] for r in results])
-    rexp = np.concatenate([r[1] for r in results])
-    drift = np.concatenate([r[2] for r in results])
-    frozen = np.concatenate([r[3] for r in results])
-    what = np.concatenate([r[4] for r in results])
+    job = _Job(_step_nonlinear_batch, _step_ops(_as_table(coeffs, times), dt, nonlinear=True),
+               dt, initial, base_seed, record_idx, weight_floor)
+    psi, rexp, drift, what, frozen = _run_chunks(job, ntraj, chunk_size)
     return NonlinearEnsemble(times=times[record_idx], psihat=psi, r_expect=rexp,
                              w_path=what + 2.0 * drift, innovation=what,
                              frozen_at=frozen, base_seed=base_seed, dt=dt)

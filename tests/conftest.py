@@ -25,6 +25,28 @@ def simple_model(hamiltonian=None, channels=None, amplitudes=None, carrier=0.0,
         frame=np.zeros((dim, dim)) if frame is None else frame)
 
 
+def random_hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return m + m.conj().T
+
+
+def random_model(rng, d=3, nchan=2):
+    """Random model whose K(t) and R_j(t) depend on time (random frame)."""
+    channels = tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                     for _ in range(nchan))
+    q = np.linalg.qr(rng.normal(size=(nchan, nchan))
+                     + 1j * rng.normal(size=(nchan, nchan)))[0]
+    detection = DetectionSpec(kind="constant-unitary", matrix=q) if rng.uniform() < 0.5 \
+        else DetectionSpec(kind="diagonal-phase", nu=rng.uniform(-3, 3))
+    return SystemModel(
+        hamiltonian=random_hermitian(rng, d),
+        channels=channels,
+        drive=DriveSpec(amplitudes=rng.normal(size=nchan) + 1j * rng.normal(size=nchan),
+                        carrier=rng.uniform(-5, 5)),
+        detection=detection,
+        frame=random_hermitian(rng, d))
+
+
 @pytest.fixture(scope="session")
 def mollow_coeffs():
     return build_coefficients(build_mollow_model(canonical_config()))

@@ -42,6 +42,7 @@ from qsde.statistics import (
 from qsde.trajectories import (
     _step_linear_batch,
     _step_nonlinear_batch,
+    _step_ops,
     generate_wiener,
     run_linear_ensemble,
     run_nonlinear_ensemble,
@@ -285,17 +286,17 @@ def test_criterion_08_mollow_spectrum():
 
 def _overlap_defects(coeffs, dt: float, dw: np.ndarray) -> np.ndarray:
     """1 - |<psihat_lin|psihat_nl>| at the final time, given shared noise."""
-    npaths, nst, nchan = dw.shape
-    grid = dt * np.arange(nst + 1)
-    table = coeffs.tabulate(grid)
-    psi0 = np.broadcast_to(E0, (npaths, 2)).copy()
+    npaths, nst, _ = dw.shape
+    table = coeffs.tabulate(dt * np.arange(nst + 1))
+    psi0 = np.broadcast_to(E0[:, None], (2, npaths))
     full = np.arange(nst + 1)
-    psi, weight, rexp, drift, _ = _step_linear_batch(table, psi0, dw, full, 1e-12)
-    w_path = np.concatenate([np.zeros((npaths, 1, nchan)), np.cumsum(dw, axis=1)], axis=1)
-    dw_hat = np.diff(w_path - 2.0 * drift, axis=1)
-    psihat, _, _, _ = _step_nonlinear_batch(table, psi0, dw_hat, np.array([nst]), 1e-12)
-    lin_hat = psi[:, -1] / np.sqrt(weight[:, -1])[:, None]
-    return 1.0 - np.abs(np.einsum("bk,bk->b", lin_hat.conj(), psihat[:, 0]))
+    psi, weight, _, drift, w_path, _ = _step_linear_batch(
+        _step_ops(table, dt, nonlinear=False), dt, psi0, dw.transpose(1, 2, 0), full, 1e-12)
+    dw_hat = np.diff(w_path - 2.0 * drift, axis=0)
+    psihat, _, _, _, _ = _step_nonlinear_batch(
+        _step_ops(table, dt, nonlinear=True), dt, psi0, dw_hat, np.array([nst]), 1e-12)
+    lin_hat = psi[-1] / np.sqrt(weight[-1])
+    return 1.0 - np.abs(np.einsum("kb,kb->b", lin_hat.conj(), psihat[0]))
 
 
 def test_criterion_09_nonlinear_linear_consistency(canonical):

@@ -102,6 +102,26 @@ def test_record_times_outside_horizon_rejected():
     assert [e.partition(":")[0] for e in err.value.errors] == ["run.horizon"]
 
 
+def test_pair_times_outside_horizon_rejected():
+    doc = make_config(**{"run.command": "moments", "run.horizon": 0.1,
+                         "run.pairs": [[0, 0, 0.05, 3.0], [0, 1, 0.1, 0.0],
+                                       [1, 1, -0.01, float("nan")], [0, 0, 10 ** 400, 0.1]]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == [
+        "run.pairs[0][3]", "run.pairs[2][2]", "run.pairs[2][3]", "run.pairs[3][2]"]
+    assert "outside [0, horizon = 0.1]" in err.value.errors[0]
+    assert "finite" in err.value.errors[2] and "finite" in err.value.errors[3]
+
+
+@pytest.mark.parametrize("entry", ["a", float("nan"), float("inf"), float("-inf"), True])
+def test_nu_grid_list_entries_rejected(entry):
+    doc = make_config(**{"run.command": "spectrum", "run.nu_grid": [9.0, entry]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == ["run.nu_grid[1]"]
+
+
 def test_explicit_model_section():
     doc = {
         "model": {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import simple_model
+from conftest import random_hermitian, random_model, simple_model
 from qsde.linalg import max_abs
 from qsde.model import (
     DetectionSpec,
@@ -16,45 +16,50 @@ from qsde.model import (
 from qsde.mollow import EXCITED_PROJECTOR, SIGMA_MINUS, SIGMA_PLUS, build_mollow_model, canonical_config
 
 
-def random_hermitian(rng, d):
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return m + m.conj().T
-
-
-def random_model(rng, d=3, nchan=2):
-    channels = tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                     for _ in range(nchan))
-    q = np.linalg.qr(rng.normal(size=(nchan, nchan))
-                     + 1j * rng.normal(size=(nchan, nchan)))[0]
-    detection = DetectionSpec(kind="constant-unitary", matrix=q) if rng.uniform() < 0.5 \
-        else DetectionSpec(kind="diagonal-phase", nu=rng.uniform(-3, 3))
-    return SystemModel(
-        hamiltonian=random_hermitian(rng, d),
-        channels=channels,
-        drive=DriveSpec(amplitudes=rng.normal(size=nchan) + 1j * rng.normal(size=nchan),
-                        carrier=rng.uniform(-5, 5)),
-        detection=detection,
-        frame=random_hermitian(rng, d))
-
-
-def test_r_table_equals_per_time_values_bitwise():
-    rng = np.random.default_rng(41)
+def _table_models(rng):
+    """Mollow; constant-unitary detection with two driven channels and a
+    random frame; one driven channel; no drive; random d = 3, J = 2."""
     unitary = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     constant_unitary = SystemModel(
         hamiltonian=random_hermitian(rng, 2), channels=(SIGMA_MINUS, 0.4 * EXCITED_PROJECTOR),
         drive=DriveSpec(amplitudes=np.array([0.5, 0.2j]), carrier=1.3),
         detection=DetectionSpec(kind="constant-unitary", matrix=unitary),
         frame=random_hermitian(rng, 2))
-    times = 0.013 * np.arange(1001)
+    one_driven = simple_model(hamiltonian=random_hermitian(rng, 2), channels=(SIGMA_MINUS,),
+                              amplitudes=[0.3 - 0.8j], carrier=2.1,
+                              frame=random_hermitian(rng, 2))
     plain = simple_model(channels=(SIGMA_MINUS,),
                          detection=DetectionSpec(kind="diagonal-phase", nu=2.5))
+    return (build_mollow_model(canonical_config()), constant_unitary, one_driven, plain,
+            random_model(rng))
+
+
+def test_r_table_equals_per_time_values_bitwise():
+    times = 0.013 * np.arange(1001)
     # r_at evaluates a one-time grid: the table rows must not depend on the
     # grid length, so that tabulated and per-time coefficients agree exactly.
-    for model in (build_mollow_model(canonical_config()), constant_unitary, plain,
-                  random_model(rng)):
+    for model in _table_models(np.random.default_rng(41)):
         coeffs = build_coefficients(model)
         table = coeffs.r_table(times)
         assert table.tobytes() == np.stack([coeffs.r_at(t) for t in times]).tobytes()
+
+
+def test_k_table_equals_per_time_values_bitwise():
+    times = 0.013 * np.arange(1001)
+    for model in _table_models(np.random.default_rng(43)):
+        coeffs = build_coefficients(model)
+        table = coeffs.tabulate(times)
+        assert table.k.tobytes() == np.stack([coeffs.k_at(t) for t in times]).tobytes()
+
+
+def test_non_contiguous_operators_accepted():
+    """SIGMA_PLUS is a transposed view; Fortran order is not C-contiguous either."""
+    assert not SIGMA_PLUS.flags.c_contiguous
+    m = simple_model(channels=(SIGMA_PLUS,), hamiltonian=np.asfortranarray(
+        np.array([[1.0, 0.5j], [-0.5j, -1.0]])))
+    assert np.array_equal(m.channels[0], SIGMA_PLUS)
+    with pytest.raises(ValueError, match="non-finite"):
+        simple_model(channels=(np.array([[0, np.nan], [0, 0]], dtype=complex).T,))
 
 
 def test_model_validation():

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import simple_model
+from conftest import random_model, simple_model
 from qsde.linalg import matrix_exp, max_abs
 from qsde.model import CoefficientTable, build_coefficients
+from qsde.mollow import SIGMA_MINUS
 from qsde.trajectories import (
     WienerPath,
+    _chunk_noise,
+    _step_linear_batch,
+    _step_nonlinear_batch,
+    _step_ops,
     apply_girsanov_shift,
     generate_wiener,
     integrate_linear,
@@ -196,10 +201,14 @@ def test_ensemble_worker_count_invariance(mollow_coeffs, monkeypatch):
                   record_times=[0.05, 0.1], chunk_size=6)
     monkeypatch.setenv("QSDE_WORKERS", "1")
     a = run_linear_ensemble(mollow_coeffs, **common)
+    an = run_nonlinear_ensemble(mollow_coeffs, **common)
     monkeypatch.setenv("QSDE_WORKERS", "3")
     b = run_linear_ensemble(mollow_coeffs, **common)
+    bn = run_nonlinear_ensemble(mollow_coeffs, **common)
     assert np.array_equal(a.psi, b.psi)
     assert np.array_equal(a.weight, b.weight)
+    for field in ("psihat", "r_expect", "w_path", "innovation", "frozen_at"):
+        assert np.array_equal(getattr(an, field), getattr(bn, field))
 
 
 def test_ensemble_matches_single_trajectories(mollow_coeffs):
@@ -260,3 +269,104 @@ def test_weighted_vs_nonlinear_functional_agreement(mollow_coeffs):
     b = np.abs(nl.psihat[:, 0, 0]) ** 2
     se = np.sqrt(a.var(ddof=1) / ntraj + b.var(ddof=1) / ntraj)
     assert abs(a.mean() - b.mean()) <= 3.0 * se + 10 * dt
+
+
+def _reference_step(k, r, dt, psi, dw_n, nonlinear):
+    """One Euler-Maruyama step, transcribed plainly, before renormalization.
+
+    Linear:     psi += -i K psi dt + sum_j R_j psi dW_j.
+    Normalized: psi += -i Khat psi dt + sum_j (R_j - m_j) psi dW_j with
+    m_j = <psi|R_j psi> (unit-norm psi) and
+    Khat = (K+K^*)/2 - (i/2) sum_j (R_j^*R_j - 2 conj(m_j) R_j + |m_j|^2).
+    """
+    if not nonlinear:
+        return psi - 1j * dt * (k @ psi) + sum(dw_n[j] * (r[j] @ psi) for j in range(len(r)))
+    m = [np.vdot(psi, rj @ psi) for rj in r]
+    khat = 0.5 * (k + k.conj().T) - 0.5j * sum(
+        rj.conj().T @ rj - 2.0 * np.conj(mj) * rj + abs(mj) ** 2 * np.eye(len(psi))
+        for rj, mj in zip(r, m))
+    return psi - 1j * dt * (khat @ psi) + sum(
+        dw_n[j] * (r[j] @ psi - m[j] * psi) for j in range(len(r)))
+
+
+def _reference_paths(table, dt, psi0, dw, nonlinear):
+    """States (nsteps+1, d) and expectations <R_j> (nsteps+1, J) per path,
+    stepping with :func:`_reference_step` (normalized after each step for
+    the nonlinear equation)."""
+    states, expects = [], []
+    for b in range(psi0.shape[1]):
+        psi = psi0[:, b] / (np.linalg.norm(psi0[:, b]) if nonlinear else 1.0)
+        path_states, path_expects = [psi], []
+        for n in range(len(dw) + 1):
+            path_expects.append(
+                np.array([np.vdot(psi, rj @ psi) for rj in table.r[n]]) / np.vdot(psi, psi).real)
+            if n == len(dw):
+                break
+            psi = _reference_step(table.k[n], table.r[n], dt, psi, dw[n, :, b], nonlinear)
+            if nonlinear:
+                psi = psi / np.linalg.norm(psi)
+            path_states.append(psi)
+        states.append(path_states)
+        expects.append(path_expects)
+    return np.array(states), np.array(expects)
+
+
+@pytest.mark.parametrize("which", ["mollow", "random"])
+def test_steppers_match_per_step_transcription(which, mollow_coeffs):
+    """The stacked-operator kernels are an algebraic rewrite of the textbook
+    Euler-Maruyama steps: equal to rounding on a time-dependent model too."""
+    rng = np.random.default_rng(61)
+    coeffs = mollow_coeffs if which == "mollow" else build_coefficients(random_model(rng))
+    d, nchan = coeffs.dim, coeffs.nchannels
+    dt, nsteps, batch = 1e-3, 400, 3
+    table = coeffs.tabulate(dt * np.arange(nsteps + 1))
+    psi0 = rng.normal(size=(d, batch)) + 1j * rng.normal(size=(d, batch))
+    dw = rng.normal(0.0, np.sqrt(dt), size=(nsteps, nchan, batch))
+    every = np.arange(nsteps + 1)
+    for nonlinear, stepper in ((False, _step_linear_batch), (True, _step_nonlinear_batch)):
+        out = stepper(_step_ops(table, dt, nonlinear), dt, psi0, dw, every, 1e-12)
+        psi, rexp, frozen = out[0], out[-4], out[-1]
+        ref_psi, ref_rexp = _reference_paths(table, dt, psi0, dw, nonlinear)
+        scale = np.max(np.abs(ref_psi))
+        assert np.all(frozen == -1)
+        assert max_abs(np.moveaxis(psi, -1, 0) - ref_psi) <= 1e-12 * scale
+        assert max_abs(np.moveaxis(rexp, -1, 0) - ref_rexp) <= 1e-12 * max(1.0, max_abs(ref_rexp))
+
+
+def test_nonlinear_partial_freeze():
+    """Only some paths of a batch freeze: their state and drift stop, the
+    others are stepped exactly as they would be on their own."""
+    coeffs = build_coefficients(simple_model(channels=(2.0 * SIGMA_MINUS,)))
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    dt, nsteps, ntraj, floor = 0.01, 30, 12, 0.992
+    grid = dt * np.arange(nsteps + 1)
+    ens = run_nonlinear_ensemble(coeffs, psi0, dt=dt, nsteps=nsteps, ntraj=ntraj,
+                                 base_seed=73, record_times=grid, weight_floor=floor)
+    frozen = ens.frozen_at >= 0
+    assert 0 < frozen.sum() < ntraj
+    drift = 0.5 * (ens.w_path - ens.innovation)
+    table = coeffs.tabulate(grid)
+    for b in range(ntraj):
+        path = generate_wiener(73, dt, nsteps, 1, stream=b)
+        alone = integrate_nonlinear(coeffs, psi0, path, weight_floor=floor)
+        assert max_abs(ens.psihat[b] - alone.psihat) <= 1e-14
+        n = ens.frozen_at[b]
+        assert alone.frozen_at == (None if n < 0 else n)
+        # the freeze step is the first whose unnormalized result falls below the floor
+        last = nsteps if n < 0 else n
+        for i in range(last):
+            psi_new = _reference_step(table.k[i], table.r[i], dt, ens.psihat[b, i],
+                                      path.increments[i], nonlinear=True)
+            assert (np.vdot(psi_new, psi_new).real < floor) == (i == n - 1)
+        if n >= 0:
+            assert np.all(ens.psihat[b, n - 1:] == ens.psihat[b, n - 1])
+            assert max_abs(drift[b, n - 1:] - drift[b, n - 1]) <= 1e-15
+
+
+def test_chunk_noise_matches_single_paths():
+    dt, nsteps, nchan, first = 1e-3, 50, 2, 5
+    dw = _chunk_noise(8, first, 4, dt, nsteps, nchan)
+    assert dw.shape == (nsteps, nchan, 4)
+    for b in range(4):
+        path = generate_wiener(8, dt, nsteps, nchan, stream=first + b)
+        assert np.array_equal(dw[:, :, b], path.increments)
