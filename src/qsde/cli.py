@@ -35,13 +35,7 @@ from .master import (
     stationary_state,
     validate_density,
 )
-from .model import (
-    DetectionSpec,
-    SystemModel,
-    build_coefficients,
-    operator_norm_bounds,
-    verify_weight_identity,
-)
+from .model import build_coefficients, operator_norm_bounds, verify_weight_identity
 from .mollow import find_spectrum_peaks, rabi_frequency
 from .statistics import mc_output_moments, spectrum_scan, wiener_law_tests
 from .trajectories import run_linear_ensemble
@@ -268,27 +262,13 @@ def _run_moments(cfg: RunConfig, bundle: ResultBundle):
                                    detail=f"3 sigma + {slack:.2e} slack"))
 
 
-def _spectrum_factory(cfg: RunConfig):
-    base = cfg.model
-    if base.detection.kind != "diagonal-phase":
-        raise ConfigError(["run.command: spectrum scans require diagonal-phase detection"])
-
-    def factory(nu: float) -> SystemModel:
-        return SystemModel(hamiltonian=base.hamiltonian, channels=base.channels,
-                           drive=base.drive,
-                           detection=DetectionSpec(kind="diagonal-phase", nu=nu),
-                           frame=base.frame)
-
-    return factory
-
-
 def _run_spectrum(cfg: RunConfig, bundle: ResultBundle, rel_prominence: float = 0.08):
     run = cfg.run
     rho0 = None
     if run.initial_state is not None:
         psi0 = _initial_vector(cfg, cfg.model.dim)
         rho0 = np.outer(psi0, psi0.conj())
-    scan = spectrum_scan(_spectrum_factory(cfg), run.nu_grid, horizon=run.horizon,
+    scan = spectrum_scan(cfg.model, run.nu_grid, horizon=run.horizon,
                          dt=run.dt, rho0=rho0)
     bundle.tables["spectrum"] = Table(
         columns=("nu", "s"),

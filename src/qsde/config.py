@@ -192,6 +192,15 @@ class _Collector:
             self.add(path, f"{t!r} is outside [0, horizon = {horizon!r}]")
         return t
 
+    def channel(self, v, path: str, nchannels: int | None) -> int:
+        """A channel index in [0, nchannels), unchecked in range if the model is invalid."""
+        if not isinstance(v, int) or isinstance(v, bool):
+            self.add(path, f"expected an integer channel index, got {v!r}")
+            return 0
+        if nchannels is not None and not 0 <= v < nchannels:
+            self.add(path, f"channel {v} is outside [0, {nchannels})")
+        return v
+
 
 def _parse_model(section, col: _Collector):
     if not isinstance(section, dict):
@@ -275,7 +284,7 @@ def _parse_nu_grid(value, col: _Collector):
     return None
 
 
-def _parse_run(section, col: _Collector, dim: int | None):
+def _parse_run(section, col: _Collector, model: SystemModel | None):
     if not isinstance(section, dict):
         col.add("run", "expected an object")
         return None
@@ -312,7 +321,9 @@ def _parse_run(section, col: _Collector, dim: int | None):
                 or not all(isinstance(x, (int, float)) for x in entry)):
             col.add(f"run.pairs[{p}]", "expected [i, j, t1, t2]")
             continue
-        pairs.append((int(entry[0]), int(entry[1]),
+        nchannels = len(model.channels) if model is not None else None
+        pairs.append((col.channel(entry[0], f"run.pairs[{p}][0]", nchannels),
+                      col.channel(entry[1], f"run.pairs[{p}][1]", nchannels),
                       col.time(entry[2], f"run.pairs[{p}][2]", time_bound),
                       col.time(entry[3], f"run.pairs[{p}][3]", time_bound)))
     initial = section.get("initial_state")
@@ -323,8 +334,9 @@ def _parse_run(section, col: _Collector, dim: int | None):
         else:
             vec = np.array([col.complex_scalar(v, f"run.initial_state[{i}]")
                             for i, v in enumerate(initial)])
-            if dim is not None and len(vec) != dim:
-                col.add("run.initial_state", f"expected {dim} amplitudes, got {len(vec)}")
+            if model is not None and len(vec) != model.dim:
+                col.add("run.initial_state",
+                        f"expected {model.dim} amplitudes, got {len(vec)}")
             initial = vec
     chunk = section.get("chunk_size", 1024)
     if not isinstance(chunk, int) or chunk < 1:
@@ -374,11 +386,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["top level: expected an object"])
     col = _Collector()
     model, mollow_cfg = _parse_model(doc.get("model"), col)
-    run = _parse_run(doc.get("run", {}), col, model.dim if model is not None else None)
+    run = _parse_run(doc.get("run", {}), col, model)
     output = _parse_output(doc.get("output"), col)
     if (run is not None and run.command in ("spectrum", "mollow") and run.nu_grid is None
             and not any(e.startswith("run.nu_grid") for e in col.errors)):
         col.add("run.nu_grid", f"the {run.command} command requires a frequency grid")
+    if (run is not None and run.command in ("spectrum", "mollow") and model is not None
+            and model.detection.kind != "diagonal-phase"):
+        col.add("model.detection.kind",
+                f"the {run.command} command requires diagonal-phase detection")
     if run is not None and run.command == "mollow" and mollow_cfg is None and not col.errors:
         col.add("model", "the mollow command requires the mollow preset")
     if col.errors:

@@ -150,13 +150,7 @@ def run_mollow_spectrum(cfg: MollowConfig, nu_grid, horizon: float | None = None
     horizon = 200.0 / cfg.gamma if horizon is None else horizon
     dt = 5e-3 / cfg.gamma if dt is None else dt
 
-    def factory(nu: float) -> SystemModel:
-        return build_mollow_model(
-            MollowConfig(omega=cfg.omega, omega0=cfg.omega0, nu=nu,
-                         alphas=cfg.alphas, lambdas=cfg.lambdas,
-                         ntraj=cfg.ntraj, dt=cfg.dt, horizon=cfg.horizon))
-
-    scan = spectrum_scan(factory, nu_grid, horizon=horizon, dt=dt,
+    scan = spectrum_scan(build_mollow_model(cfg), nu_grid, horizon=horizon, dt=dt,
                          channel=0, subtract_mean=subtract_mean)
     peaks = find_spectrum_peaks(scan.nu, scan.values, rel_prominence=rel_prominence)
     return MollowSpectrumResult(scan=scan, peaks=peaks, rabi=rabi_frequency(cfg))

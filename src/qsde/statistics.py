@@ -13,9 +13,7 @@ along the master-equation solution, and the second moments are
       + (the same with (i, t1) and (j, t2) exchanged),
 
 with U the two-time master propagator.  The double integrals are iterated
-trapezoid sums over the triangular domains; they are evaluated by a running
-recurrence (advance the inner integral with the one-step propagator) that
-reproduces the trapezoid sum exactly while costing O(n) instead of O(n^2).
+trapezoid sums over the triangular domains.
 
 Monte Carlo side.  Physical-law expectations are reference-measure averages
 weighted by ||psi||^2 at the latest time entering each functional (linear
@@ -27,26 +25,41 @@ stationary state, scanned over the local-oscillator frequency nu; a
 variance-rate variant subtracting E[W_0(T)]^2/T is available (it removes
 the coherent-scattering line at the carrier).  With diagonal-phase
 detection the measured operator is R^{(nu)}(s) = p(s) B(s), p(s) = e^{i nu s},
-so the states rho_n, the table B_n and the one-step propagator E = e^{h L_*}
-are shared by all nu.  The inner trapezoid sum obeys
+B the operator at nu = 0, so the states, the B table and the propagators
+are shared by all nu.
 
-    acc_{n+1} = E (acc_n + (h/2) m_n) + (h/2) m_{n+1},
-    m_n = p_n vec(B_n rho_n) + conj(p_n) vec(rho_n B_n^*).
+Correlation kernel.  Second moments and the spectrum run one recurrence,
+``_folded_sweep``.  With E_n the one-step propagator from t_n to t_{n+1} on
+the grid t_n = n h, the inner trapezoid sum obeys
+
+    acc_{n+1} = E_n (acc_n + (h/2) m_n) + (h/2) m_{n+1}   (E_n acc_n from n_cap on),
+    m_n = p_n vec(B_n rho_n) + conj(p_n) vec(rho_n B_n^*),
+
+which is the trapezoid sum exactly, at O(n) cost; n_cap = t_inner / h ends
+the inner integral at min(t_inner, s1).  ``_step_propagators`` builds the
+stack of E_n^T once per grid: a broadcast of one exponential for a constant
+generator, the midpoint exponentials otherwise.  The spectrum takes
+B = R_channel at every nu; each ordered second-moment term takes nu = 0, R_j in m_n and
+R_i in the outer sum.
 
 Every rho_n is exactly Hermitian (master_series symmetrizes each state) and
-E maps X^* to (E X)^*, as every Lindblad-form generator does, so the second
-half of m_n is the vec-adjoint of the first and acc_n = c_n + P conj(c_n),
-with P the vec-transpose permutation and c_n driven by p_n vec(B_n rho_n)
-alone.  The outer summand folds to 2 Re(conj(p_n) c_n.q1_n + p_n c_n.q2_n),
-q1 = conj vec(B), q2 = conj vec(B^*): the scan carries one d^2 vector per
-nu, and the fold changes the sum by rounding only.  Times are swept in fixed
-blocks, so the scan's working memory is O(block x len(nu_grid) x d^2) on
-top of the O(nsteps x d^2) shared streams, whatever the horizon.
+each E_n maps X^* to (E_n X)^*, as every Lindblad-form generator does, so
+m_n is vec-Hermitian and acc_n = c_n + P conj(c_n), with P the vec-transpose
+permutation and c_n driven by p_n vec(B_n rho_n) alone.  The outer operator
+R_i + R_i^* is Hermitian for any i, so its pairing with acc_n is twice the
+real part of its pairing with c_n: the summand folds to
+2 Re(conj(p_n) c_n.q1_n + p_n c_n.q2_n), q1 = conj vec(R_i),
+q2 = conj vec(R_i^*), for i != j as for i = j.  The fold carries one d^2
+vector per nu and changes the sum by rounding only.  Times are swept in
+fixed blocks, so the working memory is O(block x len(nu_grid) x d^2) on top
+of the O(nsteps x d^2) streams (and the O(nsteps x d^4) propagator stack of
+a time-dependent generator), whatever the horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -58,7 +71,7 @@ from .master import (
     master_series,
     stationary_state,
 )
-from .model import Coefficients, build_coefficients
+from .model import Coefficients, DetectionSpec, SystemModel, build_coefficients
 from .trajectories import LinearEnsemble
 
 __all__ = [
@@ -115,45 +128,24 @@ def analytic_mean_output(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     return float(means[-1, k])
 
 
-def _ordered_double_integral(gen: LindbladPropagator, r: np.ndarray, rho: np.ndarray,
-                             i: int, j: int, t_outer: float, t_inner: float,
-                             dt: float) -> float:
-    """One ordered term of the second-moment formula.
+def _step_propagators(gen: LindbladPropagator, times: np.ndarray) -> np.ndarray:
+    """Stack of transposed one-step propagators E_n^T on a uniform grid.
 
-    Integral over 0 <= s2 <= min(t_inner, s1), 0 <= s1 <= t_outer of
-    Tr{(R_i(s1)+R_i^*(s1)) U(s1,s2)[R_j(s2) rho_{s2} + rho_{s2} R_j^*(s2)]},
-    as an iterated trapezoid sum on the grid of spacing dt, with ``r`` and
-    ``rho`` the R table and the states on that grid.  The inner sum is
-    carried along with the one-step propagator, so each grid diagonal is
-    visited once.
+    A constant generator gives a read-only broadcast of one exponential (no
+    copy); otherwise E_n is the exponential at the step midpoint.
     """
-    n_out = int(round(t_outer / dt))
-    n_cap = int(round(t_inner / dt))
-    if n_out == 0 or n_cap == 0:
-        return 0.0
-    d = gen.dim
-    constant = gen.time_independent
-    if constant:
-        e_step = matrix_exp(gen.generator_at(0.0), dt)
-    ri = r[:n_out + 1, i]
-    q = vectorize(ri + ri.conj().swapaxes(-1, -2)).conj()
-    n_m = min(n_cap, n_out) + 1
-    rj, rho_j = r[:n_m, j], rho[:n_m]
-    m = vectorize(rj @ rho_j + rho_j @ rj.conj().swapaxes(-1, -2))
+    h = times[1] - times[0]
+    nsteps = len(times) - 1
+    if gen.time_independent:
+        e_t = np.ascontiguousarray(matrix_exp(gen.generator_at(0.0), h).T)
+        return np.broadcast_to(e_t, (nsteps,) + e_t.shape)
+    return np.stack([matrix_exp(gen.generator_at((n + 0.5) * h), h).T
+                     for n in range(nsteps)])
 
-    acc = np.zeros(d * d, dtype=complex)
-    total = 0.0
-    for n1 in range(n_out + 1):
-        w_out = 0.5 if n1 in (0, n_out) else 1.0
-        total += w_out * (q[n1] @ acc).real * dt
-        if n1 == n_out:
-            break
-        step = e_step if constant else matrix_exp(gen.generator_at((n1 + 0.5) * dt), dt)
-        if n1 < n_cap:
-            acc = step @ (acc + (0.5 * dt) * m[n1]) + (0.5 * dt) * m[n1 + 1]
-        else:
-            acc = step @ acc
-    return total
+
+def _kernel_streams(r: np.ndarray, rho: np.ndarray):
+    """vec(R rho), conj vec(R) and conj vec(R^*) = vec(R^T) for R tables on a grid."""
+    return vectorize(r @ rho), vectorize(r).conj(), vectorize(r.swapaxes(-1, -2))
 
 
 def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
@@ -161,10 +153,11 @@ def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: 
     """E[W_i(t1) W_j(t2)] under the physical law.
 
     Shot-noise term delta_{ij} min(t1, t2) plus both ordered double
-    integrals; with all channel operators zero this reduces exactly to
-    delta_{ij} min(t1, t2).  The Kronecker delta on the shot-noise term
-    follows from the independence of the shifted noises: distinct channels
-    carry no common white-noise component.
+    integrals, each one run of the correlation kernel at nu = 0; with all
+    channel operators zero this reduces exactly to delta_{ij} min(t1, t2).
+    The Kronecker delta on the shot-noise term follows from the
+    independence of the shifted noises: distinct channels carry no common
+    white-noise component.
     """
     if t1 < 0 or t2 < 0:
         raise ValueError("times must be nonnegative")
@@ -174,10 +167,16 @@ def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: 
     times = _uniform_grid(t_max, dt)
     h = times[1] - times[0]
     rho = master_series(gen, rho0, times)
-    r = coeffs.r_table(times)
+    mu, q1, q2 = _kernel_streams(coeffs.r_table(times), rho[:, None])
+    e_ts = _step_propagators(gen, times)
     total = min(t1, t2) if i == j else 0.0
-    total += _ordered_double_integral(gen, r, rho, i, j, t1, t2, h)
-    total += _ordered_double_integral(gen, r, rho, j, i, t2, t1, h)
+    for a, b, t_outer, t_inner in ((i, j, t1, t2), (j, i, t2, t1)):
+        n_out, n_cap = int(round(t_outer / h)), int(round(t_inner / h))
+        if n_out > 0 and n_cap > 0:
+            out = slice(n_out + 1)
+            term, _ = _folded_sweep(np.zeros(1), times[out], mu[out, b], q1[out, a],
+                                    q2[out, a], e_ts[:n_out], n_cap)
+            total += term[0]
     return float(total)
 
 
@@ -386,45 +385,29 @@ class SpectrumScan:
     subtract_mean: bool
 
 
-def _check_factory_varies_only_detection(model_factory, nu_grid):
-    a = model_factory(float(nu_grid[0]))
-    b = model_factory(float(nu_grid[-1]))
-    same = (a.detection.kind == "diagonal-phase" == b.detection.kind
-            and np.array_equal(a.hamiltonian, b.hamiltonian)
-            and np.array_equal(a.frame, b.frame)
-            and all(np.array_equal(x, y) for x, y in zip(a.channels, b.channels))
-            and np.array_equal(a.drive.amplitudes, b.drive.amplitudes)
-            and a.drive.carrier == b.drive.carrier)
-    if not same:
-        raise ValueError("spectrum scan requires a factory that varies only the "
-                         "diagonal-phase detection frequency")
-    return a
-
-
-def spectrum_scan(model_factory, nu_grid, horizon: float, dt: float,
+def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
                   channel: int = 0, rho0: np.ndarray | None = None,
                   subtract_mean: bool = False) -> SpectrumScan:
     """Scan S(nu) = E[W_channel(T)^2] / T over the detection frequency grid.
 
-    The initial state defaults to the stationary state of the (detection
-    independent) generator; a non-unique stationary manifold is an error
-    unless ``rho0`` is supplied.  All nu values share the states, the R
-    table and the one-step propagator; only the detection phases differ.
-    The sweep is the phase-folded recurrence of the module docstring, taken
-    in blocks of _SPECTRUM_BLOCK time steps: per nu it carries one d^2
-    vector, and no array spans both the nu grid and the whole time grid.
-    The fold needs Hermitian states and a Hermiticity-preserving generator,
-    which every state from ``master_series`` and every Lindblad generator
-    built here are.  Each value equals, to rounding, the iterated trapezoid
-    evaluation of the printed second-moment formula at t1 = t2 = horizon.
+    ``model`` must use diagonal-phase detection; its ``detection.nu`` is
+    ignored, the scan taking the frequencies from ``nu_grid``.  The initial
+    state defaults to the stationary state of the (detection independent)
+    generator; a non-unique stationary manifold is an error unless ``rho0``
+    is supplied.  The sweep is the correlation kernel of the module
+    docstring, in blocks of _SPECTRUM_BLOCK time steps, so no array spans
+    both the nu grid and the whole time grid.  Each value equals, to
+    rounding, the iterated trapezoid evaluation of the printed second-moment
+    formula at t1 = t2 = horizon.
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
     if len(nu_grid) == 0:
         raise ValueError("empty frequency grid")
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
-    _check_factory_varies_only_detection(model_factory, nu_grid)
-    base = build_coefficients(model_factory(0.0))
+    if model.detection.kind != "diagonal-phase":
+        raise ValueError("spectrum scan requires diagonal-phase detection")
+    base = build_coefficients(replace(model, detection=DetectionSpec(nu=0.0)))
     gen = LindbladPropagator(base)
     if not gen.time_independent:
         raise ValueError("spectrum scan requires a time-independent generator")
@@ -434,49 +417,45 @@ def spectrum_scan(model_factory, nu_grid, horizon: float, dt: float,
             raise DegenerateStationaryState(
                 f"stationary manifold has dimension {st.nullity}; supply rho0")
         rho0 = st.rho
-    nsteps = max(1, int(round(horizon / dt)))
-    h = horizon / nsteps
-    times = h * np.arange(nsteps + 1)
+    times = _uniform_grid(horizon, dt)
     rho = master_series(gen, rho0, times)
 
     # nu-independent streams: with diagonal-phase detection the measured
     # channel operator is R^{(nu)}(s) = e^{i nu s} B(s).
-    b_ops = base.r_table(times)[:, channel]
-    b_rho = b_ops @ rho
-    q1 = vectorize(b_ops).conj()
-    q2 = vectorize(b_ops.swapaxes(1, 2))   # conj vec(B^*) = vec(B^T)
-    e_t = np.ascontiguousarray(matrix_exp(gen.generator_at(0.0), h).T)
-    total, mean_acc = _folded_sweep(nu_grid, times, vectorize(b_rho), q1, q2,
-                                    np.trace(b_rho, axis1=1, axis2=2), e_t)
+    mu1, q1, q2 = _kernel_streams(base.r_table(times)[:, channel], rho)
+    total, mean_acc = _folded_sweep(nu_grid, times, mu1, q1, q2,
+                                    _step_propagators(gen, times), len(times) - 1)
 
     second = horizon + 2.0 * total
     values = second / horizon
     if subtract_mean:
         mean = 2.0 * mean_acc.real
         values = (second - mean ** 2) / horizon
-    return SpectrumScan(nu=nu_grid, values=values, horizon=horizon, dt=h,
+    return SpectrumScan(nu=nu_grid, values=values, horizon=horizon, dt=times[1] - times[0],
                         channel=channel, subtract_mean=subtract_mean)
 
 
-def _folded_sweep(nu_grid, times, mu1, q1, q2, tr_b_rho, e_t):
-    """Phase-folded trapezoid sweep of the spectrum kernel, block by block.
+def _folded_sweep(nu_grid, times, mu1, q1, q2, e_ts, n_cap):
+    """The correlation kernel of the module docstring, block by block.
 
-    Returns the double-integral sum and the first-moment sum, one entry per
-    nu.  The carried part c_n (rows: nu; row vectors, so E acts as
-    e_t = E^T) obeys c_{n+1} = (c_n + (h/2) p_n mu1_n) E^T + (h/2) p_{n+1} mu1_{n+1}
-    with p_n = e^{i nu t_n}.  Times are swept in blocks of _SPECTRUM_BLOCK:
-    the phases, the forcing terms and the reductions of a block are
-    whole-array operations, and only the matrix step is taken once per time.
+    Returns the double-integral sum and the first-moment sum
+    sum_n w_n p_n Tr(B_n rho_n), one entry per nu.  The carried c_n are row
+    vectors (rows: nu), so E_n acts as e_ts[n] = E_n^T.  A block's phases,
+    forcing terms and reductions are whole-array operations; only the
+    matrix step is taken once per time.
     """
     nsteps = len(times) - 1
     h = times[1] - times[0]
+    d = math.isqrt(mu1.shape[1])
     block = min(_SPECTRUM_BLOCK, nsteps)
     w = np.full(nsteps + 1, h)
     w[[0, -1]] = 0.5 * h
     half_mu = (0.5 * h) * mu1
-    # Forcing of step n: [p_n, p_{n+1}] @ [(h/2) mu1_n E^T; (h/2) mu1_{n+1}].
-    kicks = np.stack([half_mu[:-1] @ e_t, half_mu[1:]], axis=1)
+    # Forcing of step n: [p_n, p_{n+1}] @ [(h/2) mu1_n E_n^T; (h/2) mu1_{n+1}].
+    kicks = np.stack([np.matmul(half_mu[:-1, None], e_ts)[:, 0], half_mu[1:]], axis=1)
+    kicks[n_cap:] = 0.0   # the inner integral ends at t_{n_cap}
     q12 = np.stack([q1, q2], axis=-1)
+    tr_b_rho = mu1[:, ::d + 1].sum(axis=1)   # the diagonal of B rho, column-stacked
     block_phase = np.exp(1j * np.outer(h * np.arange(block + 1), nu_grid))
     c = np.zeros((block + 1, len(nu_grid), mu1.shape[1]), dtype=complex)
     rows = list(c)   # row views made once: indexing c anew costs a third of each step
@@ -488,7 +467,7 @@ def _folded_sweep(nu_grid, times, mu1, q1, q2, tr_b_rho, e_t):
         ph = np.exp(1j * nu_grid * times[n0]) * block_phase[:k_end + 1]
         force = np.stack([ph[:k_end], ph[1:]], axis=-1) @ kicks[n0:n0 + k_end]
         for k, f in enumerate(force):
-            np.matmul(rows[k], e_t, out=rows[k + 1])
+            np.matmul(rows[k], e_ts[n0 + k], out=rows[k + 1])
             rows[k + 1] += f
         sl = slice(n0, n0 + m)
         ph = ph[:m]

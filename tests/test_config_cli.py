@@ -114,6 +114,38 @@ def test_pair_times_outside_horizon_rejected():
     assert "finite" in err.value.errors[2] and "finite" in err.value.errors[3]
 
 
+def test_pair_channel_indices_rejected():
+    doc = make_config(**{"run.command": "moments", "run.horizon": 0.1,
+                         "run.pairs": [[0, 7, 0.05, 0.1], [0.7, 1, 0.05, 0.1],
+                                       [True, -1, 0.05, 0.1], [1, 0, 0.05, 0.1]]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == [
+        "run.pairs[0][1]", "run.pairs[1][0]", "run.pairs[2][0]", "run.pairs[2][1]"]
+    assert "outside [0, 2)" in err.value.errors[0] and "outside [0, 2)" in err.value.errors[3]
+    assert "integer" in err.value.errors[1] and "integer" in err.value.errors[2]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "mollow"])
+def test_spectrum_commands_require_diagonal_phase_detection(command):
+    doc = {
+        "model": {
+            "dim": 2,
+            "hamiltonian": [[1.0, 0], [0, -1.0]],
+            "channels": [[["0", "0"], ["0.8", "0"]]],
+            "detection": {"kind": "constant-unitary", "matrix": [["1"]]},
+        },
+        "run": {"command": command, "nu_grid": [0.0, 1.0], "ntraj": 0},
+    }
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == ["run.ntraj",
+                                                             "model.detection.kind"]
+    assert f"the {command} command requires diagonal-phase" in err.value.errors[1]
+    doc["run"] = {"command": "verify"}
+    assert parse_config(json.dumps(doc)).model.detection.kind == "constant-unitary"
+
+
 @pytest.mark.parametrize("entry", ["a", float("nan"), float("inf"), float("-inf"), True])
 def test_nu_grid_list_entries_rejected(entry):
     doc = make_config(**{"run.command": "spectrum", "run.nu_grid": [9.0, entry]})

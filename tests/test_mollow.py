@@ -113,17 +113,14 @@ def test_mc_spectrum_matches_analytic_on_coarse_grid():
     horizon, dt, ntraj = 2.0, 1e-3, 1500
     nus = np.linspace(5.0, 15.0, 11)
 
-    def factory(nu):
-        return build_mollow_model(canonical_config(nu=nu))
-
-    base = build_coefficients(factory(0.0))
-    gen = LindbladPropagator(base)
+    model = build_mollow_model(canonical_config())
+    gen = LindbladPropagator(build_coefficients(model))
     st = stationary_state(gen)
     evals, evecs = np.linalg.eigh(st.rho)
     initial = (evecs.T, np.clip(evals, 0.0, None))  # rows are the eigenstates
-    scan = spectrum_scan(factory, nus, horizon=horizon, dt=dt)
+    scan = spectrum_scan(model, nus, horizon=horizon, dt=dt)
     for k, nu in enumerate(nus):
-        coeffs_nu = build_coefficients(factory(nu))
+        coeffs_nu = build_coefficients(build_mollow_model(canonical_config(nu=nu)))
         ens = run_linear_ensemble(coeffs_nu, initial, dt=dt, nsteps=int(horizon / dt),
                                   ntraj=ntraj, base_seed=7000 + k, record_times=[horizon])
         mc, se = mc_second_moment(ens, 0, 0, horizon, horizon)

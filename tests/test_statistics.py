@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import simple_model
+from conftest import random_model, simple_model
 from qsde.linalg import adjoint, matrix_exp, max_abs, vectorize
 from qsde.master import LindbladPropagator, master_series, stationary_state
-from qsde.model import CoefficientTable, build_coefficients
-from qsde.mollow import EXCITED_PROJECTOR, SIGMA_MINUS, build_mollow_model, canonical_config
+from qsde.model import CoefficientTable, DetectionSpec, build_coefficients
+from qsde.mollow import (
+    EXCITED_PROJECTOR,
+    SIGMA_MINUS,
+    MollowConfig,
+    build_mollow_model,
+    canonical_config,
+)
 from qsde.statistics import (
     _SPECTRUM_BLOCK,
     analytic_mean_output,
@@ -52,6 +58,61 @@ def naive_ordered_term(coeffs, gen, rho0, i, j, t_outer, t_inner, dt):
     return total
 
 
+def reference_ordered_term(gen, r, rho, i, j, t_outer, t_inner, dt):
+    """One ordered term by the per-step, unfolded trapezoid recurrence.
+
+    Carries the whole inner sum acc (both halves of m_n, no Hermitian fold,
+    no blocks) one step at a time, with the midpoint exponential
+    e^{dt L(t_n + dt/2)} as the step, or one exponential for a constant
+    generator.  ``r`` and ``rho`` are the R table and the states on the grid
+    of spacing dt.
+    """
+    n_out = int(round(t_outer / dt))
+    n_cap = int(round(t_inner / dt))
+    if n_out == 0 or n_cap == 0:
+        return 0.0
+    constant = gen.time_independent
+    if constant:
+        e_step = matrix_exp(gen.generator_at(0.0), dt)
+    ri = r[:n_out + 1, i]
+    q = vectorize(ri + ri.conj().swapaxes(-1, -2)).conj()
+    n_m = min(n_cap, n_out) + 1
+    rj, rho_j = r[:n_m, j], rho[:n_m]
+    m = vectorize(rj @ rho_j + rho_j @ rj.conj().swapaxes(-1, -2))
+    acc = np.zeros(gen.dim ** 2, dtype=complex)
+    total = 0.0
+    for n1 in range(n_out + 1):
+        w_out = 0.5 if n1 in (0, n_out) else 1.0
+        total += w_out * (q[n1] @ acc).real * dt
+        if n1 == n_out:
+            break
+        step = e_step if constant else matrix_exp(gen.generator_at((n1 + 0.5) * dt), dt)
+        if n1 < n_cap:
+            acc = step @ (acc + (0.5 * dt) * m[n1]) + (0.5 * dt) * m[n1 + 1]
+        else:
+            acc = step @ acc
+    return total
+
+
+def reference_second_moment(coeffs, gen, rho0, i, j, t1, t2, dt):
+    """E[W_i(t1) W_j(t2)] from the reference recurrence: an independent
+    route to the folded, blocked kernel behind analytic_second_moment and
+    spectrum_scan."""
+    t_max = max(t1, t2)
+    nsteps = max(1, int(round(t_max / dt)))
+    h = t_max / nsteps
+    times = h * np.arange(nsteps + 1)
+    rho = master_series(gen, rho0, times)
+    r = coeffs.r_table(times)
+    return ((min(t1, t2) if i == j else 0.0)
+            + reference_ordered_term(gen, r, rho, i, j, t1, t2, h)
+            + reference_ordered_term(gen, r, rho, j, i, t2, t1, h))
+
+
+def mollow_at(nu):
+    return build_mollow_model(canonical_config(nu=nu))
+
+
 @pytest.fixture(scope="module")
 def mollow_setup():
     coeffs = build_coefficients(build_mollow_model(canonical_config()))
@@ -85,14 +146,22 @@ def test_second_moment_pair_swap_symmetry(mollow_setup):
 
 
 def test_second_moment_time_dependent_generator_route():
-    """The substep-propagator branch agrees with the constant branch on a
-    model whose generator merely looks time-dependent to the prober."""
-    model = simple_model(channels=(SIGMA_MINUS,), amplitudes=[0.4], carrier=1.5)
-    coeffs = build_coefficients(model)
-    gen = LindbladPropagator(coeffs)
-    assert not gen.time_independent
-    v = analytic_second_moment(coeffs, gen, RHO_E, 0, 0, 0.5, 0.5, 1e-2)
-    assert np.isfinite(v) and v > 0
+    """The midpoint-propagator stack agrees with the per-step reference on
+    models whose generator depends on time: a carrier-driven atom and
+    random models with a random frame, for i != j and t1 != t2."""
+    models = [simple_model(channels=(SIGMA_MINUS, 0.5 * SIGMA_MINUS),
+                           amplitudes=[0.4, 0.3], carrier=1.5)]
+    models += [random_model(np.random.default_rng(seed)) for seed in (300, 301, 302)]
+    for model in models:
+        coeffs = build_coefficients(model)
+        gen = LindbladPropagator(coeffs)
+        assert not gen.time_independent
+        psi = np.arange(1, gen.dim + 1) + 0.5j
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        for (i, j, t1, t2) in [(0, 1, 0.5, 0.3), (1, 0, 0.2, 0.45), (1, 1, 0.4, 0.25)]:
+            fast = analytic_second_moment(coeffs, gen, rho0, i, j, t1, t2, 1e-2)
+            ref = reference_second_moment(coeffs, gen, rho0, i, j, t1, t2, 1e-2)
+            assert abs(fast - ref) <= 1e-12 * abs(ref), (i, j, t1, t2, fast, ref)
 
 
 def test_analytic_mean_identity_channel():
@@ -211,54 +280,50 @@ def test_wiener_law_negative_control_identity_channel():
 
 
 def test_spectrum_zero_channels_is_shot_noise():
-    def factory(nu):
-        from qsde.model import DetectionSpec
-        return simple_model(hamiltonian=np.diag([2.0, -2.0]).astype(complex),
-                            detection=DetectionSpec(kind="diagonal-phase", nu=nu))
-
+    model = simple_model(hamiltonian=np.diag([2.0, -2.0]).astype(complex))
     rho0 = np.eye(2, dtype=complex) / 2
-    scan = spectrum_scan(factory, np.linspace(0.0, 4.0, 9), horizon=5.0, dt=0.01, rho0=rho0)
+    scan = spectrum_scan(model, np.linspace(0.0, 4.0, 9), horizon=5.0, dt=0.01, rho0=rho0)
     assert max_abs(scan.values - 1.0) == 0.0
 
 
 def test_spectrum_requires_rho0_when_degenerate():
     from qsde.master import DegenerateStationaryState
 
-    def factory(nu):
-        from qsde.model import DetectionSpec
-        return simple_model(detection=DetectionSpec(kind="diagonal-phase", nu=nu))
-
     with pytest.raises(DegenerateStationaryState):
-        spectrum_scan(factory, np.array([1.0]), horizon=1.0, dt=0.01)
+        spectrum_scan(simple_model(), np.array([1.0]), horizon=1.0, dt=0.01)
 
 
 def test_spectrum_empty_grid_rejected():
-    def factory(nu):
-        from qsde.model import DetectionSpec
-        return simple_model(detection=DetectionSpec(kind="diagonal-phase", nu=nu))
-
     with pytest.raises(ValueError, match="empty"):
-        spectrum_scan(factory, np.array([]), horizon=1.0, dt=0.01)
+        spectrum_scan(simple_model(), np.array([]), horizon=1.0, dt=0.01)
+
+
+def test_spectrum_rejects_constant_unitary_detection():
+    model = simple_model(detection=DetectionSpec(kind="constant-unitary", matrix=np.eye(1)))
+    with pytest.raises(ValueError, match="diagonal-phase"):
+        spectrum_scan(model, np.array([1.0]), horizon=1.0, dt=0.01, rho0=RHO_E)
+
+
+def test_spectrum_ignores_model_detection_frequency():
+    """The scan sets the detection frequency itself: the model's own nu
+    changes nothing, bit for bit."""
+    nus = np.linspace(7.0, 13.0, 7)
+    ref = spectrum_scan(mollow_at(10.0), nus, horizon=3.0, dt=0.01, subtract_mean=True)
+    for nu in (0.0, -2.5, 123.0):
+        scan = spectrum_scan(mollow_at(nu), nus, horizon=3.0, dt=0.01, subtract_mean=True)
+        assert np.array_equal(scan.values, ref.values)
 
 
 def test_spectrum_matches_per_frequency_route(mollow_setup):
     coeffs, gen = mollow_setup
     horizon, dt = 5.0, 0.02
     nus = np.array([8.0, 9.5, 10.0, 11.0])
-
-    def factory(nu):
-        return build_mollow_model(canonical_config(nu=nu))
-
     st = stationary_state(gen)
-    scan = spectrum_scan(factory, nus, horizon=horizon, dt=dt)
+    scan = spectrum_scan(mollow_at(10.0), nus, horizon=horizon, dt=dt)
     for k, nu in enumerate(nus):
-        c_nu = build_coefficients(factory(nu))
-        direct = analytic_second_moment(c_nu, gen, st.rho, 0, 0, horizon, horizon, dt) / horizon
+        c_nu = build_coefficients(mollow_at(nu))
+        direct = reference_second_moment(c_nu, gen, st.rho, 0, 0, horizon, horizon, dt) / horizon
         assert abs(scan.values[k] - direct) <= 1e-9
-
-
-def mollow_factory(nu):
-    return build_mollow_model(canonical_config(nu=nu))
 
 
 @pytest.mark.parametrize("horizon, rho0", [
@@ -272,10 +337,10 @@ def test_spectrum_blocks_and_start_state_match_per_frequency_route(mollow_setup,
     assert nsteps > _SPECTRUM_BLOCK and nsteps + 1 > 2 * _SPECTRUM_BLOCK
     start = stationary_state(gen).rho if rho0 is None else rho0
     nus = np.array([5.0, 9.5, 10.0, 14.0])
-    scan = spectrum_scan(mollow_factory, nus, horizon=horizon, dt=dt, rho0=rho0)
+    scan = spectrum_scan(mollow_at(10.0), nus, horizon=horizon, dt=dt, rho0=rho0)
     for k, nu in enumerate(nus):
-        c_nu = build_coefficients(mollow_factory(nu))
-        direct = analytic_second_moment(c_nu, gen, start, 0, 0, horizon, horizon, dt) / horizon
+        c_nu = build_coefficients(mollow_at(nu))
+        direct = reference_second_moment(c_nu, gen, start, 0, 0, horizon, horizon, dt) / horizon
         assert abs(scan.values[k] - direct) <= 1e-9
 
 
@@ -284,11 +349,11 @@ def test_spectrum_subtract_mean_is_variance_rate(mollow_setup):
     horizon, dt = 5.0, 0.02
     nus = np.array([8.0, 10.0, 11.0])
     rho = stationary_state(gen).rho
-    scan = spectrum_scan(mollow_factory, nus, horizon=horizon, dt=dt, subtract_mean=True)
+    scan = spectrum_scan(mollow_at(10.0), nus, horizon=horizon, dt=dt, subtract_mean=True)
     means = []
     for k, nu in enumerate(nus):
-        c_nu = build_coefficients(mollow_factory(nu))
-        second = analytic_second_moment(c_nu, gen, rho, 0, 0, horizon, horizon, dt)
+        c_nu = build_coefficients(mollow_at(nu))
+        second = reference_second_moment(c_nu, gen, rho, 0, 0, horizon, horizon, dt)
         mean = analytic_mean_output(c_nu, gen, rho, 0, horizon, dt)
         assert abs(scan.values[k] - (second - mean ** 2) / horizon) <= 1e-9
         means.append(mean)
@@ -299,15 +364,10 @@ def test_spectrum_undriven_decay_lorentzian():
     """Atom prepared excited, no drive: a single emission line at the atomic
     frequency with half-width set by the decay rate."""
     omega, gamma = 3.0, 1.0
-
-    def factory(nu):
-        from qsde.model import DetectionSpec
-        return simple_model(hamiltonian=omega * EXCITED_PROJECTOR,
-                            channels=(np.sqrt(gamma) * SIGMA_MINUS,),
-                            detection=DetectionSpec(kind="diagonal-phase", nu=nu))
-
+    model = simple_model(hamiltonian=omega * EXCITED_PROJECTOR,
+                         channels=(np.sqrt(gamma) * SIGMA_MINUS,))
     nus = np.linspace(omega - 4.0, omega + 4.0, 81)
-    scan = spectrum_scan(factory, nus, horizon=30.0, dt=5e-3, rho0=RHO_E)
+    scan = spectrum_scan(model, nus, horizon=30.0, dt=5e-3, rho0=RHO_E)
     peak_idx = int(np.argmax(scan.values))
     assert abs(nus[peak_idx] - omega) <= 0.1 + 1e-12
     peak = scan.values[peak_idx] - 1.0
@@ -321,17 +381,10 @@ def test_spectrum_invariant_under_coupling_phase_rotation():
     """Globally rotating the channel-coupling phases is a gauge change and
     leaves S(nu) untouched."""
     nus = np.linspace(7.0, 13.0, 13)
-    phase = np.exp(0.61j)
-
-    def factory_plain(nu):
-        return build_mollow_model(canonical_config(nu=nu))
-
-    def factory_rotated(nu):
-        cfg = canonical_config(nu=nu)
-        from qsde.mollow import MollowConfig, build_mollow_model as build
-        return build(MollowConfig(omega=cfg.omega, omega0=cfg.omega0, nu=nu,
-                                  alphas=phase * cfg.alphas, lambdas=cfg.lambdas))
-
-    a = spectrum_scan(factory_plain, nus, horizon=20.0, dt=5e-3)
-    b = spectrum_scan(factory_rotated, nus, horizon=20.0, dt=5e-3)
+    cfg = canonical_config()
+    rotated = build_mollow_model(MollowConfig(
+        omega=cfg.omega, omega0=cfg.omega0, nu=cfg.nu,
+        alphas=np.exp(0.61j) * cfg.alphas, lambdas=cfg.lambdas))
+    a = spectrum_scan(build_mollow_model(cfg), nus, horizon=20.0, dt=5e-3)
+    b = spectrum_scan(rotated, nus, horizon=20.0, dt=5e-3)
     assert max_abs(a.values - b.values) <= 1e-8
