@@ -30,13 +30,12 @@ from .config import ConfigError, RunConfig, parse_config
 from .master import (
     DegenerateStationaryState,
     LindbladPropagator,
-    apriori_from_trajectories,
     master_series,
     stationary_state,
     validate_density,
 )
 from .model import build_coefficients, operator_norm_bounds, verify_weight_identity
-from .mollow import find_spectrum_peaks, rabi_frequency
+from .mollow import find_spectrum_peaks, mollow_checks, rabi_frequency
 from .statistics import mc_output_moments, spectrum_scan, wiener_law_tests
 from .trajectories import run_linear_ensemble
 
@@ -283,30 +282,8 @@ def _run_spectrum(cfg: RunConfig, bundle: ResultBundle, rel_prominence: float = 
 
 def _run_mollow(cfg: RunConfig, bundle: ResultBundle):
     scan, peaks = _run_spectrum(cfg, bundle)
-    mcfg = cfg.mollow
-    omega = rabi_frequency(mcfg)
-    gamma = mcfg.gamma
-    bundle.metadata["rabi_frequency"] = omega
-    strong = omega > 0.5 * gamma
-    expected_peaks = 3 if strong else 1
-    bundle.checks.append(Check(
-        name="peak-count", passed=len(peaks) == expected_peaks,
-        detail=f"found {len(peaks)}, expected {expected_peaks}"))
-    if strong and len(peaks) == 3:
-        spacing = scan.nu[1] - scan.nu[0]
-        lo, hi = mcfg.omega0 - omega, mcfg.omega0 + omega
-        ok = (abs(peaks[0] - lo) <= 2 * spacing + 1e-12
-              and abs(peaks[-1] - hi) <= 2 * spacing + 1e-12)
-        bundle.checks.append(Check(
-            name="sideband-locations", passed=bool(ok),
-            detail=f"peaks {peaks[0]:.3f}/{peaks[-1]:.3f} vs {lo:.3f}/{hi:.3f}"))
-    resonant = mcfg.omega == mcfg.omega0
-    grid_sym = np.allclose(scan.nu + scan.nu[::-1], 2 * mcfg.omega0, atol=1e-9)
-    if resonant and grid_sym:
-        asym = float(np.max(np.abs(scan.values - scan.values[::-1])))
-        bundle.checks.append(Check(
-            name="spectrum-symmetry", passed=asym <= 1e-3 * float(np.max(scan.values)),
-            detail=f"max asymmetry {asym:.3e}"))
+    bundle.metadata["rabi_frequency"] = rabi_frequency(cfg.mollow)
+    bundle.checks.extend(Check(*c) for c in mollow_checks(cfg.mollow, scan, peaks))
 
 
 _DISPATCH = {

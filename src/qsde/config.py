@@ -292,11 +292,18 @@ def _parse_run(section, col: _Collector, model: SystemModel | None):
     if command not in COMMANDS:
         col.add("run.command", f"must be one of {', '.join(COMMANDS)}")
         command = "verify"
+    nerrors = len(col.errors)
     dt = col.number(section, "dt", "run", default=1e-3, positive=True)
+    dt_ok = len(col.errors) == nerrors
     nerrors = len(col.errors)
     horizon = col.number(section, "horizon", "run", default=2.0, positive=True)
     # Times are range-checked only against a valid horizon.
     time_bound = horizon if len(col.errors) == nerrors else None
+    # Trajectories step by dt, the master and analytic routes by
+    # horizon / round(horizon / dt): the grids agree only if dt divides the horizon.
+    if dt_ok and time_bound is not None and (
+            abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon):
+        col.add("run.dt", f"{dt!r} does not divide run.horizon = {horizon!r}")
     ntraj = section.get("ntraj", 10_000)
     if not isinstance(ntraj, int) or ntraj < 1:
         col.add("run.ntraj", "must be a positive integer")

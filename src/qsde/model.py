@@ -209,6 +209,27 @@ class Coefficients:
             rotated = u @ self._lstack @ u.conj().swapaxes(-1, -2)
         return np.einsum("nji,nikl->njkl", vdag, rotated)
 
+    def r_components(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Phase components of R_j: R_j(t) = sum_g exp(i gaps[g] t) ops[g].
+
+        In the frame eigenbasis, entry (a, b) of the detection-mixed coupling
+        rotates at the eigen-gap lambda_a - lambda_b; diagonal-phase
+        detection adds nu to every gap.  Entries sharing a gap form one
+        component, and components that vanish exactly are dropped.
+        """
+        detection = self.model.detection
+        mixed = np.einsum("i,ikl->kl",
+                          detection.conj_transpose_on(np.zeros(1), self.nchannels)[0, j],
+                          self._lstack)
+        vecs = self._frame_vecs
+        in_basis = vecs.conj().T @ mixed @ vecs
+        gaps, which = np.unique(np.subtract.outer(self._frame_eigs, self._frame_eigs),
+                                return_inverse=True)
+        masked = (which.reshape(in_basis.shape) == np.arange(len(gaps))[:, None, None]) * in_basis
+        keep = masked.any(axis=(1, 2))
+        shift = detection.nu if detection.kind == "diagonal-phase" else 0.0
+        return gaps[keep] + shift, vecs @ masked[keep] @ vecs.conj().T
+
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return self.k_at(t), self.r_at(t)
 

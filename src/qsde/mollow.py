@@ -31,6 +31,7 @@ __all__ = [
     "build_mollow_model",
     "rabi_frequency",
     "find_spectrum_peaks",
+    "mollow_checks",
     "run_mollow_spectrum",
     "MollowSpectrumResult",
 ]
@@ -124,6 +125,35 @@ def find_spectrum_peaks(nu: np.ndarray, values: np.ndarray,
         return np.array([])
     idx, _ = _find_peaks(values, prominence=rel_prominence * span)
     return np.asarray(nu)[idx]
+
+
+def mollow_checks(cfg: MollowConfig, scan: SpectrumScan,
+                  peaks: np.ndarray) -> list[tuple[str, bool, str]]:
+    """The Mollow line-shape checks of a scan, as (name, passed, detail).
+
+    peak-count: three peaks for a strong drive (Rabi frequency above
+    gamma / 2), one otherwise.  sideband-locations (strong drive, three
+    peaks found): the outer peaks lie within two grid spacings of
+    omega0 -+ Omega.  spectrum-symmetry (resonant drive on a grid symmetric
+    about omega0): max |S(nu) - S(2 omega0 - nu)| <= 1e-3 max S.
+    """
+    omega = rabi_frequency(cfg)
+    strong = omega > 0.5 * cfg.gamma
+    expected = 3 if strong else 1
+    checks = [("peak-count", len(peaks) == expected,
+               f"found {len(peaks)}, expected {expected}")]
+    if strong and len(peaks) == 3:
+        tol = 2 * (scan.nu[1] - scan.nu[0]) + 1e-12
+        lo, hi = cfg.omega0 - omega, cfg.omega0 + omega
+        ok = abs(peaks[0] - lo) <= tol and abs(peaks[-1] - hi) <= tol
+        checks.append(("sideband-locations", bool(ok),
+                       f"peaks {peaks[0]:.3f}/{peaks[-1]:.3f} vs {lo:.3f}/{hi:.3f}"))
+    grid_sym = np.allclose(scan.nu + scan.nu[::-1], 2 * cfg.omega0, atol=1e-9)
+    if cfg.omega == cfg.omega0 and grid_sym:
+        asym = float(np.max(np.abs(scan.values - scan.values[::-1])))
+        checks.append(("spectrum-symmetry", asym <= 1e-3 * float(np.max(scan.values)),
+                       f"max asymmetry {asym:.3e}"))
+    return checks
 
 
 @dataclass(frozen=True)

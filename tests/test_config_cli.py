@@ -102,6 +102,22 @@ def test_record_times_outside_horizon_rejected():
     assert [e.partition(":")[0] for e in err.value.errors] == ["run.horizon"]
 
 
+def test_dt_must_divide_horizon():
+    """dt = 0.3 on horizon 1.0 would stop the trajectories at 0.9 while the
+    master and analytic routes step by 1/3: one error, naming run.dt."""
+    doc = make_config(**{"run.command": "moments", "run.dt": 0.3, "run.horizon": 1.0,
+                         "run.record_times": [0.5, 1.0]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["run.dt: 0.3 does not divide run.horizon = 1.0"]
+    for dt, horizon in ((0.1, 0.3), (0.005, 50.0), (1e-3, 2.0), (0.25, 0.25)):
+        cfg = parse_config(json.dumps(make_config(**{"run.dt": dt, "run.horizon": horizon})))
+        assert (cfg.run.dt, cfg.run.horizon) == (dt, horizon)
+    # dt larger than the horizon divides it zero times
+    with pytest.raises(ConfigError, match=r"run\.dt: 2\.0 does not divide"):
+        parse_config(json.dumps(make_config(**{"run.dt": 2.0, "run.horizon": 1.0})))
+
+
 def test_pair_times_outside_horizon_rejected():
     doc = make_config(**{"run.command": "moments", "run.horizon": 0.1,
                          "run.pairs": [[0, 0, 0.05, 3.0], [0, 1, 0.1, 0.0],

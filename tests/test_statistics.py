@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_model, simple_model
+from qsde import master
 from qsde.linalg import adjoint, matrix_exp, max_abs, vectorize
-from qsde.master import LindbladPropagator, master_series, stationary_state
+from qsde.master import LindbladPropagator, PositivityError, master_series, stationary_state
 from qsde.model import CoefficientTable, DetectionSpec, build_coefficients
 from qsde.mollow import (
     EXCITED_PROJECTOR,
@@ -13,7 +16,6 @@ from qsde.mollow import (
     canonical_config,
 )
 from qsde.statistics import (
-    _SPECTRUM_BLOCK,
     analytic_mean_output,
     analytic_second_moment,
     jackknife_stderr,
@@ -96,8 +98,8 @@ def reference_ordered_term(gen, r, rho, i, j, t_outer, t_inner, dt):
 
 def reference_second_moment(coeffs, gen, rho0, i, j, t1, t2, dt):
     """E[W_i(t1) W_j(t2)] from the reference recurrence: an independent
-    route to the folded, blocked kernel behind analytic_second_moment and
-    spectrum_scan."""
+    route to the closed form and the folded sweep behind
+    analytic_second_moment and spectrum_scan."""
     t_max = max(t1, t2)
     nsteps = max(1, int(round(t_max / dt)))
     h = t_max / nsteps
@@ -111,6 +113,34 @@ def reference_second_moment(coeffs, gen, rho0, i, j, t1, t2, dt):
 
 def mollow_at(nu):
     return build_mollow_model(canonical_config(nu=nu))
+
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def dephasing_model(detection=None):
+    """Decay plus 0.7 P_e dephasing in the frame 3 P_e: R_j has gaps -3 and 0."""
+    return simple_model(hamiltonian=0.8 * EXCITED_PROJECTOR,
+                        channels=(SIGMA_MINUS, 0.7 * EXCITED_PROJECTOR),
+                        detection=detection, frame=3.0 * EXCITED_PROJECTOR)
+
+
+def trivial_frame_model():
+    """Driven decay plus dephasing with H0 = 0 and diagonal-phase detection."""
+    return simple_model(hamiltonian=0.6 * EXCITED_PROJECTOR,
+                        channels=(SIGMA_MINUS, 0.5 * EXCITED_PROJECTOR),
+                        amplitudes=[0.0, 0.9], detection=DetectionSpec(nu=1.3))
+
+
+# Constant-generator models whose channel operators carry several phase
+# components between them: the closed-form route of the correlation kernel.
+CONSTANT_MODELS = {
+    "dephasing-hadamard": dephasing_model(DetectionSpec(kind="constant-unitary",
+                                                        matrix=HADAMARD)),
+    "dephasing-diagonal": dephasing_model(),
+    "trivial-frame": trivial_frame_model(),
+    "mollow-detuned-lo": mollow_at(7.5),
+}
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +194,78 @@ def test_second_moment_time_dependent_generator_route():
             assert abs(fast - ref) <= 1e-12 * abs(ref), (i, j, t1, t2, fast, ref)
 
 
+def test_constant_models_have_constant_generators():
+    for name, model in CONSTANT_MODELS.items():
+        assert LindbladPropagator(build_coefficients(model)).time_independent, name
+    gaps, _ = build_coefficients(CONSTANT_MODELS["dephasing-hadamard"]).r_components(0)
+    assert np.allclose(gaps, [-3.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", list(CONSTANT_MODELS.values()) + [
+    random_model(np.random.default_rng(seed)) for seed in (300, 301)],
+    ids=list(CONSTANT_MODELS) + ["random-300", "random-301"])
+def test_r_components_reproduce_r_table(model):
+    coeffs = build_coefficients(model)
+    times = np.linspace(0.0, 5.0, 41)
+    table = coeffs.r_table(times)
+    for j in range(model.nchannels):
+        gaps, ops = coeffs.r_components(j)
+        assert len(gaps) == len(ops) and all(np.any(op != 0) for op in ops)
+        rebuilt = np.einsum("ng,gkl->nkl", np.exp(1j * np.outer(times, gaps)), ops)
+        assert max_abs(rebuilt - table[:, j]) <= 1e-13 * max(1.0, max_abs(table[:, j]))
+
+
+def test_r_components_drop_zero_channels():
+    gaps, ops = build_coefficients(simple_model()).r_components(0)
+    assert gaps.shape == (0,) and ops.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("name", list(CONSTANT_MODELS))
+def test_second_moment_closed_form_matches_reference(name):
+    """The closed form agrees with the per-step recurrence for i != j,
+    t1 != t2, and an inner cut-off below and above the outer end."""
+    coeffs = build_coefficients(CONSTANT_MODELS[name])
+    gen = LindbladPropagator(coeffs)
+    psi = np.array([1.0, 0.6 - 0.3j])
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    for (i, j, t1, t2) in [(0, 1, 0.5, 0.3), (1, 0, 0.2, 0.45), (1, 1, 0.4, 0.25),
+                           (0, 0, 0.35, 0.35)]:
+        fast = analytic_second_moment(coeffs, gen, rho0, i, j, t1, t2, 1e-2)
+        ref = reference_second_moment(coeffs, gen, rho0, i, j, t1, t2, 1e-2)
+        assert abs(fast - ref) <= 1e-12 * abs(ref), (i, j, t1, t2, fast, ref)
+
+
+@pytest.mark.parametrize("name, channel", [
+    ("dephasing-diagonal", 0), ("dephasing-diagonal", 1),
+    ("trivial-frame", 0), ("trivial-frame", 1), ("mollow-detuned-lo", 0)])
+def test_spectrum_closed_form_matches_reference(name, channel):
+    model = CONSTANT_MODELS[name]
+    gen = LindbladPropagator(build_coefficients(model))
+    horizon, dt = 3.0, 0.02
+    nus = np.array([-3.0, -0.4, 0.0, 1.3, 8.0])
+    rho = RHO_E if name == "dephasing-diagonal" else stationary_state(gen).rho
+    scan = spectrum_scan(model, nus, horizon=horizon, dt=dt, channel=channel, rho0=rho)
+    var = spectrum_scan(model, nus, horizon=horizon, dt=dt, channel=channel, rho0=rho,
+                        subtract_mean=True)
+    for k, nu in enumerate(nus):
+        c_nu = build_coefficients(dataclasses.replace(model, detection=DetectionSpec(nu=nu)))
+        second = reference_second_moment(c_nu, gen, rho, channel, channel,
+                                         horizon, horizon, dt)
+        mean = analytic_mean_output(c_nu, gen, rho, channel, horizon, dt)
+        assert abs(scan.values[k] - second / horizon) <= 1e-9
+        assert abs(var.values[k] - (second - mean ** 2) / horizon) <= 1e-9
+
+
+def test_spectrum_checks_final_state_positivity(monkeypatch):
+    """Like master_series, the scan checks its final state: with a threshold
+    no state can meet, it raises."""
+    model = mollow_at(10.0)
+    spectrum_scan(model, [10.0], horizon=1.0, dt=0.01)
+    monkeypatch.setattr(master, "POSITIVITY_FAIL", 2.0)
+    with pytest.raises(PositivityError):
+        spectrum_scan(model, [10.0], horizon=1.0, dt=0.01)
+
+
 def test_analytic_mean_identity_channel():
     table_model = simple_model(channels=(np.eye(2),))
     coeffs = build_coefficients(table_model)
@@ -209,7 +311,6 @@ def test_mc_moments_report_and_split_consistency(mollow_setup):
     for row in report.second:
         assert abs(row.analytic - row.mc) <= 3.0 * row.stderr + slack
     # split halves: full estimate within 3 sigma of each half
-    import dataclasses
     half1 = dataclasses.replace(ens, psi=ens.psi[:1500], weight=ens.weight[:1500],
                                 r_expect=ens.r_expect[:1500], w_path=ens.w_path[:1500],
                                 innovation=ens.innovation[:1500], frozen_at=ens.frozen_at[:1500])
@@ -327,14 +428,12 @@ def test_spectrum_matches_per_frequency_route(mollow_setup):
 
 
 @pytest.mark.parametrize("horizon, rho0", [
-    (13.0, None),      # 650 steps: two full blocks and a partial one
-    (10.24, RHO_E),    # 512 steps: the last block holds the final time alone
+    (13.0, None),      # 650 steps from the stationary state
+    (10.24, RHO_E),    # 512 steps from the excited state
 ])
 def test_spectrum_blocks_and_start_state_match_per_frequency_route(mollow_setup, horizon, rho0):
     coeffs, gen = mollow_setup
     dt = 0.02
-    nsteps = int(round(horizon / dt))
-    assert nsteps > _SPECTRUM_BLOCK and nsteps + 1 > 2 * _SPECTRUM_BLOCK
     start = stationary_state(gen).rho if rho0 is None else rho0
     nus = np.array([5.0, 9.5, 10.0, 14.0])
     scan = spectrum_scan(mollow_at(10.0), nus, horizon=horizon, dt=dt, rho0=rho0)
