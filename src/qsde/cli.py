@@ -97,22 +97,15 @@ def bundles_equal(a: ResultBundle, b: ResultBundle, ignore_walltime: bool = True
     return da == db
 
 
-def _default_checkpoints(cfg: RunConfig) -> np.ndarray:
-    if cfg.run.record_times is not None:
-        return np.asarray(cfg.run.record_times, dtype=float)
-    return cfg.run.horizon * np.arange(11) / 10.0
-
-
-def _initial_vector(cfg: RunConfig, dim: int) -> np.ndarray:
-    if cfg.run.initial_state is not None:
-        vec = cfg.run.initial_state.astype(complex)
-    else:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        raise ConfigError(["run.initial_state: must be a nonzero vector"])
-    return vec / nrm
+def _start(cfg: RunConfig, master: bool = True):
+    """Coefficients, generator (if ``master``), initial vector and state of a
+    run; the vector is the normalised ``run.initial_state`` or basis state 0."""
+    coeffs = build_coefficients(cfg.model)
+    psi0 = cfg.run.initial_state
+    if psi0 is None:
+        psi0 = np.eye(cfg.model.dim, dtype=complex)[0]
+    gen = LindbladPropagator(coeffs) if master else None
+    return coeffs, gen, psi0, np.outer(psi0, psi0.conj())
 
 
 def _run_verify(cfg: RunConfig, bundle: ResultBundle):
@@ -132,12 +125,10 @@ def _run_verify(cfg: RunConfig, bundle: ResultBundle):
 
 
 def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
-    coeffs = build_coefficients(cfg.model)
-    run = cfg.run
-    nsteps = max(1, int(round(run.horizon / run.dt)))
-    psi0 = _initial_vector(cfg, cfg.model.dim)
-    ens = run_linear_ensemble(coeffs, psi0, dt=run.dt, nsteps=nsteps, ntraj=run.ntraj,
-                              base_seed=run.seed, record_times=_default_checkpoints(cfg),
+    coeffs, _, psi0, _ = _start(cfg, master=False)
+    run, grid = cfg.run, cfg.grid
+    ens = run_linear_ensemble(coeffs, psi0, dt=grid.h, nsteps=grid.nsteps, ntraj=run.ntraj,
+                              base_seed=run.seed, record_times=run.record_times,
                               chunk_size=run.chunk_size)
     mean_w = ens.weight.mean(axis=0)
     se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj) if ens.ntraj > 1 else 0 * mean_w
@@ -184,20 +175,15 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
 
 
 def _run_master(cfg: RunConfig, bundle: ResultBundle):
-    coeffs = build_coefficients(cfg.model)
-    gen = LindbladPropagator(coeffs)
-    run = cfg.run
-    psi0 = _initial_vector(cfg, cfg.model.dim)
-    rho0 = np.outer(psi0, psi0.conj())
-    nsteps = max(1, int(round(run.horizon / run.dt)))
-    grid = (run.horizon / nsteps) * np.arange(nsteps + 1)
-    series = master_series(gen, rho0, grid)
+    _, gen, _, rho0 = _start(cfg)
+    grid = cfg.grid
+    times = grid.times
+    series = master_series(gen, rho0, times)
     rows = []
-    for t in _default_checkpoints(cfg):
-        n = int(round(t / (grid[1] - grid[0])))
+    for n in grid.checkpoints(cfg.run.record_times):
         for i in range(gen.dim):
             for j in range(gen.dim):
-                rows.append((float(grid[n]), i, j,
+                rows.append((float(times[n]), i, j,
                              float(series[n, i, j].real), float(series[n, i, j].imag)))
     bundle.tables["rho"] = Table(columns=("t", "i", "j", "re", "im"), rows=tuple(rows))
     try:
@@ -220,20 +206,14 @@ def _run_master(cfg: RunConfig, bundle: ResultBundle):
 
 
 def _run_moments(cfg: RunConfig, bundle: ResultBundle):
-    coeffs = build_coefficients(cfg.model)
-    gen = LindbladPropagator(coeffs)
-    run = cfg.run
-    psi0 = _initial_vector(cfg, cfg.model.dim)
-    rho0 = np.outer(psi0, psi0.conj())
-    checkpoints = set(_default_checkpoints(cfg).tolist())
-    for (_, _, t1, t2) in run.pairs:
-        checkpoints.update((t1, t2))
-    record = np.array(sorted(checkpoints))
-    nsteps = max(1, int(round(run.horizon / run.dt)))
-    ens = run_linear_ensemble(coeffs, psi0, dt=run.dt, nsteps=nsteps, ntraj=run.ntraj,
-                              base_seed=run.seed, record_times=record,
+    coeffs, gen, psi0, rho0 = _start(cfg)
+    run, grid = cfg.run, cfg.grid
+    pair_times = [t for (_, _, t1, t2) in run.pairs for t in (t1, t2)]
+    record = np.union1d(grid.checkpoints(run.record_times), grid.index(pair_times))
+    ens = run_linear_ensemble(coeffs, psi0, dt=grid.h, nsteps=grid.nsteps, ntraj=run.ntraj,
+                              base_seed=run.seed, record_times=grid.times[record],
                               chunk_size=run.chunk_size)
-    report = mc_output_moments(ens, coeffs, gen, rho0, run.dt, pairs=run.pairs)
+    report = mc_output_moments(ens, coeffs, gen, rho0, pairs=run.pairs)
     slack = run.bias_coeff * run.dt
     rows, ok, worst = [], True, 0.0
     for m, t in enumerate(report.times):
@@ -263,10 +243,8 @@ def _run_moments(cfg: RunConfig, bundle: ResultBundle):
 
 def _run_spectrum(cfg: RunConfig, bundle: ResultBundle, rel_prominence: float = 0.08):
     run = cfg.run
-    rho0 = None
-    if run.initial_state is not None:
-        psi0 = _initial_vector(cfg, cfg.model.dim)
-        rho0 = np.outer(psi0, psi0.conj())
+    psi0 = run.initial_state
+    rho0 = None if psi0 is None else np.outer(psi0, psi0.conj())
     scan = spectrum_scan(cfg.model, run.nu_grid, horizon=run.horizon,
                          dt=run.dt, rho0=rho0)
     bundle.tables["spectrum"] = Table(
@@ -367,10 +345,10 @@ def main(argv=None) -> int:
             echo.setdefault("run", {})["seed"] = args.seed
             cfg = RunConfig(model=cfg.model, run=replace(cfg.run, seed=args.seed),
                             output=cfg.output, mollow=cfg.mollow, echo=echo)
-        bundle = run_command(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    bundle = run_command(cfg)
     outdir = args.out if args.out is not None else cfg.output.directory
     paths = emit(bundle, outdir, formats=cfg.output.formats, precision=cfg.output.precision)
     for c in bundle.checks:

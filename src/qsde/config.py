@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DetectionSpec, DriveSpec, SystemModel
+from .model import GRID_TOL, DetectionSpec, DriveSpec, SystemModel, TimeGrid
 from .mollow import MollowConfig, build_mollow_model
 
 __all__ = [
@@ -119,6 +119,11 @@ class RunConfig:
     mollow: MollowConfig | None = None
     echo: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def grid(self) -> TimeGrid:
+        """The run's time grid: [0, horizon] in steps of dt."""
+        return TimeGrid.covering(self.run.horizon, self.run.dt)
+
 
 def _as_float(v) -> float:
     """``float(v)``, with an integer beyond the float range read as inf."""
@@ -183,13 +188,18 @@ class _Collector:
             return None
         return value
 
-    def time(self, v, path: str, horizon: float | None) -> float:
-        """A finite time, checked against [0, horizon] unless the horizon is invalid."""
+    def time(self, v, path: str, horizon: float | None, grid: TimeGrid | None) -> float:
+        """A finite time, checked to lie in [0, horizon] and on the grid, if known."""
         t = self.finite(v, path)
         if t is None:
             return 0.0
         if horizon is not None and not 0.0 <= t <= horizon:
             self.add(path, f"{t!r} is outside [0, horizon = {horizon!r}]")
+        elif grid is not None:
+            try:
+                grid.index(t)
+            except ValueError:
+                self.add(path, f"{t!r} is not a multiple of run.dt")
         return t
 
     def channel(self, v, path: str, nchannels: int | None) -> int:
@@ -297,13 +307,13 @@ def _parse_run(section, col: _Collector, model: SystemModel | None):
     dt_ok = len(col.errors) == nerrors
     nerrors = len(col.errors)
     horizon = col.number(section, "horizon", "run", default=2.0, positive=True)
-    # Times are range-checked only against a valid horizon.
+    # Times are range-checked only against a valid horizon, and checked to be
+    # grid points only when dt divides it, i.e. when the run's grid has step dt.
     time_bound = horizon if len(col.errors) == nerrors else None
-    # Trajectories step by dt, the master and analytic routes by
-    # horizon / round(horizon / dt): the grids agree only if dt divides the horizon.
-    if dt_ok and time_bound is not None and (
-            abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon):
+    grid = TimeGrid.covering(horizon, dt) if dt_ok and time_bound is not None else None
+    if grid is not None and abs(grid.h - dt) > GRID_TOL * dt:
         col.add("run.dt", f"{dt!r} does not divide run.horizon = {horizon!r}")
+        grid = None
     ntraj = section.get("ntraj", 10_000)
     if not isinstance(ntraj, int) or ntraj < 1:
         col.add("run.ntraj", "must be a positive integer")
@@ -319,7 +329,7 @@ def _parse_run(section, col: _Collector, model: SystemModel | None):
             col.add("run.record_times", "expected a list of times")
             record_times = None
         else:
-            record_times = tuple(col.time(t, f"run.record_times[{i}]", time_bound)
+            record_times = tuple(col.time(t, f"run.record_times[{i}]", time_bound, grid)
                                  for i, t in enumerate(record_times))
     nu_grid = _parse_nu_grid(section.get("nu_grid"), col)
     pairs = []
@@ -331,20 +341,24 @@ def _parse_run(section, col: _Collector, model: SystemModel | None):
         nchannels = len(model.channels) if model is not None else None
         pairs.append((col.channel(entry[0], f"run.pairs[{p}][0]", nchannels),
                       col.channel(entry[1], f"run.pairs[{p}][1]", nchannels),
-                      col.time(entry[2], f"run.pairs[{p}][2]", time_bound),
-                      col.time(entry[3], f"run.pairs[{p}][3]", time_bound)))
+                      col.time(entry[2], f"run.pairs[{p}][2]", time_bound, grid),
+                      col.time(entry[3], f"run.pairs[{p}][3]", time_bound, grid)))
     initial = section.get("initial_state")
     if initial is not None:
         if not isinstance(initial, list):
             col.add("run.initial_state", "expected a list of amplitudes")
             initial = None
         else:
+            nerrors = len(col.errors)
             vec = np.array([col.complex_scalar(v, f"run.initial_state[{i}]")
-                            for i, v in enumerate(initial)])
+                            for i, v in enumerate(initial)], dtype=complex)
+            nrm = np.linalg.norm(vec)
             if model is not None and len(vec) != model.dim:
                 col.add("run.initial_state",
                         f"expected {model.dim} amplitudes, got {len(vec)}")
-            initial = vec
+            elif not 0 < nrm < math.inf and len(col.errors) == nerrors:
+                col.add("run.initial_state", "must be a nonzero vector of finite amplitudes")
+            initial = vec / nrm if 0 < nrm < math.inf else vec
     chunk = section.get("chunk_size", 1024)
     if not isinstance(chunk, int) or chunk < 1:
         col.add("run.chunk_size", "must be a positive integer")

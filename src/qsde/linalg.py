@@ -26,7 +26,6 @@ __all__ = [
     "sandwich",
     "max_abs",
     "spectral_norm",
-    "trace_norm",
     "ensure_finite",
 ]
 
@@ -127,8 +126,3 @@ def max_abs(m: np.ndarray) -> float:
 def spectral_norm(m: np.ndarray) -> float:
     """Operator 2-norm (largest singular value)."""
     return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, devectorize, matrix_exp, max_abs, sandwich, spost, spre, vectorize
-from .model import Coefficients
+from .model import Coefficients, TimeGrid
 from .trajectories import LinearEnsemble, NonlinearEnsemble
 
 __all__ = [
@@ -148,9 +148,6 @@ class LindbladPropagator:
             return self._g0
         return build_schrodinger_generator(self.coeffs, t)
 
-    def heisenberg_at(self, t: float) -> np.ndarray:
-        return build_heisenberg_generator(self.coeffs, t)
-
 
 def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of dv/dt = g v as a matrix.
@@ -216,13 +213,11 @@ def propagate_master(gen: LindbladPropagator, rho0: np.ndarray, t0: float, t1: f
         raise ValueError("t1 must be >= t0")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    span = t1 - t0
-    if span == 0:
+    if t1 == t0:
         return np.asarray(rho0, dtype=complex).copy()
-    nsteps = max(1, int(round(span / dt)))
-    h = span / nsteps
+    grid = TimeGrid.covering(t1 - t0, dt)
     v = vectorize(np.asarray(rho0, dtype=complex))
-    v = _rk4_march(gen, v, t0, nsteps, h)
+    v = _rk4_march(gen, v, t0, grid.nsteps, grid.h)
     return _cleanup(devectorize(v, gen.dim), check_positivity)
 
 
@@ -256,12 +251,11 @@ def evolution_operator(gen: LindbladPropagator, s: float, t: float,
         return np.eye(gen.dim ** 2, dtype=complex)
     if gen.time_independent:
         return matrix_exp(gen.generator_at(s), t - s)
-    nsub = max(1, int(round((t - s) / dt)))
-    h = (t - s) / nsub
+    grid = TimeGrid.covering(t - s, dt)
     u = np.eye(gen.dim ** 2, dtype=complex)
-    for k in range(nsub):
-        mid = s + (k + 0.5) * h
-        u = matrix_exp(gen.generator_at(mid), h) @ u
+    for k in range(grid.nsteps):
+        mid = s + (k + 0.5) * grid.h
+        u = matrix_exp(gen.generator_at(mid), grid.h) @ u
     return u
 
 

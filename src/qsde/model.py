@@ -38,10 +38,51 @@ __all__ = [
     "operator_norm_bounds",
     "WeightIdentityReport",
     "NormBoundReport",
+    "TimeGrid",
 ]
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
+# A time is a grid point, and a step equals dt, to this fraction of a step.
+GRID_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """The uniform grid t_n = n h, n = 0..nsteps, shared by the trajectory,
+    master-equation and analytic routes."""
+
+    h: float
+    nsteps: int
+
+    @classmethod
+    def covering(cls, horizon: float, dt: float) -> "TimeGrid":
+        """The grid of [0, horizon] with nsteps = max(1, round(horizon / dt))."""
+        nsteps = max(1, int(round(horizon / dt)))
+        return cls(h=horizon / nsteps, nsteps=nsteps)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.h * np.arange(self.nsteps + 1)
+
+    def index(self, t):
+        """Grid index of each time in ``t`` (an int for a scalar); ValueError names
+        every time more than GRID_TOL steps from a grid point or outside the grid."""
+        t = np.asarray(t, dtype=float)
+        n = np.rint(t / self.h)
+        bad = ~(np.abs(t / self.h - n) <= GRID_TOL) | (n < 0) | (n > self.nsteps)
+        if bad.any():
+            raise ValueError(f"times {np.atleast_1d(t)[np.atleast_1d(bad)].tolist()} are not "
+                             f"points of the grid n * {self.h!r}, n = 0..{self.nsteps}")
+        return n.astype(int) if n.ndim else int(n)
+
+    def checkpoints(self, times=None) -> np.ndarray:
+        """Sorted distinct indices of ``times``; by default eleven indices
+        spread evenly from 0 to nsteps (every index on a shorter grid)."""
+        if times is None:
+            return np.unique(np.rint(np.linspace(0, self.nsteps, min(self.nsteps, 10) + 1))
+                             .astype(int))
+        return np.unique(self.index(times))
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,6 @@ class MollowConfig:
     nu: float
     alphas: np.ndarray
     lambdas: np.ndarray
-    ntraj: int = 10_000
-    dt: float = 1e-3
-    horizon: float = 2.0
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=complex).reshape(-1)

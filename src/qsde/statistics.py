@@ -95,7 +95,7 @@ from .master import (
     master_series,
     stationary_state,
 )
-from .model import Coefficients, DetectionSpec, SystemModel, build_coefficients
+from .model import Coefficients, DetectionSpec, SystemModel, TimeGrid, build_coefficients
 from .trajectories import LinearEnsemble
 
 __all__ = [
@@ -120,43 +120,34 @@ __all__ = [
 # Analytic moments
 # ---------------------------------------------------------------------------
 
-def _uniform_grid(t: float, dt: float) -> np.ndarray:
-    nsteps = max(1, int(round(t / dt)))
-    return (t / nsteps) * np.arange(nsteps + 1)
-
-
 def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
-                         t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative E[W_k(s)] for all channels on the grid covering [0, t].
+                         grid: TimeGrid) -> np.ndarray:
+    """Cumulative E[W_k(t_n)] for all channels on ``grid``, as means[n, k].
 
     Trapezoid quadrature of Tr{rho_s (R_k + R_k^*)} along the RK4 solution,
-    on the same grid.  Returns (times, means) with means[n, k].
+    on the same grid.
     """
-    times = _uniform_grid(t, dt)
+    times = grid.times
     rho = master_series(gen, rho0, times)
     integrand = 2.0 * np.einsum("njkl,nlk->nj", coeffs.r_table(times), rho).real
-    h = times[1] - times[0] if len(times) > 1 else 0.0
     means = np.zeros_like(integrand)
-    if len(times) > 1:
-        avg = 0.5 * (integrand[1:] + integrand[:-1])
-        means[1:] = h * np.cumsum(avg, axis=0)
-    return times, means
+    means[1:] = grid.h * np.cumsum(0.5 * (integrand[1:] + integrand[:-1]), axis=0)
+    return means
 
 
 def analytic_mean_output(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
                          k: int, t: float, dt: float) -> float:
-    """E[W_k(t)] under the physical law."""
+    """E[W_k(t)] under the physical law, on the grid covering [0, t]."""
     if t == 0:
         return 0.0
-    _, means = analytic_mean_series(coeffs, gen, rho0, t, dt)
-    return float(means[-1, k])
+    return float(analytic_mean_series(coeffs, gen, rho0, TimeGrid.covering(t, dt))[-1, k])
 
 
-def _step_propagators(gen: LindbladPropagator, times: np.ndarray) -> np.ndarray:
-    """Stack of transposed midpoint propagators E_n^T on a uniform grid."""
-    h = times[1] - times[0]
+def _step_propagators(gen: LindbladPropagator, grid: TimeGrid) -> np.ndarray:
+    """Stack of transposed midpoint propagators E_n^T on the grid."""
+    h = grid.h
     return np.stack([matrix_exp(gen.generator_at((n + 0.5) * h), h).T
-                     for n in range(len(times) - 1)])
+                     for n in range(grid.nsteps)])
 
 
 def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps: int):
@@ -247,28 +238,26 @@ def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: 
     t_max = max(t1, t2)
     if t_max == 0:
         return 0.0
-    times = _uniform_grid(t_max, dt)
-    h = times[1] - times[0]
-    nsteps = len(times) - 1
+    grid = TimeGrid.covering(t_max, dt)
     if gen.time_independent:
-        e, p, v0 = _constant_steps(gen, rho0, h, nsteps)
+        e, p, v0 = _constant_steps(gen, rho0, grid.h, grid.nsteps)
     else:
-        rho = master_series(gen, rho0, times)
-        r = coeffs.r_table(times)
+        rho = master_series(gen, rho0, grid.times)
+        r = coeffs.r_table(grid.times)
         mu = vectorize(r @ rho[:, None])
         q = vectorize(r + r.conj().swapaxes(-1, -2)).conj()
-        e_ts = _step_propagators(gen, times)
+        e_ts = _step_propagators(gen, grid)
     total = min(t1, t2) if i == j else 0.0
     for a, b, t_outer, t_inner in ((i, j, t1, t2), (j, i, t2, t1)):
-        n_out, n_cap = int(round(t_outer / h)), int(round(t_inner / h))
+        n_out, n_cap = grid.index([t_outer, t_inner]).tolist()
         if n_out == 0 or n_cap == 0:
             continue
         if gen.time_independent:
-            total += _closed_form_term(e, p, v0, h, coeffs.r_components(a),
+            total += _closed_form_term(e, p, v0, grid.h, coeffs.r_components(a),
                                        coeffs.r_components(b), np.zeros(1), n_out, n_cap)[0]
         else:
             out = slice(n_out + 1)
-            total += _folded_sweep(mu[out, b], q[out, a], e_ts[:n_out], h, n_cap)
+            total += _folded_sweep(mu[out, b], q[out, a], e_ts[:n_out], grid.h, n_cap)
     return float(total)
 
 
@@ -293,16 +282,18 @@ def _weights_at(ensemble, idx: int) -> np.ndarray:
     return np.ones(ensemble.ntraj)
 
 
-def _time_index(ensemble, t: float) -> int:
-    idx = np.where(np.isclose(ensemble.times, t, rtol=0.0, atol=1e-9))[0]
-    if len(idx) == 0:
-        raise ValueError(f"time {t} is not a checkpoint of the ensemble grid")
-    return int(idx[0])
+def _checkpoint(ensemble, t: float) -> int:
+    """Position of time t among the ensemble's checkpoints."""
+    grid = ensemble.grid
+    pos = np.flatnonzero(grid.index(ensemble.times) == grid.index(t))
+    if len(pos) == 0:
+        raise ValueError(f"time {t} is not a checkpoint of the ensemble")
+    return int(pos[0])
 
 
 def mc_mean_output(ensemble, k: int, t: float) -> tuple[float, float]:
     """Weighted estimate of E[W_k(t)] with jackknife standard error."""
-    idx = _time_index(ensemble, t)
+    idx = _checkpoint(ensemble, t)
     contrib = _weights_at(ensemble, idx) * ensemble.w_path[:, idx, k]
     return float(contrib.mean()), jackknife_stderr(contrib)
 
@@ -313,8 +304,8 @@ def mc_second_moment(ensemble, i: int, j: int, t1: float, t2: float) -> tuple[fl
     The weight is taken at max(t1, t2), the earliest time at which the
     product is measurable.
     """
-    i1 = _time_index(ensemble, t1)
-    i2 = _time_index(ensemble, t2)
+    i1 = _checkpoint(ensemble, t1)
+    i2 = _checkpoint(ensemble, t2)
     iw = i1 if t1 >= t2 else i2
     contrib = (_weights_at(ensemble, iw)
                * ensemble.w_path[:, i1, i] * ensemble.w_path[:, i2, j])
@@ -345,25 +336,19 @@ class MomentReport:
 
 
 def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
-                      rho0: np.ndarray, dt: float,
+                      rho0: np.ndarray,
                       pairs: tuple[tuple[int, int, float, float], ...] = ()) -> MomentReport:
     """Build a full moment report for the ensemble checkpoints.
 
-    ``pairs`` lists (i, j, t1, t2) second-moment requests; checkpoint grids
-    of the ensemble must contain the requested times.
+    The analytic side runs on the ensemble's own grid, up to its last
+    checkpoint.  ``pairs`` lists (i, j, t1, t2) second-moment requests;
+    the requested times must be checkpoints of the ensemble.
     """
     times = ensemble.times
     nchan = ensemble.w_path.shape[2]
-    horizon = float(times[-1])
-    _, mean_series = analytic_mean_series(coeffs, gen, rho0, horizon, dt) if horizon > 0 else (
-        times, np.zeros((len(times), nchan)))
-    if horizon > 0:
-        grid = _uniform_grid(horizon, dt)
-        analytic = np.empty((len(times), nchan))
-        for m, t in enumerate(times):
-            analytic[m] = mean_series[int(round(t / (grid[1] - grid[0])))]
-    else:
-        analytic = np.zeros((len(times), nchan))
+    grid = ensemble.grid
+    idx = grid.index(times)
+    analytic = analytic_mean_series(coeffs, gen, rho0, TimeGrid(grid.h, idx[-1]))[idx]
     mc = np.empty((len(times), nchan))
     se = np.empty((len(times), nchan))
     for m in range(len(times)):
@@ -375,7 +360,7 @@ def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
     rows = []
     for (i, j, t1, t2) in pairs:
         value, stderr = mc_second_moment(ensemble, i, j, t1, t2)
-        ana = analytic_second_moment(coeffs, gen, rho0, i, j, t1, t2, dt)
+        ana = analytic_second_moment(coeffs, gen, rho0, i, j, t1, t2, grid.h)
         rows.append(SecondMomentRow(i=i, j=j, t1=t1, t2=t2, analytic=ana,
                                     mc=value, stderr=stderr))
     return MomentReport(times=times, analytic_mean=analytic, mc_mean=mc,
@@ -501,9 +486,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
             raise DegenerateStationaryState(
                 f"stationary manifold has dimension {st.nullity}; supply rho0")
         rho0 = st.rho
-    times = _uniform_grid(horizon, dt)
-    h = times[1] - times[0]
-    nsteps = len(times) - 1
+    grid = TimeGrid.covering(horizon, dt)
+    h, nsteps = grid.h, grid.nsteps
     e, p, v0 = _constant_steps(gen, rho0, h, nsteps)
     # With diagonal-phase detection R^{(nu)}(s) = e^{i nu s} B(s): the
     # components of B, each gap shifted by nu.

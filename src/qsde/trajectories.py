@@ -60,7 +60,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .model import CoefficientTable, Coefficients
+from .model import CoefficientTable, Coefficients, TimeGrid
 
 __all__ = [
     "WienerPath",
@@ -281,7 +281,7 @@ def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
     interpretation of the weight.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    times = path.dt * np.arange(path.nsteps + 1)
+    times = TimeGrid(path.dt, path.nsteps).times
     table = _as_table(coeffs, times)
     if table.dim != psi0.size:
         raise ValueError("initial state dimension does not match the coefficients")
@@ -379,7 +379,7 @@ def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.nda
     nrm = np.linalg.norm(psihat0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
-    times = path.dt * np.arange(path.nsteps + 1)
+    times = TimeGrid(path.dt, path.nsteps).times
     table = _as_table(coeffs, times)
     if table.dim != psihat0.size:
         raise ValueError("initial state dimension does not match the coefficients")
@@ -423,7 +423,8 @@ class LinearEnsemble:
     """Linear trajectories sampled at checkpoint times.
 
     Arrays are indexed (trajectory, checkpoint, ...).  ``w_path`` holds the
-    driving noise W, ``innovation`` the Girsanov-shifted What.
+    driving noise W, ``innovation`` the Girsanov-shifted What.  The
+    checkpoints are points of the integration ``grid``.
     """
 
     times: np.ndarray
@@ -434,7 +435,7 @@ class LinearEnsemble:
     innovation: np.ndarray
     frozen_at: np.ndarray
     base_seed: int
-    dt: float
+    grid: TimeGrid
 
     @property
     def ntraj(self) -> int:
@@ -452,7 +453,7 @@ class NonlinearEnsemble:
     innovation: np.ndarray
     frozen_at: np.ndarray
     base_seed: int
-    dt: float
+    grid: TimeGrid
 
     @property
     def ntraj(self) -> int:
@@ -467,14 +468,6 @@ def worker_count() -> int:
     except ValueError:
         raise ValueError(f"QSDE_WORKERS must be an integer, got {raw!r}")
     return max(1, n)
-
-
-def _record_indices(nsteps: int, dt: float, record_times) -> np.ndarray:
-    if record_times is None:
-        idx = np.unique(np.linspace(0, nsteps, min(nsteps, 10) + 1).round().astype(int))
-    else:
-        idx = np.unique(np.clip(np.round(np.asarray(record_times, dtype=float) / dt), 0, nsteps).astype(int))
-    return idx
 
 
 def _draw_initials(initial, ntraj: int, first: int, dim: int, base_seed: int) -> np.ndarray:
@@ -512,7 +505,7 @@ class _Job:
 
     stepper: Callable  # _step_linear_batch or _step_nonlinear_batch
     ops: np.ndarray
-    dt: float
+    grid: TimeGrid
     initial: object
     base_seed: int
     record_idx: np.ndarray
@@ -525,10 +518,11 @@ def _run_chunk(job: _Job, first: int, ntraj: int) -> list[np.ndarray]:
     They are made C-contiguous here, so that downstream reductions see the
     same memory layout whether a chunk ran in this process or in a worker.
     """
-    npoints, rows, dim = job.ops.shape
-    dw = _chunk_noise(job.base_seed, first, ntraj, job.dt, npoints - 1, rows // dim - 1)
+    _, rows, dim = job.ops.shape
+    h, nsteps = job.grid.h, job.grid.nsteps
+    dw = _chunk_noise(job.base_seed, first, ntraj, h, nsteps, rows // dim - 1)
     psi0 = _draw_initials(job.initial, ntraj, first, dim, job.base_seed).T
-    out = job.stepper(job.ops, job.dt, psi0, dw, job.record_idx, job.weight_floor)
+    out = job.stepper(job.ops, h, psi0, dw, job.record_idx, job.weight_floor)
     return [np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in out]
 
 
@@ -566,17 +560,18 @@ def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: fl
 
     ``initial`` is a state vector shared by all trajectories, or a tuple
     (states, probabilities) sampled per trajectory (mixed initial state).
+    ``record_times`` must be points of the grid n dt, n = 0..nsteps.
     Results are independent of chunk scheduling and worker count; chunking
     only groups trajectories for vectorized stepping.
     """
-    times = dt * np.arange(nsteps + 1)
-    record_idx = _record_indices(nsteps, dt, record_times)
-    job = _Job(_step_linear_batch, _step_ops(_as_table(coeffs, times), dt, nonlinear=False),
-               dt, initial, base_seed, record_idx, weight_floor)
+    grid = TimeGrid(dt, nsteps)
+    record_idx = grid.checkpoints(record_times)
+    job = _Job(_step_linear_batch, _step_ops(_as_table(coeffs, grid.times), dt, nonlinear=False),
+               grid, initial, base_seed, record_idx, weight_floor)
     psi, weight, rexp, drift, w, frozen = _run_chunks(job, ntraj, chunk_size)
-    return LinearEnsemble(times=times[record_idx], psi=psi, weight=weight,
+    return LinearEnsemble(times=grid.times[record_idx], psi=psi, weight=weight,
                           r_expect=rexp, w_path=w, innovation=w - 2.0 * drift,
-                          frozen_at=frozen, base_seed=base_seed, dt=dt)
+                          frozen_at=frozen, base_seed=base_seed, grid=grid)
 
 
 def run_nonlinear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,
@@ -584,11 +579,11 @@ def run_nonlinear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt:
                            record_times=None, weight_floor: float = WEIGHT_FLOOR,
                            chunk_size: int = 1024) -> NonlinearEnsemble:
     """Integrate ``ntraj`` normalized trajectories driven by innovation noise."""
-    times = dt * np.arange(nsteps + 1)
-    record_idx = _record_indices(nsteps, dt, record_times)
-    job = _Job(_step_nonlinear_batch, _step_ops(_as_table(coeffs, times), dt, nonlinear=True),
-               dt, initial, base_seed, record_idx, weight_floor)
+    grid = TimeGrid(dt, nsteps)
+    record_idx = grid.checkpoints(record_times)
+    job = _Job(_step_nonlinear_batch, _step_ops(_as_table(coeffs, grid.times), dt, nonlinear=True),
+               grid, initial, base_seed, record_idx, weight_floor)
     psi, rexp, drift, what, frozen = _run_chunks(job, ntraj, chunk_size)
-    return NonlinearEnsemble(times=times[record_idx], psihat=psi, r_expect=rexp,
+    return NonlinearEnsemble(times=grid.times[record_idx], psihat=psi, r_expect=rexp,
                              w_path=what + 2.0 * drift, innovation=what,
-                             frozen_at=frozen, base_seed=base_seed, dt=dt)
+                             frozen_at=frozen, base_seed=base_seed, grid=grid)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qsde.cli import ResultBundle, bundles_equal, emit, main, run_command
@@ -128,6 +129,55 @@ def test_pair_times_outside_horizon_rejected():
         "run.pairs[0][3]", "run.pairs[2][2]", "run.pairs[2][3]", "run.pairs[3][2]"]
     assert "outside [0, horizon = 0.1]" in err.value.errors[0]
     assert "finite" in err.value.errors[2] and "finite" in err.value.errors[3]
+
+
+def test_off_grid_times_rejected():
+    """A pair or record time between grid points is a config error, one entry
+    per time."""
+    doc = make_config(**{"run.command": "moments", "run.horizon": 0.1, "run.dt": 1e-3,
+                         "run.pairs": [[0, 0, 0.0503, 0.05]]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["run.pairs[0][2]: 0.0503 is not a multiple of run.dt"]
+    doc = make_config(**{"run.command": "trajectories", "run.horizon": 0.1, "run.dt": 1e-3,
+                         "run.record_times": [0.05, 0.0503, 0.1, 0.07001],
+                         "run.pairs": [[0, 1, 0.1, 0.0999]]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == [
+        "run.record_times[1]", "run.record_times[3]", "run.pairs[0][3]"]
+    # decimal multiples of dt are grid points
+    doc["run"].update(record_times=[0.0, 0.003, 0.07, 0.1], pairs=[[0, 1, 0.1, 0.03]])
+    assert parse_config(json.dumps(doc)).run.record_times == (0.0, 0.003, 0.07, 0.1)
+
+
+@pytest.mark.parametrize("state", [["0", 0.0], ["1e400", "0"], ["1", "1e400i"]])
+def test_zero_or_infinite_initial_state_listed_with_other_errors(state):
+    doc = make_config(**{"run.command": "master", "run.initial_state": state, "run.ntraj": 0})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [
+        "run.ntraj: must be a positive integer",
+        "run.initial_state: must be a nonzero vector of finite amplitudes"]
+
+
+def test_initial_state_normalised_at_parse_time():
+    cfg = parse_config(json.dumps(make_config(**{"run.initial_state": ["3", "4i"]})))
+    assert np.allclose(cfg.run.initial_state, [0.6, 0.8j], rtol=0.0, atol=1e-15)
+
+
+def test_master_and_trajectories_share_checkpoints():
+    """horizon 1.0, dt 0.25 has five grid points: both commands report each
+    default checkpoint once."""
+    times = {}
+    for command, table in (("master", "rho"), ("trajectories", "weights")):
+        doc = make_config(**{"run.command": command, "run.horizon": 1.0, "run.dt": 0.25,
+                             "run.ntraj": 20})
+        rows = run_command(parse_config(json.dumps(doc))).tables[table].rows
+        times[command] = [row[0] for row in rows]
+    assert times["trajectories"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert sorted(set(times["master"])) == times["trajectories"]
+    assert len(times["master"]) == 4 * len(times["trajectories"])
 
 
 def test_pair_channel_indices_rejected():

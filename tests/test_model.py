@@ -7,6 +7,7 @@ from qsde.model import (
     DetectionSpec,
     DriveSpec,
     SystemModel,
+    TimeGrid,
     build_coefficients,
     effective_hamiltonian,
     operator_norm_bounds,
@@ -176,3 +177,42 @@ def test_operator_norm_bounds():
     assert bd.sup_k == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         operator_norm_bounds(build_coefficients(zero), horizon=-1.0)
+
+
+@pytest.mark.parametrize("horizon, dt", [(0.3, 0.1), (50, 0.005), (2.0, 5e-4), (1.0, 0.25),
+                                         (0.45, 1e-2)])
+def test_time_grid_covering_matches_uniform_grid_rule(horizon, dt):
+    """covering is nsteps = max(1, round(horizon / dt)), h = horizon / nsteps,
+    t_n = h * n, bit for bit."""
+    nsteps = max(1, int(round(horizon / dt)))
+    grid = TimeGrid.covering(horizon, dt)
+    assert grid.nsteps == nsteps and grid.h == horizon / nsteps
+    assert np.array_equal(grid.times, (horizon / nsteps) * np.arange(nsteps + 1))
+
+
+@pytest.mark.parametrize("horizon, dt", [(0.3, 0.1), (50, 0.005), (2.0, 5e-4), (0.45, 1e-2)])
+def test_time_grid_index_round_trips_every_grid_time(horizon, dt):
+    grid = TimeGrid.covering(horizon, dt)
+    assert np.array_equal(grid.index(grid.times), np.arange(grid.nsteps + 1))
+    assert grid.index(grid.times[-1]) == grid.nsteps and isinstance(grid.index(0.0), int)
+    # decimal times a user would write for grid points
+    assert grid.index(horizon) == grid.nsteps
+    assert grid.index([dt, 2 * dt]).tolist() == [1, 2]
+
+
+def test_time_grid_index_rejects_off_grid_and_out_of_range_times():
+    grid = TimeGrid.covering(0.1, 1e-3)
+    for bad in (0.0503, 0.1004, -1e-3, 0.101, 7.0, float("nan")):
+        with pytest.raises(ValueError, match="not points of the grid"):
+            grid.index(bad)
+    with pytest.raises(ValueError) as err:
+        grid.index([0.05, 0.0503, 0.06, 0.2])
+    assert "[0.0503, 0.2]" in str(err.value)
+
+
+def test_time_grid_default_checkpoints():
+    """Eleven evenly spread indices, or every index on a grid of fewer than
+    ten steps; given times become their sorted distinct indices."""
+    assert TimeGrid.covering(4.0, 1e-3).checkpoints().tolist() == list(range(0, 4001, 400))
+    assert TimeGrid.covering(1.0, 0.25).checkpoints().tolist() == [0, 1, 2, 3, 4]
+    assert TimeGrid.covering(1.0, 0.25).checkpoints([1.0, 0.25, 0.5, 0.25]).tolist() == [1, 2, 4]

@@ -301,7 +301,7 @@ def test_mc_moments_report_and_split_consistency(mollow_setup):
     dt, nsteps, ntraj = 1e-3, 1000, 3000
     ens = run_linear_ensemble(coeffs, E0, dt=dt, nsteps=nsteps, ntraj=ntraj,
                               base_seed=55, record_times=[0.5, 1.0])
-    report = mc_output_moments(ens, coeffs, gen, RHO_E, dt,
+    report = mc_output_moments(ens, coeffs, gen, RHO_E,
                                pairs=((0, 0, 1.0, 1.0), (0, 1, 1.0, 0.5)))
     slack = 25 * dt
     for m in range(len(report.times)):

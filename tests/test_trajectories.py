@@ -224,6 +224,17 @@ def test_ensemble_matches_single_trajectories(mollow_coeffs):
         assert max_abs(ens.weight[b] - rec.weight) <= 1e-13
 
 
+def test_record_times_are_grid_points(mollow_coeffs):
+    """Record times are looked up on the grid n dt: repeats collapse, and a
+    time between grid points or past the horizon is an error."""
+    common = dict(initial=E0, dt=1e-3, nsteps=100, ntraj=2, base_seed=3)
+    ens = run_linear_ensemble(mollow_coeffs, record_times=[0.1, 0.05, 0.1], **common)
+    assert ens.times.tolist() == [0.05, 0.1] and ens.grid.nsteps == 100
+    for bad in ([0.0503], [0.05, 0.2], [-1e-3]):
+        with pytest.raises(ValueError, match="not points of the grid"):
+            run_nonlinear_ensemble(mollow_coeffs, record_times=bad, **common)
+
+
 def test_mixed_initial_state_sampling(mollow_coeffs):
     states = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     probs = np.array([0.25, 0.75])
