@@ -28,7 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, devectorize, matrix_exp, max_abs, sandwich, spost, spre, vectorize
+from .linalg import (
+    adjoint,
+    devectorize,
+    ensure_finite,
+    matrix_exp,
+    max_abs,
+    sandwich,
+    spost,
+    spre,
+    vectorize,
+)
 from .model import Coefficients, TimeGrid
 from .trajectories import LinearEnsemble, NonlinearEnsemble
 
@@ -66,8 +76,9 @@ class DegenerateStationaryState(RuntimeError):
 def validate_density(rho: np.ndarray, herm_tol: float = DENSITY_HERMITIAN_TOL,
                      trace_tol: float = DENSITY_TRACE_TOL,
                      eig_floor: float = DENSITY_EIG_FLOOR) -> np.ndarray:
-    """Check Hermiticity, unit trace and numerical positivity of a state."""
-    rho = np.asarray(rho, dtype=complex)
+    """Check finiteness, Hermiticity, unit trace and numerical positivity of
+    a state."""
+    rho = ensure_finite(rho, "density matrix")
     if max_abs(rho - rho.conj().T) > herm_tol:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks as _find_peaks
 
 from .model import DetectionSpec, DriveSpec, SystemModel
 from .statistics import SpectrumScan, spectrum_scan
@@ -111,17 +110,50 @@ def rabi_frequency(cfg: MollowConfig) -> float:
     return 2.0 * abs(np.sum(np.conj(cfg.lambdas) * cfg.alphas))
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of a finite 1-D array whose topographic
+    prominence is at least min_prominence.
+
+    The rules of ``scipy.signal.find_peaks(x, prominence=...)``: a local
+    maximum is a strict rise, an optional flat top and a strict fall, and a
+    flat top reports its middle index.  A peak's base on each side is the
+    minimum of x from the peak out to (not including) the first strictly
+    higher value, or to the edge; its prominence is its height minus the
+    higher of the two bases.
+    """
+    n = len(x)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])   # runs of equal values
+    ends = np.r_[starts[1:] - 1, n - 1]
+    inner = (starts > 0) & (ends < n - 1)
+    starts, ends = starts[inner], ends[inner]
+    top = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[ends])
+    peaks = (starts[top] + ends[top]) // 2
+    if len(peaks) == 0:
+        return peaks
+    height = x[peaks][:, None]
+    idx = np.arange(n)
+    left = idx < peaks[:, None]
+    higher = x > height
+    lo = np.where(higher & left, idx, -1).max(axis=1)[:, None]
+    hi = np.where(higher & ~left, idx, n).min(axis=1)[:, None]
+    base_l = np.where((idx > lo) & left, x, np.inf).min(axis=1)
+    base_r = np.where((idx < hi) & ~left, x, np.inf).min(axis=1)
+    prominence = height[:, 0] - np.maximum(base_l, base_r)
+    return peaks[prominence >= min_prominence]
+
+
 def find_spectrum_peaks(nu: np.ndarray, values: np.ndarray,
                         rel_prominence: float = 0.08) -> np.ndarray:
     """Frequencies of local maxima with topographic prominence above
     rel_prominence * (max - min); filters quadrature ripples without
-    missing broad peaks."""
+    missing broad peaks.  NaN or inf values raise ValueError."""
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("spectrum values contain NaN or inf")
     span = float(values.max() - values.min())
     if span == 0.0:
         return np.array([])
-    idx, _ = _find_peaks(values, prominence=rel_prominence * span)
-    return np.asarray(nu)[idx]
+    return np.asarray(nu)[_prominent_peaks(values, rel_prominence * span)]
 
 
 def mollow_checks(cfg: MollowConfig, scan: SpectrumScan,

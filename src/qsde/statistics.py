@@ -82,9 +82,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist as _NormalDist
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .linalg import devectorize, matrix_exp, vectorize
 from .master import (
@@ -397,6 +397,13 @@ class WienerLawReport:
         raise KeyError(name)
 
 
+def _two_sided_z(confidence: float) -> float:
+    """Standard-normal quantile at (1 + confidence) / 2, for 0 < confidence < 1."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
+    return _NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+
+
 def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) -> WienerLawReport:
     """Moment tests of the shifted noises under the physical law.
 
@@ -406,6 +413,7 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
     the final-time weight (valid for all earlier functionals by the
     martingale property); ``reweight=False`` is the negative control.
     """
+    zcrit = _two_sided_z(confidence)
     times = ensemble.times
     if len(times) < 3:
         raise ValueError("need at least two checkpoint increments")
@@ -416,7 +424,6 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
         w = ensemble.weight[:, -1]
     else:
         w = np.ones(ntraj)
-    zcrit = float(_norm.ppf(0.5 * (1.0 + confidence)))
 
     def run(name: str, per_traj: np.ndarray, expected: float) -> WienerLawRow:
         contrib = w * per_traj

@@ -1,12 +1,17 @@
-"""Shared fixtures: small reference models used across the suite."""
+"""Shared fixtures: small reference models used across the suite, and a
+cross-check of the peak finder against scipy on every spectrum scan."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
+import qsde.cli
+import qsde.mollow
+import qsde.statistics
 from qsde.model import DetectionSpec, DriveSpec, SystemModel, build_coefficients
-from qsde.mollow import SIGMA_MINUS, build_mollow_model, canonical_config
+from qsde.mollow import SIGMA_MINUS, _prominent_peaks, build_mollow_model, canonical_config
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 
@@ -61,3 +66,31 @@ def decay_coeffs():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260811)
+
+
+def assert_peaks_match_scipy(x, rel_prominences=(0.0, 0.02, 0.08, 0.5)):
+    """qsde's peak finder gives the indices of scipy.signal.find_peaks at
+    each prominence threshold rel * (max - min)."""
+    x = np.asarray(x, dtype=float)
+    span = float(np.ptp(x)) if len(x) else 0.0
+    for rel in rel_prominences:
+        threshold = rel * span
+        expected, _ = find_peaks(x, prominence=threshold)
+        got = _prominent_peaks(x, threshold)
+        assert np.array_equal(got, expected), (rel, got, expected, x)
+
+
+@pytest.fixture(autouse=True)
+def _peaks_match_scipy_on_every_scan(request, monkeypatch):
+    """Every finite spectrum scan a test makes also checks the peak finder."""
+    original = qsde.statistics.spectrum_scan
+
+    def checked(*args, **kwargs):
+        scan = original(*args, **kwargs)
+        if np.isfinite(scan.values).all():
+            assert_peaks_match_scipy(scan.values)
+        return scan
+
+    for module in (qsde.statistics, qsde.mollow, qsde.cli, request.module):
+        if getattr(module, "spectrum_scan", None) is original:
+            monkeypatch.setattr(module, "spectrum_scan", checked)

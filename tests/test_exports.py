@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,3 +15,16 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"qsde.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"qsde.{name}.__all__ names {missing}"
+
+
+def test_cli_import_graph_has_no_scipy_stats_or_signal():
+    """Loading scipy.stats and scipy.signal made up most of a CLI run's
+    start-up; only scipy.linalg belongs in qsde's import graph."""
+    env = dict(os.environ)
+    src = str(Path(qsde.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, qsde.cli; print(' '.join(m for m in sys.modules "
+             "if m.startswith(('scipy.stats', 'scipy.signal'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == ""

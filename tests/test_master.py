@@ -238,6 +238,16 @@ def test_validate_density():
         validate_density(np.diag([1.5, -0.5]).astype(complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_validate_density_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density(np.full((2, 2), bad))
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density(rho)
+
+
 def test_trace_distance_basic():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)

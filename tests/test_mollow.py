@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_peaks_match_scipy
 from qsde.linalg import max_abs
 from qsde.model import build_coefficients, verify_weight_identity
 from qsde.mollow import (
@@ -80,6 +81,42 @@ def test_find_spectrum_peaks_filters_ripples():
     peaks = find_spectrum_peaks(nu, values, rel_prominence=0.02)
     assert len(peaks) == 1 and abs(peaks[0] - 5.0) <= 0.1
     assert len(find_spectrum_peaks(nu, np.ones_like(nu))) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_find_spectrum_peaks_rejects_non_finite(bad):
+    nu = np.linspace(0, 10, 11)
+    values = np.exp(-((nu - 5.0) ** 2))
+    values[3] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        find_spectrum_peaks(nu, values)
+
+
+def test_peak_finder_matches_scipy_on_random_arrays():
+    rng = np.random.default_rng(20261018)
+    for n in (4, 5, 7, 16, 50, 201):
+        for _ in range(40):
+            assert_peaks_match_scipy(rng.normal(size=n))
+
+
+def test_peak_finder_matches_scipy_on_plateaus():
+    """Integer values make flat tops, flat bases and flat edges common."""
+    rng = np.random.default_rng(7)
+    for n in (4, 5, 8, 13, 40):
+        for _ in range(60):
+            assert_peaks_match_scipy(rng.integers(0, 4, size=n).astype(float))
+    for x in ([2, 2, 1, 3, 3], [0, 3, 3, 3, 0], [0, 3, 3, 3, 3], [3, 3, 0, 1, 1, 0],
+              [1, 2, 2, 1, 2, 2, 2, 1], [0, 5, 5, 2, 5, 5, 0], [1, 1, 1, 1]):
+        assert_peaks_match_scipy(np.array(x, dtype=float))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_peak_finder_matches_scipy_on_short_arrays(n):
+    rng = np.random.default_rng(n)
+    assert_peaks_match_scipy(np.zeros(n))
+    for _ in range(20):
+        assert_peaks_match_scipy(rng.integers(0, 3, size=n).astype(float))
+        assert_peaks_match_scipy(rng.normal(size=n))
 
 
 def test_peak_count_transition_small_scan():

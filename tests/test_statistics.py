@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from conftest import random_model, simple_model
 from qsde import master
@@ -16,6 +17,7 @@ from qsde.mollow import (
     canonical_config,
 )
 from qsde.statistics import (
+    _two_sided_z,
     analytic_mean_output,
     analytic_second_moment,
     jackknife_stderr,
@@ -378,6 +380,22 @@ def test_wiener_law_negative_control_identity_channel():
     assert not bad.row("mean[0]").passed
     good = wiener_law_tests(ens, confidence=0.99, reweight=True)
     assert good.row("mean[0]").passed
+
+
+@pytest.mark.parametrize("confidence", [1.0, 0.0, 1.5, float("nan")])
+def test_wiener_law_confidence_must_lie_in_open_unit_interval(confidence):
+    """confidence 1 would make the critical value infinite and every row pass."""
+    coeffs = build_coefficients(simple_model())
+    ens = run_linear_ensemble(coeffs, E0, dt=0.1, nsteps=3, ntraj=4, base_seed=1,
+                              record_times=[0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="confidence"):
+        wiener_law_tests(ens, confidence=confidence)
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+def test_critical_value_matches_scipy(confidence):
+    expected = norm.ppf(0.5 * (1.0 + confidence))
+    assert abs(_two_sided_z(confidence) - expected) <= 1e-15 * expected
 
 
 def test_spectrum_zero_channels_is_shot_noise():
