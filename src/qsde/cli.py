@@ -37,7 +37,7 @@ from .master import (
 from .model import build_coefficients, operator_norm_bounds, verify_weight_identity
 from .mollow import find_spectrum_peaks, mollow_checks, rabi_frequency
 from .statistics import mc_output_moments, spectrum_scan, wiener_law_tests
-from .trajectories import run_linear_ensemble
+from .trajectories import LinearEnsemble, run_linear_ensemble, worker_count
 
 __all__ = ["ResultBundle", "Table", "Check", "run_command", "emit", "main", "bundles_equal"]
 
@@ -108,6 +108,16 @@ def _start(cfg: RunConfig, master: bool = True):
     return coeffs, gen, psi0, np.outer(psi0, psi0.conj())
 
 
+def _ensemble_diagnostics(ens: LinearEnsemble) -> dict:
+    """Per checkpoint: trajectories frozen by then, Kish's effective sample
+    fraction ESS/N = (sum w)^2 / (N sum w^2) and the largest weight."""
+    w = ens.weight
+    frozen = (ens.frozen_at[:, None] >= 0) & (ens.frozen_at[:, None] <= ens.grid.index(ens.times))
+    return {"t": ens.times.tolist(), "frozen": frozen.sum(axis=0).tolist(),
+            "ess_fraction": (w.sum(axis=0) ** 2 / (ens.ntraj * (w ** 2).sum(axis=0))).tolist(),
+            "max_weight": w.max(axis=0).tolist()}
+
+
 def _run_verify(cfg: RunConfig, bundle: ResultBundle):
     coeffs = build_coefficients(cfg.model)
     times = np.linspace(0.0, cfg.run.horizon, 11)
@@ -130,6 +140,7 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
     ens = run_linear_ensemble(coeffs, psi0, dt=grid.h, nsteps=grid.nsteps, ntraj=run.ntraj,
                               base_seed=run.seed, record_times=run.record_times,
                               chunk_size=run.chunk_size)
+    bundle.metadata["ensemble"] = _ensemble_diagnostics(ens)
     mean_w = ens.weight.mean(axis=0)
     se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj) if ens.ntraj > 1 else 0 * mean_w
     rows, ok = [], True
@@ -213,6 +224,7 @@ def _run_moments(cfg: RunConfig, bundle: ResultBundle):
     ens = run_linear_ensemble(coeffs, psi0, dt=grid.h, nsteps=grid.nsteps, ntraj=run.ntraj,
                               base_seed=run.seed, record_times=grid.times[record],
                               chunk_size=run.chunk_size)
+    bundle.metadata["ensemble"] = _ensemble_diagnostics(ens)
     report = mc_output_moments(ens, coeffs, gen, rho0, pairs=run.pairs)
     slack = run.bias_coeff * run.dt
     rows, ok, worst = [], True, 0.0
@@ -332,6 +344,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override output.directory")
     args = parser.parse_args(argv)
 
+    try:
+        worker_count()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:

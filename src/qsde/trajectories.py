@@ -20,13 +20,15 @@ Both use the Euler-Maruyama scheme (weak order 1) with left-point
 evaluation of all time-dependent quantities, so the two routes agree up to
 O(dt) and can be cross-checked path by path through the shared noise.
 
-Kernel layout: a batch of B states is stored column-major as a (d, B)
-array, and the noise of a chunk time-major as (nsteps, J, B).  Before
-stepping, one batched call stacks the per-step operators
+Kernel layout: trajectories are the lanes of a (G, d, C) stack, G chunks
+of C states each, every chunk column-major as a (d, C) array.  The
+per-step operators are stacked as
 
     ops[n] = [G_n; R_1(t_n); ...; R_J(t_n)],    shape ((J+1)d, d),
 
 so that one product ``ops[n] @ psi`` yields G_n psi and every R_j psi.
+numpy makes that product one (d, C) matrix product per chunk, so a
+chunk's results do not depend on how many chunks share its stack.
 For the linear equation G_n = -i dt K(t_n) and a step is
 dpsi = G psi + sum_j dW_j R_j psi.  For the normalized one, write
 m_j = <psi|R_j psi> (psi has unit norm) and
@@ -41,14 +43,26 @@ part G_n = -i dt [(K+K^*)/2 - (i/2) sum_j R_j^*R_j], the step
     e_j = dt conj(m_j) + dW_j,   s = sum_j m_j (dt/2 conj(m_j) + dW_j),
 
 so a step costs one small matmul plus a few elementwise operations on
-(J, B) arrays.  W at the record times is summed in the same loop.  The
-freeze masks are applied only once some path has frozen.  Ensembles with
-several workers fork a pool whose initializer hands each worker the step
-table once; chunks then carry only their trajectory range.
+(G, J, C) arrays, for every lane of the stack at once.  W at the record
+times is summed in the same loop.  The freeze masks are applied only once
+some path has frozen.
+
+Lockstep engine: each process steps one contiguous span of whole chunks.
+Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
+ragged last chunk is a stack of its own (G = 1).  Time runs in blocks of
+_BLOCK_STEPS grid points: per block the process tabulates the coefficients
+on the block's times once (each row equals the full-grid table's bit for
+bit), and every stack in turn draws the block's increments, shape
+(L, G, J, C), and steps through it.  Each lane draws from its own stream
+block after block, which gives the numbers of one whole-path draw.  So a
+process holds its lanes' states, checkpoint records and streams, plus one
+block of step table and of one stack's noise: nothing grows with the
+horizon.  With several workers, the calling process steps the first span
+and a forked pool one span per further worker.
 
 Reproducibility: every trajectory owns a Philox counter-based stream keyed
-by (seed, trajectory index), so ensembles are bit-reproducible regardless
-of chunking or worker scheduling.
+by (seed, trajectory index), so for a given chunk size ensembles are
+bit-reproducible regardless of stacking, worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .model import CoefficientTable, Coefficients, TimeGrid
+from .model import GRID_TOL, CoefficientTable, Coefficients, TimeGrid
 
 __all__ = [
     "WienerPath",
@@ -79,6 +93,14 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-12
+
+# Lockstep layout (module docstring): whole chunks are stacked up to this many
+# lanes, and noise and step table are made this many grid times at a time.  A
+# stack's block of noise, drawn through a buffer of the same size, then takes
+# at most 2 x max(1024, chunk_size) x 128 x J doubles (4 MB for two channels
+# and chunks of up to 1024 lanes), at any horizon.
+_LOCKSTEP_LANES = 1024
+_BLOCK_STEPS = 128
 
 _UINT64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -176,12 +198,12 @@ class NormalizedRecord:
     frozen_at: int | None = None
 
 
-def _as_table(coeffs: Coefficients | CoefficientTable, times: np.ndarray) -> CoefficientTable:
-    if isinstance(coeffs, CoefficientTable):
-        if len(coeffs.times) != len(times) or not np.allclose(coeffs.times, times):
-            raise ValueError("coefficient table grid does not match the integration grid")
-        return coeffs
-    return coeffs.tabulate(times)
+def _check_table(coeffs: Coefficients | CoefficientTable, grid: TimeGrid):
+    """A pre-built table must hold one row per grid time, each within GRID_TOL steps."""
+    if isinstance(coeffs, CoefficientTable) and (
+            len(coeffs.times) != grid.nsteps + 1
+            or not np.all(np.abs(coeffs.times - grid.times) <= GRID_TOL * grid.h)):
+        raise ValueError("coefficient table grid does not match the integration grid")
 
 
 def _step_ops(table: CoefficientTable, dt: float, nonlinear: bool) -> np.ndarray:
@@ -200,76 +222,206 @@ def _step_ops(table: CoefficientTable, dt: float, nonlinear: bool) -> np.ndarray
     return np.concatenate([(-1j * dt) * k, r.reshape(n, nchan * d, d)], axis=1)
 
 
-def _sq_norm(psi: np.ndarray) -> np.ndarray:
-    """||psi||^2 per column of a (d, B) batch."""
-    return np.einsum("kb,kb->b", psi.conj(), psi).real
+def _blocks(coeffs: Coefficients | CoefficientTable, grid: TimeGrid, nonlinear: bool):
+    """Yield (ops, steps) for each block of _BLOCK_STEPS grid times.
 
-
-def _step_linear_batch(ops: np.ndarray, dt: float, psi0: np.ndarray, dw: np.ndarray,
-                       record_idx: np.ndarray, weight_floor: float):
-    """Euler-Maruyama for a batch of linear trajectories.
-
-    ops: the linear step table of :func:`_step_ops`; psi0: (d, B) initial
-    states; dw: (nsteps, J, B) increments.  Returns, at ``record_idx``, the
-    states (nrec, d, B), weights (nrec, B), normalized expectations, drift
-    integrals and noise W (each (nrec, J, B)), plus the per-path freeze
-    step (-1 if never frozen).
+    ``ops`` is the step table on the block's times, tabulated for that block
+    alone (its rows equal those of a full-grid table bit for bit), and
+    ``steps`` the slice of step indices whose increments the block uses.
+    The last block has one table row more than steps: the final time is
+    evaluated, not stepped.
     """
-    nsteps, nchan, batch = dw.shape
-    d = psi0.shape[0]
-    psi = np.ascontiguousarray(psi0, dtype=complex)
-    weight = _sq_norm(psi)
-    floor = weight_floor * weight
-    drift = np.zeros((nchan, batch))
-    w = np.zeros((nchan, batch))
-    frozen_step = np.full(batch, -1, dtype=np.int64)
-    # None while no path is frozen: the masks below are needed only after
-    # the first freeze (or when a floor is zero and weights may vanish).
-    active = None if np.all(floor > 0) else np.ones(batch, dtype=bool)
-
-    nrec = len(record_idx)
-    rec_psi = np.empty((nrec, d, batch), dtype=complex)
-    rec_weight = np.empty((nrec, batch))
-    rec_rexp = np.empty((nrec, nchan, batch), dtype=complex)
-    rec_drift = np.empty((nrec, nchan, batch))
-    rec_w = np.empty((nrec, nchan, batch))
-    rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
-
-    for n in range(nsteps + 1):
-        y = ops[n] @ psi
-        rpsi = y[d:].reshape(nchan, d, batch)
-        num = (psi.conj() * rpsi).sum(axis=1)
-        if active is None:
-            rexp = num / weight
+    for start in range(0, grid.nsteps + 1, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, grid.nsteps + 1)
+        if isinstance(coeffs, CoefficientTable):
+            table = CoefficientTable(times=coeffs.times[start:stop], k=coeffs.k[start:stop],
+                                     r=coeffs.r[start:stop])
         else:
-            rexp = np.where(weight > 0, num / np.where(weight > 0, weight, 1.0), 0.0)
-        pos = rec_pos.get(n)
-        if pos is not None:
-            rec_psi[pos] = psi
-            rec_weight[pos] = weight
-            rec_rexp[pos] = rexp
-            rec_drift[pos] = drift
-            rec_w[pos] = w
-        if n == nsteps:
-            break
-        dw_n = dw[n]
-        dpsi = y[:d] + (dw_n[:, None] * rpsi).sum(axis=0)
-        w = w + dw_n
-        if active is None:
-            psi = psi + dpsi
-            drift = drift + dt * rexp.real
-            weight = _sq_norm(psi)
-            newly_frozen = weight < floor
-        else:
-            psi = psi + np.where(active, dpsi, 0.0)
-            drift = drift + np.where(active, dt * rexp.real, 0.0)
-            weight = np.where(active, _sq_norm(psi), weight)
-            newly_frozen = active & (weight < floor)
-        if newly_frozen.any():
-            frozen_step[newly_frozen] = n + 1
-            active = ~newly_frozen if active is None else active & ~newly_frozen
+            table = coeffs.tabulate(grid.h * np.arange(start, stop))
+        yield _step_ops(table, grid.h, nonlinear), slice(start, min(stop, grid.nsteps))
 
-    return rec_psi, rec_weight, rec_rexp, rec_drift, rec_w, frozen_step
+
+def _sq_norm(psi: np.ndarray) -> np.ndarray:
+    """||psi||^2 per lane of a (G, d, C) stack, shape (G, 1, C)."""
+    return np.einsum("gkc,gkc->gc", psi.conj(), psi).real[:, None]
+
+
+def _lanes_first(rec: np.ndarray) -> np.ndarray:
+    """Records (nrec, G, [X,] C) as a C-contiguous lane-first (G*C, nrec[, X]) array."""
+    out = np.ascontiguousarray(np.moveaxis(rec, (1, -1), (0, 1)))
+    return out.reshape(-1, *out.shape[2:])
+
+
+class _Stack:
+    """Euler-Maruyama state of a (G, d, C) stack, stepped one block at a time.
+
+    ``advance(ops, dw)`` runs one block: ``ops`` holds the block's rows of
+    the step table (:func:`_step_ops`), ``dw`` the increments of its steps,
+    shape (L, G, J, C).  The final block has one row of ``ops`` more than
+    increments; its last row evaluates the final time.  ``result()`` returns
+    the records at ``record_idx`` lane-first, then the per-lane freeze step
+    (-1 if never frozen).
+    """
+
+    def __init__(self, psi0: np.ndarray, nchan: int, dt: float, record_idx: np.ndarray,
+                 weight_floor: float):
+        groups, d, lanes = psi0.shape
+        self.dt, self.weight_floor, self.n = dt, weight_floor, 0
+        self.psi = np.ascontiguousarray(psi0, dtype=complex)
+        self.drift = np.zeros((groups, nchan, lanes))
+        self.w = np.zeros((groups, nchan, lanes))
+        self.frozen_step = np.full((groups, 1, lanes), -1, dtype=np.int64)
+        self.rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
+        nrec = len(record_idx)
+        self.rec_psi = np.empty((nrec, groups, d, lanes), dtype=complex)
+        self.rec_rexp = np.empty((nrec, groups, nchan, lanes), dtype=complex)
+        self.rec_drift = np.empty((nrec, groups, nchan, lanes))
+        self.rec_w = np.empty((nrec, groups, nchan, lanes))
+
+
+class _LinearStack(_Stack):
+    """Linear trajectories; records are the states (G*C, nrec, d), weights
+    (G*C, nrec), normalized expectations, drift integrals and noise W (each
+    (G*C, nrec, J))."""
+
+    def __init__(self, psi0, nchan, dt, record_idx, weight_floor):
+        super().__init__(psi0, nchan, dt, record_idx, weight_floor)
+        self.weight = _sq_norm(self.psi)
+        self.floor = weight_floor * self.weight
+        # None while no path is frozen: the masks below are needed only after
+        # the first freeze (or when a floor is zero and weights may vanish).
+        self.active = None if np.all(self.floor > 0) else np.ones(self.weight.shape, dtype=bool)
+        groups, _, lanes = self.psi.shape
+        self.rec_weight = np.empty((len(record_idx), groups, lanes))
+
+    def advance(self, ops: np.ndarray, dw: np.ndarray):
+        groups, d, lanes = self.psi.shape
+        nchan, dt, floor = self.drift.shape[1], self.dt, self.floor
+        psi, weight, drift, w, active, n = (self.psi, self.weight, self.drift, self.w,
+                                            self.active, self.n)
+        for i, op in enumerate(ops):
+            y = (op @ psi).reshape(groups, nchan + 1, d, lanes)
+            rpsi = y[:, 1:]
+            num = (psi.conj()[:, None] * rpsi).sum(axis=2)
+            if active is None:
+                rexp = num / weight
+            else:
+                rexp = np.where(weight > 0, num / np.where(weight > 0, weight, 1.0), 0.0)
+            pos = self.rec_pos.get(n)
+            if pos is not None:
+                self.rec_psi[pos] = psi
+                self.rec_weight[pos] = weight[:, 0]
+                self.rec_rexp[pos] = rexp
+                self.rec_drift[pos] = drift
+                self.rec_w[pos] = w
+            if i == len(dw):
+                break
+            dw_n = dw[i]
+            dpsi = y[:, 0] + (dw_n[:, :, None] * rpsi).sum(axis=1)
+            w = w + dw_n
+            if active is None:
+                psi = psi + dpsi
+                drift = drift + dt * rexp.real
+                weight = _sq_norm(psi)
+                newly_frozen = weight < floor
+            else:
+                psi = psi + np.where(active, dpsi, 0.0)
+                drift = drift + np.where(active, dt * rexp.real, 0.0)
+                weight = np.where(active, _sq_norm(psi), weight)
+                newly_frozen = active & (weight < floor)
+            n += 1
+            if newly_frozen.any():
+                self.frozen_step[newly_frozen] = n
+                active = ~newly_frozen if active is None else active & ~newly_frozen
+        self.psi, self.weight, self.drift, self.w, self.active, self.n = (psi, weight, drift, w,
+                                                                          active, n)
+
+    def result(self) -> list[np.ndarray]:
+        return [*map(_lanes_first, (self.rec_psi, self.rec_weight, self.rec_rexp,
+                                    self.rec_drift, self.rec_w)),
+                self.frozen_step.reshape(-1)]
+
+
+class _NonlinearStack(_Stack):
+    """Normalized trajectories, renormalized after every step; records are
+    the states, expectations, drift integrals and W."""
+
+    def __init__(self, psi0, nchan, dt, record_idx, weight_floor):
+        super().__init__(psi0, nchan, dt, record_idx, weight_floor)
+        self.psi = self.psi / np.sqrt(_sq_norm(self.psi))
+        # as in the linear stack
+        self.active = None if weight_floor > 0 else np.ones(self.frozen_step.shape, dtype=bool)
+
+    def advance(self, ops: np.ndarray, dw: np.ndarray):
+        groups, d, lanes = self.psi.shape
+        nchan, dt, floor = self.drift.shape[1], self.dt, self.weight_floor
+        half_dt = 0.5 * dt
+        psi, drift, w, active, n = self.psi, self.drift, self.w, self.active, self.n
+        for i, op in enumerate(ops):
+            y = (op @ psi).reshape(groups, nchan + 1, d, lanes)
+            rpsi = y[:, 1:]
+            m = (psi.conj()[:, None] * rpsi).sum(axis=2)
+            pos = self.rec_pos.get(n)
+            if pos is not None:
+                self.rec_psi[pos] = psi
+                self.rec_rexp[pos] = m
+                self.rec_drift[pos] = drift
+                self.rec_w[pos] = w
+            if i == len(dw):
+                break
+            # dpsi = G psi + sum_j e_j R_j psi - s psi (module docstring)
+            dw_n = dw[i]
+            m_conj = m.conj()
+            e = dt * m_conj + dw_n
+            s = (m * (half_dt * m_conj + dw_n)).sum(axis=1, keepdims=True)
+            psi_new = psi + (y[:, 0] + (e[:, :, None] * rpsi).sum(axis=1) - s * psi)
+            w = w + dw_n
+            nn = _sq_norm(psi_new)
+            newly_frozen = nn < floor if active is None else active & (nn < floor)
+            n += 1
+            if newly_frozen.any():
+                self.frozen_step[newly_frozen] = n
+                active = ~newly_frozen if active is None else active & ~newly_frozen
+            if active is None:
+                psi = psi_new * (1.0 / np.sqrt(nn))
+                drift = drift + dt * m.real
+            else:
+                scale = np.where(active & (nn > 0), 1.0 / np.sqrt(np.where(nn > 0, nn, 1.0)), 1.0)
+                psi = np.where(active, psi_new * scale, psi)
+                drift = drift + np.where(active, dt * m.real, 0.0)
+        self.psi, self.drift, self.w, self.active, self.n = psi, drift, w, active, n
+
+    def result(self) -> list[np.ndarray]:
+        return [*map(_lanes_first, (self.rec_psi, self.rec_rexp, self.rec_drift, self.rec_w)),
+                self.frozen_step.reshape(-1)]
+
+
+def _run_stacks(stacks, coeffs: Coefficients | CoefficientTable, grid: TimeGrid,
+                nonlinear: bool) -> list[list[np.ndarray]]:
+    """Step (stack, noise) pairs through the grid; ``noise(steps)`` returns the
+    increments of a slice of steps.  Each block's table is built once and
+    serves every stack."""
+    for ops, steps in _blocks(coeffs, grid, nonlinear):
+        for stack, noise in stacks:
+            stack.advance(ops, noise(steps))
+    return [stack.result() for stack, _ in stacks]
+
+
+def _run_path(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray, path: WienerPath,
+              weight_floor: float, nonlinear: bool) -> tuple[TimeGrid, list[np.ndarray]]:
+    """Step one state along ``path`` as a G = C = 1 stack; the grid and the
+    stack's result with the lane axis dropped."""
+    grid = TimeGrid(path.dt, path.nsteps)
+    _check_table(coeffs, grid)
+    if coeffs.dim != psi0.size:
+        raise ValueError("initial state dimension does not match the coefficients")
+    if coeffs.nchannels != path.nchannels:
+        raise ValueError("noise channel count does not match the coefficients")
+    stack = (_NonlinearStack if nonlinear else _LinearStack)(
+        psi0[None, :, None], path.nchannels, path.dt, np.arange(path.nsteps + 1), weight_floor)
+    (result,) = _run_stacks([(stack, lambda steps: path.increments[steps, None, :, None])],
+                            coeffs, grid, nonlinear)
+    return grid, [a[0] for a in result]
 
 
 def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
@@ -281,20 +433,12 @@ def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
     interpretation of the weight.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    times = TimeGrid(path.dt, path.nsteps).times
-    table = _as_table(coeffs, times)
-    if table.dim != psi0.size:
-        raise ValueError("initial state dimension does not match the coefficients")
-    if table.nchannels != path.nchannels:
-        raise ValueError("noise channel count does not match the coefficients")
-    psi, weight, rexp, drift, w, frozen = _step_linear_batch(
-        _step_ops(table, path.dt, nonlinear=False), path.dt, psi0[:, None],
-        path.increments[:, :, None], np.arange(path.nsteps + 1), weight_floor)
-    frozen_at = None if frozen[0] < 0 else int(frozen[0])
+    grid, (psi, weight, rexp, drift, w, frozen) = _run_path(coeffs, psi0, path, weight_floor,
+                                                            nonlinear=False)
     return TrajectoryRecord(
-        times=times, psi=psi[..., 0], weight=weight[:, 0], r_expect=rexp[..., 0],
-        w_path=w[..., 0], drift_integral=drift[..., 0],
-        seed=path.seed, stream=path.stream, frozen_at=frozen_at)
+        times=grid.times, psi=psi, weight=weight, r_expect=rexp, w_path=w,
+        drift_integral=drift, seed=path.seed, stream=path.stream,
+        frozen_at=None if frozen < 0 else int(frozen))
 
 
 def apply_girsanov_shift(record: TrajectoryRecord) -> TrajectoryRecord:
@@ -305,65 +449,6 @@ def apply_girsanov_shift(record: TrajectoryRecord) -> TrajectoryRecord:
     """
     innovation = record.w_path - 2.0 * record.drift_integral
     return replace(record, innovation_path=innovation)
-
-
-def _step_nonlinear_batch(ops: np.ndarray, dt: float, psi0: np.ndarray, dw: np.ndarray,
-                          record_idx: np.ndarray, weight_floor: float):
-    """Euler-Maruyama for the normalized equation, renormalizing each step.
-
-    Same layout as :func:`_step_linear_batch` with the nonlinear step table;
-    returns states, expectations, drift integrals, W and freeze steps.
-    """
-    nsteps, nchan, batch = dw.shape
-    d = psi0.shape[0]
-    psi = np.ascontiguousarray(psi0, dtype=complex)
-    psi = psi / np.sqrt(_sq_norm(psi))
-    drift = np.zeros((nchan, batch))
-    w = np.zeros((nchan, batch))
-    frozen_step = np.full(batch, -1, dtype=np.int64)
-    active = None if weight_floor > 0 else np.ones(batch, dtype=bool)  # as in the linear stepper
-    half_dt = 0.5 * dt
-
-    nrec = len(record_idx)
-    rec_psi = np.empty((nrec, d, batch), dtype=complex)
-    rec_rexp = np.empty((nrec, nchan, batch), dtype=complex)
-    rec_drift = np.empty((nrec, nchan, batch))
-    rec_w = np.empty((nrec, nchan, batch))
-    rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
-
-    for n in range(nsteps + 1):
-        y = ops[n] @ psi
-        rpsi = y[d:].reshape(nchan, d, batch)
-        m = (psi.conj() * rpsi).sum(axis=1)
-        pos = rec_pos.get(n)
-        if pos is not None:
-            rec_psi[pos] = psi
-            rec_rexp[pos] = m
-            rec_drift[pos] = drift
-            rec_w[pos] = w
-        if n == nsteps:
-            break
-        # dpsi = G psi + sum_j e_j R_j psi - s psi (module docstring)
-        dw_n = dw[n]
-        m_conj = m.conj()
-        e = dt * m_conj + dw_n
-        s = (m * (half_dt * m_conj + dw_n)).sum(axis=0)
-        psi_new = psi + (y[:d] + (e[:, None] * rpsi).sum(axis=0) - s * psi)
-        w = w + dw_n
-        nn = _sq_norm(psi_new)
-        newly_frozen = nn < weight_floor if active is None else active & (nn < weight_floor)
-        if newly_frozen.any():
-            frozen_step[newly_frozen] = n + 1
-            active = ~newly_frozen if active is None else active & ~newly_frozen
-        if active is None:
-            psi = psi_new * (1.0 / np.sqrt(nn))
-            drift = drift + dt * m.real
-        else:
-            scale = np.where(active & (nn > 0), 1.0 / np.sqrt(np.where(nn > 0, nn, 1.0)), 1.0)
-            psi = np.where(active, psi_new * scale, psi)
-            drift = drift + np.where(active, dt * m.real, 0.0)
-
-    return rec_psi, rec_rexp, rec_drift, rec_w, frozen_step
 
 
 def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.ndarray,
@@ -379,20 +464,12 @@ def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.nda
     nrm = np.linalg.norm(psihat0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
-    times = TimeGrid(path.dt, path.nsteps).times
-    table = _as_table(coeffs, times)
-    if table.dim != psihat0.size:
-        raise ValueError("initial state dimension does not match the coefficients")
-    if table.nchannels != path.nchannels:
-        raise ValueError("noise channel count does not match the coefficients")
-    psi, rexp, drift, innovation, frozen = _step_nonlinear_batch(
-        _step_ops(table, path.dt, nonlinear=True), path.dt, psihat0[:, None],
-        path.increments[:, :, None], np.arange(path.nsteps + 1), weight_floor)
-    frozen_at = None if frozen[0] < 0 else int(frozen[0])
+    grid, (psi, rexp, drift, innovation, frozen) = _run_path(coeffs, psihat0, path,
+                                                             weight_floor, nonlinear=True)
     return NormalizedRecord(
-        times=times, psihat=psi[..., 0], r_expect=rexp[..., 0],
-        innovation_path=innovation[..., 0], w_path=innovation[..., 0] + 2.0 * drift[..., 0],
-        seed=path.seed, stream=path.stream, frozen_at=frozen_at)
+        times=grid.times, psihat=psi, r_expect=rexp, innovation_path=innovation,
+        w_path=innovation + 2.0 * drift, seed=path.seed, stream=path.stream,
+        frozen_at=None if frozen < 0 else int(frozen))
 
 
 def normalize_posterior(record: TrajectoryRecord) -> NormalizedRecord:
@@ -461,13 +538,18 @@ class NonlinearEnsemble:
 
 
 def worker_count() -> int:
-    """Worker processes for ensemble runs; QSDE_WORKERS overrides (default 1)."""
+    """Worker processes for ensemble runs: QSDE_WORKERS, default 1.
+
+    Raises ValueError unless the variable is an integer of at least 1.
+    """
     raw = os.environ.get("QSDE_WORKERS", "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"QSDE_WORKERS must be an integer, got {raw!r}")
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError(f"QSDE_WORKERS must be an integer of at least 1, got {raw!r}")
+    return n
 
 
 def _draw_initials(initial, ntraj: int, first: int, dim: int, base_seed: int) -> np.ndarray:
@@ -488,68 +570,104 @@ def _draw_initials(initial, ntraj: int, first: int, dim: int, base_seed: int) ->
     return np.broadcast_to(vec, (ntraj, dim)).copy()
 
 
-def _chunk_noise(base_seed: int, first: int, ntraj: int, dt: float,
-                 nsteps: int, nchannels: int) -> np.ndarray:
-    """Increments of trajectories first..first+ntraj-1, time-major (nsteps, J, B)."""
-    dw = np.empty((nsteps, nchannels, ntraj))
+def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: int,
+                dt: float) -> Callable[[slice], np.ndarray]:
+    """Noise source of the (G, ., C) stack of trajectories first, first + 1, ...
+
+    ``noise(steps)`` returns the increments of a slice of steps, shape
+    (L, G, J, C), and must be called for consecutive slices.  Each lane
+    draws block after block from its own Philox stream, which yields the
+    numbers of one whole-path draw, bit for bit.
+    """
+    streams = [_philox_stream(base_seed, first + b) for b in range(groups * lanes)]
     sigma = np.sqrt(dt)
-    for b in range(ntraj):
-        rng = _philox_stream(base_seed, first + b)
-        dw[:, :, b] = rng.normal(0.0, sigma, size=(nsteps, nchannels))
-    return dw
+
+    def noise(steps: slice) -> np.ndarray:
+        z = np.empty((groups * lanes, steps.stop - steps.start, nchannels))
+        for b, rng in enumerate(streams):
+            rng.standard_normal(out=z[b])
+        # 0 + sigma z, as Generator.normal(0, sigma) forms it (it turns -0 into +0)
+        dw = np.empty((z.shape[1], groups, nchannels, lanes))
+        np.multiply(z.reshape(groups, lanes, *z.shape[1:]).transpose(2, 0, 3, 1), sigma, out=dw)
+        dw += 0.0
+        return dw
+
+    return noise
 
 
 @dataclass(frozen=True)
 class _Job:
-    """What every chunk of one ensemble shares."""
+    """What every process of one ensemble run shares."""
 
-    stepper: Callable  # _step_linear_batch or _step_nonlinear_batch
-    ops: np.ndarray
+    nonlinear: bool
+    coeffs: Coefficients | CoefficientTable
     grid: TimeGrid
     initial: object
     base_seed: int
     record_idx: np.ndarray
     weight_floor: float
+    chunk_size: int
 
 
-def _run_chunk(job: _Job, first: int, ntraj: int) -> list[np.ndarray]:
-    """Step trajectories first..first+ntraj-1; arrays come back batch-first.
+def _stacks(first: int, stop: int, chunk: int):
+    """Lockstep stacks (first, G, C) that cover trajectories first..stop-1.
 
-    They are made C-contiguous here, so that downstream reductions see the
-    same memory layout whether a chunk ran in this process or in a worker.
+    Whole chunks of C = ``chunk`` lanes are stacked up to
+    _LOCKSTEP_LANES // C at a time; a ragged last chunk is its own G = 1
+    stack.
     """
-    _, rows, dim = job.ops.shape
-    h, nsteps = job.grid.h, job.grid.nsteps
-    dw = _chunk_noise(job.base_seed, first, ntraj, h, nsteps, rows // dim - 1)
-    psi0 = _draw_initials(job.initial, ntraj, first, dim, job.base_seed).T
-    out = job.stepper(job.ops, h, psi0, dw, job.record_idx, job.weight_floor)
-    return [np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in out]
+    per = max(1, _LOCKSTEP_LANES // chunk)
+    full = (stop - first) // chunk
+    for g in range(0, full, per):
+        yield first + g * chunk, min(per, full - g), chunk
+    if (stop - first) % chunk:
+        yield first + full * chunk, 1, (stop - first) % chunk
+
+
+def _run_span(job: _Job, first: int, stop: int) -> list[list[np.ndarray]]:
+    """Step trajectories first..stop-1 (whole chunks), every stack block by block."""
+    dim, nchan, h = job.coeffs.dim, job.coeffs.nchannels, job.grid.h
+    kind = _NonlinearStack if job.nonlinear else _LinearStack
+    stacks = []
+    for start, groups, lanes in _stacks(first, stop, job.chunk_size):
+        psi0 = _draw_initials(job.initial, groups * lanes, start, dim, job.base_seed)
+        stacks.append((kind(psi0.reshape(groups, lanes, dim).transpose(0, 2, 1), nchan, h,
+                            job.record_idx, job.weight_floor),
+                       _lane_noise(job.base_seed, start, groups, lanes, nchan, h)))
+    return _run_stacks(stacks, job.coeffs, job.grid, job.nonlinear)
 
 
 _worker_job: _Job | None = None
 
 
 def _adopt_job(job: _Job):
-    """Pool initializer: each worker receives the job, step table included, once."""
+    """Pool initializer: each worker receives the job once."""
     global _worker_job
     _worker_job = job
 
 
-def _pool_chunk(first: int, ntraj: int) -> list[np.ndarray]:
-    return _run_chunk(_worker_job, first, ntraj)
+def _pool_span(first: int, stop: int) -> list[list[np.ndarray]]:
+    return _run_span(_worker_job, first, stop)
 
 
-def _run_chunks(job: _Job, ntraj: int, chunk_size: int) -> list[np.ndarray]:
-    """Run all chunks and join their arrays along the trajectory axis."""
-    spans = [(first, min(chunk_size, ntraj - first)) for first in range(0, ntraj, chunk_size)]
-    nworkers = min(worker_count(), len(spans))
-    if nworkers > 1:
-        with get_context("fork").Pool(processes=nworkers, initializer=_adopt_job,
-                                      initargs=(job,)) as pool:
-            results = pool.starmap(_pool_chunk, spans)
+def _run_ensemble(job: _Job, ntraj: int) -> list[np.ndarray]:
+    """Run every trajectory and join the arrays in trajectory order.
+
+    The chunks are cut into one contiguous span per worker process; this
+    process steps the first span while a forked pool steps the others.
+    """
+    nchunks = -(-ntraj // job.chunk_size)
+    nworkers = min(worker_count(), nchunks)
+    cuts = [min(ntraj, job.chunk_size * (nchunks * k // nworkers)) for k in range(nworkers + 1)]
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    if nworkers == 1:
+        results = [_run_span(job, *spans[0])]
     else:
-        results = [_run_chunk(job, *span) for span in spans]
-    return [np.concatenate(parts) for parts in zip(*results)]
+        with get_context("fork").Pool(processes=nworkers - 1, initializer=_adopt_job,
+                                      initargs=(job,)) as pool:
+            others = pool.starmap_async(_pool_span, spans[1:])
+            results = [_run_span(job, *spans[0]), *others.get()]
+    return [np.concatenate(parts) for parts in zip(*(stack for span in results for stack in span))]
 
 
 def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,
@@ -561,14 +679,14 @@ def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: fl
     ``initial`` is a state vector shared by all trajectories, or a tuple
     (states, probabilities) sampled per trajectory (mixed initial state).
     ``record_times`` must be points of the grid n dt, n = 0..nsteps.
-    Results are independent of chunk scheduling and worker count; chunking
-    only groups trajectories for vectorized stepping.
+    Results are independent of chunk scheduling and worker count;
+    ``chunk_size`` fixes the shape of the batched matrix products.
     """
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
-    job = _Job(_step_linear_batch, _step_ops(_as_table(coeffs, grid.times), dt, nonlinear=False),
-               grid, initial, base_seed, record_idx, weight_floor)
-    psi, weight, rexp, drift, w, frozen = _run_chunks(job, ntraj, chunk_size)
+    _check_table(coeffs, grid)
+    psi, weight, rexp, drift, w, frozen = _run_ensemble(
+        _Job(False, coeffs, grid, initial, base_seed, record_idx, weight_floor, chunk_size), ntraj)
     return LinearEnsemble(times=grid.times[record_idx], psi=psi, weight=weight,
                           r_expect=rexp, w_path=w, innovation=w - 2.0 * drift,
                           frozen_at=frozen, base_seed=base_seed, grid=grid)
@@ -581,9 +699,9 @@ def run_nonlinear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt:
     """Integrate ``ntraj`` normalized trajectories driven by innovation noise."""
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
-    job = _Job(_step_nonlinear_batch, _step_ops(_as_table(coeffs, grid.times), dt, nonlinear=True),
-               grid, initial, base_seed, record_idx, weight_floor)
-    psi, rexp, drift, what, frozen = _run_chunks(job, ntraj, chunk_size)
+    _check_table(coeffs, grid)
+    psi, rexp, drift, what, frozen = _run_ensemble(
+        _Job(True, coeffs, grid, initial, base_seed, record_idx, weight_floor, chunk_size), ntraj)
     return NonlinearEnsemble(times=grid.times[record_idx], psihat=psi, r_expect=rexp,
                              w_path=what + 2.0 * drift, innovation=what,
                              frozen_at=frozen, base_seed=base_seed, grid=grid)

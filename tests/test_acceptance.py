@@ -46,8 +46,8 @@ from qsde.statistics import (
     wiener_law_tests,
 )
 from qsde.trajectories import (
-    _step_linear_batch,
-    _step_nonlinear_batch,
+    _LinearStack,
+    _NonlinearStack,
     _step_ops,
     generate_wiener,
     run_linear_ensemble,
@@ -292,15 +292,17 @@ def _overlap_defects(coeffs, dt: float, dw: np.ndarray) -> np.ndarray:
     """1 - |<psihat_lin|psihat_nl>| at the final time, given shared noise."""
     npaths, nst, _ = dw.shape
     table = coeffs.tabulate(dt * np.arange(nst + 1))
-    psi0 = np.broadcast_to(E0[:, None], (2, npaths))
-    full = np.arange(nst + 1)
-    psi, weight, _, drift, w_path, _ = _step_linear_batch(
-        _step_ops(table, dt, nonlinear=False), dt, psi0, dw.transpose(1, 2, 0), full, 1e-12)
-    dw_hat = np.diff(w_path - 2.0 * drift, axis=0)
-    psihat, _, _, _, _ = _step_nonlinear_batch(
-        _step_ops(table, dt, nonlinear=True), dt, psi0, dw_hat, np.array([nst]), 1e-12)
-    lin_hat = psi[-1] / np.sqrt(weight[-1])
-    return 1.0 - np.abs(np.einsum("kb,kb->b", lin_hat.conj(), psihat[0]))
+    psi0 = np.broadcast_to(E0[None, :, None], (1, 2, npaths))
+    # the paths as one G = 1 stack, stepped through the whole table as one block
+    linear = _LinearStack(psi0, 2, dt, np.arange(nst + 1), 1e-12)
+    linear.advance(_step_ops(table, dt, nonlinear=False), dw.transpose(1, 2, 0)[:, None])
+    psi, weight, _, drift, w_path, _ = linear.result()
+    dw_hat = np.diff(w_path - 2.0 * drift, axis=1).transpose(1, 2, 0)[:, None]
+    normalized = _NonlinearStack(psi0, 2, dt, np.array([nst]), 1e-12)
+    normalized.advance(_step_ops(table, dt, nonlinear=True), dw_hat)
+    psihat = normalized.result()[0]
+    lin_hat = psi[:, -1] / np.sqrt(weight[:, -1])[:, None]
+    return 1.0 - np.abs(np.einsum("bk,bk->b", lin_hat.conj(), psihat[:, 0]))
 
 
 def test_criterion_09_nonlinear_linear_consistency(canonical):

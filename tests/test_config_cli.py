@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qsde.cli import ResultBundle, bundles_equal, emit, main, run_command
+from qsde.cli import ResultBundle, _ensemble_diagnostics, bundles_equal, emit, main, run_command
 from qsde.config import ConfigError, format_complex, parse_complex, parse_config
+from qsde.model import TimeGrid
+from qsde.trajectories import LinearEnsemble
 
 MINIMAL_MOLLOW = {
     "model": {"preset": "mollow"},
@@ -306,6 +308,57 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-3"])
+def test_bad_worker_count_rejected_before_any_work(workers, tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    cfg_path.write_text(json.dumps(make_config(**{"run.command": "trajectories", "run.ntraj": 4,
+                                                   "run.horizon": 0.01,
+                                                   "output.directory": str(out)})))
+    monkeypatch.setenv("QSDE_WORKERS", workers)
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: QSDE_WORKERS")
+    assert repr(workers) in lines[0]
+    assert not out.exists()
+
+
+def test_ensemble_diagnostics_values():
+    """ESS/N = (sum w)^2 / (N sum w^2); a path frozen at step n counts from
+    the first checkpoint at or after n."""
+    weight = np.array([[1.0, 1.0, 4.0], [1.0, 3.0, 0.5], [1.0, 2.0, 0.5]])
+    ens = LinearEnsemble(times=np.array([0.0, 0.5, 1.0]), psi=np.zeros((3, 3, 2)), weight=weight,
+                         r_expect=np.zeros((3, 3, 1)), w_path=np.zeros((3, 3, 1)),
+                         innovation=np.zeros((3, 3, 1)), frozen_at=np.array([-1, 5, 7]),
+                         base_seed=0, grid=TimeGrid(0.1, 10))
+    diag = _ensemble_diagnostics(ens)
+    assert diag["t"] == [0.0, 0.5, 1.0]
+    assert diag["frozen"] == [0, 1, 2]
+    assert diag["max_weight"] == [1.0, 3.0, 4.0]
+    assert diag["ess_fraction"] == pytest.approx([1.0, 36 / (3 * 14), 25 / (3 * 16.5)], rel=1e-15)
+
+
+@pytest.mark.parametrize("command", ["trajectories", "moments"])
+def test_ensemble_diagnostics_in_json_metadata_only(command, tmp_path):
+    doc = make_config(**{"run.command": command, "run.ntraj": 30, "run.horizon": 0.2,
+                         "run.seed": 21, "run.chunk_size": 8})
+    bundle = run_command(parse_config(json.dumps(doc)))
+    diag = bundle.metadata["ensemble"]
+    assert set(diag) == {"t", "frozen", "ess_fraction", "max_weight"}
+    assert len(diag["t"]) == 11 and all(len(diag[k]) == 11 for k in diag)
+    assert diag["ess_fraction"][0] == 1.0 and all(0.0 < e <= 1.0 for e in diag["ess_fraction"])
+    written = emit(bundle, tmp_path / "with", formats=("csv", "json"))
+    assert json.loads(written[-1].read_text())["metadata"]["ensemble"] == diag
+    del bundle.metadata["ensemble"]
+    bare = emit(bundle, tmp_path / "without", formats=("csv",))
+    assert len(bare) == len(written) - 1
+    for with_diag, without in zip(written, bare):
+        assert with_diag.name == without.name
+        assert with_diag.read_bytes() == without.read_bytes()
 
 
 def test_main_seed_override_changes_filenames(tmp_path):

@@ -1,15 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import qsde.trajectories as trajectories
 from conftest import random_model, simple_model
 from qsde.linalg import matrix_exp, max_abs
-from qsde.model import CoefficientTable, build_coefficients
+from qsde.model import CoefficientTable, TimeGrid, build_coefficients
 from qsde.mollow import SIGMA_MINUS
 from qsde.trajectories import (
     WienerPath,
-    _chunk_noise,
-    _step_linear_batch,
-    _step_nonlinear_batch,
+    _LinearStack,
+    _NonlinearStack,
+    _blocks,
+    _lane_noise,
     _step_ops,
     apply_girsanov_shift,
     generate_wiener,
@@ -334,14 +338,17 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
     psi0 = rng.normal(size=(d, batch)) + 1j * rng.normal(size=(d, batch))
     dw = rng.normal(0.0, np.sqrt(dt), size=(nsteps, nchan, batch))
     every = np.arange(nsteps + 1)
-    for nonlinear, stepper in ((False, _step_linear_batch), (True, _step_nonlinear_batch)):
-        out = stepper(_step_ops(table, dt, nonlinear), dt, psi0, dw, every, 1e-12)
+    for nonlinear, kind in ((False, _LinearStack), (True, _NonlinearStack)):
+        # the batch as a G = 1 stack, stepped through the whole table as one block
+        stack = kind(psi0[None], nchan, dt, every, 1e-12)
+        stack.advance(_step_ops(table, dt, nonlinear), dw[:, None])
+        out = stack.result()
         psi, rexp, frozen = out[0], out[-4], out[-1]
         ref_psi, ref_rexp = _reference_paths(table, dt, psi0, dw, nonlinear)
         scale = np.max(np.abs(ref_psi))
         assert np.all(frozen == -1)
-        assert max_abs(np.moveaxis(psi, -1, 0) - ref_psi) <= 1e-12 * scale
-        assert max_abs(np.moveaxis(rexp, -1, 0) - ref_rexp) <= 1e-12 * max(1.0, max_abs(ref_rexp))
+        assert max_abs(psi - ref_psi) <= 1e-12 * scale
+        assert max_abs(rexp - ref_rexp) <= 1e-12 * max(1.0, max_abs(ref_rexp))
 
 
 def test_nonlinear_partial_freeze():
@@ -374,10 +381,64 @@ def test_nonlinear_partial_freeze():
             assert max_abs(drift[b, n - 1:] - drift[b, n - 1]) <= 1e-15
 
 
-def test_chunk_noise_matches_single_paths():
-    dt, nsteps, nchan, first = 1e-3, 50, 2, 5
-    dw = _chunk_noise(8, first, 4, dt, nsteps, nchan)
-    assert dw.shape == (nsteps, nchan, 4)
-    for b in range(4):
-        path = generate_wiener(8, dt, nsteps, nchan, stream=first + b)
-        assert np.array_equal(dw[:, :, b], path.increments)
+def test_block_noise_and_tables_match_whole_path(mollow_coeffs, monkeypatch):
+    """Blocks of 16 steps over a 50-step grid (a partial last block): each
+    lane's increments equal its whole-path draw, and the block tables equal
+    rows of the full-grid step table, bit for bit."""
+    monkeypatch.setattr(trajectories, "_BLOCK_STEPS", 16)
+    grid, groups, lanes, first = TimeGrid(1e-3, 50), 2, 3, 5
+    noise = _lane_noise(8, first, groups, lanes, 2, grid.h)
+    blocks = list(_blocks(mollow_coeffs, grid, True))
+    assert [len(ops) for ops, _ in blocks] == [16, 16, 16, 3]
+    dw = [noise(steps) for _, steps in blocks]
+    assert [len(block) for block in dw] == [16, 16, 16, 2]
+    dw = np.concatenate(dw)
+    assert dw.shape == (50, groups, 2, lanes)
+    for b in range(groups * lanes):
+        path = generate_wiener(8, grid.h, 50, 2, stream=first + b)
+        assert np.array_equal(dw[:, b // lanes, :, b % lanes], path.increments)
+    full = _step_ops(mollow_coeffs.tabulate(grid.times), grid.h, nonlinear=True)
+    assert np.array_equal(np.concatenate([ops for ops, _ in blocks]), full)
+
+
+FREEZING = {False: (run_linear_ensemble, 0.25), True: (run_nonlinear_ensemble, 0.98)}
+LOCKSTEP_LANES = trajectories._LOCKSTEP_LANES
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_lockstep_stacks_match_single_chunks(nonlinear, monkeypatch):
+    """37 trajectories in chunks of 8 (ragged tail of 5), with a floor that
+    freezes paths in some chunks of a stack and in none of another: every
+    field equals, bit for bit, a run that steps each chunk on its own, with
+    1, 2 and 3 workers and stacks of up to 16 lanes (several stacks per
+    process) or of the default width (one)."""
+    run, floor = FREEZING[nonlinear]
+    coeffs = build_coefficients(simple_model(channels=(2.0 * SIGMA_MINUS,)))
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    common = dict(dt=0.01, nsteps=30, ntraj=37, base_seed=73, weight_floor=floor, chunk_size=8)
+    monkeypatch.setenv("QSDE_WORKERS", "1")
+    monkeypatch.setattr(trajectories, "_LOCKSTEP_LANES", 1)
+    alone = run(coeffs, psi0, **common)
+    frozen_per_chunk = (alone.frozen_at[:32] >= 0).reshape(4, 8).sum(axis=1)
+    assert frozen_per_chunk.min() == 0 and frozen_per_chunk.max() > 0
+    for lanes, workers in itertools.product((16, LOCKSTEP_LANES), ("1", "2", "3")):
+        monkeypatch.setattr(trajectories, "_LOCKSTEP_LANES", lanes)
+        monkeypatch.setenv("QSDE_WORKERS", workers)
+        stacked = run(coeffs, psi0, **common)
+        for field, value in vars(alone).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(stacked, field), value), (lanes, workers, field)
+
+
+@pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
+def test_table_off_the_run_grid_rejected(run, mollow_coeffs):
+    """A table built for dt = 1e-3 does not serve a run at dt = 1.000001e-3:
+    its last time is 4e-6 off the run grid, where GRID_TOL allows 1e-9 steps
+    (1e-12); np.allclose's default rtol of 1e-5 let it pass."""
+    table = mollow_coeffs.tabulate(1e-3 * np.arange(4001))
+    with pytest.raises(ValueError, match="does not match the integration grid"):
+        run(table, E0, dt=1.000001e-3, nsteps=4000, ntraj=2, base_seed=1)
+    path = generate_wiener(1, 1.000001e-3, 4000, 2)
+    for integrate in (integrate_linear, integrate_nonlinear):
+        with pytest.raises(ValueError, match="does not match the integration grid"):
+            integrate(table, E0, path)
