@@ -10,8 +10,9 @@ vec(A X B) = kron(B.T, A) @ vec(X).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm as _expm
 
 __all__ = [
     "adjoint",
@@ -61,18 +62,50 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def matrix_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t*m) by scaling-and-squaring (Pade kernel).
+# Higham (2005), SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3 and eq. (2.1):
+# the [13/13] Pade coefficients b_0..b_13 and the largest 1-norm theta_13 at
+# which that approximant of e^A has backward error below the unit roundoff.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
-    Accuracy is far below the Monte Carlo noise floor of any ensemble
-    computation in this package; the self-consistency
-    exp(t*m) = (exp(t*m/2))^2 holds to better than 1e-10 for the operator
-    scales used here.
+
+def matrix_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(t*m) of a square matrix or of a stack ``(..., n, n)`` of them.
+
+    Scaling and squaring with the [13/13] Pade approximant r_13 (Higham
+    2005, SIAM J. Matrix Anal. Appl. 26:1179).  Each A = t*m is scaled by
+    2^-s, the least s >= 0 with ||2^-s A||_1 < theta_13 = 5.37, so that
+    r_13(2^-s A)^(2^s) = e^(A + dA) with ||dA||_1 <= u ||A||_1 in exact
+    arithmetic (u = 2^-53, the unit roundoff); rounding in the s squarings
+    adds an error of order 2^s u.  Each matrix of a stack gets its own s,
+    so its result is bitwise the same alone or in any stack.  Against
+    ``scipy.linalg.expm`` the max-entry difference, relative to the largest
+    entry, is below 1e-13 for random matrices with n <= 25 and 1-norms up
+    to 100, and below 2.8e-14 for the Mollow generator at steps from 5e-3
+    to 50 (tests/test_linalg.py).
     """
-    m = ensure_finite(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix_exp needs a square matrix")
-    return _expm(t * m)
+    a = ensure_finite(m)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix_exp needs square matrices, got shape {a.shape}")
+    shape, n = a.shape, a.shape[-1]
+    a = (t * a).reshape(math.prod(shape[:-2]), n, n)
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=1).max(axis=1, initial=0.0) / _THETA13)[1], 0)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    b, eye = _PADE13, np.eye(n)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r.reshape(shape)
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:

@@ -263,10 +263,11 @@ def evolution_operator(gen: LindbladPropagator, s: float, t: float,
     if gen.time_independent:
         return matrix_exp(gen.generator_at(s), t - s)
     grid = TimeGrid.covering(t - s, dt)
+    steps = matrix_exp(np.stack([gen.generator_at(s + (k + 0.5) * grid.h)
+                                 for k in range(grid.nsteps)]), grid.h)
     u = np.eye(gen.dim ** 2, dtype=complex)
-    for k in range(grid.nsteps):
-        mid = s + (k + 0.5) * grid.h
-        u = matrix_exp(gen.generator_at(mid), grid.h) @ u
+    for step in steps:
+        u = step @ u
     return u
 
 

@@ -146,8 +146,8 @@ def analytic_mean_output(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
 def _step_propagators(gen: LindbladPropagator, grid: TimeGrid) -> np.ndarray:
     """Stack of transposed midpoint propagators E_n^T on the grid."""
     h = grid.h
-    return np.stack([matrix_exp(gen.generator_at((n + 0.5) * h), h).T
-                     for n in range(grid.nsteps)])
+    mids = np.stack([gen.generator_at((n + 0.5) * h) for n in range(grid.nsteps)])
+    return np.ascontiguousarray(matrix_exp(mids, h).swapaxes(-1, -2))
 
 
 def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps: int):

@@ -327,6 +327,22 @@ def test_bad_worker_count_rejected_before_any_work(workers, tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_stationary_residual_check_can_fail(tmp_path, capsys):
+    """A drive of 1e7 puts the null-space residual at about 1e-16 * ||L||,
+    above the check's absolute 1e-10: a FAIL row and exit 2, not a traceback."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(make_config(**{
+        "model.lambdas": ["0", "1e7i"], "run.command": "master", "run.horizon": 1e-6,
+        "run.dt": 1e-7, "output.directory": str(tmp_path / "out")})))
+    assert main(["--config", str(cfg_path)]) == 2
+    rows = [line for line in capsys.readouterr().out.splitlines() if "stationary-residual" in line]
+    assert len(rows) == 1 and rows[0].startswith("[FAIL] stationary-residual: residual ")
+    residual = float(rows[0].split()[3])
+    assert residual > 1e-10
+    doc = json.loads(next((tmp_path / "out").glob("master_*.json")).read_text())
+    assert [c["passed"] for c in doc["checks"] if c["name"] == "stationary-residual"] == [False]
+
+
 def test_ensemble_diagnostics_values():
     """ESS/N = (sum w)^2 / (N sum w^2); a path frozen at step n counts from
     the first checkpoint at or after n."""
@@ -340,6 +356,7 @@ def test_ensemble_diagnostics_values():
     assert diag["frozen"] == [0, 1, 2]
     assert diag["max_weight"] == [1.0, 3.0, 4.0]
     assert diag["ess_fraction"] == pytest.approx([1.0, 36 / (3 * 14), 25 / (3 * 16.5)], rel=1e-15)
+    assert diag["mean_weight"] == pytest.approx([1.0, 2.0, 5 / 3], rel=1e-15)
 
 
 @pytest.mark.parametrize("command", ["trajectories", "moments"])
@@ -348,9 +365,13 @@ def test_ensemble_diagnostics_in_json_metadata_only(command, tmp_path):
                          "run.seed": 21, "run.chunk_size": 8})
     bundle = run_command(parse_config(json.dumps(doc)))
     diag = bundle.metadata["ensemble"]
-    assert set(diag) == {"t", "frozen", "ess_fraction", "max_weight"}
+    assert set(diag) == {"t", "frozen", "ess_fraction", "max_weight", "mean_weight"}
     assert len(diag["t"]) == 11 and all(len(diag[k]) == 11 for k in diag)
     assert diag["ess_fraction"][0] == 1.0 and all(0.0 < e <= 1.0 for e in diag["ess_fraction"])
+    assert diag["mean_weight"][0] == 1.0
+    assert all(0.0 < m <= x for m, x in zip(diag["mean_weight"], diag["max_weight"]))
+    if command == "trajectories":
+        assert diag["mean_weight"] == [row[1] for row in bundle.tables["weights"].rows]
     written = emit(bundle, tmp_path / "with", formats=("csv", "json"))
     assert json.loads(written[-1].read_text())["metadata"]["ensemble"] == diag
     del bundle.metadata["ensemble"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qsde.linalg import (
     adjoint,
@@ -14,6 +15,7 @@ from qsde.linalg import (
     spre,
     vectorize,
 )
+from qsde.master import LindbladPropagator
 
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -84,6 +86,64 @@ def test_matrix_exp_inverse(rng):
 def test_matrix_exp_rejects_nan():
     with pytest.raises(ValueError):
         matrix_exp(np.array([[np.nan, 0], [0, 0]]))
+
+
+def relative_gap(a, ref):
+    """Max-entry difference relative to the largest entry of ``ref``."""
+    return max_abs(a - ref) / max_abs(ref)
+
+
+def test_matrix_exp_matches_scipy_on_random_matrices(rng):
+    for n in range(1, 26):
+        for norm in np.geomspace(1e-8, 100.0, 11):
+            m = random_matrix(rng, n)
+            m *= norm / np.abs(m).sum(axis=0).max()
+            assert relative_gap(matrix_exp(m), expm(m)) <= 1e-13, (n, norm)
+
+
+def test_matrix_exp_matches_scipy_on_mollow_generator(mollow_coeffs):
+    """e^{hL} of the canonical Mollow generator, ||hL||_1 up to 350.  Both
+    routes square up to s = 7 times, each squaring about doubling an error
+    of unit roundoff u, so they may differ by 2 * 2^7 u = 2.8e-14."""
+    g = LindbladPropagator(mollow_coeffs).generator_at(0.0)
+    for h in np.geomspace(5e-3, 50.0, 41):
+        assert relative_gap(matrix_exp(g, h), expm(h * g)) <= 2.0 ** 8 * 2.0 ** -53, h
+
+
+def test_matrix_exp_stack_is_bitwise_per_matrix(rng, mollow_coeffs):
+    """Each matrix is scaled and squared on its own, so its exponential is
+    the same bits alone, in a stack and in a stack of another shape."""
+    for n in (1, 2, 4, 7):
+        norms = np.geomspace(1e-6, 80.0, 12)   # from no squaring to 4 squarings
+        stack = np.stack([random_matrix(rng, n) for _ in norms])
+        stack *= (norms / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+        whole = matrix_exp(stack, 0.7)
+        assert whole.shape == stack.shape
+        for m, e in zip(stack, whole):
+            assert np.array_equal(matrix_exp(m, 0.7), e)
+        assert np.array_equal(matrix_exp(stack[::-3], 0.7), whole[::-3])
+        assert np.array_equal(matrix_exp(stack.reshape(3, 4, n, n), 0.7),
+                              whole.reshape(3, 4, n, n))
+    g = LindbladPropagator(mollow_coeffs).generator_at(0.0)
+    hs = np.array([5e-3, 0.4, 3.0, 50.0])
+    for h, e in zip(hs, matrix_exp(hs[:, None, None] * g)):
+        assert np.array_equal(matrix_exp(h * g), e)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 3, 3, 2)])
+def test_matrix_exp_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="square"):
+        matrix_exp(np.zeros(shape))
+
+
+def test_matrix_exp_rejects_nan_in_a_stack():
+    stack = np.zeros((5, 3, 3), dtype=complex)
+    stack[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_exp(stack)
+    stack[3, 1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_exp(stack)
 
 
 def test_vectorize_convention():
