@@ -28,8 +28,10 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .master import (
+    STATIONARY_RESIDUAL_TOL,
     DegenerateStationaryState,
     LindbladPropagator,
+    StationaryResult,
     master_series,
     stationary_state,
     validate_density,
@@ -118,6 +120,17 @@ def _ensemble_diagnostics(ens: LinearEnsemble) -> dict:
             "max_weight": w.max(axis=0).tolist(), "mean_weight": w.mean(axis=0).tolist()}
 
 
+def _report_stationary(st: StationaryResult, bundle: ResultBundle):
+    """Nullity and residual of a stationary solve into the JSON metadata (a
+    residual that is not finite as null), and a unique state's residual check."""
+    bundle.metadata["stationary"] = {
+        "nullity": st.nullity, "residual": st.residual if np.isfinite(st.residual) else None}
+    if not st.degenerate:
+        tol = STATIONARY_RESIDUAL_TOL
+        bundle.checks.append(Check(name="stationary-residual", passed=st.residual <= tol,
+                                   detail=f"residual {st.residual:.3e} vs tol {tol:.1e}"))
+
+
 def _run_verify(cfg: RunConfig, bundle: ResultBundle):
     coeffs = build_coefficients(cfg.model)
     times = np.linspace(0.0, cfg.run.horizon, 11)
@@ -204,16 +217,14 @@ def _run_master(cfg: RunConfig, bundle: ResultBundle):
     except ValueError as exc:
         bundle.checks.append(Check(name="final-state-valid", passed=False, detail=str(exc)))
     if gen.time_independent:
-        st = stationary_state(gen, residual_tol=np.inf)   # the check below judges it
+        st = stationary_state(gen, residual_tol=np.inf)   # judged by _report_stationary
         if st.degenerate:
             bundle.tables["stationary"] = Table(columns=("nullity",), rows=((st.nullity,),))
         else:
             srows = tuple((i, j, float(st.rho[i, j].real), float(st.rho[i, j].imag))
                           for i in range(gen.dim) for j in range(gen.dim))
             bundle.tables["stationary"] = Table(columns=("i", "j", "re", "im"), rows=srows)
-            tol = 1e-10
-            bundle.checks.append(Check(name="stationary-residual", passed=st.residual <= tol,
-                                       detail=f"residual {st.residual:.3e} vs tol {tol:.1e}"))
+        _report_stationary(st, bundle)
 
 
 def _run_moments(cfg: RunConfig, bundle: ResultBundle):
@@ -259,6 +270,8 @@ def _run_spectrum(cfg: RunConfig, bundle: ResultBundle, rel_prominence: float = 
     rho0 = None if psi0 is None else np.outer(psi0, psi0.conj())
     scan = spectrum_scan(cfg.model, run.nu_grid, horizon=run.horizon,
                          dt=run.dt, rho0=rho0)
+    if scan.stationary is not None:
+        _report_stationary(scan.stationary, bundle)
     bundle.tables["spectrum"] = Table(
         columns=("nu", "s"),
         rows=tuple((float(n), float(s)) for n, s in zip(scan.nu, scan.values)))

@@ -132,23 +132,32 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, or of two stacks (..., m, n) matrix by matrix.
+
+    One broadcast product and a reshape: the products of np.kron, bit for
+    bit, without its per-call axis bookkeeping.
+    """
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
+
+
 def spre(a: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of x -> a x."""
+    """Superoperator matrix of x -> a x, for a matrix or a stack of them."""
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    return np.kron(np.eye(d), a)
+    return _kron(np.eye(a.shape[-1]), a)
 
 
 def spost(b: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> x b."""
     b = np.asarray(b, dtype=complex)
-    d = b.shape[0]
-    return np.kron(b.T, np.eye(d))
+    return _kron(b.T, np.eye(b.shape[0]))
 
 
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> a x b."""
-    return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
+    return _kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
 
 
 def max_abs(m: np.ndarray) -> float:

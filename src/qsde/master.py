@@ -63,6 +63,8 @@ DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-8
 POSITIVITY_FAIL = -1e-6
+# Largest max-entry residual max|L_*[rho]| of an accepted stationary state.
+STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 class PositivityError(RuntimeError):
@@ -288,7 +290,8 @@ class StationaryResult:
         return self.nullity != 1
 
 
-def stationary_state(gen: LindbladPropagator, residual_tol: float = 1e-10) -> StationaryResult:
+def stationary_state(gen: LindbladPropagator,
+                     residual_tol: float = STATIONARY_RESIDUAL_TOL) -> StationaryResult:
     """Extract the stationary state from the generator's null space."""
     if not gen.time_independent:
         raise ValueError("stationary state requires a time-independent generator")

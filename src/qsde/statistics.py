@@ -67,12 +67,30 @@ lines are the (1 + 2 d^2)-square matrix
 
 and the trapezoid sum is sigma_N + (h/2) a.x_N (x_0 = 0), read from
 A_0^{n_out - k} A^k [0; 0; vec rho0], k = min(n_cap, n_out), where A_0 is A
-with its coupling block zeroed (no forcing after n_cap).  The powers are
-taken by repeated squaring on one stack over every nu and component pair,
-at O(log N) matrix products instead of N steps, and agree with the
-recurrence to rounding (about 1e-12 relative on the canonical Mollow scan).
-The first-moment sum of ``subtract_mean`` is the two-block analogue
-[[1, h t^T], [0, phi P]] with t = vec(C^T), as Tr(C rho) = t.vec(rho).
+with its coupling block zeroed (no forcing after n_cap).  Every power keeps
+the block form
+
+    A^n = [[1, s_n, t_n], [0, psi^n E^n, U_n], [0, 0, (psi phi)^n P^n]],
+
+and the product of two of them, A^a A^b, is
+
+    s = s_b + psi^b s_a E^b,   t = t_b + s_a U_b + (psi phi)^b t_a P^b,
+    U = psi^a E^a U_b + (psi phi)^b U_a P^b.
+
+So the powers are taken by repeated squaring (the binary powering of
+np.linalg.matrix_power) on a stack of (nu, outer, inner) items in which
+E^n and P^n are shared, psi^n and (psi phi)^n are scalars per item, and
+only s_n, t_n and U_n are stored per item: each product is one matrix
+product over the whole stack for each of E U, U P, s E and t P, plus
+elementwise work, and there are O(log N) of them instead of N steps.  The
+first-moment sum of ``subtract_mean`` is the same form with s = 0, U = 0,
+psi = 1 and t = h vec(C^T), as Tr(C rho) = vec(C^T).vec(rho).  In double
+precision this route and the dense (1 + 2 d^2)-square powers it replaced
+both err from the exact sum of their inputs by an amount that grows like
+N u (u = 2^-53; up to 1.2e-12 relative at N = 40 000 on the test models,
+mostly through the phase powers psi^n), and the two agree to 5.8e-14 of
+max S on the canonical Mollow scan; tests/test_statistics.py keeps the
+dense route as the reference.
 A time-dependent generator has no such form: ``analytic_second_moment``
 then runs ``_folded_sweep``, the recurrence step by step with midpoint
 propagators E_n (nu = 0); the spectrum requires a constant generator.
@@ -80,16 +98,17 @@ propagators E_n (nu = 0); the spectrum requires a constant generator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist as _NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import devectorize, matrix_exp, vectorize
+from .linalg import devectorize, matrix_exp, spre, vectorize
 from .master import (
     DegenerateStationaryState,
     LindbladPropagator,
+    StationaryResult,
     _cleanup,
     _rk4_step_matrix,
     master_series,
@@ -164,26 +183,58 @@ def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps:
     return matrix_exp(g, h), p, v0
 
 
-def _power_trapezoid(read, y0, h, stages):
-    """Trapezoid sum sum_{n=0}^{N} w_n read.y_n of y_{n+1} = M y_n, y_0 = y0.
+class _Block(NamedTuple):
+    """A^n = [[1, s, t], [0, alpha E, U], [0, 0, beta P]] for a stack of N items.
 
-    ``stages`` lists (M, steps) pairs run in turn, N being their total.  Each
-    stage powers the augmented matrix [[1, h read], [0, M]], whose first
-    entry accumulates h sum_{n<N} read.y_n, by repeated squaring; the end
-    weights then add (h/2)(read.y_N - read.y_0).  Leading axes of ``read``
-    and the M broadcast into one stack.
+    E and P are d^2-square matrices shared by every item; alpha and beta
+    (N,) are per-item scalars and s, t (N, d^2) per-item rows.  The blocks
+    are stored as u[:, k, :] = U of item k, so that E U and U P are one
+    matrix product each over the whole stack.
     """
-    m = y0.shape[-1]
-    batch = np.broadcast_shapes(read.shape[:-1], *(mat.shape[:-2] for mat, _ in stages))
-    aug = np.zeros(batch + (m + 1, m + 1), dtype=complex)
-    aug[..., 0, 0] = 1.0
-    aug[..., 0, 1:] = h * read
-    state = np.zeros(batch + (m + 1,), dtype=complex)
-    state[..., 1:] = y0
-    for mat, steps in stages:
-        aug[..., 1:, 1:] = mat
-        state = (np.linalg.matrix_power(aug, steps) @ state[..., None])[..., 0]
-    return state[..., 0] + 0.5 * h * ((read * state[..., 1:]).sum(-1) - read @ y0)
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    e: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    u: np.ndarray
+
+
+def _combine(x: _Block, y: _Block) -> _Block:
+    """The block product x y."""
+    d2 = len(y.e)
+    ey = (x.e @ y.u.reshape(d2, -1)).reshape(y.u.shape)
+    up = (x.u.reshape(-1, d2) @ y.p).reshape(y.u.shape)
+    return _Block(alpha=x.alpha * y.alpha, beta=x.beta * y.beta, e=x.e @ y.e, p=x.p @ y.p,
+                  s=y.s + y.alpha[:, None] * (x.s @ y.e),
+                  t=y.t + (x.s.T[..., None] * y.u).sum(0) + y.beta[:, None] * (x.t @ y.p),
+                  u=x.alpha[:, None] * ey + y.beta[:, None] * up)
+
+
+def _block_power(step: _Block, n: int) -> _Block:
+    """step^n, n >= 1, by the binary powering of np.linalg.matrix_power."""
+    z = result = None
+    while n > 0:
+        z = step if z is None else _combine(z, z)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else _combine(result, z)
+    return result
+
+
+def _block_trapezoid(step: _Block, total: _Block, v0: np.ndarray) -> np.ndarray:
+    """Per item, the trapezoid sum sum_{n=0}^{N} w_n r.y_n of y_{n+1} = A y_n.
+
+    ``step`` is the one-step block A, whose first row h r = [s, t] reads
+    y = [x; z]; ``total`` is the product of the stages (A^N when the
+    coupling runs throughout).  From y_0 = [0; vec rho0] the first entry of
+    total [0; y_0] is h sum_{n<N} r.y_n; the end weights add
+    (1/2)(h r.y_N - h r.y_0).
+    """
+    x = (total.u @ v0).T
+    z = total.beta[:, None] * (total.p @ v0)
+    return total.t @ v0 + 0.5 * ((step.s * x).sum(-1) + (step.t * (z - v0)).sum(-1))
 
 
 def _closed_form_term(e, p, v0, h, outer, inner, nu, n_out, n_cap):
@@ -203,23 +254,35 @@ def _closed_form_term(e, p, v0, h, outer, inner, nu, n_out, n_cap):
     a = np.concatenate([vectorize(out_ops).conj(), vectorize(out_ops.swapaxes(-1, -2))])
     psi = np.exp(1j * h * np.concatenate([-(out_gaps + nu), out_gaps + nu], axis=1))
     phi = np.exp(1j * h * (in_gaps + nu))
-    psi, phi = psi[:, :, None, None, None], phi[:, None, :, None, None]   # (nu, outer, inner)
-    m = np.kron(np.eye(math.isqrt(d2)), in_ops)   # vec(C rho) = (I kron C) vec(rho)
-    mat = np.zeros(np.broadcast_shapes(psi.shape, phi.shape)[:3] + (2 * d2, 2 * d2),
-                   dtype=complex)
-    x, z = slice(d2), slice(d2, None)
-    mat[..., x, x] = psi * e
-    mat[..., x, z] = (0.5 * h) * psi * (e @ m + phi * (m @ p))
-    mat[..., z, z] = psi * phi * p
+    psi, phi = psi[:, :, None], phi[:, None, :]   # items (nu, outer, inner)
+    shape = np.broadcast_shapes(psi.shape, phi.shape)
+    m = spre(in_ops)   # vec(C rho) = (I kron C) vec(rho)
+    u = (0.5 * h) * psi[..., None, None] * (e @ m + phi[..., None, None] * (m @ p))
+    s = np.broadcast_to(h * a[:, None], shape + (d2,)).reshape(-1, d2)
+    step = _Block(alpha=np.broadcast_to(psi, shape).ravel(), beta=(psi * phi).ravel(),
+                  e=e, p=p, s=s, t=np.zeros_like(s),
+                  u=np.moveaxis(u, -2, 0).reshape(d2, -1, d2))
     k = min(n_cap, n_out)
-    stages = [(mat, k)]
-    if n_out > k:   # the inner integral ends at t_{n_cap}
-        free = mat.copy()
-        free[..., x, z] = 0.0
-        stages.append((free, n_out - k))
-    read = np.concatenate([a, np.zeros_like(a)], axis=1)[:, None]
-    y0 = np.concatenate([np.zeros(d2), v0])
-    return 2.0 * _power_trapezoid(read, y0, h, stages).real.sum(axis=(1, 2))
+    total = _block_power(step, k)
+    if n_out > k:   # the inner integral ends at t_{n_cap}: A_0^(n_out - k) A^k
+        free = step._replace(u=np.zeros_like(step.u))
+        total = _combine(_block_power(free, n_out - k), total)
+    return 2.0 * _block_trapezoid(step, total, v0).real.reshape(shape[0], -1).sum(axis=1)
+
+
+def _closed_form_mean(e, p, v0, h, comps, nu, nsteps):
+    """sum_n w_n e^{i nu t_n} Tr(B_n rho_n) per nu, for E[W(T)] = 2 Re of it.
+
+    The block form with s = 0 and U = 0: only t and beta P act.
+    """
+    d2 = len(v0)
+    gaps, ops = comps
+    beta = np.exp(1j * h * (gaps + nu[:, None])).ravel()   # items (nu, component)
+    t = np.broadcast_to(h * vectorize(ops.swapaxes(-1, -2)), (len(nu), len(gaps), d2))
+    t = t.reshape(-1, d2)   # Tr(C rho) = vec(C^T).vec(rho)
+    step = _Block(alpha=np.ones_like(beta), beta=beta, e=e, p=p, s=np.zeros_like(t), t=t,
+                  u=np.zeros((d2, len(beta), d2), dtype=complex))
+    return _block_trapezoid(step, _block_power(step, nsteps), v0).reshape(len(nu), -1).sum(-1)
 
 
 def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
@@ -461,6 +524,7 @@ class SpectrumScan:
     dt: float
     channel: int
     subtract_mean: bool
+    stationary: StationaryResult | None   # the solve behind the default rho0
 
 
 def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
@@ -472,9 +536,11 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     ignored, the scan taking the frequencies from ``nu_grid``.  The initial
     state defaults to the stationary state of the (detection independent)
     generator; a non-unique stationary manifold is an error unless ``rho0``
-    is supplied.  Each value is the iterated trapezoid evaluation of the
-    printed second-moment formula at t1 = t2 = horizon, summed in closed
-    form (module docstring) at a cost independent of horizon / dt.
+    is supplied.  That stationary solve is returned as ``stationary``, its
+    residual left to the caller to judge.  Each value is the iterated
+    trapezoid evaluation of the printed second-moment formula at
+    t1 = t2 = horizon, summed in closed form (module docstring) at a cost
+    independent of horizon / dt.
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
     if len(nu_grid) == 0:
@@ -487,8 +553,9 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     gen = LindbladPropagator(base)
     if not gen.time_independent:
         raise ValueError("spectrum scan requires a time-independent generator")
+    st = None
     if rho0 is None:
-        st = stationary_state(gen)
+        st = stationary_state(gen, residual_tol=np.inf)
         if st.degenerate:
             raise DegenerateStationaryState(
                 f"stationary manifold has dimension {st.nullity}; supply rho0")
@@ -503,14 +570,10 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
                                                nsteps, nsteps)
     values = second / horizon
     if subtract_mean:
-        # E[W(T)] = 2 Re sum_n w_n e^{i nu t_n} Tr(B_n rho_n): the two-block analogue.
-        gaps, ops = comps
-        phi = np.exp(1j * h * (gaps + nu_grid[:, None]))[..., None, None]
-        mean_acc = _power_trapezoid(vectorize(ops.swapaxes(-1, -2)), v0, h,
-                                    [(phi * p, nsteps)]).sum(axis=-1)
+        mean_acc = _closed_form_mean(e, p, v0, h, comps, nu_grid, nsteps)
         values = (second - (2.0 * mean_acc.real) ** 2) / horizon
     return SpectrumScan(nu=nu_grid, values=values, horizon=horizon, dt=h,
-                        channel=channel, subtract_mean=subtract_mean)
+                        channel=channel, subtract_mean=subtract_mean, stationary=st)
 
 
 def _folded_sweep(mu, q, e_ts, h, n_cap):

@@ -343,6 +343,58 @@ def test_stationary_residual_check_can_fail(tmp_path, capsys):
     assert [c["passed"] for c in doc["checks"] if c["name"] == "stationary-residual"] == [False]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "mollow"])
+def test_spectrum_stationary_residual_check_can_fail(command, tmp_path, capsys):
+    """The spectrum commands judge their stationary state as ``master`` does:
+    the same drive of 1e7 gives a FAIL row with the residual and exit 2,
+    where the scan used to end in a RuntimeError traceback."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(make_config(**{
+        "model.lambdas": ["0", "1e7i"], "run.command": command, "run.horizon": 1e-6,
+        "run.dt": 1e-7, "run.nu_grid": {"start": 0.0, "stop": 20.0, "count": 5},
+        "output.directory": str(tmp_path / "out")})))
+    assert main(["--config", str(cfg_path)]) == 2
+    rows = [line for line in capsys.readouterr().out.splitlines() if "stationary-residual" in line]
+    assert len(rows) == 1 and rows[0].startswith("[FAIL] stationary-residual: residual ")
+    residual = float(rows[0].split()[3])
+    assert residual > 1e-10
+    doc = json.loads(next((tmp_path / "out").glob(f"{command}_*.json")).read_text())
+    assert [c["passed"] for c in doc["checks"] if c["name"] == "stationary-residual"] == [False]
+    info = doc["metadata"]["stationary"]
+    assert info["nullity"] == 1 and info["residual"] == pytest.approx(residual, rel=1e-3)
+
+
+@pytest.mark.parametrize("command", ["master", "spectrum", "mollow"])
+def test_stationary_solve_in_json_metadata_only(command, tmp_path):
+    """Nullity and residual of the stationary solve go in the JSON metadata,
+    with a passing residual check; the CSV bytes do not depend on them."""
+    doc = make_config(**{"run.command": command, "run.horizon": 2.0, "run.dt": 0.01,
+                         "run.nu_grid": {"start": 0.0, "stop": 20.0, "count": 21}})
+    bundle = run_command(parse_config(json.dumps(doc)))
+    info = bundle.metadata["stationary"]
+    assert info["nullity"] == 1 and 0.0 <= info["residual"] <= 1e-10
+    assert [c.passed for c in bundle.checks if c.name == "stationary-residual"] == [True]
+    written = emit(bundle, tmp_path / "with", formats=("csv", "json"))
+    assert json.loads(written[-1].read_text())["metadata"]["stationary"] == info
+    del bundle.metadata["stationary"]
+    bare = emit(bundle, tmp_path / "without", formats=("csv",))
+    assert len(bare) == len(written) - 1
+    for with_info, without in zip(written, bare):
+        assert with_info.name == without.name
+        assert with_info.read_bytes() == without.read_bytes()
+
+
+def test_master_degenerate_stationary_metadata():
+    """A degenerate stationary manifold records its nullity, with no residual
+    and no residual check."""
+    zero = [[0, 0], [0, 0]]
+    doc = {"model": {"dim": 2, "hamiltonian": zero, "channels": [zero]},
+           "run": {"command": "master", "horizon": 0.1, "dt": 0.01}}
+    bundle = run_command(parse_config(json.dumps(doc)))
+    assert bundle.metadata["stationary"] == {"nullity": 4, "residual": None}
+    assert not any(c.name == "stationary-residual" for c in bundle.checks)
+
+
 def test_ensemble_diagnostics_values():
     """ESS/N = (sum w)^2 / (N sum w^2); a path frozen at step n counts from
     the first checkpoint at or after n."""

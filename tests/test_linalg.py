@@ -183,6 +183,28 @@ def test_vectorize_sandwich_identity(rng):
     assert max_abs(spost(b) @ vectorize(x) - vectorize(x @ b)) <= 1e-12
 
 
+def signed_zero_matrix(rng, d):
+    """Random complex entries with signed zeros and unit parts mixed in, so that
+    products of zeros and negative numbers carry their signs."""
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+    re = np.where(rng.uniform(size=(d, d)) < 0.5, rng.choice(pool, (d, d)), rng.normal(size=(d, d)))
+    im = np.where(rng.uniform(size=(d, d)) < 0.5, rng.choice(pool, (d, d)), rng.normal(size=(d, d)))
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_superoperators_are_bitwise_kron(rng, d):
+    """spre, spost and sandwich take the products of np.kron: the same bytes,
+    signed zeros included, and spre of a stack is spre of each matrix."""
+    a, b = signed_zero_matrix(rng, d), signed_zero_matrix(rng, d)
+    assert spre(a).tobytes() == np.kron(np.eye(d), a).tobytes()
+    assert spost(b).tobytes() == np.kron(b.T, np.eye(d)).tobytes()
+    assert sandwich(a, b).tobytes() == np.kron(b.T, a).tobytes()
+    assert spre(a).shape == spost(b).shape == sandwich(a, b).shape == (d * d, d * d)
+    stack = np.stack([a, b, signed_zero_matrix(rng, d)])
+    assert spre(stack).tobytes() == np.stack([spre(m) for m in stack]).tobytes()
+
+
 def test_is_hermitian(rng):
     assert is_hermitian(np.diag([2.5, 0.0]))
     assert not is_hermitian(SIGMA_MINUS)
