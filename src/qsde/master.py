@@ -17,9 +17,10 @@ the duality Tr{L_*[rho] a} = Tr{rho L[a]}; the Heisenberg commutator sign
 is fixed by that duality together with the Schrodinger-picture evolution
 (e.g. rho_t = e^{-iHt} rho e^{iHt} for a purely Hamiltonian K = H).
 
-Everything here is a dense superoperator on column-vectorized matrices,
-integrated with classical RK4; it serves as the exact cross-check for the
-Monte Carlo trajectory ensembles.
+Everything here is a dense superoperator on column-vectorized matrices.  A
+constant generator G is stepped exactly, by E = e^{hG}; a time-dependent one
+by classical RK4.  It serves as the exact cross-check for the Monte Carlo
+trajectory ensembles.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .linalg import (
     spre,
     vectorize,
 )
-from .model import Coefficients, TimeGrid
+from .model import GRID_TOL, Coefficients, TimeGrid
 from .trajectories import LinearEnsemble, NonlinearEnsemble
 
 __all__ = [
@@ -65,6 +66,9 @@ DENSITY_EIG_FLOOR = -1e-8
 POSITIVITY_FAIL = -1e-6
 # Largest max-entry residual max|L_*[rho]| of an accepted stationary state.
 STATIONARY_RESIDUAL_TOL = 1e-10
+# Largest change of L_*(t) across the probe times, relative to max(1, max|L_*(0)|),
+# of a generator taken as constant.
+PROBE_TOL = 1e-12
 
 
 class PositivityError(RuntimeError):
@@ -145,13 +149,13 @@ class LindbladPropagator:
 
     _PROBE_TIMES = (0.0, 0.3331, 0.7177, 1.6183)
 
-    def __init__(self, coeffs: Coefficients, probe_tol: float = 1e-12):
+    def __init__(self, coeffs: Coefficients):
         self.coeffs = coeffs
         self.dim = coeffs.dim
         g0 = build_schrodinger_generator(coeffs, self._PROBE_TIMES[0])
         scale = max(max_abs(g0), 1.0)
         self.time_independent = all(
-            max_abs(build_schrodinger_generator(coeffs, t) - g0) <= probe_tol * scale
+            max_abs(build_schrodinger_generator(coeffs, t) - g0) <= PROBE_TOL * scale
             for t in self._PROBE_TIMES[1:]
         )
         self._g0 = g0 if self.time_independent else None
@@ -162,41 +166,25 @@ class LindbladPropagator:
         return build_schrodinger_generator(self.coeffs, t)
 
 
-def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of dv/dt = g v as a matrix.
-
-    For a constant generator the four stages collapse to the degree-4
-    Taylor polynomial I + hg + (hg)^2/2 + (hg)^3/6 + (hg)^4/24, evaluated
-    here in Horner form.
-    """
-    eye = np.eye(g.shape[0], dtype=complex)
-    hg = h * g
-    step = eye
-    for k in (4, 3, 2, 1):
-        step = eye + (hg / k) @ step
-    return step
-
-
 def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
                h: float, record=None) -> np.ndarray:
-    """March vec(rho) with classical RK4; optionally record every grid point."""
-    if gen.time_independent:
-        step = _rk4_step_matrix(gen.generator_at(t0), h)
-        for n in range(nsteps):
-            v = step @ v
-            if record is not None:
-                record[n + 1] = v
-        return v
+    """March vec(rho) nsteps steps of h, optionally recording every grid point:
+    exact steps e^{hG} for a constant generator G, classical RK4 steps (global
+    error O(h^4)) otherwise."""
+    exact = matrix_exp(gen.generator_at(t0), h) if gen.time_independent else None
     for n in range(nsteps):
-        t = t0 + n * h
-        g1 = gen.generator_at(t)
-        gm = gen.generator_at(t + 0.5 * h)
-        g2 = gen.generator_at(t + h)
-        k1 = g1 @ v
-        k2 = gm @ (v + 0.5 * h * k1)
-        k3 = gm @ (v + 0.5 * h * k2)
-        k4 = g2 @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if exact is not None:
+            v = exact @ v
+        else:
+            t = t0 + n * h
+            g1 = gen.generator_at(t)
+            gm = gen.generator_at(t + 0.5 * h)
+            g2 = gen.generator_at(t + h)
+            k1 = g1 @ v
+            k2 = gm @ (v + 0.5 * h * k1)
+            k3 = gm @ (v + 0.5 * h * k2)
+            k4 = g2 @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if record is not None:
             record[n + 1] = v
     return v
@@ -217,10 +205,12 @@ def _cleanup(rho: np.ndarray, check_positivity: bool) -> np.ndarray:
 
 def propagate_master(gen: LindbladPropagator, rho0: np.ndarray, t0: float, t1: float,
                      dt: float, check_positivity: bool = True) -> np.ndarray:
-    """RK4 integration of the master equation from t0 to t1.
+    """The master-equation state at t1 from rho0 at t0, re-symmetrized and
+    trace-renormalized once at the end.
 
-    The result is re-symmetrized and trace-renormalized once at the end;
-    the O(dt^4) global error keeps this oracle far below Monte Carlo noise.
+    A constant generator takes one exact step e^{(t1 - t0)G}, whatever dt;
+    a time-dependent one is marched by RK4 in steps of about dt, whose
+    O(dt^4) global error keeps this oracle far below Monte Carlo noise.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -228,7 +218,7 @@ def propagate_master(gen: LindbladPropagator, rho0: np.ndarray, t0: float, t1: f
         raise ValueError("dt must be positive")
     if t1 == t0:
         return np.asarray(rho0, dtype=complex).copy()
-    grid = TimeGrid.covering(t1 - t0, dt)
+    grid = TimeGrid(t1 - t0, 1) if gen.time_independent else TimeGrid.covering(t1 - t0, dt)
     v = vectorize(np.asarray(rho0, dtype=complex))
     v = _rk4_march(gen, v, t0, grid.nsteps, grid.h)
     return _cleanup(devectorize(v, gen.dim), check_positivity)
@@ -236,7 +226,9 @@ def propagate_master(gen: LindbladPropagator, rho0: np.ndarray, t0: float, t1: f
 
 def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
                   check_positivity: bool = True) -> np.ndarray:
-    """States on a uniform grid (times[0] = start), shape (len(times), d, d)."""
+    """States on a uniform grid (times[0] = start), shape (len(times), d, d):
+    by the ``TimeGrid`` rule, each times[n] within GRID_TOL steps of
+    times[0] + n (times[1] - times[0])."""
     times = np.asarray(times, dtype=float)
     nsteps = len(times) - 1
     d = gen.dim
@@ -244,7 +236,7 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
     record[0] = vectorize(np.asarray(rho0, dtype=complex))
     if nsteps:
         h = times[1] - times[0]
-        if not np.allclose(np.diff(times), h):
+        if h == 0 or not np.all(np.abs((times - times[0]) / h - np.arange(nsteps + 1)) <= GRID_TOL):
             raise ValueError("master_series needs a uniform time grid")
         _rk4_march(gen, record[0].copy(), times[0], nsteps, h, record=record)
     return _cleanup(devectorize(record, d), check_positivity)

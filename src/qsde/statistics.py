@@ -47,53 +47,52 @@ Hermitian for any i, so its pairing with acc_n is twice the real part of
 its pairing with c_n, for i != j as for i = j.  The fold changes the sum by
 rounding only.
 
-Closed form (constant generator).  The grid, h, E = e^{hG}, the RK4 step P
-of master_series (rho_n = P^n rho0) and the trapezoid weights are those of
-the recurrence; only the way the sum is taken differs.  Each channel
+Closed form (constant generator).  The grid, h, E = e^{hG} (which also
+steps master_series: rho_n = E^n rho0) and the trapezoid weights are those
+of the recurrence; only the way the sum is taken differs.  Each channel
 operator is a finite sum of phase components, R(t_n) = sum_g phi_g^n C_g
 with phi_g = e^{i gap_g h} (``Coefficients.r_components``; diagonal-phase
 detection adds nu to every gap).  The outer operator contributes
 a = conj vec(D) with psi = e^{-i gap h} and a = conj vec(D^*) with
 psi = e^{+i gap h} per component D.  For one (nu, outer, inner) triple, put
-x_n = psi^n c_n and z_n = (psi phi)^n P^n vec(rho0); then, with M = I kron C
+x_n = psi^n c_n and z_n = (psi phi)^n E^n vec(rho0); then, with M = I kron C
 (vec(C rho) = M vec(rho)),
 
-    x_{n+1} = psi E x_n + (h/2) psi (E M + phi M P) z_n,   z_{n+1} = psi phi P z_n,
+    x_{n+1} = psi E x_n + (h/2) psi (E M + phi M E) z_n,   z_{n+1} = psi phi E z_n,
 
 and sigma_{n+1} = sigma_n + h a.x_n gathers the outer sum.  These three
 lines are the (1 + 2 d^2)-square matrix
 
-    A = [[1, h a^T, 0], [0, psi E, (h/2) psi (E M + phi M P)], [0, 0, psi phi P]],
+    A = [[1, h a^T, 0], [0, psi E, (h/2) psi (E M + phi M E)], [0, 0, psi phi E]],
 
 and the trapezoid sum is sigma_N + (h/2) a.x_N (x_0 = 0), read from
 A_0^{n_out - k} A^k [0; 0; vec rho0], k = min(n_cap, n_out), where A_0 is A
 with its coupling block zeroed (no forcing after n_cap).  Every power keeps
 the block form
 
-    A^n = [[1, s_n, t_n], [0, psi^n E^n, U_n], [0, 0, (psi phi)^n P^n]],
+    A^n = [[1, s_n, t_n], [0, psi^n E^n, U_n], [0, 0, (psi phi)^n E^n]],
 
 and the product of two of them, A^a A^b, is
 
-    s = s_b + psi^b s_a E^b,   t = t_b + s_a U_b + (psi phi)^b t_a P^b,
-    U = psi^a E^a U_b + (psi phi)^b U_a P^b.
+    s = s_b + psi^b s_a E^b,   t = t_b + s_a U_b + (psi phi)^b t_a E^b,
+    U = psi^a E^a U_b + (psi phi)^b U_a E^b.
 
 So the powers are taken by repeated squaring (the binary powering of
-np.linalg.matrix_power) on a stack of (nu, outer, inner) items in which
-E^n and P^n are shared, psi^n and (psi phi)^n are scalars per item, and
-only s_n, t_n and U_n are stored per item: each product is one matrix
-product over the whole stack for each of E U, U P, s E and t P, plus
-elementwise work, and there are O(log N) of them instead of N steps.  The
-first-moment sum of ``subtract_mean`` is the same form with s = 0, U = 0,
-psi = 1 and t = h vec(C^T), as Tr(C rho) = vec(C^T).vec(rho).  In double
-precision this route and the dense (1 + 2 d^2)-square powers it replaced
-both err from the exact sum of their inputs by an amount that grows like
-N u (u = 2^-53; up to 1.2e-12 relative at N = 40 000 on the test models,
-mostly through the phase powers psi^n), and the two agree to 5.8e-14 of
-max S on the canonical Mollow scan; tests/test_statistics.py keeps the
-dense route as the reference.
+np.linalg.matrix_power) on a stack of (nu, outer, inner) items that share
+E^n, with psi^n and (psi phi)^n scalars per item and only s_n, t_n and U_n
+stored per item: each product is one matrix product over the whole stack
+for each of E U, U E, s E and t E, plus elementwise work, and there are
+O(log N) of them instead of N steps.  The first-moment sum of
+``subtract_mean`` is the same form with s = 0, U = 0, psi = 1 and
+t = h vec(C^T), as Tr(C rho) = vec(C^T).vec(rho).  In double precision this
+route and the dense (1 + 2 d^2)-square powers err from the exact sum of
+their inputs by rounding that grows like N u (u = 2^-53; up to 1.6e-12
+relative at N = 40 000 on the test models, mostly through the phase powers
+psi^n) and agree to 7.8e-14 of max S on the canonical Mollow scan;
+tests/test_statistics.py keeps the dense route as the reference.
 A time-dependent generator has no such form: ``analytic_second_moment``
 then runs ``_folded_sweep``, the recurrence step by step with midpoint
-propagators E_n (nu = 0); the spectrum requires a constant generator.
+propagators E_n and RK4 states (nu = 0); the spectrum requires constant G.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ from .master import (
     LindbladPropagator,
     StationaryResult,
     _cleanup,
-    _rk4_step_matrix,
     master_series,
     stationary_state,
 )
@@ -143,8 +141,8 @@ def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
                          grid: TimeGrid) -> np.ndarray:
     """Cumulative E[W_k(t_n)] for all channels on ``grid``, as means[n, k].
 
-    Trapezoid quadrature of Tr{rho_s (R_k + R_k^*)} along the RK4 solution,
-    on the same grid.
+    Trapezoid quadrature of Tr{rho_s (R_k + R_k^*)} along the master_series
+    states on the same grid (exact steps e^{hG} for a constant G, else RK4).
     """
     times = grid.times
     rho = master_series(gen, rho0, times)
@@ -170,32 +168,30 @@ def _step_propagators(gen: LindbladPropagator, grid: TimeGrid) -> np.ndarray:
 
 
 def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps: int):
-    """E = e^{hG}, the RK4 step P and vec(rho0) for a constant generator G.
+    """E = e^{hG} and vec(rho0) for a constant generator G.
 
-    The states rho_n = P^n rho0 are those master_series would record; like
-    it, this checks the positivity of the final state P^nsteps rho0.
+    The states rho_n = E^n rho0 are those master_series would record; like
+    it, this checks the positivity of the final state E^nsteps rho0.
     """
-    g = gen.generator_at(0.0)
-    p = _rk4_step_matrix(g, h)
+    e = matrix_exp(gen.generator_at(0.0), h)
     v0 = vectorize(_cleanup(np.asarray(rho0, dtype=complex), check_positivity=False))
-    _cleanup(devectorize(np.linalg.matrix_power(p, nsteps) @ v0, gen.dim),
+    _cleanup(devectorize(np.linalg.matrix_power(e, nsteps) @ v0, gen.dim),
              check_positivity=True)
-    return matrix_exp(g, h), p, v0
+    return e, v0
 
 
 class _Block(NamedTuple):
-    """A^n = [[1, s, t], [0, alpha E, U], [0, 0, beta P]] for a stack of N items.
+    """A^n = [[1, s, t], [0, alpha E, U], [0, 0, beta E]] for a stack of N items.
 
-    E and P are d^2-square matrices shared by every item; alpha and beta
-    (N,) are per-item scalars and s, t (N, d^2) per-item rows.  The blocks
-    are stored as u[:, k, :] = U of item k, so that E U and U P are one
-    matrix product each over the whole stack.
+    E is the d^2-square power shared by every item; alpha and beta (N,) are
+    per-item scalars and s, t (N, d^2) per-item rows.  The blocks are stored
+    as u[:, k, :] = U of item k, so that E U and U E are one matrix product
+    each over the whole stack.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     e: np.ndarray
-    p: np.ndarray
     s: np.ndarray
     t: np.ndarray
     u: np.ndarray
@@ -205,11 +201,11 @@ def _combine(x: _Block, y: _Block) -> _Block:
     """The block product x y."""
     d2 = len(y.e)
     ey = (x.e @ y.u.reshape(d2, -1)).reshape(y.u.shape)
-    up = (x.u.reshape(-1, d2) @ y.p).reshape(y.u.shape)
-    return _Block(alpha=x.alpha * y.alpha, beta=x.beta * y.beta, e=x.e @ y.e, p=x.p @ y.p,
+    ue = (x.u.reshape(-1, d2) @ y.e).reshape(y.u.shape)
+    return _Block(alpha=x.alpha * y.alpha, beta=x.beta * y.beta, e=x.e @ y.e,
                   s=y.s + y.alpha[:, None] * (x.s @ y.e),
-                  t=y.t + (x.s.T[..., None] * y.u).sum(0) + y.beta[:, None] * (x.t @ y.p),
-                  u=x.alpha[:, None] * ey + y.beta[:, None] * up)
+                  t=y.t + (x.s.T[..., None] * y.u).sum(0) + y.beta[:, None] * (x.t @ y.e),
+                  u=x.alpha[:, None] * ey + y.beta[:, None] * ue)
 
 
 def _block_power(step: _Block, n: int) -> _Block:
@@ -233,11 +229,11 @@ def _block_trapezoid(step: _Block, total: _Block, v0: np.ndarray) -> np.ndarray:
     (1/2)(h r.y_N - h r.y_0).
     """
     x = (total.u @ v0).T
-    z = total.beta[:, None] * (total.p @ v0)
+    z = total.beta[:, None] * (total.e @ v0)
     return total.t @ v0 + 0.5 * ((step.s * x).sum(-1) + (step.t * (z - v0)).sum(-1))
 
 
-def _closed_form_term(e, p, v0, h, outer, inner, nu, n_out, n_cap):
+def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap):
     """One ordered double-integral sum for a constant generator, per nu.
 
     ``outer`` and ``inner`` are the (gaps, ops) phase components of the
@@ -257,10 +253,10 @@ def _closed_form_term(e, p, v0, h, outer, inner, nu, n_out, n_cap):
     psi, phi = psi[:, :, None], phi[:, None, :]   # items (nu, outer, inner)
     shape = np.broadcast_shapes(psi.shape, phi.shape)
     m = spre(in_ops)   # vec(C rho) = (I kron C) vec(rho)
-    u = (0.5 * h) * psi[..., None, None] * (e @ m + phi[..., None, None] * (m @ p))
+    u = (0.5 * h) * psi[..., None, None] * (e @ m + phi[..., None, None] * (m @ e))
     s = np.broadcast_to(h * a[:, None], shape + (d2,)).reshape(-1, d2)
     step = _Block(alpha=np.broadcast_to(psi, shape).ravel(), beta=(psi * phi).ravel(),
-                  e=e, p=p, s=s, t=np.zeros_like(s),
+                  e=e, s=s, t=np.zeros_like(s),
                   u=np.moveaxis(u, -2, 0).reshape(d2, -1, d2))
     k = min(n_cap, n_out)
     total = _block_power(step, k)
@@ -270,17 +266,17 @@ def _closed_form_term(e, p, v0, h, outer, inner, nu, n_out, n_cap):
     return 2.0 * _block_trapezoid(step, total, v0).real.reshape(shape[0], -1).sum(axis=1)
 
 
-def _closed_form_mean(e, p, v0, h, comps, nu, nsteps):
+def _closed_form_mean(e, v0, h, comps, nu, nsteps):
     """sum_n w_n e^{i nu t_n} Tr(B_n rho_n) per nu, for E[W(T)] = 2 Re of it.
 
-    The block form with s = 0 and U = 0: only t and beta P act.
+    The block form with s = 0 and U = 0: only t and beta E act.
     """
     d2 = len(v0)
     gaps, ops = comps
     beta = np.exp(1j * h * (gaps + nu[:, None])).ravel()   # items (nu, component)
     t = np.broadcast_to(h * vectorize(ops.swapaxes(-1, -2)), (len(nu), len(gaps), d2))
     t = t.reshape(-1, d2)   # Tr(C rho) = vec(C^T).vec(rho)
-    step = _Block(alpha=np.ones_like(beta), beta=beta, e=e, p=p, s=np.zeros_like(t), t=t,
+    step = _Block(alpha=np.ones_like(beta), beta=beta, e=e, s=np.zeros_like(t), t=t,
                   u=np.zeros((d2, len(beta), d2), dtype=complex))
     return _block_trapezoid(step, _block_power(step, nsteps), v0).reshape(len(nu), -1).sum(-1)
 
@@ -301,27 +297,38 @@ def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: 
     t_max = max(t1, t2)
     if t_max == 0:
         return 0.0
-    grid = TimeGrid.covering(t_max, dt)
+    return _second_moments(coeffs, gen, rho0, TimeGrid.covering(t_max, dt), [(i, j, t1, t2)])[0]
+
+
+def _second_moments(coeffs, gen, rho0, grid: TimeGrid, pairs) -> list[float]:
+    """E[W_i(t1) W_j(t2)] for each (i, j, t1, t2) of ``pairs``, all on ``grid``.
+
+    The propagators, states and channel components are built once for every
+    pair; positivity is checked on the state at the end of ``grid``."""
     if gen.time_independent:
-        e, p, v0 = _constant_steps(gen, rho0, grid.h, grid.nsteps)
+        e, v0 = _constant_steps(gen, rho0, grid.h, grid.nsteps)
+        comps = [coeffs.r_components(c) for c in range(coeffs.nchannels)]
     else:
         rho = master_series(gen, rho0, grid.times)
         r = coeffs.r_table(grid.times)
         mu = vectorize(r @ rho[:, None])
         q = vectorize(r + r.conj().swapaxes(-1, -2)).conj()
         e_ts = _step_propagators(gen, grid)
-    total = min(t1, t2) if i == j else 0.0
-    for a, b, t_outer, t_inner in ((i, j, t1, t2), (j, i, t2, t1)):
-        n_out, n_cap = grid.index([t_outer, t_inner]).tolist()
-        if n_out == 0 or n_cap == 0:
-            continue
-        if gen.time_independent:
-            total += _closed_form_term(e, p, v0, grid.h, coeffs.r_components(a),
-                                       coeffs.r_components(b), np.zeros(1), n_out, n_cap)[0]
-        else:
-            out = slice(n_out + 1)
-            total += _folded_sweep(mu[out, b], q[out, a], e_ts[:n_out], grid.h, n_cap)
-    return float(total)
+    values = []
+    for (i, j, t1, t2) in pairs:
+        total = min(t1, t2) if i == j else 0.0
+        for a, b, t_outer, t_inner in ((i, j, t1, t2), (j, i, t2, t1)):
+            n_out, n_cap = grid.index([t_outer, t_inner]).tolist()
+            if n_out == 0 or n_cap == 0:
+                continue
+            if gen.time_independent:
+                total += _closed_form_term(e, v0, grid.h, comps[a], comps[b], np.zeros(1),
+                                           n_out, n_cap)[0]
+            else:
+                out = slice(n_out + 1)
+                total += _folded_sweep(mu[out, b], q[out, a], e_ts[:n_out], grid.h, n_cap)
+        values.append(float(total))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +410,10 @@ def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
                       pairs: tuple[tuple[int, int, float, float], ...] = ()) -> MomentReport:
     """Build a full moment report for the ensemble checkpoints.
 
-    The analytic side runs on the ensemble's own grid, up to its last
-    checkpoint.  ``pairs`` lists (i, j, t1, t2) second-moment requests;
-    the requested times must be checkpoints of the ensemble.
+    The analytic side runs on the ensemble's own grid: the means up to its
+    last checkpoint, the second moments up to the latest requested time.
+    ``pairs`` lists (i, j, t1, t2) second-moment requests; the requested
+    times must be checkpoints of the ensemble.
     """
     times = ensemble.times
     nchan = ensemble.w_path.shape[2]
@@ -420,12 +428,11 @@ def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
             contrib = w * ensemble.w_path[:, m, k]
             mc[m, k] = contrib.mean()
             se[m, k] = jackknife_stderr(contrib)
-    rows = []
-    for (i, j, t1, t2) in pairs:
-        value, stderr = mc_second_moment(ensemble, i, j, t1, t2)
-        ana = analytic_second_moment(coeffs, gen, rho0, i, j, t1, t2, grid.h)
-        rows.append(SecondMomentRow(i=i, j=j, t1=t1, t2=t2, analytic=ana,
-                                    mc=value, stderr=stderr))
+    estimates = [mc_second_moment(ensemble, i, j, t1, t2) for (i, j, t1, t2) in pairs]
+    last = max((grid.index(t) for pair in pairs for t in pair[2:]), default=0)
+    exact = _second_moments(coeffs, gen, rho0, TimeGrid(grid.h, max(last, 1)), pairs)
+    rows = [SecondMomentRow(i=i, j=j, t1=t1, t2=t2, analytic=ana, mc=value, stderr=stderr)
+            for (i, j, t1, t2), ana, (value, stderr) in zip(pairs, exact, estimates)]
     return MomentReport(times=times, analytic_mean=analytic, mc_mean=mc,
                         mc_mean_stderr=se, second=tuple(rows), ntraj=ensemble.ntraj)
 
@@ -562,15 +569,14 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
         rho0 = st.rho
     grid = TimeGrid.covering(horizon, dt)
     h, nsteps = grid.h, grid.nsteps
-    e, p, v0 = _constant_steps(gen, rho0, h, nsteps)
+    e, v0 = _constant_steps(gen, rho0, h, nsteps)
     # With diagonal-phase detection R^{(nu)}(s) = e^{i nu s} B(s): the
     # components of B, each gap shifted by nu.
     comps = base.r_components(channel)
-    second = horizon + 2.0 * _closed_form_term(e, p, v0, h, comps, comps, nu_grid,
-                                               nsteps, nsteps)
+    second = horizon + 2.0 * _closed_form_term(e, v0, h, comps, comps, nu_grid, nsteps, nsteps)
     values = second / horizon
     if subtract_mean:
-        mean_acc = _closed_form_mean(e, p, v0, h, comps, nu_grid, nsteps)
+        mean_acc = _closed_form_mean(e, v0, h, comps, nu_grid, nsteps)
         values = (second - (2.0 * mean_acc.real) ** 2) / horizon
     return SpectrumScan(nu=nu_grid, values=values, horizon=horizon, dt=h,
                         channel=channel, subtract_mean=subtract_mean, stationary=st)

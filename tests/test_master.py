@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import simple_model
+from qsde import master
 from qsde.linalg import devectorize, matrix_exp, max_abs, vectorize
 from qsde.master import (
     LindbladPropagator,
@@ -78,24 +81,67 @@ def test_two_level_decay_closed_form():
     assert abs(rho[0, 1] - np.exp(-gamma * t / 2) * rho0[0, 1]) <= 1e-8
 
 
-def test_constant_generator_step_is_staged_rk4(mollow_coeffs, rng):
-    """The one-matrix step taken for a constant generator reproduces the
-    four-stage RK4 march, state by state, to rounding."""
+def test_constant_generator_steps_by_matrix_exp(mollow_coeffs, rng):
+    """A constant generator's series is repeated exact steps e^{hG}, state by
+    state to rounding, and stays within 1e-8 of the four-stage RK4 march it
+    replaced."""
     gen = LindbladPropagator(mollow_coeffs)
     g = gen.generator_at(0.0)
-    h, nsteps = 0.05, 200
+    h, nsteps = 0.005, 4000
     rho0 = random_state(rng)
     series = master_series(gen, rho0, h * np.arange(nsteps + 1))
-    v = vectorize(rho0)
+    step = matrix_exp(g, h)
+    exact = rk4 = vectorize(rho0)
     for n in range(1, nsteps + 1):
-        k1 = g @ v
-        k2 = g @ (v + 0.5 * h * k1)
-        k3 = g @ (v + 0.5 * h * k2)
-        k4 = g @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = devectorize(v, 2)
-        rho = 0.5 * (rho + rho.conj().T)
-        assert max_abs(series[n] - rho / np.trace(rho).real) <= 1e-13
+        exact = step @ exact
+        k1 = g @ rk4
+        k2 = g @ (rk4 + 0.5 * h * k1)
+        k3 = g @ (rk4 + 0.5 * h * k2)
+        k4 = g @ (rk4 + h * k3)
+        rk4 = rk4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for v, tol in ((exact, 1e-13), (rk4, 1e-8)):
+            rho = devectorize(v, 2)
+            rho = 0.5 * (rho + rho.conj().T)
+            assert max_abs(series[n] - rho / np.trace(rho).real) <= tol, (n, tol)
+
+
+def test_constant_generator_series_runs_through_march(mollow_coeffs, monkeypatch):
+    """master_series hands a constant generator to master._rk4_march with its
+    step count as ``nsteps``, the argument the benchmark tracer reads."""
+    calls = []
+    march = master._rk4_march
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(march).bind(*args, **kwargs).arguments["nsteps"])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(master, "_rk4_march", spy)
+    master_series(LindbladPropagator(mollow_coeffs), np.eye(2) / 2, 0.01 * np.arange(31))
+    assert calls == [30]
+
+
+def test_propagate_constant_generator_is_one_exact_step(mollow_coeffs, rng):
+    gen = LindbladPropagator(mollow_coeffs)
+    rho0 = random_state(rng)
+    want = devectorize(matrix_exp(gen.generator_at(0.0), 2.5) @ vectorize(rho0), 2)
+    for dt in (1e-3, 0.1, 10.0):
+        assert max_abs(propagate_master(gen, rho0, 0.0, 2.5, dt) - want) <= 1e-14
+    with pytest.raises(ValueError):
+        propagate_master(gen, rho0, 0.0, 2.5, 0.0)
+
+
+def test_master_series_rejects_grid_off_by_a_millionth_step(mollow_coeffs):
+    """A grid is uniform by the TimeGrid rule, GRID_TOL = 1e-9 of a step;
+    np.allclose's defaults would pass a point 1e-6 h off."""
+    gen = LindbladPropagator(mollow_coeffs)
+    h = 0.01
+    times = h * np.arange(31)
+    master_series(gen, np.eye(2) / 2, times)
+    times[17] += 1e-6 * h
+    with pytest.raises(ValueError, match="uniform"):
+        master_series(gen, np.eye(2) / 2, times)
+    with pytest.raises(ValueError, match="uniform"):
+        master_series(gen, np.eye(2) / 2, np.zeros(3))
 
 
 def test_propagate_identity_generator():

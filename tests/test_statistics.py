@@ -353,10 +353,11 @@ def test_block_kernel_matches_dense_route(name, nsteps):
     """The block-form powers are as accurate as the dense augmented-matrix
     powers they replace, to 1e-13 relative: every channel pair, the inner
     cut-off n_cap below, at and above the outer end n_out, and the
-    first-moment sum of ``subtract_mean``.
+    first-moment sum of ``subtract_mean``.  Like the kernel, the dense route
+    steps the states with the propagator E itself.
 
     "Exact" is the dense route in long double on the same double inputs.
-    Both double routes err from it by up to about 1e-12 relative at 40 000
+    Both double routes err from it by up to about 1.6e-12 relative at 40 000
     steps, mostly through the phase powers psi^n, whose rounding grows like
     n u; on one term either route may be the luckier, so the worst error of
     the block route over all terms is held to the dense route's worst.
@@ -366,7 +367,7 @@ def test_block_kernel_matches_dense_route(name, nsteps):
     psi = np.arange(1, gen.dim + 1) - 0.4j
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     h, nus = 0.005, np.array([-3.0, 0.0, 1.3, 8.0])
-    e, p, v0 = _constant_steps(gen, rho0, h, nsteps)
+    e, v0 = _constant_steps(gen, rho0, h, nsteps)
     comps = [coeffs.r_components(j) for j in range(gen.coeffs.nchannels)]
     cuts = {(nsteps, max(1, nsteps // 3)), (nsteps, nsteps), (max(1, nsteps // 2), nsteps)}
     block_err, dense_err = [], []
@@ -382,12 +383,12 @@ def test_block_kernel_matches_dense_route(name, nsteps):
     for outer in comps:
         for inner in comps:
             for n_out, n_cap in sorted(cuts):
-                args = (e, p, v0, h, outer, inner, nus, n_out, n_cap)
-                compare(_closed_form_term(*args), dense_closed_form_term(*args),
-                        dense_closed_form_term(*args, dtype=np.clongdouble))
-        args = (p, v0, h, outer, nus, nsteps)
-        compare(_closed_form_mean(e, *args), dense_closed_form_mean(*args),
-                dense_closed_form_mean(*args, dtype=np.clongdouble))
+                args = (v0, h, outer, inner, nus, n_out, n_cap)
+                compare(_closed_form_term(e, *args), dense_closed_form_term(e, e, *args),
+                        dense_closed_form_term(e, e, *args, dtype=np.clongdouble))
+        args = (v0, h, outer, nus, nsteps)
+        compare(_closed_form_mean(e, *args), dense_closed_form_mean(e, *args),
+                dense_closed_form_mean(e, *args, dtype=np.clongdouble))
     assert max(block_err) <= max(dense_err) + 1e-13, (max(block_err), max(dense_err))
 
 
@@ -473,6 +474,26 @@ def test_mc_moments_report_and_split_consistency(mollow_setup):
     v_full, _ = mc_mean_output(ens, 0, 1.0)
     v_half, se_half = mc_mean_output(half1, 0, 1.0)
     assert abs(v_full - v_half) <= 3.0 * se_half
+
+
+@pytest.mark.parametrize("model", [
+    build_mollow_model(canonical_config()),
+    simple_model(channels=(SIGMA_MINUS, 0.5 * SIGMA_MINUS), amplitudes=[0.4, 0.3], carrier=1.5)],
+    ids=["constant", "time-dependent"])
+def test_moment_report_pairs_match_analytic_second_moment(model):
+    """The report builds its propagators, states and channel components once,
+    on the ensemble grid up to the latest pair time; each pair still gets
+    the value analytic_second_moment gives it alone."""
+    coeffs = build_coefficients(model)
+    gen = LindbladPropagator(coeffs)
+    dt = 1e-2
+    ens = run_linear_ensemble(coeffs, E0, dt=dt, nsteps=60, ntraj=4, base_seed=3,
+                              record_times=[0.0, 0.2, 0.3, 0.5, 0.6])
+    pairs = ((0, 0, 0.3, 0.3), (0, 1, 0.3, 0.2), (1, 0, 0.2, 0.0), (1, 1, 0.5, 0.2))
+    report = mc_output_moments(ens, coeffs, gen, RHO_E, pairs=pairs)
+    for row, (i, j, t1, t2) in zip(report.second, pairs):
+        alone = analytic_second_moment(coeffs, gen, RHO_E, i, j, t1, t2, dt)
+        assert abs(row.analytic - alone) <= 1e-13 * max(abs(alone), 1.0), (row, alone)
 
 
 def test_mc_second_moment_grid_mismatch(mollow_setup):
