@@ -155,7 +155,7 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
                               chunk_size=run.chunk_size)
     bundle.metadata["ensemble"] = _ensemble_diagnostics(ens)
     mean_w = ens.weight.mean(axis=0)
-    se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj) if ens.ntraj > 1 else 0 * mean_w
+    se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj)
     rows, ok = [], True
     for m, t in enumerate(ens.times):
         dev = abs(mean_w[m] - 1.0)
@@ -172,12 +172,12 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
     for m, t in enumerate(ens.times):
         for k in range(ens.w_path.shape[2]):
             contrib = ens.weight[:, m] * ens.w_path[:, m, k]
-            se = contrib.std(ddof=1) / np.sqrt(ens.ntraj) if ens.ntraj > 1 else 0.0
+            se = contrib.std(ddof=1) / np.sqrt(ens.ntraj)
             out_rows.append((float(t), k, float(contrib.mean()), float(se)))
     bundle.tables["outputs"] = Table(columns=("t", "channel", "mean", "stderr"),
                                      rows=tuple(out_rows))
 
-    if len(ens.times) >= 3 and ens.ntraj > 1:
+    if len(ens.times) >= 3:
         law = wiener_law_tests(ens)
         bundle.tables["wiener_law"] = Table(
             columns=("test", "statistic", "expected", "stderr", "passed"),

@@ -318,6 +318,8 @@ def _parse_run(section, col: _Collector, model: SystemModel | None):
     if not isinstance(ntraj, int) or ntraj < 1:
         col.add("run.ntraj", "must be a positive integer")
         ntraj = 1
+    elif ntraj < 2 and command in ("trajectories", "moments"):
+        col.add("run.ntraj", f"{command} needs at least 2 trajectories for a standard error")
     seed = section.get("seed", 1234)
     if not isinstance(seed, int):
         col.add("run.seed", "must be an integer")

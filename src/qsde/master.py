@@ -242,6 +242,12 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
     return _cleanup(devectorize(record, d), check_positivity)
 
 
+def _midpoint_steps(gen: LindbladPropagator, t0: float, grid: TimeGrid) -> np.ndarray:
+    """Stack of midpoint propagators e^{h L_*(t0 + (k + 1/2) h)}, k < grid.nsteps."""
+    return matrix_exp(np.stack([gen.generator_at(t0 + (k + 0.5) * grid.h)
+                                for k in range(grid.nsteps)]), grid.h)
+
+
 def evolution_operator(gen: LindbladPropagator, s: float, t: float,
                        dt: float = 1e-2) -> np.ndarray:
     """Two-time evolution superoperator U(t, s), rho_t = U(t, s)[rho_s].
@@ -256,11 +262,8 @@ def evolution_operator(gen: LindbladPropagator, s: float, t: float,
         return np.eye(gen.dim ** 2, dtype=complex)
     if gen.time_independent:
         return matrix_exp(gen.generator_at(s), t - s)
-    grid = TimeGrid.covering(t - s, dt)
-    steps = matrix_exp(np.stack([gen.generator_at(s + (k + 0.5) * grid.h)
-                                 for k in range(grid.nsteps)]), grid.h)
     u = np.eye(gen.dim ** 2, dtype=complex)
-    for step in steps:
+    for step in _midpoint_steps(gen, s, TimeGrid.covering(t - s, dt)):
         u = step @ u
     return u
 

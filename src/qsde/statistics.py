@@ -109,6 +109,7 @@ from .master import (
     LindbladPropagator,
     StationaryResult,
     _cleanup,
+    _midpoint_steps,
     master_series,
     stationary_state,
 )
@@ -162,9 +163,7 @@ def analytic_mean_output(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
 
 def _step_propagators(gen: LindbladPropagator, grid: TimeGrid) -> np.ndarray:
     """Stack of transposed midpoint propagators E_n^T on the grid."""
-    h = grid.h
-    mids = np.stack([gen.generator_at((n + 0.5) * h) for n in range(grid.nsteps)])
-    return np.ascontiguousarray(matrix_exp(mids, h).swapaxes(-1, -2))
+    return np.ascontiguousarray(_midpoint_steps(gen, 0.0, grid).swapaxes(-1, -2))
 
 
 def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps: int):

@@ -43,22 +43,26 @@ part G_n = -i dt [(K+K^*)/2 - (i/2) sum_j R_j^*R_j], the step
     e_j = dt conj(m_j) + dW_j,   s = sum_j m_j (dt/2 conj(m_j) + dW_j),
 
 so a step costs one small matmul plus a few elementwise operations on
-(G, J, C) arrays, for every lane of the stack at once.  W at the record
-times is summed in the same loop.  The freeze masks are applied only once
-some path has frozen.
+(G, J, C) arrays, for every lane of the stack at once.  One stack class
+steps both equations.  They share the product, the forms <psi|R_j psi>,
+the checkpoint records, the sum W and the freeze bookkeeping, and differ
+only in e_j and s, in the renormalization after each normalized step and
+in the state a freezing path keeps.  The freeze masks are applied only
+once some path has frozen.
 
 Lockstep engine: each process steps one contiguous span of whole chunks.
 Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
 ragged last chunk is a stack of its own (G = 1).  Time runs in blocks of
 _BLOCK_STEPS grid points: per block the process tabulates the coefficients
 on the block's times once (each row equals the full-grid table's bit for
-bit), and every stack in turn draws the block's increments, shape
-(L, G, J, C), and steps through it.  Each lane draws from its own stream
-block after block, which gives the numbers of one whole-path draw.  So a
-process holds its lanes' states, checkpoint records and streams, plus one
-block of step table and of one stack's noise: nothing grows with the
-horizon.  With several workers, the calling process steps the first span
-and a forked pool one span per further worker.
+bit), and every stack, of either equation, in turn draws the block's
+increments, shape (L, G, J, C), and steps through it.  Each lane draws
+from its own stream block after block, which gives the numbers of one
+whole-path draw.  So a process holds its lanes' states, checkpoint
+records and streams, plus one block of step table and of one stack's
+noise: nothing grows with the horizon.  With several workers, the calling
+process steps the first span and a forked pool one span per further
+worker.
 
 Reproducibility: every trajectory owns a Philox counter-based stream keyed
 by (seed, trajectory index), so for a given chunk size ensembles are
@@ -255,145 +259,98 @@ def _lanes_first(rec: np.ndarray) -> np.ndarray:
 class _Stack:
     """Euler-Maruyama state of a (G, d, C) stack, stepped one block at a time.
 
+    ``nonlinear`` selects the normalized equation, whose states are
+    renormalized after every step; otherwise the stack steps the linear one.
     ``advance(ops, dw)`` runs one block: ``ops`` holds the block's rows of
     the step table (:func:`_step_ops`), ``dw`` the increments of its steps,
     shape (L, G, J, C).  The final block has one row of ``ops`` more than
     increments; its last row evaluates the final time.  ``result()`` returns
-    the records at ``record_idx`` lane-first, then the per-lane freeze step
-    (-1 if never frozen).
+    the records at ``record_idx`` lane-first: the states (G*C, nrec, d), the
+    weights ||psi||^2 (G*C, nrec; 1 for the normalized equation), the
+    normalized expectations <R_j>, the drift integrals and the noise W (each
+    (G*C, nrec, J)), then the per-lane freeze step (-1 if never frozen).
+
+    A path freezes at the first step whose squared norm falls below
+    ``weight_floor`` times its initial one.  A linear path keeps that first
+    state below the floor; a normalized path keeps its last state above it.
     """
 
     def __init__(self, psi0: np.ndarray, nchan: int, dt: float, record_idx: np.ndarray,
-                 weight_floor: float):
+                 weight_floor: float, nonlinear: bool):
         groups, d, lanes = psi0.shape
-        self.dt, self.weight_floor, self.n = dt, weight_floor, 0
+        self.dt, self.nonlinear, self.n = dt, nonlinear, 0
         self.psi = np.ascontiguousarray(psi0, dtype=complex)
+        self.weight = _sq_norm(self.psi)
+        if nonlinear:
+            self.psi = self.psi / np.sqrt(self.weight)
+            self.weight = np.ones_like(self.weight)
+        self.floor = weight_floor * self.weight
+        # None while no path is frozen: the masks are needed only after the
+        # first freeze (or when a floor is zero and norms may vanish).
+        self.active = None if np.all(self.floor > 0) else np.ones(self.weight.shape, dtype=bool)
         self.drift = np.zeros((groups, nchan, lanes))
         self.w = np.zeros((groups, nchan, lanes))
         self.frozen_step = np.full((groups, 1, lanes), -1, dtype=np.int64)
         self.rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
-        nrec = len(record_idx)
-        self.rec_psi = np.empty((nrec, groups, d, lanes), dtype=complex)
-        self.rec_rexp = np.empty((nrec, groups, nchan, lanes), dtype=complex)
-        self.rec_drift = np.empty((nrec, groups, nchan, lanes))
-        self.rec_w = np.empty((nrec, groups, nchan, lanes))
-
-
-class _LinearStack(_Stack):
-    """Linear trajectories; records are the states (G*C, nrec, d), weights
-    (G*C, nrec), normalized expectations, drift integrals and noise W (each
-    (G*C, nrec, J))."""
-
-    def __init__(self, psi0, nchan, dt, record_idx, weight_floor):
-        super().__init__(psi0, nchan, dt, record_idx, weight_floor)
-        self.weight = _sq_norm(self.psi)
-        self.floor = weight_floor * self.weight
-        # None while no path is frozen: the masks below are needed only after
-        # the first freeze (or when a floor is zero and weights may vanish).
-        self.active = None if np.all(self.floor > 0) else np.ones(self.weight.shape, dtype=bool)
-        groups, _, lanes = self.psi.shape
-        self.rec_weight = np.empty((len(record_idx), groups, lanes))
+        # records of psi, ||psi||^2, <R_j>, the drift integral and W, in result() order
+        self.records = [np.empty((len(record_idx), groups, *inner, lanes), dtype=dtype)
+                        for inner, dtype in (((d,), complex), ((), float), ((nchan,), complex),
+                                             ((nchan,), float), ((nchan,), float))]
 
     def advance(self, ops: np.ndarray, dw: np.ndarray):
         groups, d, lanes = self.psi.shape
-        nchan, dt, floor = self.drift.shape[1], self.dt, self.floor
+        nchan, dt, floor, nonlinear = self.drift.shape[1], self.dt, self.floor, self.nonlinear
+        half_dt = 0.5 * dt
         psi, weight, drift, w, active, n = (self.psi, self.weight, self.drift, self.w,
                                             self.active, self.n)
         for i, op in enumerate(ops):
             y = (op @ psi).reshape(groups, nchan + 1, d, lanes)
             rpsi = y[:, 1:]
-            num = (psi.conj()[:, None] * rpsi).sum(axis=2)
-            if active is None:
-                rexp = num / weight
-            else:
-                rexp = np.where(weight > 0, num / np.where(weight > 0, weight, 1.0), 0.0)
+            rexp = (psi.conj()[:, None] * rpsi).sum(axis=2)
+            if not nonlinear:                        # a normalized psi has unit norm
+                rexp = rexp / weight if active is None else np.where(
+                    weight > 0, rexp / np.where(weight > 0, weight, 1.0), 0.0)
             pos = self.rec_pos.get(n)
             if pos is not None:
-                self.rec_psi[pos] = psi
-                self.rec_weight[pos] = weight[:, 0]
-                self.rec_rexp[pos] = rexp
-                self.rec_drift[pos] = drift
-                self.rec_w[pos] = w
+                for rec, value in zip(self.records, (psi, weight[:, 0], rexp, drift, w)):
+                    rec[pos] = value
             if i == len(dw):
                 break
             dw_n = dw[i]
-            dpsi = y[:, 0] + (dw_n[:, :, None] * rpsi).sum(axis=1)
-            w = w + dw_n
-            if active is None:
-                psi = psi + dpsi
-                drift = drift + dt * rexp.real
-                weight = _sq_norm(psi)
-                newly_frozen = weight < floor
+            if nonlinear:
+                # dpsi = G psi + sum_j e_j R_j psi - s psi (module docstring)
+                m_conj = rexp.conj()
+                e = dt * m_conj + dw_n
+                s = (rexp * (half_dt * m_conj + dw_n)).sum(axis=1, keepdims=True)
+                psi_new = psi + (y[:, 0] + (e[:, :, None] * rpsi).sum(axis=1) - s * psi)
             else:
-                psi = psi + np.where(active, dpsi, 0.0)
-                drift = drift + np.where(active, dt * rexp.real, 0.0)
-                weight = np.where(active, _sq_norm(psi), weight)
-                newly_frozen = active & (weight < floor)
-            n += 1
-            if newly_frozen.any():
-                self.frozen_step[newly_frozen] = n
-                active = ~newly_frozen if active is None else active & ~newly_frozen
-        self.psi, self.weight, self.drift, self.w, self.active, self.n = (psi, weight, drift, w,
-                                                                          active, n)
-
-    def result(self) -> list[np.ndarray]:
-        return [*map(_lanes_first, (self.rec_psi, self.rec_weight, self.rec_rexp,
-                                    self.rec_drift, self.rec_w)),
-                self.frozen_step.reshape(-1)]
-
-
-class _NonlinearStack(_Stack):
-    """Normalized trajectories, renormalized after every step; records are
-    the states, expectations, drift integrals and W."""
-
-    def __init__(self, psi0, nchan, dt, record_idx, weight_floor):
-        super().__init__(psi0, nchan, dt, record_idx, weight_floor)
-        self.psi = self.psi / np.sqrt(_sq_norm(self.psi))
-        # as in the linear stack
-        self.active = None if weight_floor > 0 else np.ones(self.frozen_step.shape, dtype=bool)
-
-    def advance(self, ops: np.ndarray, dw: np.ndarray):
-        groups, d, lanes = self.psi.shape
-        nchan, dt, floor = self.drift.shape[1], self.dt, self.weight_floor
-        half_dt = 0.5 * dt
-        psi, drift, w, active, n = self.psi, self.drift, self.w, self.active, self.n
-        for i, op in enumerate(ops):
-            y = (op @ psi).reshape(groups, nchan + 1, d, lanes)
-            rpsi = y[:, 1:]
-            m = (psi.conj()[:, None] * rpsi).sum(axis=2)
-            pos = self.rec_pos.get(n)
-            if pos is not None:
-                self.rec_psi[pos] = psi
-                self.rec_rexp[pos] = m
-                self.rec_drift[pos] = drift
-                self.rec_w[pos] = w
-            if i == len(dw):
-                break
-            # dpsi = G psi + sum_j e_j R_j psi - s psi (module docstring)
-            dw_n = dw[i]
-            m_conj = m.conj()
-            e = dt * m_conj + dw_n
-            s = (m * (half_dt * m_conj + dw_n)).sum(axis=1, keepdims=True)
-            psi_new = psi + (y[:, 0] + (e[:, :, None] * rpsi).sum(axis=1) - s * psi)
+                psi_new = psi + (y[:, 0] + (dw_n[:, :, None] * rpsi).sum(axis=1))
             w = w + dw_n
             nn = _sq_norm(psi_new)
             newly_frozen = nn < floor if active is None else active & (nn < floor)
             n += 1
+            # the lanes whose step is kept: a linear path keeps the step that
+            # froze it, a normalized path drops it
+            taken = active
             if newly_frozen.any():
                 self.frozen_step[newly_frozen] = n
                 active = ~newly_frozen if active is None else active & ~newly_frozen
-            if active is None:
-                psi = psi_new * (1.0 / np.sqrt(nn))
-                drift = drift + dt * m.real
+            if nonlinear:
+                taken = active
+                psi_new = psi_new * (1.0 / np.sqrt(nn if taken is None
+                                                   else np.where(nn > 0, nn, 1.0)))
             else:
-                scale = np.where(active & (nn > 0), 1.0 / np.sqrt(np.where(nn > 0, nn, 1.0)), 1.0)
-                psi = np.where(active, psi_new * scale, psi)
-                drift = drift + np.where(active, dt * m.real, 0.0)
-        self.psi, self.drift, self.w, self.active, self.n = psi, drift, w, active, n
+                weight = nn if taken is None else np.where(taken, nn, weight)
+            if taken is None:
+                psi, drift = psi_new, drift + dt * rexp.real
+            else:
+                psi = np.where(taken, psi_new, psi)
+                drift = drift + np.where(taken, dt * rexp.real, 0.0)
+        self.psi, self.weight, self.drift, self.w, self.active, self.n = (psi, weight, drift, w,
+                                                                          active, n)
 
     def result(self) -> list[np.ndarray]:
-        return [*map(_lanes_first, (self.rec_psi, self.rec_rexp, self.rec_drift, self.rec_w)),
-                self.frozen_step.reshape(-1)]
+        return [*map(_lanes_first, self.records), self.frozen_step.reshape(-1)]
 
 
 def _run_stacks(stacks, coeffs: Coefficients | CoefficientTable, grid: TimeGrid,
@@ -413,12 +370,11 @@ def _run_path(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray, path: W
     stack's result with the lane axis dropped."""
     grid = TimeGrid(path.dt, path.nsteps)
     _check_table(coeffs, grid)
-    if coeffs.dim != psi0.size:
-        raise ValueError("initial state dimension does not match the coefficients")
+    psi0 = _checked_initial(psi0, coeffs.dim)
     if coeffs.nchannels != path.nchannels:
         raise ValueError("noise channel count does not match the coefficients")
-    stack = (_NonlinearStack if nonlinear else _LinearStack)(
-        psi0[None, :, None], path.nchannels, path.dt, np.arange(path.nsteps + 1), weight_floor)
+    stack = _Stack(psi0[None, :, None], path.nchannels, path.dt, np.arange(path.nsteps + 1),
+                   weight_floor, nonlinear)
     (result,) = _run_stacks([(stack, lambda steps: path.increments[steps, None, :, None])],
                             coeffs, grid, nonlinear)
     return grid, [a[0] for a in result]
@@ -464,8 +420,8 @@ def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.nda
     nrm = np.linalg.norm(psihat0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
-    grid, (psi, rexp, drift, innovation, frozen) = _run_path(coeffs, psihat0, path,
-                                                             weight_floor, nonlinear=True)
+    grid, (psi, _, rexp, drift, innovation, frozen) = _run_path(coeffs, psihat0, path,
+                                                                weight_floor, nonlinear=True)
     return NormalizedRecord(
         times=grid.times, psihat=psi, r_expect=rexp, innovation_path=innovation,
         w_path=innovation + 2.0 * drift, seed=path.seed, stream=path.stream,
@@ -552,22 +508,55 @@ def worker_count() -> int:
     return n
 
 
-def _draw_initials(initial, ntraj: int, first: int, dim: int, base_seed: int) -> np.ndarray:
-    """Per-trajectory initial states; mixtures sample from the aux stream."""
-    if isinstance(initial, tuple):
+def _checked_initial(initial, dim: int):
+    """An initial state as a (dim,) array, or a mixture as (states (k, dim),
+    cumulative probabilities (k,) ending in 1).
+
+    Raises ValueError unless every state is finite, nonzero and ``dim`` long,
+    and the probabilities are finite, non-negative, one per state and with a
+    positive sum.
+    """
+    mixture = isinstance(initial, tuple)
+    if mixture:
         states, probs = initial
         states = np.asarray(states, dtype=complex)
-        probs = np.asarray(probs, dtype=float)
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        out = np.empty((ntraj, dim), dtype=complex)
+    else:
+        states = np.asarray(initial, dtype=complex).reshape(1, -1)
+    if states.ndim != 2 or states.shape[1] != dim:
+        raise ValueError(f"initial states must have {dim} amplitudes, got shape {states.shape}")
+    if not np.isfinite(states).all():
+        raise ValueError("initial states must have finite amplitudes")
+    if not np.any(states != 0, axis=1).all():
+        raise ValueError("initial states must be nonzero")
+    if not mixture:
+        return states[0]
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (len(states),):
+        raise ValueError(f"expected one probability per initial state ({len(states)}), "
+                         f"got shape {probs.shape}")
+    if not np.isfinite(probs).all():
+        raise ValueError("initial-state probabilities must be finite")
+    if np.any(probs < 0):
+        raise ValueError("initial-state probabilities must be non-negative")
+    cdf = np.cumsum(probs)
+    if not 0 < cdf[-1] < np.inf:
+        raise ValueError("initial-state probabilities must have a positive, finite sum")
+    cdf /= cdf[-1]
+    return states, cdf
+
+
+def _draw_initials(initial, ntraj: int, first: int, base_seed: int) -> np.ndarray:
+    """Per-trajectory initial states from a checked ``initial``
+    (:func:`_checked_initial`); mixtures sample from the aux stream."""
+    if isinstance(initial, tuple):
+        states, cdf = initial
+        out = np.empty((ntraj, states.shape[1]), dtype=complex)
         for b in range(ntraj):
             rng = _philox_stream(base_seed, first + b, counter=_AUX_COUNTER)
             pick = int(np.searchsorted(cdf, rng.uniform()))
             out[b] = states[min(pick, len(states) - 1)]
         return out
-    vec = np.asarray(initial, dtype=complex).reshape(-1)
-    return np.broadcast_to(vec, (ntraj, dim)).copy()
+    return np.broadcast_to(initial, (ntraj, len(initial))).copy()
 
 
 def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: int,
@@ -627,12 +616,11 @@ def _stacks(first: int, stop: int, chunk: int):
 def _run_span(job: _Job, first: int, stop: int) -> list[list[np.ndarray]]:
     """Step trajectories first..stop-1 (whole chunks), every stack block by block."""
     dim, nchan, h = job.coeffs.dim, job.coeffs.nchannels, job.grid.h
-    kind = _NonlinearStack if job.nonlinear else _LinearStack
     stacks = []
     for start, groups, lanes in _stacks(first, stop, job.chunk_size):
-        psi0 = _draw_initials(job.initial, groups * lanes, start, dim, job.base_seed)
-        stacks.append((kind(psi0.reshape(groups, lanes, dim).transpose(0, 2, 1), nchan, h,
-                            job.record_idx, job.weight_floor),
+        psi0 = _draw_initials(job.initial, groups * lanes, start, job.base_seed)
+        stacks.append((_Stack(psi0.reshape(groups, lanes, dim).transpose(0, 2, 1), nchan, h,
+                              job.record_idx, job.weight_floor, job.nonlinear),
                        _lane_noise(job.base_seed, start, groups, lanes, nchan, h)))
     return _run_stacks(stacks, job.coeffs, job.grid, job.nonlinear)
 
@@ -651,11 +639,14 @@ def _pool_span(first: int, stop: int) -> list[list[np.ndarray]]:
 
 
 def _run_ensemble(job: _Job, ntraj: int) -> list[np.ndarray]:
-    """Run every trajectory and join the arrays in trajectory order.
+    """Run every trajectory and join the six :class:`_Stack` result arrays
+    in trajectory order.
 
-    The chunks are cut into one contiguous span per worker process; this
-    process steps the first span while a forked pool steps the others.
+    ``job.initial`` is checked first, before any fork.  The chunks are cut
+    into one contiguous span per worker process; this process steps the
+    first span while a forked pool steps the others.
     """
+    job = replace(job, initial=_checked_initial(job.initial, job.coeffs.dim))
     nchunks = -(-ntraj // job.chunk_size)
     nworkers = min(worker_count(), nchunks)
     cuts = [min(ntraj, job.chunk_size * (nchunks * k // nworkers)) for k in range(nworkers + 1)]
@@ -700,7 +691,7 @@ def run_nonlinear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt:
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
     _check_table(coeffs, grid)
-    psi, rexp, drift, what, frozen = _run_ensemble(
+    psi, _, rexp, drift, what, frozen = _run_ensemble(
         _Job(True, coeffs, grid, initial, base_seed, record_idx, weight_floor, chunk_size), ntraj)
     return NonlinearEnsemble(times=grid.times[record_idx], psihat=psi, r_expect=rexp,
                              w_path=what + 2.0 * drift, innovation=what,

@@ -46,8 +46,7 @@ from qsde.statistics import (
     wiener_law_tests,
 )
 from qsde.trajectories import (
-    _LinearStack,
-    _NonlinearStack,
+    _Stack,
     _step_ops,
     generate_wiener,
     run_linear_ensemble,
@@ -294,11 +293,11 @@ def _overlap_defects(coeffs, dt: float, dw: np.ndarray) -> np.ndarray:
     table = coeffs.tabulate(dt * np.arange(nst + 1))
     psi0 = np.broadcast_to(E0[None, :, None], (1, 2, npaths))
     # the paths as one G = 1 stack, stepped through the whole table as one block
-    linear = _LinearStack(psi0, 2, dt, np.arange(nst + 1), 1e-12)
+    linear = _Stack(psi0, 2, dt, np.arange(nst + 1), 1e-12, nonlinear=False)
     linear.advance(_step_ops(table, dt, nonlinear=False), dw.transpose(1, 2, 0)[:, None])
     psi, weight, _, drift, w_path, _ = linear.result()
     dw_hat = np.diff(w_path - 2.0 * drift, axis=1).transpose(1, 2, 0)[:, None]
-    normalized = _NonlinearStack(psi0, 2, dt, np.array([nst]), 1e-12)
+    normalized = _Stack(psi0, 2, dt, np.array([nst]), 1e-12, nonlinear=True)
     normalized.advance(_step_ops(table, dt, nonlinear=True), dw_hat)
     psihat = normalized.result()[0]
     lin_hat = psi[:, -1] / np.sqrt(weight[:, -1])[:, None]

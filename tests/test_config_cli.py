@@ -163,6 +163,23 @@ def test_zero_or_infinite_initial_state_listed_with_other_errors(state):
         "run.initial_state: must be a nonzero vector of finite amplitudes"]
 
 
+@pytest.mark.parametrize("command", ["trajectories", "moments"])
+def test_ensemble_commands_need_two_trajectories(command):
+    """One trajectory has no standard error: the martingale check passed
+    with stderr 0 (mollow preset, dt 0.01, horizon 1, seed 3).  ntraj 1 is
+    now listed with the other problems; commands without an ensemble keep it."""
+    doc = make_config(**{"run.command": command, "run.dt": 0.01, "run.horizon": 1.0,
+                         "run.ntraj": 1, "run.seed": 3, "run.chunk_size": 0})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert [e.partition(":")[0] for e in err.value.errors] == ["run.ntraj", "run.chunk_size"]
+    assert "at least 2 trajectories" in err.value.errors[0]
+    doc["run"].update(ntraj=2, chunk_size=1024)
+    assert parse_config(json.dumps(doc)).run.ntraj == 2
+    doc["run"].update(command="master", ntraj=1)
+    assert parse_config(json.dumps(doc)).run.ntraj == 1
+
+
 def test_initial_state_normalised_at_parse_time():
     cfg = parse_config(json.dumps(make_config(**{"run.initial_state": ["3", "4i"]})))
     assert np.allclose(cfg.run.initial_state, [0.6, 0.8j], rtol=0.0, atol=1e-15)

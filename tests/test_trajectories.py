@@ -10,8 +10,7 @@ from qsde.model import CoefficientTable, TimeGrid, build_coefficients
 from qsde.mollow import SIGMA_MINUS
 from qsde.trajectories import (
     WienerPath,
-    _LinearStack,
-    _NonlinearStack,
+    _Stack,
     _blocks,
     _lane_noise,
     _step_ops,
@@ -141,6 +140,19 @@ def test_nonlinear_requires_unit_norm(mollow_coeffs):
     path = generate_wiener(1, 1e-3, 10, 2)
     with pytest.raises(ValueError, match="unit norm"):
         integrate_nonlinear(mollow_coeffs, 2.0 * E0, path)
+
+
+def test_single_paths_reject_malformed_states(mollow_coeffs):
+    """A NaN state slipped past the unit-norm check (|nan - 1| > 1e-9 is
+    false) and gave NaN paths; a zero state gave an all-zero linear path."""
+    path = generate_wiener(1, 1e-3, 10, 2)
+    for integrate in (integrate_linear, integrate_nonlinear):
+        for psi0, problem in ((np.array([np.nan, 1.0]), "finite amplitudes"),
+                              (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes")):
+            with pytest.raises(ValueError, match=problem):
+                integrate(mollow_coeffs, psi0, path)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        integrate_linear(mollow_coeffs, np.zeros(2), path)
 
 
 def test_linear_nonlinear_path_consistency(mollow_coeffs):
@@ -338,9 +350,9 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
     psi0 = rng.normal(size=(d, batch)) + 1j * rng.normal(size=(d, batch))
     dw = rng.normal(0.0, np.sqrt(dt), size=(nsteps, nchan, batch))
     every = np.arange(nsteps + 1)
-    for nonlinear, kind in ((False, _LinearStack), (True, _NonlinearStack)):
+    for nonlinear in (False, True):
         # the batch as a G = 1 stack, stepped through the whole table as one block
-        stack = kind(psi0[None], nchan, dt, every, 1e-12)
+        stack = _Stack(psi0[None], nchan, dt, every, 1e-12, nonlinear=nonlinear)
         stack.advance(_step_ops(table, dt, nonlinear), dw[:, None])
         out = stack.result()
         psi, rexp, frozen = out[0], out[-4], out[-1]
@@ -442,3 +454,56 @@ def test_table_off_the_run_grid_rejected(run, mollow_coeffs):
     for integrate in (integrate_linear, integrate_nonlinear):
         with pytest.raises(ValueError, match="does not match the integration grid"):
             integrate(table, E0, path)
+
+
+def test_masked_step_equals_unmasked_step_when_nothing_freezes(rng):
+    """weight_floor = 0 steps with the freeze masks from the first step, while
+    1e-12 skips them as long as no path freezes: on a model whose
+    coefficients depend on time, every ensemble field agrees bit for bit,
+    for both unravelings."""
+    coeffs = build_coefficients(random_model(rng))
+    psi0 = np.array([1.0, 0.5j, -0.3]) / np.sqrt(1.34)
+    common = dict(dt=1e-2, nsteps=100, ntraj=19, base_seed=29,
+                  record_times=1e-2 * np.arange(101), chunk_size=8)
+    for nonlinear, run in ((False, run_linear_ensemble), (True, run_nonlinear_ensemble)):
+        lane = psi0[None, :, None]
+        assert _Stack(lane, 2, 1e-2, np.arange(1), 0.0, nonlinear=nonlinear).active is not None
+        assert _Stack(lane, 2, 1e-2, np.arange(1), 1e-12, nonlinear=nonlinear).active is None
+        masked = run(coeffs, psi0, weight_floor=0.0, **common)
+        unmasked = run(coeffs, psi0, weight_floor=1e-12, **common)
+        assert np.all(unmasked.frozen_at == -1)
+        for field, value in vars(unmasked).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(masked, field).tobytes() == value.tobytes(), (nonlinear, field)
+
+
+MALFORMED_INITIALS = {
+    "zero_state": (np.zeros(2), "must be nonzero"),
+    "nan_amplitude": (np.array([1.0, np.nan]), "finite amplitudes"),
+    "three_amplitudes": (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes"),
+    "zero_state_in_mixture": ((np.array([[1.0, 0.0], [0.0, 0.0]]), [0.5, 0.5]),
+                              "must be nonzero"),
+    "probabilities_0_0": ((np.eye(2), [0.0, 0.0]), "positive, finite sum"),
+    "probabilities_-1_2": ((np.eye(2), [-1.0, 2.0]), "non-negative"),
+    "nan_probability": ((np.eye(2), [np.nan, 1.0]), "probabilities must be finite"),
+    "one_probability_two_states": ((np.eye(2), [1.0]), "one probability per initial state"),
+}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("stepped or forked before the initial state was checked")
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INITIALS))
+@pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
+def test_malformed_initial_state_rejected_before_any_work(run, case, mollow_coeffs,
+                                                          monkeypatch):
+    """A zero state gave all-NaN normalized paths, a NaN entry NaN paths, bad
+    probabilities were accepted and a 3-vector broke a broadcast: each is now
+    a ValueError naming the problem, raised before any step or fork."""
+    initial, problem = MALFORMED_INITIALS[case]
+    monkeypatch.setenv("QSDE_WORKERS", "2")
+    monkeypatch.setattr(trajectories, "_run_span", _no_work)
+    monkeypatch.setattr(trajectories, "get_context", _no_work)
+    with pytest.raises(ValueError, match=problem):
+        run(mollow_coeffs, initial, dt=1e-3, nsteps=10, ntraj=8, base_seed=1, chunk_size=4)
