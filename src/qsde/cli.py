@@ -39,7 +39,7 @@ from .master import (
 from .model import build_coefficients, operator_norm_bounds, verify_weight_identity
 from .mollow import find_spectrum_peaks, mollow_checks, rabi_frequency
 from .statistics import mc_output_moments, spectrum_scan, wiener_law_tests
-from .trajectories import LinearEnsemble, run_linear_ensemble, worker_count
+from .trajectories import Ensemble, run_linear_ensemble, worker_count
 
 __all__ = ["ResultBundle", "Table", "Check", "run_command", "emit", "main", "bundles_equal"]
 
@@ -110,7 +110,7 @@ def _start(cfg: RunConfig, master: bool = True):
     return coeffs, gen, psi0, np.outer(psi0, psi0.conj())
 
 
-def _ensemble_diagnostics(ens: LinearEnsemble) -> dict:
+def _ensemble_diagnostics(ens: Ensemble) -> dict:
     """Per checkpoint: trajectories frozen by then, Kish's effective sample
     fraction ESS/N = (sum w)^2 / (N sum w^2), the largest and the mean weight."""
     w = ens.weight
@@ -147,13 +147,19 @@ def _run_verify(cfg: RunConfig, bundle: ResultBundle):
         rows=((bounds.horizon, bounds.sup_rr, bounds.sup_k),))
 
 
-def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
-    coeffs, _, psi0, _ = _start(cfg, master=False)
+def _trajectory_ensemble(cfg: RunConfig, bundle: ResultBundle, coeffs, psi0, record_times):
+    """The run's trajectory ensemble, its diagnostics put in the JSON metadata."""
     run, grid = cfg.run, cfg.grid
     ens = run_linear_ensemble(coeffs, psi0, dt=grid.h, nsteps=grid.nsteps, ntraj=run.ntraj,
-                              base_seed=run.seed, record_times=run.record_times,
+                              base_seed=run.seed, record_times=record_times,
                               chunk_size=run.chunk_size)
     bundle.metadata["ensemble"] = _ensemble_diagnostics(ens)
+    return ens
+
+
+def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
+    coeffs, _, psi0, _ = _start(cfg, master=False)
+    ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, cfg.run.record_times)
     mean_w = ens.weight.mean(axis=0)
     se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj)
     rows, ok = [], True
@@ -232,10 +238,7 @@ def _run_moments(cfg: RunConfig, bundle: ResultBundle):
     run, grid = cfg.run, cfg.grid
     pair_times = [t for (_, _, t1, t2) in run.pairs for t in (t1, t2)]
     record = np.union1d(grid.checkpoints(run.record_times), grid.index(pair_times))
-    ens = run_linear_ensemble(coeffs, psi0, dt=grid.h, nsteps=grid.nsteps, ntraj=run.ntraj,
-                              base_seed=run.seed, record_times=grid.times[record],
-                              chunk_size=run.chunk_size)
-    bundle.metadata["ensemble"] = _ensemble_diagnostics(ens)
+    ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, grid.times[record])
     report = mc_output_moments(ens, coeffs, gen, rho0, pairs=run.pairs)
     slack = run.bias_coeff * run.dt
     rows, ok, worst = [], True, 0.0
@@ -264,7 +267,7 @@ def _run_moments(cfg: RunConfig, bundle: ResultBundle):
                                    detail=f"3 sigma + {slack:.2e} slack"))
 
 
-def _run_spectrum(cfg: RunConfig, bundle: ResultBundle, rel_prominence: float = 0.08):
+def _run_spectrum(cfg: RunConfig, bundle: ResultBundle):
     run = cfg.run
     psi0 = run.initial_state
     rho0 = None if psi0 is None else np.outer(psi0, psi0.conj())
@@ -275,7 +278,7 @@ def _run_spectrum(cfg: RunConfig, bundle: ResultBundle, rel_prominence: float = 
     bundle.tables["spectrum"] = Table(
         columns=("nu", "s"),
         rows=tuple((float(n), float(s)) for n, s in zip(scan.nu, scan.values)))
-    peaks = find_spectrum_peaks(scan.nu, scan.values, rel_prominence=rel_prominence)
+    peaks = find_spectrum_peaks(scan.nu, scan.values)
     bundle.tables["peaks"] = Table(columns=("nu",), rows=tuple((float(p),) for p in peaks))
     bundle.checks.append(Check(
         name="spectrum-nonnegative", passed=bool(np.min(scan.values) >= -1e-6),

@@ -41,7 +41,6 @@ from .linalg import (
     vectorize,
 )
 from .model import GRID_TOL, Coefficients, TimeGrid
-from .trajectories import LinearEnsemble, NonlinearEnsemble
 
 __all__ = [
     "PositivityError",
@@ -320,18 +319,14 @@ class DensitySeries:
     ntraj: int
 
 
-def apriori_from_trajectories(ensemble: LinearEnsemble | NonlinearEnsemble) -> DensitySeries:
-    """Averaged-state estimator from an ensemble.
+def apriori_from_trajectories(ensemble) -> DensitySeries:
+    """Averaged-state estimator from an ensemble of either unraveling.
 
-    Linear ensembles carry the importance weight inside the unnormalized
-    vectors, so the plain mean of |psi><psi| estimates the physical average;
-    nonlinear ensembles average |psihat><psihat| directly.
+    The plain mean of |psi><psi| is the weighted mean of |psihat><psihat|:
+    the states of a linear ensemble carry the importance weight ||psi||^2,
+    and those of a normalized one have weight 1.
     """
-    if isinstance(ensemble, LinearEnsemble):
-        states = ensemble.psi
-    else:
-        states = ensemble.psihat
-    ntraj = states.shape[0]
+    states, ntraj = ensemble.psi, ensemble.ntraj
     if ntraj == 0:
         raise ValueError("empty ensemble")
     outer = np.einsum("btk,btl->btkl", states, states.conj())

@@ -197,8 +197,8 @@ class MollowSpectrumResult:
 
 
 def run_mollow_spectrum(cfg: MollowConfig, nu_grid, horizon: float | None = None,
-                        dt: float | None = None, subtract_mean: bool = False,
-                        rel_prominence: float = 0.08) -> MollowSpectrumResult:
+                        dt: float | None = None,
+                        subtract_mean: bool = False) -> MollowSpectrumResult:
     """Analytic spectrum scan over nu_grid plus peak report.
 
     The horizon defaults to 200 atomic lifetimes, long enough that the rate
@@ -211,5 +211,5 @@ def run_mollow_spectrum(cfg: MollowConfig, nu_grid, horizon: float | None = None
 
     scan = spectrum_scan(build_mollow_model(cfg), nu_grid, horizon=horizon, dt=dt,
                          channel=0, subtract_mean=subtract_mean)
-    peaks = find_spectrum_peaks(scan.nu, scan.values, rel_prominence=rel_prominence)
+    peaks = find_spectrum_peaks(scan.nu, scan.values)
     return MollowSpectrumResult(scan=scan, peaks=peaks, rabi=rabi_frequency(cfg))

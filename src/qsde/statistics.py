@@ -15,10 +15,11 @@ along the master-equation solution, and the second moments are
 with U the two-time master propagator.  The double integrals are iterated
 trapezoid sums over the triangular domains.
 
-Monte Carlo side.  Physical-law expectations are reference-measure averages
-weighted by ||psi||^2 at the latest time entering each functional (linear
-unraveling), or plain averages over normalized trajectories (nonlinear
-unraveling).  Error bars are leave-one-trajectory-out jackknife.
+Monte Carlo side.  Physical-law expectations are means over an ensemble
+weighted by its ``weight`` at the latest time entering each functional:
+||psi||^2 for the linear unraveling (reference-measure averages), exactly 1
+for the normalized one, so every estimator takes either ensemble.  Error
+bars are leave-one-trajectory-out jackknife.
 
 Spectrum.  S(nu) = E[W_0(T)^2] / T with the system started in the
 stationary state, scanned over the local-oscillator frequency nu; a
@@ -114,7 +115,6 @@ from .master import (
     stationary_state,
 )
 from .model import Coefficients, DetectionSpec, SystemModel, TimeGrid, build_coefficients
-from .trajectories import LinearEnsemble
 
 __all__ = [
     "analytic_mean_series",
@@ -345,12 +345,6 @@ def jackknife_stderr(contributions: np.ndarray) -> float:
     return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
-def _weights_at(ensemble, idx: int) -> np.ndarray:
-    if isinstance(ensemble, LinearEnsemble):
-        return ensemble.weight[:, idx]
-    return np.ones(ensemble.ntraj)
-
-
 def _checkpoint(ensemble, t: float) -> int:
     """Position of time t among the ensemble's checkpoints."""
     grid = ensemble.grid
@@ -363,7 +357,7 @@ def _checkpoint(ensemble, t: float) -> int:
 def mc_mean_output(ensemble, k: int, t: float) -> tuple[float, float]:
     """Weighted estimate of E[W_k(t)] with jackknife standard error."""
     idx = _checkpoint(ensemble, t)
-    contrib = _weights_at(ensemble, idx) * ensemble.w_path[:, idx, k]
+    contrib = ensemble.weight[:, idx] * ensemble.w_path[:, idx, k]
     return float(contrib.mean()), jackknife_stderr(contrib)
 
 
@@ -376,8 +370,7 @@ def mc_second_moment(ensemble, i: int, j: int, t1: float, t2: float) -> tuple[fl
     i1 = _checkpoint(ensemble, t1)
     i2 = _checkpoint(ensemble, t2)
     iw = i1 if t1 >= t2 else i2
-    contrib = (_weights_at(ensemble, iw)
-               * ensemble.w_path[:, i1, i] * ensemble.w_path[:, i2, j])
+    contrib = ensemble.weight[:, iw] * ensemble.w_path[:, i1, i] * ensemble.w_path[:, i2, j]
     return float(contrib.mean()), jackknife_stderr(contrib)
 
 
@@ -415,18 +408,11 @@ def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
     times must be checkpoints of the ensemble.
     """
     times = ensemble.times
-    nchan = ensemble.w_path.shape[2]
     grid = ensemble.grid
     idx = grid.index(times)
     analytic = analytic_mean_series(coeffs, gen, rho0, TimeGrid(grid.h, idx[-1]))[idx]
-    mc = np.empty((len(times), nchan))
-    se = np.empty((len(times), nchan))
-    for m in range(len(times)):
-        w = _weights_at(ensemble, m)
-        for k in range(nchan):
-            contrib = w * ensemble.w_path[:, m, k]
-            mc[m, k] = contrib.mean()
-            se[m, k] = jackknife_stderr(contrib)
+    mc, se = np.moveaxis([[mc_mean_output(ensemble, k, t) for k in range(ensemble.w_path.shape[2])]
+                          for t in times], -1, 0)
     estimates = [mc_second_moment(ensemble, i, j, t1, t2) for (i, j, t1, t2) in pairs]
     last = max((grid.index(t) for pair in pairs for t in pair[2:]), default=0)
     exact = _second_moments(coeffs, gen, rho0, TimeGrid(grid.h, max(last, 1)), pairs)
@@ -478,9 +464,10 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
 
     Checkpoint increments of the innovation path, scaled to unit variance,
     are tested for mean 0, variance 1, vanishing cross-channel covariance
-    and vanishing lag-1 autocovariance.  Linear ensembles are reweighted by
-    the final-time weight (valid for all earlier functionals by the
-    martingale property); ``reweight=False`` is the negative control.
+    and vanishing lag-1 autocovariance.  They are reweighted by the
+    final-time weight (valid for all earlier functionals by the martingale
+    property; 1 for a normalized ensemble); ``reweight=False`` is the
+    negative control.
     """
     zcrit = _two_sided_z(confidence)
     times = ensemble.times
@@ -489,10 +476,7 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
     dts = np.diff(times)
     z = np.diff(ensemble.innovation, axis=1) / np.sqrt(dts)[None, :, None]
     ntraj, nint, nchan = z.shape
-    if reweight and isinstance(ensemble, LinearEnsemble):
-        w = ensemble.weight[:, -1]
-    else:
-        w = np.ones(ntraj)
+    w = ensemble.weight[:, -1] if reweight else np.ones(ntraj)
 
     def run(name: str, per_traj: np.ndarray, expected: float) -> WienerLawRow:
         contrib = w * per_traj

@@ -20,6 +20,10 @@ Both use the Euler-Maruyama scheme (weak order 1) with left-point
 evaluation of all time-dependent quantities, so the two routes agree up to
 O(dt) and can be cross-checked path by path through the shared noise.
 
+The two describe one physical law, tied by the Girsanov weight ||psi||^2,
+so an ensemble of either is states plus importance weights: one
+:class:`Ensemble`, whose weights are exactly 1 for the normalized equation.
+
 Kernel layout: trajectories are the lanes of a (G, d, C) stack, G chunks
 of C states each, every chunk column-major as a (d, C) array.  The
 per-step operators are stacked as
@@ -84,8 +88,7 @@ __all__ = [
     "WienerPath",
     "TrajectoryRecord",
     "NormalizedRecord",
-    "LinearEnsemble",
-    "NonlinearEnsemble",
+    "Ensemble",
     "generate_wiener",
     "integrate_linear",
     "apply_girsanov_shift",
@@ -114,7 +117,7 @@ _AUX_COUNTER = 1 << 192
 
 
 def _philox_stream(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=_UINT64)
+    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=_UINT64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
@@ -428,6 +431,13 @@ def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.nda
         frozen_at=None if frozen < 0 else int(frozen))
 
 
+def _unit_states(psi: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """psi / sqrt(weight) over the last axis; ValueError on a zero-norm state."""
+    if np.any(weight <= 0):
+        raise ValueError("a zero-norm state has no a-posteriori state")
+    return psi / np.sqrt(weight)[..., None]
+
+
 def normalize_posterior(record: TrajectoryRecord) -> NormalizedRecord:
     """Normalize a linear record pointwise: psihat = psi / ||psi||.
 
@@ -437,12 +447,9 @@ def normalize_posterior(record: TrajectoryRecord) -> NormalizedRecord:
     invariant, so cross-checks against nonlinear trajectories compare
     |<psihat_lin | psihat_nl>| rather than raw vectors.
     """
-    norms = np.sqrt(record.weight)
-    if np.any(norms <= 0):
-        raise ValueError("record contains a zero-norm state")
     rec = record if record.innovation_path is not None else apply_girsanov_shift(record)
     return NormalizedRecord(
-        times=rec.times, psihat=rec.psi / norms[:, None], r_expect=rec.r_expect,
+        times=rec.times, psihat=_unit_states(rec.psi, rec.weight), r_expect=rec.r_expect,
         innovation_path=rec.innovation_path,
         w_path=rec.w_path, seed=rec.seed, stream=rec.stream, frozen_at=rec.frozen_at)
 
@@ -452,12 +459,14 @@ def normalize_posterior(record: TrajectoryRecord) -> NormalizedRecord:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearEnsemble:
-    """Linear trajectories sampled at checkpoint times.
+class Ensemble:
+    """Trajectories of either unraveling sampled at checkpoint times.
 
-    Arrays are indexed (trajectory, checkpoint, ...).  ``w_path`` holds the
-    driving noise W, ``innovation`` the Girsanov-shifted What.  The
-    checkpoints are points of the integration ``grid``.
+    Arrays are indexed (trajectory, checkpoint, ...).  ``psi`` holds the
+    linear equation's states, which carry their weight ||psi||^2, or the
+    normalized equation's unit states, whose ``weight`` is exactly 1.
+    ``w_path`` holds the output W, ``innovation`` the shifted noise What.
+    The checkpoints are points of the integration ``grid``.
     """
 
     times: np.ndarray
@@ -474,23 +483,11 @@ class LinearEnsemble:
     def ntraj(self) -> int:
         return self.psi.shape[0]
 
-
-@dataclass(frozen=True)
-class NonlinearEnsemble:
-    """Normalized trajectories sampled at checkpoint times (weights are 1)."""
-
-    times: np.ndarray
-    psihat: np.ndarray
-    r_expect: np.ndarray
-    w_path: np.ndarray
-    innovation: np.ndarray
-    frozen_at: np.ndarray
-    base_seed: int
-    grid: TimeGrid
-
     @property
-    def ntraj(self) -> int:
-        return self.psihat.shape[0]
+    def psihat(self) -> np.ndarray:
+        """The a-posteriori states psi / ||psi|| (``psi`` itself, bit for bit,
+        for a normalized ensemble); ValueError on a zero-norm state."""
+        return _unit_states(self.psi, self.weight)
 
 
 def worker_count() -> int:
@@ -638,18 +635,25 @@ def _pool_span(first: int, stop: int) -> list[list[np.ndarray]]:
     return _run_span(_worker_job, first, stop)
 
 
-def _run_ensemble(job: _Job, ntraj: int) -> list[np.ndarray]:
-    """Run every trajectory and join the six :class:`_Stack` result arrays
-    in trajectory order.
-
-    ``job.initial`` is checked first, before any fork.  The chunks are cut
-    into one contiguous span per worker process; this process steps the
-    first span while a forked pool steps the others.
-    """
-    job = replace(job, initial=_checked_initial(job.initial, job.coeffs.dim))
-    nchunks = -(-ntraj // job.chunk_size)
+def _ensemble(nonlinear: bool, coeffs: Coefficients | CoefficientTable, initial, dt: float,
+              nsteps: int, ntraj: int, base_seed: int, record_times, weight_floor: float,
+              chunk_size: int) -> Ensemble:
+    """Run either unraveling into an :class:`Ensemble`, checking the counts,
+    ``dt`` and ``initial`` before any fork.  Each worker process steps one
+    contiguous span of chunks: this process the first, a forked pool the rest."""
+    for name, value in (("ntraj", ntraj), ("nsteps", nsteps), ("chunk_size", chunk_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    grid = TimeGrid(dt, nsteps)
+    record_idx = grid.checkpoints(record_times)
+    _check_table(coeffs, grid)
+    job = _Job(nonlinear, coeffs, grid, _checked_initial(initial, coeffs.dim), base_seed,
+               record_idx, weight_floor, chunk_size)
+    nchunks = -(-ntraj // chunk_size)
     nworkers = min(worker_count(), nchunks)
-    cuts = [min(ntraj, job.chunk_size * (nchunks * k // nworkers)) for k in range(nworkers + 1)]
+    cuts = [min(ntraj, chunk_size * (nchunks * k // nworkers)) for k in range(nworkers + 1)]
     spans = list(zip(cuts[:-1], cuts[1:]))
     if nworkers == 1:
         results = [_run_span(job, *spans[0])]
@@ -658,13 +662,19 @@ def _run_ensemble(job: _Job, ntraj: int) -> list[np.ndarray]:
                                       initargs=(job,)) as pool:
             others = pool.starmap_async(_pool_span, spans[1:])
             results = [_run_span(job, *spans[0]), *others.get()]
-    return [np.concatenate(parts) for parts in zip(*(stack for span in results for stack in span))]
+    psi, weight, rexp, drift, noise, frozen = (
+        np.concatenate(parts) for parts in zip(*(stack for span in results for stack in span)))
+    # the driving noise is W for the linear equation and What for the normalized one
+    w, innovation = (noise + 2.0 * drift, noise) if nonlinear else (noise, noise - 2.0 * drift)
+    return Ensemble(times=grid.times[record_idx], psi=psi, weight=weight, r_expect=rexp,
+                    w_path=w, innovation=innovation, frozen_at=frozen, base_seed=base_seed,
+                    grid=grid)
 
 
 def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,
                         nsteps: int, ntraj: int, base_seed: int,
                         record_times=None, weight_floor: float = WEIGHT_FLOOR,
-                        chunk_size: int = 1024) -> LinearEnsemble:
+                        chunk_size: int = 1024) -> Ensemble:
     """Integrate ``ntraj`` linear trajectories with per-trajectory streams.
 
     ``initial`` is a state vector shared by all trajectories, or a tuple
@@ -673,26 +683,14 @@ def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: fl
     Results are independent of chunk scheduling and worker count;
     ``chunk_size`` fixes the shape of the batched matrix products.
     """
-    grid = TimeGrid(dt, nsteps)
-    record_idx = grid.checkpoints(record_times)
-    _check_table(coeffs, grid)
-    psi, weight, rexp, drift, w, frozen = _run_ensemble(
-        _Job(False, coeffs, grid, initial, base_seed, record_idx, weight_floor, chunk_size), ntraj)
-    return LinearEnsemble(times=grid.times[record_idx], psi=psi, weight=weight,
-                          r_expect=rexp, w_path=w, innovation=w - 2.0 * drift,
-                          frozen_at=frozen, base_seed=base_seed, grid=grid)
+    return _ensemble(False, coeffs, initial, dt, nsteps, ntraj, base_seed, record_times,
+                     weight_floor, chunk_size)
 
 
 def run_nonlinear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,
                            nsteps: int, ntraj: int, base_seed: int,
                            record_times=None, weight_floor: float = WEIGHT_FLOOR,
-                           chunk_size: int = 1024) -> NonlinearEnsemble:
-    """Integrate ``ntraj`` normalized trajectories driven by innovation noise."""
-    grid = TimeGrid(dt, nsteps)
-    record_idx = grid.checkpoints(record_times)
-    _check_table(coeffs, grid)
-    psi, _, rexp, drift, what, frozen = _run_ensemble(
-        _Job(True, coeffs, grid, initial, base_seed, record_idx, weight_floor, chunk_size), ntraj)
-    return NonlinearEnsemble(times=grid.times[record_idx], psihat=psi, r_expect=rexp,
-                             w_path=what + 2.0 * drift, innovation=what,
-                             frozen_at=frozen, base_seed=base_seed, grid=grid)
+                           chunk_size: int = 1024) -> Ensemble:
+    """Integrate ``ntraj`` normalized trajectories, as :func:`run_linear_ensemble`."""
+    return _ensemble(True, coeffs, initial, dt, nsteps, ntraj, base_seed, record_times,
+                     weight_floor, chunk_size)

@@ -6,7 +6,7 @@ import pytest
 from qsde.cli import ResultBundle, _ensemble_diagnostics, bundles_equal, emit, main, run_command
 from qsde.config import ConfigError, format_complex, parse_complex, parse_config
 from qsde.model import TimeGrid
-from qsde.trajectories import LinearEnsemble
+from qsde.trajectories import Ensemble
 
 MINIMAL_MOLLOW = {
     "model": {"preset": "mollow"},
@@ -416,10 +416,10 @@ def test_ensemble_diagnostics_values():
     """ESS/N = (sum w)^2 / (N sum w^2); a path frozen at step n counts from
     the first checkpoint at or after n."""
     weight = np.array([[1.0, 1.0, 4.0], [1.0, 3.0, 0.5], [1.0, 2.0, 0.5]])
-    ens = LinearEnsemble(times=np.array([0.0, 0.5, 1.0]), psi=np.zeros((3, 3, 2)), weight=weight,
-                         r_expect=np.zeros((3, 3, 1)), w_path=np.zeros((3, 3, 1)),
-                         innovation=np.zeros((3, 3, 1)), frozen_at=np.array([-1, 5, 7]),
-                         base_seed=0, grid=TimeGrid(0.1, 10))
+    ens = Ensemble(times=np.array([0.0, 0.5, 1.0]), psi=np.zeros((3, 3, 2)), weight=weight,
+                   r_expect=np.zeros((3, 3, 1)), w_path=np.zeros((3, 3, 1)),
+                   innovation=np.zeros((3, 3, 1)), frozen_at=np.array([-1, 5, 7]),
+                   base_seed=0, grid=TimeGrid(0.1, 10))
     diag = _ensemble_diagnostics(ens)
     assert diag["t"] == [0.0, 0.5, 1.0]
     assert diag["frozen"] == [0, 1, 2]

@@ -36,7 +36,7 @@ from qsde.statistics import (
     spectrum_scan,
     wiener_law_tests,
 )
-from qsde.trajectories import run_linear_ensemble
+from qsde.trajectories import run_linear_ensemble, run_nonlinear_ensemble
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 RHO_E = np.outer(E0, E0.conj())
@@ -556,6 +556,26 @@ def test_wiener_law_negative_control_identity_channel():
     good = wiener_law_tests(ens, confidence=0.99, reweight=True)
     assert good.row("mean[0]").passed
 
+
+
+def test_wiener_law_reweighting_is_identity_on_normalized_ensemble(mollow_setup):
+    """A normalized ensemble's weights are exactly 1: reweighting by them
+    leaves every row as it is."""
+    coeffs, _ = mollow_setup
+    ens = run_nonlinear_ensemble(coeffs, E0, dt=1e-3, nsteps=200, ntraj=50, base_seed=17,
+                                 record_times=[0.05, 0.1, 0.15, 0.2])
+    assert wiener_law_tests(ens, reweight=True).rows == wiener_law_tests(ens, reweight=False).rows
+
+
+def test_apriori_state_of_linear_ensemble_is_weighted_posterior_mean(mollow_setup):
+    """The plain mean of |psi><psi| over a linear ensemble is the
+    weight-weighted mean of |psihat><psihat|."""
+    coeffs, _ = mollow_setup
+    ens = run_linear_ensemble(coeffs, E0, dt=1e-3, nsteps=200, ntraj=50, base_seed=17,
+                              record_times=[0.05, 0.1, 0.2])
+    psihat = ens.psihat
+    weighted = np.einsum("bt,btk,btl->tkl", ens.weight, psihat, psihat.conj()) / ens.ntraj
+    assert max_abs(master.apriori_from_trajectories(ens).rho - weighted) <= 1e-14
 
 @pytest.mark.parametrize("confidence", [1.0, 0.0, 1.5, float("nan")])
 def test_wiener_law_confidence_must_lie_in_open_unit_interval(confidence):

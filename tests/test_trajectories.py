@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,36 @@ def test_ensemble_matches_single_trajectories(mollow_coeffs):
         assert max_abs(ens.psi[b] - rec.psi) <= 1e-13
         assert max_abs(ens.weight[b] - rec.weight) <= 1e-13
 
+
+
+def test_normalized_ensemble_has_unit_weights_and_psihat_is_psi(mollow_coeffs):
+    """Both equations give one Ensemble type: a normalized ensemble's weights
+    are exactly 1, so its psihat is its psi bit for bit."""
+    ens = run_nonlinear_ensemble(mollow_coeffs, E0, dt=1e-3, nsteps=100, ntraj=5,
+                                 base_seed=4, record_times=[0.0, 0.05, 0.1])
+    assert ens.weight.shape == ens.psi.shape[:2] and np.all(ens.weight == 1.0)
+    assert ens.psihat.tobytes() == ens.psi.tobytes()
+
+
+def test_linear_psihat_matches_normalize_posterior(mollow_coeffs):
+    """A linear ensemble's psihat is normalize_posterior of the single path
+    on the same stream, at the checkpoints."""
+    dt, nsteps = 1e-3, 100
+    ens = run_linear_ensemble(mollow_coeffs, E0, dt=dt, nsteps=nsteps, ntraj=3,
+                              base_seed=77, record_times=[0.02, 0.05, 0.1])
+    idx = ens.grid.index(ens.times)
+    for b in range(3):
+        rec = integrate_linear(mollow_coeffs, E0, generate_wiener(77, dt, nsteps, 2, stream=b))
+        assert max_abs(ens.psihat[b] - normalize_posterior(rec).psihat[idx]) <= 1e-14
+
+
+def test_psihat_rejects_zero_norm_state(mollow_coeffs):
+    """Like normalize_posterior, psihat has no value for a zero-norm state."""
+    ens = run_linear_ensemble(mollow_coeffs, E0, dt=1e-3, nsteps=10, ntraj=2, base_seed=1)
+    weight = ens.weight.copy()
+    weight[1, -1] = 0.0
+    with pytest.raises(ValueError, match="zero-norm state"):
+        replace(ens, weight=weight).psihat
 
 def test_record_times_are_grid_points(mollow_coeffs):
     """Record times are looked up on the grid n dt: repeats collapse, and a
@@ -507,3 +538,46 @@ def test_malformed_initial_state_rejected_before_any_work(run, case, mollow_coef
     monkeypatch.setattr(trajectories, "get_context", _no_work)
     with pytest.raises(ValueError, match=problem):
         run(mollow_coeffs, initial, dt=1e-3, nsteps=10, ntraj=8, base_seed=1, chunk_size=4)
+
+
+BAD_RUN_ARGS = {
+    "ntraj_0": (dict(ntraj=0), "ntraj must be an integer of at least 1"),
+    "ntraj_-3": (dict(ntraj=-3), "ntraj must be"),
+    "ntraj_float": (dict(ntraj=8.0), "ntraj must be"),
+    "chunk_size_0": (dict(chunk_size=0), "chunk_size must be"),
+    "chunk_size_-2": (dict(chunk_size=-2), "chunk_size must be"),
+    "nsteps_-2": (dict(nsteps=-2), "nsteps must be"),
+    "nsteps_bool": (dict(nsteps=True), "nsteps must be"),
+    "dt_0": (dict(dt=0.0), "dt must be finite and positive"),
+    "dt_-0.01": (dict(dt=-0.01), "dt must be"),
+    "dt_nan": (dict(dt=np.nan), "dt must be"),
+    "dt_inf": (dict(dt=np.inf), "dt must be"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_ARGS))
+@pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
+def test_bad_run_arguments_rejected_before_any_work(run, case, mollow_coeffs, monkeypatch):
+    """ntraj <= 0 and chunk_size 0 divided by zero, chunk_size -2 reached the
+    pool, nsteps -2 the noise draw, dt 0 ran with every checkpoint at t = 0
+    and a negative or NaN dt gave NaN paths: each is a ValueError naming the
+    argument, raised before any step or fork."""
+    bad, problem = BAD_RUN_ARGS[case]
+    monkeypatch.setenv("QSDE_WORKERS", "2")
+    monkeypatch.setattr(trajectories, "_run_span", _no_work)
+    monkeypatch.setattr(trajectories, "get_context", _no_work)
+    args = dict(dt=1e-3, nsteps=10, ntraj=8, base_seed=1, chunk_size=4) | bad
+    with pytest.raises(ValueError, match=problem):
+        run(mollow_coeffs, E0, **args)
+
+
+@pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
+def test_numpy_run_arguments_accepted(run, mollow_coeffs):
+    """numpy integers and floats are valid counts, steps and seeds (a numpy
+    chunk size or seed overflowed the Philox key)."""
+    plain = run(mollow_coeffs, E0, dt=1e-3, nsteps=10, ntraj=5, base_seed=1, chunk_size=4)
+    numpy = run(mollow_coeffs, E0, dt=np.float64(1e-3), nsteps=np.int64(10), ntraj=np.int32(5),
+                base_seed=np.int64(1), chunk_size=np.int64(4))
+    for field, value in vars(plain).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(numpy, field).tobytes() == value.tobytes(), field
