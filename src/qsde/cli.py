@@ -38,7 +38,7 @@ from .master import (
 )
 from .model import build_coefficients, operator_norm_bounds, verify_weight_identity
 from .mollow import find_spectrum_peaks, mollow_checks, rabi_frequency
-from .statistics import mc_output_moments, spectrum_scan, wiener_law_tests
+from .statistics import mc_mean_output, mc_output_moments, spectrum_scan, wiener_law_tests
 from .trajectories import Ensemble, run_linear_ensemble, worker_count
 
 __all__ = ["ResultBundle", "Table", "Check", "run_command", "emit", "main", "bundles_equal"]
@@ -174,14 +174,11 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
         name="martingale", passed=bool(ok),
         detail="mean weight within 3 standard errors of 1 at every checkpoint"))
 
-    out_rows = []
-    for m, t in enumerate(ens.times):
-        for k in range(ens.w_path.shape[2]):
-            contrib = ens.weight[:, m] * ens.w_path[:, m, k]
-            se = contrib.std(ddof=1) / np.sqrt(ens.ntraj)
-            out_rows.append((float(t), k, float(contrib.mean()), float(se)))
-    bundle.tables["outputs"] = Table(columns=("t", "channel", "mean", "stderr"),
-                                     rows=tuple(out_rows))
+    nchan = ens.w_path.shape[2]
+    bundle.tables["outputs"] = Table(
+        columns=("t", "channel", "mean", "stderr"),
+        rows=tuple((float(t), k, *mc_mean_output(ens, k, t))
+                   for t in ens.times for k in range(nchan)))
 
     if len(ens.times) >= 3:
         law = wiener_law_tests(ens)
@@ -196,9 +193,8 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
     path_rows = []
     for b in range(ens.ntraj):
         path_rows.append((b, float(ens.weight[b, -1]),
-                          *(float(ens.w_path[b, -1, k]) for k in range(ens.w_path.shape[2])),
+                          *(float(ens.w_path[b, -1, k]) for k in range(nchan)),
                           int(ens.frozen_at[b])))
-    nchan = ens.w_path.shape[2]
     bundle.tables["paths"] = Table(
         columns=("trajectory", "final_weight", *(f"W{k}" for k in range(nchan)), "frozen_at"),
         rows=tuple(path_rows))

@@ -197,8 +197,7 @@ class MollowSpectrumResult:
 
 
 def run_mollow_spectrum(cfg: MollowConfig, nu_grid, horizon: float | None = None,
-                        dt: float | None = None,
-                        subtract_mean: bool = False) -> MollowSpectrumResult:
+                        dt: float | None = None) -> MollowSpectrumResult:
     """Analytic spectrum scan over nu_grid plus peak report.
 
     The horizon defaults to 200 atomic lifetimes, long enough that the rate
@@ -209,7 +208,6 @@ def run_mollow_spectrum(cfg: MollowConfig, nu_grid, horizon: float | None = None
     horizon = 200.0 / cfg.gamma if horizon is None else horizon
     dt = 5e-3 / cfg.gamma if dt is None else dt
 
-    scan = spectrum_scan(build_mollow_model(cfg), nu_grid, horizon=horizon, dt=dt,
-                         channel=0, subtract_mean=subtract_mean)
+    scan = spectrum_scan(build_mollow_model(cfg), nu_grid, horizon=horizon, dt=dt, channel=0)
     peaks = find_spectrum_peaks(scan.nu, scan.values)
     return MollowSpectrumResult(scan=scan, peaks=peaks, rabi=rabi_frequency(cfg))

@@ -348,7 +348,8 @@ def jackknife_stderr(contributions: np.ndarray) -> float:
 def _checkpoint(ensemble, t: float) -> int:
     """Position of time t among the ensemble's checkpoints."""
     grid = ensemble.grid
-    pos = np.flatnonzero(grid.index(ensemble.times) == grid.index(t))
+    # exact: the checkpoint times are entries of grid.times = h * arange
+    pos = np.flatnonzero(ensemble.times == grid.h * grid.index(t))
     if len(pos) == 0:
         raise ValueError(f"time {t} is not a checkpoint of the ensemble")
     return int(pos[0])

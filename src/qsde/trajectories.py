@@ -23,6 +23,9 @@ O(dt) and can be cross-checked path by path through the shared noise.
 The two describe one physical law, tied by the Girsanov weight ||psi||^2,
 so an ensemble of either is states plus importance weights: one
 :class:`Ensemble`, whose weights are exactly 1 for the normalized equation.
+A single path is an ensemble of one, recorded at every grid time, with
+both W and What: :func:`integrate_linear` and :func:`integrate_nonlinear`
+differ from the ensemble runs only in taking a given :class:`WienerPath`.
 
 Kernel layout: trajectories are the lanes of a (G, d, C) stack, G chunks
 of C states each, every chunk column-major as a (d, C) array.  The
@@ -77,7 +80,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
@@ -86,14 +89,10 @@ from .model import GRID_TOL, CoefficientTable, Coefficients, TimeGrid
 
 __all__ = [
     "WienerPath",
-    "TrajectoryRecord",
-    "NormalizedRecord",
     "Ensemble",
     "generate_wiener",
     "integrate_linear",
-    "apply_girsanov_shift",
     "integrate_nonlinear",
-    "normalize_posterior",
     "run_linear_ensemble",
     "run_nonlinear_ensemble",
     "worker_count",
@@ -121,12 +120,25 @@ def _philox_stream(seed: int, stream: int, counter: int = 0) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def _check_counts(dt: float, **counts):
+    """ValueError unless every count is an integer of at least 1 (numpy
+    integers accepted, bool not) and ``dt`` is finite and positive."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+
+
 @dataclass(frozen=True)
 class WienerPath:
     """Discretized multi-channel Brownian increments.
 
     ``increments[n, j] = W_j(t_{n+1}) - W_j(t_n)``, drawn iid Normal(0, dt).
-    Bit-reproducible from (seed, stream, dt, nsteps, nchannels).
+    Bit-reproducible from (seed, stream, dt, nsteps, nchannels).  A path,
+    drawn or built by hand, is checked on construction: ValueError unless
+    the counts and ``dt`` are valid and ``increments`` is a finite
+    (nsteps, nchannels) array.
     """
 
     dt: float
@@ -135,6 +147,16 @@ class WienerPath:
     increments: np.ndarray
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        _check_counts(self.dt, nsteps=self.nsteps, nchannels=self.nchannels)
+        increments = np.asarray(self.increments, dtype=float)
+        if increments.shape != (self.nsteps, self.nchannels):
+            raise ValueError(f"increments must have shape ({self.nsteps}, {self.nchannels}), "
+                             f"got {increments.shape}")
+        if not np.isfinite(increments).all():
+            raise ValueError("increments must be finite")
+        object.__setattr__(self, "increments", increments)
 
     def cumulative(self) -> np.ndarray:
         """W_j(t_n) on the full grid, shape (nsteps + 1, nchannels)."""
@@ -145,12 +167,7 @@ class WienerPath:
 
 def generate_wiener(seed: int, dt: float, nsteps: int, nchannels: int, stream: int = 0) -> WienerPath:
     """Draw a Wiener path from the counter-based stream (seed, stream)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if nsteps < 1:
-        raise ValueError("nsteps must be at least 1")
-    if nchannels < 1:
-        raise ValueError("nchannels must be at least 1")
+    _check_counts(dt, nsteps=nsteps, nchannels=nchannels)
     rng = _philox_stream(seed, stream)
     increments = rng.normal(0.0, np.sqrt(dt), size=(nsteps, nchannels))
     return WienerPath(dt=dt, nsteps=nsteps, nchannels=nchannels,
@@ -158,13 +175,17 @@ def generate_wiener(seed: int, dt: float, nsteps: int, nchannels: int, stream: i
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """Full record of one linear trajectory on the integration grid.
+class Ensemble:
+    """Trajectories of either unraveling sampled at checkpoint times.
 
-    ``weight`` is ||psi||^2, ``r_expect[n, k]`` is <psi|R_k psi>/||psi||^2,
-    ``drift_integral`` is the left-point running integral of Re r_expect,
-    and ``innovation_path`` (the Girsanov-shifted noise) is filled by
-    :func:`apply_girsanov_shift`.
+    Arrays are indexed (trajectory, checkpoint, ...).  ``psi`` holds the
+    linear equation's states, which carry their weight ||psi||^2, or the
+    normalized equation's unit states, whose ``weight`` is exactly 1.
+    ``w_path`` holds the output W, ``innovation`` the shifted noise What,
+    and ``frozen_at`` each trajectory's freeze step (-1 if never frozen).
+    The checkpoints are points of the integration ``grid``.  A single path
+    (:func:`integrate_linear`, :func:`integrate_nonlinear`) is an ensemble
+    of one, recorded at every grid time.
     """
 
     times: np.ndarray
@@ -172,37 +193,28 @@ class TrajectoryRecord:
     weight: np.ndarray
     r_expect: np.ndarray
     w_path: np.ndarray
-    drift_integral: np.ndarray
-    seed: int
-    stream: int = 0
-    frozen_at: int | None = None
-    innovation_path: np.ndarray | None = None
+    innovation: np.ndarray
+    frozen_at: np.ndarray
+    grid: TimeGrid
 
     @property
-    def dim(self) -> int:
-        return self.psi.shape[1]
+    def ntraj(self) -> int:
+        return self.psi.shape[0]
 
     @property
-    def nchannels(self) -> int:
-        return self.r_expect.shape[1]
+    def psihat(self) -> np.ndarray:
+        """The a-posteriori states psi / ||psi|| (``psi`` itself, bit for bit,
+        for a normalized ensemble); ValueError on a zero-norm state.
 
-
-@dataclass(frozen=True)
-class NormalizedRecord:
-    """Record of a unit-norm (a-posteriori) trajectory.
-
-    ``innovation_path`` is the driving noise; ``w_path`` is the physical
-    output reconstructed as innovation + 2 int Re r_expect ds.
-    """
-
-    times: np.ndarray
-    psihat: np.ndarray
-    r_expect: np.ndarray
-    innovation_path: np.ndarray
-    w_path: np.ndarray
-    seed: int
-    stream: int = 0
-    frozen_at: int | None = None
+        The stochastic phase that would make a normalized linear state solve
+        the autonomous normalized equation is deliberately not applied: every
+        exported functional (projector, weight, channel expectations) is
+        phase invariant, so cross-checks against normalized trajectories
+        compare |<psihat_lin|psihat_nl>| rather than raw vectors.
+        """
+        if np.any(self.weight <= 0):
+            raise ValueError("a zero-norm state has no a-posteriori state")
+        return self.psi / np.sqrt(self.weight)[..., None]
 
 
 def _check_table(coeffs: Coefficients | CoefficientTable, grid: TimeGrid):
@@ -367,51 +379,45 @@ def _run_stacks(stacks, coeffs: Coefficients | CoefficientTable, grid: TimeGrid,
     return [stack.result() for stack, _ in stacks]
 
 
+def _result(nonlinear: bool, grid: TimeGrid, record_idx: np.ndarray,
+            results: list[list[np.ndarray]]) -> Ensemble:
+    """The :class:`Ensemble` of stacks' results, in trajectory order."""
+    psi, weight, rexp, drift, noise, frozen = (np.concatenate(parts) for parts in zip(*results))
+    # the driving noise is W for the linear equation and What for the normalized one
+    w, innovation = (noise + 2.0 * drift, noise) if nonlinear else (noise, noise - 2.0 * drift)
+    return Ensemble(times=grid.times[record_idx], psi=psi, weight=weight, r_expect=rexp,
+                    w_path=w, innovation=innovation, frozen_at=frozen, grid=grid)
+
+
 def _run_path(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray, path: WienerPath,
-              weight_floor: float, nonlinear: bool) -> tuple[TimeGrid, list[np.ndarray]]:
-    """Step one state along ``path`` as a G = C = 1 stack; the grid and the
-    stack's result with the lane axis dropped."""
+              weight_floor: float, nonlinear: bool) -> Ensemble:
+    """Step one state along ``path`` as a G = C = 1 stack, recorded at every
+    grid time."""
     grid = TimeGrid(path.dt, path.nsteps)
     _check_table(coeffs, grid)
     psi0 = _checked_initial(psi0, coeffs.dim)
     if coeffs.nchannels != path.nchannels:
         raise ValueError("noise channel count does not match the coefficients")
-    stack = _Stack(psi0[None, :, None], path.nchannels, path.dt, np.arange(path.nsteps + 1),
-                   weight_floor, nonlinear)
-    (result,) = _run_stacks([(stack, lambda steps: path.increments[steps, None, :, None])],
-                            coeffs, grid, nonlinear)
-    return grid, [a[0] for a in result]
+    record_idx = np.arange(path.nsteps + 1)
+    stack = _Stack(psi0[None, :, None], path.nchannels, path.dt, record_idx, weight_floor,
+                   nonlinear)
+    return _result(nonlinear, grid, record_idx, _run_stacks(
+        [(stack, lambda steps: path.increments[steps, None, :, None])], coeffs, grid, nonlinear))
 
 
 def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
-                     path: WienerPath, weight_floor: float = WEIGHT_FLOOR) -> TrajectoryRecord:
-    """Integrate the linear trajectory equation along one noise path.
+                     path: WienerPath, weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
+    """Integrate the linear trajectory equation along one noise path W.
 
     The scheme is linear in psi0, so the flow is scale- and
     phase-equivariant; unit norm is only required for the probabilistic
     interpretation of the weight.
     """
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    grid, (psi, weight, rexp, drift, w, frozen) = _run_path(coeffs, psi0, path, weight_floor,
-                                                            nonlinear=False)
-    return TrajectoryRecord(
-        times=grid.times, psi=psi, weight=weight, r_expect=rexp, w_path=w,
-        drift_integral=drift, seed=path.seed, stream=path.stream,
-        frozen_at=None if frozen < 0 else int(frozen))
-
-
-def apply_girsanov_shift(record: TrajectoryRecord) -> TrajectoryRecord:
-    """Fill the innovation path What = W - 2 int Re r_expect ds.
-
-    Uses the stored left-point running integral, consistent with the Ito
-    convention of the integrator.
-    """
-    innovation = record.w_path - 2.0 * record.drift_integral
-    return replace(record, innovation_path=innovation)
+    return _run_path(coeffs, psi0, path, weight_floor, nonlinear=False)
 
 
 def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.ndarray,
-                        path: WienerPath, weight_floor: float = WEIGHT_FLOOR) -> NormalizedRecord:
+                        path: WienerPath, weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
     """Integrate the normalized trajectory equation driven by innovation noise.
 
     ``path`` is interpreted as the innovation process What (standard Wiener
@@ -419,76 +425,14 @@ def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.nda
     every Euler step; the continuous-time flow preserves the norm exactly,
     the discretized one only to O(dt).
     """
-    psihat0 = np.asarray(psihat0, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(psihat0)
-    if abs(nrm - 1.0) > 1e-9:
+    if abs(np.linalg.norm(np.asarray(psihat0, dtype=complex)) - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
-    grid, (psi, _, rexp, drift, innovation, frozen) = _run_path(coeffs, psihat0, path,
-                                                                weight_floor, nonlinear=True)
-    return NormalizedRecord(
-        times=grid.times, psihat=psi, r_expect=rexp, innovation_path=innovation,
-        w_path=innovation + 2.0 * drift, seed=path.seed, stream=path.stream,
-        frozen_at=None if frozen < 0 else int(frozen))
-
-
-def _unit_states(psi: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """psi / sqrt(weight) over the last axis; ValueError on a zero-norm state."""
-    if np.any(weight <= 0):
-        raise ValueError("a zero-norm state has no a-posteriori state")
-    return psi / np.sqrt(weight)[..., None]
-
-
-def normalize_posterior(record: TrajectoryRecord) -> NormalizedRecord:
-    """Normalize a linear record pointwise: psihat = psi / ||psi||.
-
-    The stochastic phase that would make psihat satisfy the autonomous
-    nonlinear equation is deliberately not applied; every exported
-    functional (projector, weight, channel expectations) is phase
-    invariant, so cross-checks against nonlinear trajectories compare
-    |<psihat_lin | psihat_nl>| rather than raw vectors.
-    """
-    rec = record if record.innovation_path is not None else apply_girsanov_shift(record)
-    return NormalizedRecord(
-        times=rec.times, psihat=_unit_states(rec.psi, rec.weight), r_expect=rec.r_expect,
-        innovation_path=rec.innovation_path,
-        w_path=rec.w_path, seed=rec.seed, stream=rec.stream, frozen_at=rec.frozen_at)
+    return _run_path(coeffs, psihat0, path, weight_floor, nonlinear=True)
 
 
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Trajectories of either unraveling sampled at checkpoint times.
-
-    Arrays are indexed (trajectory, checkpoint, ...).  ``psi`` holds the
-    linear equation's states, which carry their weight ||psi||^2, or the
-    normalized equation's unit states, whose ``weight`` is exactly 1.
-    ``w_path`` holds the output W, ``innovation`` the shifted noise What.
-    The checkpoints are points of the integration ``grid``.
-    """
-
-    times: np.ndarray
-    psi: np.ndarray
-    weight: np.ndarray
-    r_expect: np.ndarray
-    w_path: np.ndarray
-    innovation: np.ndarray
-    frozen_at: np.ndarray
-    base_seed: int
-    grid: TimeGrid
-
-    @property
-    def ntraj(self) -> int:
-        return self.psi.shape[0]
-
-    @property
-    def psihat(self) -> np.ndarray:
-        """The a-posteriori states psi / ||psi|| (``psi`` itself, bit for bit,
-        for a normalized ensemble); ValueError on a zero-norm state."""
-        return _unit_states(self.psi, self.weight)
-
 
 def worker_count() -> int:
     """Worker processes for ensemble runs: QSDE_WORKERS, default 1.
@@ -641,11 +585,7 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients | CoefficientTable, initial,
     """Run either unraveling into an :class:`Ensemble`, checking the counts,
     ``dt`` and ``initial`` before any fork.  Each worker process steps one
     contiguous span of chunks: this process the first, a forked pool the rest."""
-    for name, value in (("ntraj", ntraj), ("nsteps", nsteps), ("chunk_size", chunk_size)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    if not (dt > 0 and np.isfinite(dt)):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    _check_counts(dt, ntraj=ntraj, nsteps=nsteps, chunk_size=chunk_size)
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
     _check_table(coeffs, grid)
@@ -662,13 +602,7 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients | CoefficientTable, initial,
                                       initargs=(job,)) as pool:
             others = pool.starmap_async(_pool_span, spans[1:])
             results = [_run_span(job, *spans[0]), *others.get()]
-    psi, weight, rexp, drift, noise, frozen = (
-        np.concatenate(parts) for parts in zip(*(stack for span in results for stack in span)))
-    # the driving noise is W for the linear equation and What for the normalized one
-    w, innovation = (noise + 2.0 * drift, noise) if nonlinear else (noise, noise - 2.0 * drift)
-    return Ensemble(times=grid.times[record_idx], psi=psi, weight=weight, r_expect=rexp,
-                    w_path=w, innovation=innovation, frozen_at=frozen, base_seed=base_seed,
-                    grid=grid)
+    return _result(nonlinear, grid, record_idx, [stack for span in results for stack in span])
 
 
 def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import qsde.cli as cli
 from qsde.cli import ResultBundle, _ensemble_diagnostics, bundles_equal, emit, main, run_command
 from qsde.config import ConfigError, format_complex, parse_complex, parse_config
 from qsde.model import TimeGrid
+from qsde.statistics import mc_mean_output
 from qsde.trajectories import Ensemble
 
 MINIMAL_MOLLOW = {
@@ -419,13 +421,37 @@ def test_ensemble_diagnostics_values():
     ens = Ensemble(times=np.array([0.0, 0.5, 1.0]), psi=np.zeros((3, 3, 2)), weight=weight,
                    r_expect=np.zeros((3, 3, 1)), w_path=np.zeros((3, 3, 1)),
                    innovation=np.zeros((3, 3, 1)), frozen_at=np.array([-1, 5, 7]),
-                   base_seed=0, grid=TimeGrid(0.1, 10))
+                   grid=TimeGrid(0.1, 10))
     diag = _ensemble_diagnostics(ens)
     assert diag["t"] == [0.0, 0.5, 1.0]
     assert diag["frozen"] == [0, 1, 2]
     assert diag["max_weight"] == [1.0, 3.0, 4.0]
     assert diag["ess_fraction"] == pytest.approx([1.0, 36 / (3 * 14), 25 / (3 * 16.5)], rel=1e-15)
     assert diag["mean_weight"] == pytest.approx([1.0, 2.0, 5 / 3], rel=1e-15)
+
+
+def test_trajectories_outputs_rows_are_mc_mean_output(monkeypatch):
+    """The `outputs` table is mc_mean_output at every checkpoint and channel:
+    the weighted mean of W_k, with the jackknife error, which equals
+    std(ddof=1) / sqrt(N) up to rounding."""
+    run, ensembles = cli.run_linear_ensemble, []
+
+    def run_and_keep(*args, **kwargs):
+        ensembles.append(run(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(cli, "run_linear_ensemble", run_and_keep)
+    doc = make_config(**{"run.command": "trajectories", "run.ntraj": 40, "run.horizon": 0.2,
+                         "run.seed": 5, "run.chunk_size": 16})
+    rows = run_command(parse_config(json.dumps(doc))).tables["outputs"].rows
+    (ens,) = ensembles
+    assert rows == tuple((float(t), k, *mc_mean_output(ens, k, t))
+                         for t in ens.times for k in range(2))
+    for m, k in np.ndindex(len(ens.times), 2):
+        contrib = ens.weight[:, m] * ens.w_path[:, m, k]
+        _, _, mean, stderr = rows[2 * m + k]
+        assert mean == float(contrib.mean())
+        assert stderr == pytest.approx(float(contrib.std(ddof=1) / np.sqrt(40)), rel=1e-14)
 
 
 @pytest.mark.parametrize("command", ["trajectories", "moments"])

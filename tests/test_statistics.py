@@ -502,6 +502,9 @@ def test_mc_second_moment_grid_mismatch(mollow_setup):
                               base_seed=2, record_times=[0.05, 0.1])
     with pytest.raises(ValueError, match="checkpoint"):
         mc_second_moment(ens, 0, 0, 0.07, 0.1)
+    # 0.02 is a grid time but not a checkpoint
+    with pytest.raises(ValueError, match="checkpoint"):
+        mc_mean_output(ens, 0, 0.02)
 
 
 def test_decay_second_moment_mc_agreement():

@@ -15,11 +15,9 @@ from qsde.trajectories import (
     _blocks,
     _lane_noise,
     _step_ops,
-    apply_girsanov_shift,
     generate_wiener,
     integrate_linear,
     integrate_nonlinear,
-    normalize_posterior,
     run_linear_ensemble,
     run_nonlinear_ensemble,
 )
@@ -43,8 +41,8 @@ def test_noise_free_schrodinger_limit():
     rec = integrate_linear(coeffs, E0, path)
     exact = matrix_exp(h, -1j) @ E0
     # Euler global error is O(dt) for the drift-only equation
-    assert max_abs(rec.psi[-1] - exact) <= 5e-3
-    assert abs(rec.weight[-1] - 1.0) <= 5e-3
+    assert max_abs(rec.psi[0, -1] - exact) <= 5e-3
+    assert abs(rec.weight[0, -1] - 1.0) <= 5e-3
     assert np.all(rec.weight > 0)
 
 
@@ -56,8 +54,8 @@ def test_scalar_geometric_euler_product():
     path = generate_wiener(11, dt, nsteps, 1)
     rec = integrate_linear(table, E0, path)
     product = np.cumprod(1.0 + c * path.increments[:, 0])
-    assert max_abs(rec.psi[1:, 0] - product) <= 1e-13
-    assert max_abs(rec.psi[:, 1]) == 0.0
+    assert max_abs(rec.psi[0, 1:, 0] - product) <= 1e-13
+    assert max_abs(rec.psi[0, :, 1]) == 0.0
 
 
 def test_martingale_mean_weight(mollow_coeffs):
@@ -73,16 +71,16 @@ def test_girsanov_shift_cases():
     path = generate_wiener(21, dt, nsteps, 1)
     # R = 0: innovation equals the driving noise
     table0 = constant_table(np.diag([1.0, -1.0]), [np.zeros((2, 2))], dt, nsteps)
-    rec = apply_girsanov_shift(integrate_linear(table0, E0, path))
-    assert max_abs(rec.innovation_path - rec.w_path) == 0.0
+    rec = integrate_linear(table0, E0, path)
+    assert max_abs(rec.innovation[0] - rec.w_path[0]) == 0.0
     # purely imaginary expectation: R = i 1 gives Re <R> = 0
     table_i = constant_table(np.zeros((2, 2)), [1j * np.eye(2)], dt, nsteps)
-    rec = apply_girsanov_shift(integrate_linear(table_i, E0, path))
-    assert max_abs(rec.innovation_path - rec.w_path) == 0.0
+    rec = integrate_linear(table_i, E0, path)
+    assert max_abs(rec.innovation[0] - rec.w_path[0]) == 0.0
     # R = 1: <R> = 1, innovation removes the 2t drift exactly on the grid
     table_1 = constant_table(-0.5j * np.eye(2), [np.eye(2)], dt, nsteps)
-    rec = apply_girsanov_shift(integrate_linear(table_1, E0, path))
-    assert max_abs(rec.innovation_path[:, 0] - (rec.w_path[:, 0] - 2.0 * rec.times)) <= 1e-12
+    rec = integrate_linear(table_1, E0, path)
+    assert max_abs(rec.innovation[0, :, 0] - (rec.w_path[0, :, 0] - 2.0 * rec.times)) <= 1e-12
 
 
 def test_scale_equivariance_bit_exact(mollow_coeffs):
@@ -99,23 +97,23 @@ def test_phase_invariance_of_functionals(mollow_coeffs):
     b = integrate_linear(mollow_coeffs, np.exp(0.73j) * E0, path)
     assert max_abs(a.weight - b.weight) <= 1e-12
     assert max_abs(a.r_expect - b.r_expect) <= 1e-12
-    na, nb = normalize_posterior(a), normalize_posterior(b)
-    proj_a = np.einsum("tk,tl->tkl", na.psihat, na.psihat.conj())
-    proj_b = np.einsum("tk,tl->tkl", nb.psihat, nb.psihat.conj())
+    na, nb = a.psihat[0], b.psihat[0]
+    proj_a = np.einsum("tk,tl->tkl", na, na.conj())
+    proj_b = np.einsum("tk,tl->tkl", nb, nb.conj())
     assert max_abs(proj_a - proj_b) <= 1e-12
 
 
-def test_normalize_posterior():
+def test_linear_path_psihat_is_scale_free_unit_state():
     nsteps, dt = 50, 1e-2
     table = constant_table(np.diag([0.3, -0.3]), [np.zeros((2, 2))], dt, nsteps)
     path = generate_wiener(2, dt, nsteps, 1)
     rec = integrate_linear(table, E0, path)
-    norm = normalize_posterior(rec)
-    assert np.allclose(np.linalg.norm(norm.psihat, axis=1), 1.0, atol=1e-12)
+    norm = rec.psihat[0]
+    assert np.allclose(np.linalg.norm(norm, axis=1), 1.0, atol=1e-12)
     # scaling the state leaves the posterior unchanged
     rec2 = integrate_linear(table, 2.0 * E0, path)
-    norm2 = normalize_posterior(rec2)
-    assert max_abs(norm.psihat - norm2.psihat) <= 1e-12
+    norm2 = rec2.psihat[0]
+    assert max_abs(norm - norm2) <= 1e-12
     assert max_abs(rec.r_expect - rec2.r_expect) <= 1e-12
 
 
@@ -125,8 +123,8 @@ def test_nonlinear_deterministic_limits(mollow_coeffs):
     path = generate_wiener(4, 1e-3, 1000, 1)
     rec = integrate_nonlinear(coeffs, E0, path)
     exact = matrix_exp(h, -1j) @ E0
-    assert max_abs(rec.psihat[-1] - exact) <= 5e-3
-    assert np.allclose(np.linalg.norm(rec.psihat, axis=1), 1.0, atol=1e-12)
+    assert max_abs(rec.psihat[0, -1] - exact) <= 5e-3
+    assert np.allclose(np.linalg.norm(rec.psihat[0], axis=1), 1.0, atol=1e-12)
     # R = c*identity: the centered diffusion vanishes identically
     nsteps, dt = 300, 1e-3
     table = constant_table(-0.5j * 0.25 * np.eye(2), [0.5 * np.eye(2)], dt, nsteps)
@@ -156,6 +154,85 @@ def test_single_paths_reject_malformed_states(mollow_coeffs):
         integrate_linear(mollow_coeffs, np.zeros(2), path)
 
 
+SINGLE = {False: (integrate_linear, run_linear_ensemble),
+          True: (integrate_nonlinear, run_nonlinear_ensemble)}
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_single_path_is_an_ensemble_of_one(nonlinear, mollow_coeffs):
+    """A single path is an Ensemble with ntraj = 1 recorded at every grid
+    time, frozen_at -1 when it never freezes; every field equals, bit for
+    bit, the one-trajectory ensemble run on the same stream."""
+    integrate, run = SINGLE[nonlinear]
+    dt, nsteps = 1e-3, 150
+    path = generate_wiener(19, dt, nsteps, 2)
+    single = integrate(mollow_coeffs, E0, path)
+    grid = TimeGrid(dt, nsteps)
+    assert single.grid == grid and single.ntraj == 1
+    assert np.array_equal(single.times, grid.times)
+    assert single.psi.shape == (1, nsteps + 1, 2) and single.weight.shape == (1, nsteps + 1)
+    for field in ("r_expect", "w_path", "innovation"):
+        assert getattr(single, field).shape == (1, nsteps + 1, 2)
+    assert single.frozen_at.shape == (1,) and single.frozen_at[0] == -1
+    ens = run(mollow_coeffs, E0, dt=dt, nsteps=nsteps, ntraj=1, base_seed=19,
+              record_times=grid.times)
+    for field, value in vars(ens).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(single, field).tobytes() == value.tobytes(), field
+
+
+BAD_PATHS = {
+    "900_increments_for_1000_steps": (dict(increments=np.zeros((900, 2))),
+                                      r"increments must have shape \(1000, 2\)"),
+    "one_channel_for_two": (dict(increments=np.zeros((1000, 1))), "increments must have shape"),
+    "nan_increment": (dict(increments=np.where(np.arange(1000)[:, None] == 7, np.nan,
+                                               np.zeros((1000, 2)))), "increments must be finite"),
+    "inf_increment": (dict(increments=np.full((1000, 2), np.inf)), "increments must be finite"),
+    "dt_-1e-3": (dict(dt=-1e-3), "dt must be finite and positive"),
+    "dt_0": (dict(dt=0.0), "dt must be"),
+    "dt_nan": (dict(dt=np.nan), "dt must be"),
+    "dt_inf": (dict(dt=np.inf), "dt must be"),
+    "nsteps_0": (dict(nsteps=0, increments=np.zeros((0, 2))),
+                 "nsteps must be an integer of at least 1"),
+    "nsteps_float": (dict(nsteps=1000.0), "nsteps must be"),
+    "nsteps_bool": (dict(nsteps=True, increments=np.zeros((1, 2))), "nsteps must be"),
+    "nchannels_0": (dict(nchannels=0, increments=np.zeros((1000, 0))),
+                    "nchannels must be an integer of at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PATHS))
+def test_malformed_wiener_paths_rejected(case, mollow_coeffs, monkeypatch):
+    """900 increments for 1000 steps gave the uninitialized tail of the
+    records as weights, NaN increments a NaN weight, dt -1e-3 a run to
+    t = -1 and generate_wiener NaN or inf increments for dt NaN or inf: a
+    path is checked on construction, drawn or built by hand, so neither
+    integrator can be given one of these."""
+    bad, problem = BAD_PATHS[case]
+    fields = dict(dt=1e-3, nsteps=1000, nchannels=2, increments=np.zeros((1000, 2)),
+                  seed=0) | bad
+    monkeypatch.setattr(trajectories, "_run_stacks", _no_work)
+    with pytest.raises(ValueError, match=problem):
+        WienerPath(**fields)
+    if "increments" not in bad:
+        args = {k: fields[k] for k in ("seed", "dt", "nsteps", "nchannels")}
+        monkeypatch.setattr(trajectories, "_philox_stream", _no_work)
+        with pytest.raises(ValueError, match=problem):
+            generate_wiener(**args)
+    for integrate in (integrate_linear, integrate_nonlinear):
+        with pytest.raises(ValueError, match=problem):
+            integrate(mollow_coeffs, E0, WienerPath(**fields))
+
+
+def test_wiener_path_accepts_numpy_counts():
+    """numpy integers are valid counts, and a hand-built path's increments
+    are kept as a float array."""
+    path = WienerPath(dt=np.float64(0.1), nsteps=np.int64(3), nchannels=np.int32(1),
+                      increments=[[0.1], [-0.2], [0.3]], seed=0)
+    assert path.increments.dtype == float and path.increments.shape == (3, 1)
+    assert np.array_equal(path.cumulative()[:, 0], np.cumsum([0.0, 0.1, -0.2, 0.3]))
+
+
 def test_linear_nonlinear_path_consistency(mollow_coeffs):
     """Driving the normalized equation with the innovation extracted from a
     linear path reproduces the normalized linear state up to a phase."""
@@ -163,11 +240,11 @@ def test_linear_nonlinear_path_consistency(mollow_coeffs):
     defects = []
     for s in range(5):
         path = generate_wiener(500 + s, dt, nsteps, 2)
-        lin = apply_girsanov_shift(integrate_linear(mollow_coeffs, E0, path))
+        lin = integrate_linear(mollow_coeffs, E0, path)
         innov = WienerPath(dt=dt, nsteps=nsteps, nchannels=2,
-                           increments=np.diff(lin.innovation_path, axis=0), seed=500 + s)
+                           increments=np.diff(lin.innovation[0], axis=0), seed=500 + s)
         nl = integrate_nonlinear(mollow_coeffs, E0, innov)
-        overlap = abs(np.vdot(normalize_posterior(lin).psihat[-1], nl.psihat[-1]))
+        overlap = abs(np.vdot(lin.psihat[0, -1], nl.psihat[0, -1]))
         defects.append(1.0 - overlap)
     assert max(defects) <= 50 * dt
 
@@ -181,11 +258,11 @@ def test_weight_floor_freezes_trajectory():
     for s in range(20):
         path = generate_wiener(900 + s, dt, nsteps, 1)
         rec = integrate_linear(table, E0, path, weight_floor=1e-6)
-        if rec.frozen_at is not None:
+        if rec.frozen_at[0] >= 0:
             frozen += 1
-            n = rec.frozen_at
-            assert rec.weight[n] < 1e-6
-            assert np.array_equal(rec.psi[n], rec.psi[-1])
+            n = rec.frozen_at[0]
+            assert rec.weight[0, n] < 1e-6
+            assert np.array_equal(rec.psi[0, n], rec.psi[0, -1])
     assert frozen > 0
 
 
@@ -237,34 +314,37 @@ def test_ensemble_matches_single_trajectories(mollow_coeffs):
     for b in range(3):
         path = generate_wiener(77, dt, nsteps, 2, stream=b)
         rec = integrate_linear(mollow_coeffs, E0, path)
-        assert max_abs(ens.psi[b] - rec.psi) <= 1e-13
-        assert max_abs(ens.weight[b] - rec.weight) <= 1e-13
+        assert max_abs(ens.psi[b] - rec.psi[0]) <= 1e-13
+        assert max_abs(ens.weight[b] - rec.weight[0]) <= 1e-13
 
 
 
 def test_normalized_ensemble_has_unit_weights_and_psihat_is_psi(mollow_coeffs):
     """Both equations give one Ensemble type: a normalized ensemble's weights
-    are exactly 1, so its psihat is its psi bit for bit."""
+    are exactly 1, so its psihat is its psi bit for bit; so is a single
+    normalized path's."""
     ens = run_nonlinear_ensemble(mollow_coeffs, E0, dt=1e-3, nsteps=100, ntraj=5,
                                  base_seed=4, record_times=[0.0, 0.05, 0.1])
-    assert ens.weight.shape == ens.psi.shape[:2] and np.all(ens.weight == 1.0)
-    assert ens.psihat.tobytes() == ens.psi.tobytes()
+    path = integrate_nonlinear(mollow_coeffs, E0, generate_wiener(4, 1e-3, 100, 2))
+    for result in (ens, path):
+        assert result.weight.shape == result.psi.shape[:2] and np.all(result.weight == 1.0)
+        assert result.psihat.tobytes() == result.psi.tobytes()
 
 
-def test_linear_psihat_matches_normalize_posterior(mollow_coeffs):
-    """A linear ensemble's psihat is normalize_posterior of the single path
-    on the same stream, at the checkpoints."""
+def test_linear_psihat_matches_single_path_psihat(mollow_coeffs):
+    """A linear ensemble's psihat is the psihat of the single path on the
+    same stream, at the checkpoints."""
     dt, nsteps = 1e-3, 100
     ens = run_linear_ensemble(mollow_coeffs, E0, dt=dt, nsteps=nsteps, ntraj=3,
                               base_seed=77, record_times=[0.02, 0.05, 0.1])
     idx = ens.grid.index(ens.times)
     for b in range(3):
         rec = integrate_linear(mollow_coeffs, E0, generate_wiener(77, dt, nsteps, 2, stream=b))
-        assert max_abs(ens.psihat[b] - normalize_posterior(rec).psihat[idx]) <= 1e-14
+        assert max_abs(ens.psihat[b] - rec.psihat[0, idx]) <= 1e-14
 
 
 def test_psihat_rejects_zero_norm_state(mollow_coeffs):
-    """Like normalize_posterior, psihat has no value for a zero-norm state."""
+    """psihat has no value for a zero-norm state."""
     ens = run_linear_ensemble(mollow_coeffs, E0, dt=1e-3, nsteps=10, ntraj=2, base_seed=1)
     weight = ens.weight.copy()
     weight[1, -1] = 0.0
@@ -410,9 +490,9 @@ def test_nonlinear_partial_freeze():
     for b in range(ntraj):
         path = generate_wiener(73, dt, nsteps, 1, stream=b)
         alone = integrate_nonlinear(coeffs, psi0, path, weight_floor=floor)
-        assert max_abs(ens.psihat[b] - alone.psihat) <= 1e-14
+        assert max_abs(ens.psihat[b] - alone.psihat[0]) <= 1e-14
         n = ens.frozen_at[b]
-        assert alone.frozen_at == (None if n < 0 else n)
+        assert alone.frozen_at[0] == n
         # the freeze step is the first whose unnormalized result falls below the floor
         last = nsteps if n < 0 else n
         for i in range(last):
