@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -140,12 +140,31 @@ class _Collector:
     def add(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
+    def known(self, section, path: str, keys) -> bool:
+        """True if ``section`` is an object, else records that it is not;
+        records each of its keys outside ``keys`` as unknown, by path."""
+        if not isinstance(section, dict):
+            self.add(path, "expected an object")
+            return False
+        for key in section:
+            if key not in keys:
+                self.add(f"{path}.{key}" if path else key, "unknown key")
+        return True
+
     def complex_scalar(self, value, path: str) -> complex:
         try:
             return parse_complex(value)
         except ValueError as exc:
             self.add(path, str(exc))
             return 0j
+
+    def complex_list(self, section: dict, key: str, path: str, default) -> list[complex]:
+        """section[key] (``default`` if absent), a list of complex literals."""
+        values = section.get(key, default)
+        if not isinstance(values, list):
+            self.add(f"{path}.{key}", "expected a list")
+            return []
+        return [self.complex_scalar(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
 
     def matrix(self, value, path: str, dim: int | None = None) -> np.ndarray:
         if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
@@ -212,22 +231,23 @@ class _Collector:
         return v
 
 
+_PRESET_KEYS = ("preset", "omega", "omega0", "nu", "alphas", "lambdas")
+_MODEL_KEYS = ("dim", "hamiltonian", "channels", "drive", "detection", "frame")
+
+
 def _parse_model(section, col: _Collector):
-    if not isinstance(section, dict):
-        col.add("model", "expected an object")
+    preset = isinstance(section, dict) and "preset" in section
+    if not col.known(section, "model", _PRESET_KEYS if preset else _MODEL_KEYS):
         return None, None
-    if "preset" in section:
+    if preset:
         if section["preset"] != "mollow":
             col.add("model.preset", f"unknown preset {section['preset']!r}")
             return None, None
         omega = col.number(section, "omega", "model", default=10.0, positive=True)
         omega0 = col.number(section, "omega0", "model", default=omega, positive=True)
         nu = col.number(section, "nu", "model", default=omega0, positive=True)
-        alphas = [col.complex_scalar(a, f"model.alphas[{i}]")
-                  for i, a in enumerate(section.get("alphas", ["0.7071067811865476",
-                                                              "0.7071067811865476"]))]
-        lambdas = [col.complex_scalar(a, f"model.lambdas[{i}]")
-                   for i, a in enumerate(section.get("lambdas", ["0", "3.5355339059327378i"]))]
+        alphas = col.complex_list(section, "alphas", "model", ["0.7071067811865476"] * 2)
+        lambdas = col.complex_list(section, "lambdas", "model", ["0", "3.5355339059327378i"])
         if col.errors:
             return None, None
         try:
@@ -249,10 +269,14 @@ def _parse_model(section, col: _Collector):
         channels = []
     chan_mats = [col.matrix(ch, f"model.channels[{j}]", dim) for j, ch in enumerate(channels)]
     drive_sec = section.get("drive", {})
-    amps = [col.complex_scalar(a, f"model.drive.amplitudes[{i}]")
-            for i, a in enumerate(drive_sec.get("amplitudes", [0.0] * max(len(chan_mats), 1)))]
+    if not col.known(drive_sec, "model.drive", ("amplitudes", "carrier")):
+        drive_sec = {}
+    amps = col.complex_list(drive_sec, "amplitudes", "model.drive",
+                            [0.0] * max(len(chan_mats), 1))
     carrier = col.number(drive_sec, "carrier", "model.drive", default=0.0)
     det_sec = section.get("detection", {"kind": "diagonal-phase", "nu": 0.0})
+    if not col.known(det_sec, "model.detection", ("kind", "nu", "matrix")):
+        det_sec = {}
     kind = det_sec.get("kind", "diagonal-phase")
     frame = col.matrix(section.get("frame", np.zeros((dim, dim)).tolist()), "model.frame", dim)
     if col.errors:
@@ -283,6 +307,7 @@ def _parse_nu_grid(value, col: _Collector):
         grid = [col.finite(v, f"run.nu_grid[{i}]") for i, v in enumerate(value)]
         return None if None in grid else np.asarray(grid)
     if isinstance(value, dict):
+        col.known(value, "run.nu_grid", ("start", "stop", "count"))
         start = col.number(value, "start", "run.nu_grid")
         stop = col.number(value, "stop", "run.nu_grid")
         count = value.get("count")
@@ -295,8 +320,7 @@ def _parse_nu_grid(value, col: _Collector):
 
 
 def _parse_run(section, col: _Collector, model: SystemModel | None):
-    if not isinstance(section, dict):
-        col.add("run", "expected an object")
+    if not col.known(section, "run", [f.name for f in fields(RunSpec)]):
         return None
     command = section.get("command")
     if command not in COMMANDS:
@@ -334,8 +358,11 @@ def _parse_run(section, col: _Collector, model: SystemModel | None):
             record_times = tuple(col.time(t, f"run.record_times[{i}]", time_bound, grid)
                                  for i, t in enumerate(record_times))
     nu_grid = _parse_nu_grid(section.get("nu_grid"), col)
-    pairs = []
-    for p, entry in enumerate(section.get("pairs", [])):
+    pairs, requests = [], section.get("pairs", [])
+    if not isinstance(requests, list):
+        col.add("run.pairs", "expected a list")
+        requests = []
+    for p, entry in enumerate(requests):
         if (not isinstance(entry, list) or len(entry) != 4
                 or not all(isinstance(x, (int, float)) for x in entry)):
             col.add(f"run.pairs[{p}]", "expected [i, j, t1, t2]")
@@ -376,8 +403,7 @@ def _parse_run(section, col: _Collector, model: SystemModel | None):
 def _parse_output(section, col: _Collector):
     if section is None:
         return OutputSpec()
-    if not isinstance(section, dict):
-        col.add("output", "expected an object")
+    if not col.known(section, "output", [f.name for f in fields(OutputSpec)]):
         return OutputSpec()
     directory = section.get("directory", "out")
     if not isinstance(directory, str):
@@ -408,6 +434,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected an object"])
     col = _Collector()
+    col.known(doc, "", ("model", "run", "output"))
     model, mollow_cfg = _parse_model(doc.get("model"), col)
     run = _parse_run(doc.get("run", {}), col, model)
     output = _parse_output(doc.get("output"), col)

@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "adjoint",
-    "commutator",
-    "anticommutator",
     "matrix_exp",
     "vectorize",
     "devectorize",
@@ -42,24 +40,6 @@ def ensure_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m, dtype=complex).conj().T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab - ba for square matrices of equal dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab + ba for square matrices of equal dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"anticommutator needs equal square matrices, got {a.shape} and {b.shape}")
-    return a @ b + b @ a
 
 
 # Higham (2005), SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3 and eq. (2.1):

@@ -17,10 +17,12 @@ the duality Tr{L_*[rho] a} = Tr{rho L[a]}; the Heisenberg commutator sign
 is fixed by that duality together with the Schrodinger-picture evolution
 (e.g. rho_t = e^{-iHt} rho e^{iHt} for a purely Hamiltonian K = H).
 
-Everything here is a dense superoperator on column-vectorized matrices.  A
-constant generator G is stepped exactly, by E = e^{hG}; a time-dependent one
-by classical RK4.  It serves as the exact cross-check for the Monte Carlo
-trajectory ensembles.
+Everything here is a dense superoperator on column-vectorized matrices.
+``master_series`` is the one route that evolves a state: it records rho on a
+uniform grid, stepping a constant generator G exactly, by E = e^{hG}, and a
+time-dependent one by classical RK4.  A state at a single time t is the last
+entry of the series on the grid covering [0, t].  It serves as the exact
+cross-check for the Monte Carlo trajectory ensembles.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .linalg import (
     spre,
     vectorize,
 )
-from .model import GRID_TOL, Coefficients, TimeGrid
+from .model import GRID_TOL, Coefficients
 
 __all__ = [
     "PositivityError",
@@ -48,9 +50,7 @@ __all__ = [
     "build_heisenberg_generator",
     "build_schrodinger_generator",
     "LindbladPropagator",
-    "propagate_master",
     "master_series",
-    "evolution_operator",
     "stationary_state",
     "StationaryResult",
     "apriori_from_trajectories",
@@ -166,10 +166,10 @@ class LindbladPropagator:
 
 
 def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
-               h: float, record=None) -> np.ndarray:
-    """March vec(rho) nsteps steps of h, optionally recording every grid point:
-    exact steps e^{hG} for a constant generator G, classical RK4 steps (global
-    error O(h^4)) otherwise."""
+               h: float, record: np.ndarray) -> None:
+    """March vec(rho) nsteps steps of h into record[1:]: exact steps e^{hG}
+    for a constant generator G, classical RK4 steps (global error O(h^4))
+    otherwise."""
     exact = matrix_exp(gen.generator_at(t0), h) if gen.time_independent else None
     for n in range(nsteps):
         if exact is not None:
@@ -184,9 +184,7 @@ def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
             k3 = gm @ (v + 0.5 * h * k2)
             k4 = g2 @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record is not None:
-            record[n + 1] = v
-    return v
+        record[n + 1] = v
 
 
 def _cleanup(rho: np.ndarray, check_positivity: bool) -> np.ndarray:
@@ -202,32 +200,11 @@ def _cleanup(rho: np.ndarray, check_positivity: bool) -> np.ndarray:
     return rho
 
 
-def propagate_master(gen: LindbladPropagator, rho0: np.ndarray, t0: float, t1: float,
-                     dt: float, check_positivity: bool = True) -> np.ndarray:
-    """The master-equation state at t1 from rho0 at t0, re-symmetrized and
-    trace-renormalized once at the end.
-
-    A constant generator takes one exact step e^{(t1 - t0)G}, whatever dt;
-    a time-dependent one is marched by RK4 in steps of about dt, whose
-    O(dt^4) global error keeps this oracle far below Monte Carlo noise.
-    """
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t1 == t0:
-        return np.asarray(rho0, dtype=complex).copy()
-    grid = TimeGrid(t1 - t0, 1) if gen.time_independent else TimeGrid.covering(t1 - t0, dt)
-    v = vectorize(np.asarray(rho0, dtype=complex))
-    v = _rk4_march(gen, v, t0, grid.nsteps, grid.h)
-    return _cleanup(devectorize(v, gen.dim), check_positivity)
-
-
 def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
                   check_positivity: bool = True) -> np.ndarray:
-    """States on a uniform grid (times[0] = start), shape (len(times), d, d):
-    by the ``TimeGrid`` rule, each times[n] within GRID_TOL steps of
-    times[0] + n (times[1] - times[0])."""
+    """States on a uniform, increasing grid (times[0] = start), shape
+    (len(times), d, d): by the ``TimeGrid`` rule, each times[n] within
+    GRID_TOL steps of times[0] + n (times[1] - times[0])."""
     times = np.asarray(times, dtype=float)
     nsteps = len(times) - 1
     d = gen.dim
@@ -235,36 +212,11 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
     record[0] = vectorize(np.asarray(rho0, dtype=complex))
     if nsteps:
         h = times[1] - times[0]
-        if h == 0 or not np.all(np.abs((times - times[0]) / h - np.arange(nsteps + 1)) <= GRID_TOL):
-            raise ValueError("master_series needs a uniform time grid")
-        _rk4_march(gen, record[0].copy(), times[0], nsteps, h, record=record)
+        if not h > 0 or not np.all(
+                np.abs((times - times[0]) / h - np.arange(nsteps + 1)) <= GRID_TOL):
+            raise ValueError("master_series needs a uniform, increasing time grid")
+        _rk4_march(gen, record[0], times[0], nsteps, h, record)
     return _cleanup(devectorize(record, d), check_positivity)
-
-
-def _midpoint_steps(gen: LindbladPropagator, t0: float, grid: TimeGrid) -> np.ndarray:
-    """Stack of midpoint propagators e^{h L_*(t0 + (k + 1/2) h)}, k < grid.nsteps."""
-    return matrix_exp(np.stack([gen.generator_at(t0 + (k + 0.5) * grid.h)
-                                for k in range(grid.nsteps)]), grid.h)
-
-
-def evolution_operator(gen: LindbladPropagator, s: float, t: float,
-                       dt: float = 1e-2) -> np.ndarray:
-    """Two-time evolution superoperator U(t, s), rho_t = U(t, s)[rho_s].
-
-    Constant generator: a single matrix exponential.  Time-dependent
-    generator: time-ordered product of midpoint exponentials over substeps
-    of size ~dt (second order, trace preserving per substep).
-    """
-    if t < s:
-        raise ValueError("t must be >= s")
-    if t == s:
-        return np.eye(gen.dim ** 2, dtype=complex)
-    if gen.time_independent:
-        return matrix_exp(gen.generator_at(s), t - s)
-    u = np.eye(gen.dim ** 2, dtype=complex)
-    for step in _midpoint_steps(gen, s, TimeGrid.covering(t - s, dt)):
-        u = step @ u
-    return u
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DetectionSpec, DriveSpec, SystemModel
-from .statistics import SpectrumScan, spectrum_scan
+# spectrum_scan is imported by name only: perfbench/tests/test_tracer.py checks
+# that the benchmark's tracer wraps it here too (ROADMAP item 5).
+from .statistics import SpectrumScan, spectrum_scan  # noqa: F401
 
 __all__ = [
     "SIGMA_MINUS",
@@ -31,8 +33,6 @@ __all__ = [
     "rabi_frequency",
     "find_spectrum_peaks",
     "mollow_checks",
-    "run_mollow_spectrum",
-    "MollowSpectrumResult",
 ]
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -183,31 +183,3 @@ def mollow_checks(cfg: MollowConfig, scan: SpectrumScan,
         checks.append(("spectrum-symmetry", asym <= 1e-3 * float(np.max(scan.values)),
                        f"max asymmetry {asym:.3e}"))
     return checks
-
-
-@dataclass(frozen=True)
-class MollowSpectrumResult:
-    scan: SpectrumScan
-    peaks: np.ndarray
-    rabi: float
-
-    @property
-    def npeaks(self) -> int:
-        return len(self.peaks)
-
-
-def run_mollow_spectrum(cfg: MollowConfig, nu_grid, horizon: float | None = None,
-                        dt: float | None = None) -> MollowSpectrumResult:
-    """Analytic spectrum scan over nu_grid plus peak report.
-
-    The horizon defaults to 200 atomic lifetimes, long enough that the rate
-    E[W_0(T)^2]/T has stabilized on the scan grid; residual finite-horizon
-    oscillations near the carrier sit well below the peak-detection
-    prominence threshold.
-    """
-    horizon = 200.0 / cfg.gamma if horizon is None else horizon
-    dt = 5e-3 / cfg.gamma if dt is None else dt
-
-    scan = spectrum_scan(build_mollow_model(cfg), nu_grid, horizon=horizon, dt=dt, channel=0)
-    peaks = find_spectrum_peaks(scan.nu, scan.values)
-    return MollowSpectrumResult(scan=scan, peaks=peaks, rabi=rabi_frequency(cfg))

@@ -12,8 +12,10 @@ along the master-equation solution, and the second moments are
             Tr{ (R_i(s1)+R_i^*(s1)) U(s1,s2)[ R_j(s2) rho_{s2} + rho_{s2} R_j^*(s2) ] }
       + (the same with (i, t1) and (j, t2) exchanged),
 
-with U the two-time master propagator.  The double integrals are iterated
-trapezoid sums over the triangular domains.
+with U the two-time master propagator.  The first moment is the trapezoid
+sum along ``master_series`` (``analytic_mean_series``, every grid time at
+once; E[W_k(t)] at one t is the last row on the grid covering [0, t]).  The
+double integrals are iterated trapezoid sums over the triangular domains.
 
 Monte Carlo side.  Physical-law expectations are means over an ensemble
 weighted by its ``weight`` at the latest time entering each functional:
@@ -22,12 +24,10 @@ for the normalized one, so every estimator takes either ensemble.  Error
 bars are leave-one-trajectory-out jackknife.
 
 Spectrum.  S(nu) = E[W_0(T)^2] / T with the system started in the
-stationary state, scanned over the local-oscillator frequency nu; a
-variance-rate variant subtracting E[W_0(T)]^2/T is available (it removes
-the coherent-scattering line at the carrier).  With diagonal-phase
-detection the measured operator is R^{(nu)}(s) = p(s) B(s), p(s) = e^{i nu s},
-B the operator at nu = 0, so the states and the propagators are shared by
-all nu.
+stationary state, scanned over the local-oscillator frequency nu.  With
+diagonal-phase detection the measured operator is R^{(nu)}(s) = p(s) B(s),
+p(s) = e^{i nu s}, B the operator at nu = 0, so the states and the
+propagators are shared by all nu.
 
 Correlation kernel.  With E_n the one-step propagator from t_n to t_{n+1}
 on the grid t_n = n h, the inner trapezoid sum of an ordered term obeys
@@ -83,13 +83,11 @@ np.linalg.matrix_power) on a stack of (nu, outer, inner) items that share
 E^n, with psi^n and (psi phi)^n scalars per item and only s_n, t_n and U_n
 stored per item: each product is one matrix product over the whole stack
 for each of E U, U E, s E and t E, plus elementwise work, and there are
-O(log N) of them instead of N steps.  The first-moment sum of
-``subtract_mean`` is the same form with s = 0, U = 0, psi = 1 and
-t = h vec(C^T), as Tr(C rho) = vec(C^T).vec(rho).  In double precision this
-route and the dense (1 + 2 d^2)-square powers err from the exact sum of
-their inputs by rounding that grows like N u (u = 2^-53; up to 1.6e-12
-relative at N = 40 000 on the test models, mostly through the phase powers
-psi^n) and agree to 7.8e-14 of max S on the canonical Mollow scan;
+O(log N) of them instead of N steps.  In double precision this route and
+the dense (1 + 2 d^2)-square powers err from the exact sum of their inputs
+by rounding that grows like N u (u = 2^-53; up to 1.6e-12 relative at
+N = 40 000 on the test models, mostly through the phase powers psi^n) and
+agree to 7.8e-14 of max S on the canonical Mollow scan;
 tests/test_statistics.py keeps the dense route as the reference.
 A time-dependent generator has no such form: ``analytic_second_moment``
 then runs ``_folded_sweep``, the recurrence step by step with midpoint
@@ -110,7 +108,6 @@ from .master import (
     LindbladPropagator,
     StationaryResult,
     _cleanup,
-    _midpoint_steps,
     master_series,
     stationary_state,
 )
@@ -118,7 +115,6 @@ from .model import Coefficients, DetectionSpec, SystemModel, TimeGrid, build_coe
 
 __all__ = [
     "analytic_mean_series",
-    "analytic_mean_output",
     "analytic_second_moment",
     "mc_mean_output",
     "mc_second_moment",
@@ -153,17 +149,11 @@ def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     return means
 
 
-def analytic_mean_output(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
-                         k: int, t: float, dt: float) -> float:
-    """E[W_k(t)] under the physical law, on the grid covering [0, t]."""
-    if t == 0:
-        return 0.0
-    return float(analytic_mean_series(coeffs, gen, rho0, TimeGrid.covering(t, dt))[-1, k])
-
-
 def _step_propagators(gen: LindbladPropagator, grid: TimeGrid) -> np.ndarray:
-    """Stack of transposed midpoint propagators E_n^T on the grid."""
-    return np.ascontiguousarray(_midpoint_steps(gen, 0.0, grid).swapaxes(-1, -2))
+    """Stack of transposed midpoint propagators E_n^T = e^{h L_*(t_n + h/2)}^T on the grid."""
+    steps = matrix_exp(np.stack([gen.generator_at((n + 0.5) * grid.h)
+                                 for n in range(grid.nsteps)]), grid.h)
+    return np.ascontiguousarray(steps.swapaxes(-1, -2))
 
 
 def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps: int):
@@ -263,21 +253,6 @@ def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap):
         free = step._replace(u=np.zeros_like(step.u))
         total = _combine(_block_power(free, n_out - k), total)
     return 2.0 * _block_trapezoid(step, total, v0).real.reshape(shape[0], -1).sum(axis=1)
-
-
-def _closed_form_mean(e, v0, h, comps, nu, nsteps):
-    """sum_n w_n e^{i nu t_n} Tr(B_n rho_n) per nu, for E[W(T)] = 2 Re of it.
-
-    The block form with s = 0 and U = 0: only t and beta E act.
-    """
-    d2 = len(v0)
-    gaps, ops = comps
-    beta = np.exp(1j * h * (gaps + nu[:, None])).ravel()   # items (nu, component)
-    t = np.broadcast_to(h * vectorize(ops.swapaxes(-1, -2)), (len(nu), len(gaps), d2))
-    t = t.reshape(-1, d2)   # Tr(C rho) = vec(C^T).vec(rho)
-    step = _Block(alpha=np.ones_like(beta), beta=beta, e=e, s=np.zeros_like(t), t=t,
-                  u=np.zeros((d2, len(beta), d2), dtype=complex))
-    return _block_trapezoid(step, _block_power(step, nsteps), v0).reshape(len(nu), -1).sum(-1)
 
 
 def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
@@ -514,13 +489,11 @@ class SpectrumScan:
     horizon: float
     dt: float
     channel: int
-    subtract_mean: bool
     stationary: StationaryResult | None   # the solve behind the default rho0
 
 
 def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
-                  channel: int = 0, rho0: np.ndarray | None = None,
-                  subtract_mean: bool = False) -> SpectrumScan:
+                  channel: int = 0, rho0: np.ndarray | None = None) -> SpectrumScan:
     """Scan S(nu) = E[W_channel(T)^2] / T over the detection frequency grid.
 
     ``model`` must use diagonal-phase detection; its ``detection.nu`` is
@@ -558,12 +531,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     # components of B, each gap shifted by nu.
     comps = base.r_components(channel)
     second = horizon + 2.0 * _closed_form_term(e, v0, h, comps, comps, nu_grid, nsteps, nsteps)
-    values = second / horizon
-    if subtract_mean:
-        mean_acc = _closed_form_mean(e, v0, h, comps, nu_grid, nsteps)
-        values = (second - (2.0 * mean_acc.real) ** 2) / horizon
-    return SpectrumScan(nu=nu_grid, values=values, horizon=horizon, dt=h,
-                        channel=channel, subtract_mean=subtract_mean, stationary=st)
+    return SpectrumScan(nu=nu_grid, values=second / horizon, horizon=horizon, dt=h,
+                        channel=channel, stationary=st)
 
 
 def _folded_sweep(mu, q, e_ts, h, n_cap):

@@ -134,28 +134,28 @@ def _check_counts(dt: float, **counts):
 class WienerPath:
     """Discretized multi-channel Brownian increments.
 
-    ``increments[n, j] = W_j(t_{n+1}) - W_j(t_n)``, drawn iid Normal(0, dt).
-    Bit-reproducible from (seed, stream, dt, nsteps, nchannels).  A path,
-    drawn or built by hand, is checked on construction: ValueError unless
-    the counts and ``dt`` are valid and ``increments`` is a finite
-    (nsteps, nchannels) array.
+    ``increments[n, j] = W_j(t_{n+1}) - W_j(t_n)``, drawn iid Normal(0, dt)
+    by :func:`generate_wiener`, bit-reproducible from its arguments.  A
+    path, drawn or built by hand, is checked on construction: ValueError
+    unless the counts and ``dt`` are valid and ``increments`` is a finite
+    (nsteps, nchannels) array.  The path keeps a read-only copy of the
+    increments, so the checked values are the ones stepped.
     """
 
     dt: float
     nsteps: int
     nchannels: int
     increments: np.ndarray
-    seed: int
-    stream: int = 0
 
     def __post_init__(self):
         _check_counts(self.dt, nsteps=self.nsteps, nchannels=self.nchannels)
-        increments = np.asarray(self.increments, dtype=float)
+        increments = np.array(self.increments, dtype=float)
         if increments.shape != (self.nsteps, self.nchannels):
             raise ValueError(f"increments must have shape ({self.nsteps}, {self.nchannels}), "
                              f"got {increments.shape}")
         if not np.isfinite(increments).all():
             raise ValueError("increments must be finite")
+        increments.flags.writeable = False
         object.__setattr__(self, "increments", increments)
 
     def cumulative(self) -> np.ndarray:
@@ -170,8 +170,7 @@ def generate_wiener(seed: int, dt: float, nsteps: int, nchannels: int, stream: i
     _check_counts(dt, nsteps=nsteps, nchannels=nchannels)
     rng = _philox_stream(seed, stream)
     increments = rng.normal(0.0, np.sqrt(dt), size=(nsteps, nchannels))
-    return WienerPath(dt=dt, nsteps=nsteps, nchannels=nchannels,
-                      increments=increments, seed=seed, stream=stream)
+    return WienerPath(dt=dt, nsteps=nsteps, nchannels=nchannels, increments=increments)
 
 
 @dataclass(frozen=True)

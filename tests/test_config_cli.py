@@ -258,6 +258,70 @@ def test_explicit_model_section():
     assert cfg.model.detection.nu == 2.0
 
 
+def test_unknown_keys_listed_with_their_paths():
+    """A misspelt key used to be dropped in silence ("n_traj" ran the default
+    10 000 trajectories, "dir" wrote to "out"): every unknown key, at every
+    level, is now listed in the one ConfigError."""
+    explicit = {"dim": 2, "hamiltonian": [[0, 0], [0, 0]], "channels": [[[0, 0], [1, 0]]],
+                "drive": {"amplitudes": ["0"], "carier": 1.0},
+                "detection": {"kind": "diagonal-phase", "freq": 1.0}, "frames": []}
+    cases = [
+        ({"model": {"preset": "mollow", "gamma": 1.0}, "run": {"command": "verify"},
+          "outputs": {}}, ["outputs", "model.gamma"]),
+        ({"model": {"preset": "mollow"}, "run": {"command": "trajectories", "n_traj": 5},
+          "output": {"dir": "elsewhere"}}, ["run.n_traj", "output.dir"]),
+        ({"model": explicit, "run": {"command": "spectrum",
+                                     "nu_grid": {"start": 0, "stop": 1, "count": 3, "num": 4}}},
+         ["model.frames", "model.drive.carier", "model.detection.freq", "run.nu_grid.num"]),
+        ({"model": {"preset": "mollow", "dim": 2}, "run": {"command": "verify"}},
+         ["model.dim"]),
+    ]
+    for doc, paths in cases:
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert sorted(err.value.errors) == sorted(f"{p}: unknown key" for p in paths)
+
+
+EXPLICIT_MODEL = {"dim": 2, "hamiltonian": [[0, 0], [0, 0]], "channels": [[[0, 0], [1, 0]]]}
+
+
+WRONGLY_TYPED = {   # path: (model, run, problem)
+    "model.drive": (EXPLICIT_MODEL | {"drive": [1.0]}, {}, "expected an object"),
+    "model.detection": (EXPLICIT_MODEL | {"detection": "diagonal-phase"}, {},
+                        "expected an object"),
+    "model.drive.amplitudes": (EXPLICIT_MODEL | {"drive": {"amplitudes": 2}}, {},
+                               "expected a list"),
+    "model.alphas": ({"preset": "mollow", "alphas": 1}, {}, "expected a list"),
+    "model.lambdas": ({"preset": "mollow", "lambdas": 3}, {}, "expected a list"),
+    "run.pairs": ({"preset": "mollow"}, {"pairs": 3}, "expected a list"),
+}
+
+
+@pytest.mark.parametrize("path", list(WRONGLY_TYPED))
+def test_wrongly_typed_sections_rejected(path):
+    """A section that is not an object, or a list that is not a list, is a
+    ConfigError naming it, not an AttributeError or TypeError from inside
+    the parser."""
+    model, run, problem = WRONGLY_TYPED[path]
+    doc = {"model": model, "run": {"command": "verify"} | run}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [f"{path}: {problem}"]
+
+
+def test_every_spec_field_is_a_known_key():
+    """Each RunSpec and OutputSpec field is accepted under its own name."""
+    doc = make_config(**{"run.command": "moments", "run.dt": 0.01, "run.horizon": 1.0,
+                         "run.ntraj": 4, "run.seed": 3, "run.record_times": [0.5],
+                         "run.nu_grid": [1.0], "run.pairs": [[0, 0, 0.5, 1.0]],
+                         "run.initial_state": [1, 0], "run.chunk_size": 2,
+                         "run.bias_coeff": 20.0, "run.identity_tol": 1e-10,
+                         "output.directory": "o", "output.formats": ["csv"],
+                         "output.precision": 9})
+    cfg = parse_config(json.dumps(doc))
+    assert (cfg.run.ntraj, cfg.output.directory, cfg.output.precision) == (4, "o", 9)
+
+
 def test_spectrum_requires_grid():
     doc = make_config(**{"run.command": "spectrum"})
     with pytest.raises(ConfigError, match="nu_grid"):

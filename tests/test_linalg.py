@@ -4,8 +4,6 @@ from scipy.linalg import expm
 
 from qsde.linalg import (
     adjoint,
-    anticommutator,
-    commutator,
     devectorize,
     is_hermitian,
     matrix_exp,
@@ -34,26 +32,6 @@ def test_adjoint_involution(rng):
     for _ in range(5):
         m = random_matrix(rng)
         assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-def test_commutator_cases():
-    pe = adjoint(SIGMA_MINUS) @ SIGMA_MINUS
-    assert max_abs(commutator(pe, pe)) == 0.0
-    # [sigma-, sigma+] = diag(-1, 1) in the (excited, ground) basis
-    assert np.array_equal(commutator(SIGMA_MINUS, adjoint(SIGMA_MINUS)), np.diag([-1.0, 1.0]))
-    b = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert max_abs(commutator(np.eye(2), b)) == 0.0
-
-
-def test_commutator_traceless(rng):
-    for _ in range(10):
-        a, b = random_matrix(rng), random_matrix(rng)
-        assert abs(np.trace(commutator(a, b))) <= 1e-12
-
-
-def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
 
 
 def test_matrix_exp_cases():
@@ -210,9 +188,3 @@ def test_is_hermitian(rng):
     assert not is_hermitian(SIGMA_MINUS)
     m = random_matrix(rng)
     assert is_hermitian(m + adjoint(m), tol=1e-12)
-
-
-def test_anticommutator():
-    pe = np.diag([1.0, 0.0]).astype(complex)
-    rho = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
-    assert max_abs(anticommutator(pe, rho) - (pe @ rho + rho @ pe)) == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -12,15 +13,13 @@ from qsde.master import (
     apriori_from_trajectories,
     build_heisenberg_generator,
     build_schrodinger_generator,
-    evolution_operator,
     master_series,
-    propagate_master,
     stationary_state,
     trace_distance,
     validate_density,
 )
-from qsde.model import build_coefficients
-from qsde.mollow import EXCITED_PROJECTOR, SIGMA_MINUS
+from qsde.model import TimeGrid, build_coefficients
+from qsde.mollow import EXCITED_PROJECTOR, SIGMA_MINUS, MollowConfig, build_mollow_model
 from qsde.trajectories import run_linear_ensemble, run_nonlinear_ensemble
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -74,7 +73,7 @@ def test_two_level_decay_closed_form():
     gen = LindbladPropagator(coeffs)
     rho0 = np.array([[0.9, 0.3], [0.3, 0.1]], dtype=complex)
     t = 3.0 / gamma
-    rho = propagate_master(gen, rho0, 0.0, t, 1e-3)
+    rho = master_series(gen, rho0, TimeGrid.covering(t, 1e-3).times)[-1]
     expected = np.exp(-gamma * t) * rho0[0, 0].real
     assert abs(rho[0, 0].real - expected) <= 1e-6 * expected
     # coherence decays at gamma/2
@@ -120,16 +119,6 @@ def test_constant_generator_series_runs_through_march(mollow_coeffs, monkeypatch
     assert calls == [30]
 
 
-def test_propagate_constant_generator_is_one_exact_step(mollow_coeffs, rng):
-    gen = LindbladPropagator(mollow_coeffs)
-    rho0 = random_state(rng)
-    want = devectorize(matrix_exp(gen.generator_at(0.0), 2.5) @ vectorize(rho0), 2)
-    for dt in (1e-3, 0.1, 10.0):
-        assert max_abs(propagate_master(gen, rho0, 0.0, 2.5, dt) - want) <= 1e-14
-    with pytest.raises(ValueError):
-        propagate_master(gen, rho0, 0.0, 2.5, 0.0)
-
-
 def test_master_series_rejects_grid_off_by_a_millionth_step(mollow_coeffs):
     """A grid is uniform by the TimeGrid rule, GRID_TOL = 1e-9 of a step;
     np.allclose's defaults would pass a point 1e-6 h off."""
@@ -144,11 +133,35 @@ def test_master_series_rejects_grid_off_by_a_millionth_step(mollow_coeffs):
         master_series(gen, np.eye(2) / 2, np.zeros(3))
 
 
+def test_lab_frame_rk4_series_matches_rotating_frame_exact_series():
+    """The same driven atom in two frames: in the lab frame its generator is
+    time dependent and master_series marches it by RK4; in the frame
+    H0 = omega0 P_e it is constant and stepped exactly by e^{hG}.  The two
+    series agree, rho_rot(t) = e^{i H0 t} rho_lab(t) e^{-i H0 t}, with the
+    gap falling like h^4 (about 16x per halving of h)."""
+    cfg = MollowConfig(omega=10.0, omega0=9.0, nu=9.0, alphas=[0.7, 0.5], lambdas=[0.0, 2j])
+    rotating = build_mollow_model(cfg)
+    lab = dataclasses.replace(rotating, frame=np.zeros((2, 2)))
+    gen_rot, gen_lab = (LindbladPropagator(build_coefficients(m)) for m in (rotating, lab))
+    assert gen_rot.time_independent and not gen_lab.time_independent
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    gaps = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        times = TimeGrid.covering(2.0, dt).times
+        u = np.exp(1j * np.multiply.outer(times, cfg.omega0 * np.diag(EXCITED_PROJECTOR)))
+        rho_lab = master_series(gen_lab, rho0, times)
+        to_rotating = u[:, :, None] * rho_lab * u.conj()[:, None, :]
+        gaps.append(max_abs(to_rotating - master_series(gen_rot, rho0, times)))
+    assert gaps[-1] <= 1e-8, gaps
+    assert gaps[0] / gaps[1] >= 10 and gaps[1] / gaps[2] >= 10, gaps
+
+
 def test_propagate_identity_generator():
     coeffs = build_coefficients(simple_model())
     gen = LindbladPropagator(coeffs)
     rho0 = np.array([[0.25, 0.1j], [-0.1j, 0.75]], dtype=complex)
-    assert max_abs(propagate_master(gen, rho0, 0.0, 2.0, 1e-2) - rho0) <= 1e-14
+    rho = master_series(gen, rho0, TimeGrid.covering(2.0, 1e-2).times)[-1]
+    assert max_abs(rho - rho0) <= 1e-14
 
 
 def test_propagate_unitary_conjugation():
@@ -157,56 +170,23 @@ def test_propagate_unitary_conjugation():
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
     u = matrix_exp(h, -1j)
     exact = u @ rho0 @ u.conj().T
-    assert max_abs(propagate_master(gen, rho0, 0.0, 1.0, 1e-3) - exact) <= 1e-8
+    rho = master_series(gen, rho0, TimeGrid.covering(1.0, 1e-3).times)[-1]
+    assert max_abs(rho - exact) <= 1e-8
 
 
-def test_propagate_argument_validation(decay_coeffs):
+def test_master_series_rejects_backward_grid(decay_coeffs):
+    """The oracle only evolves forward: a grid whose step is negative is
+    rejected, not marched backward through a dissipative generator."""
     gen = LindbladPropagator(decay_coeffs)
     rho0 = np.eye(2, dtype=complex) / 2
-    with pytest.raises(ValueError):
-        propagate_master(gen, rho0, 1.0, 0.0, 1e-2)
-    with pytest.raises(ValueError):
-        propagate_master(gen, rho0, 0.0, 1.0, -1e-2)
-
-
-def test_evolution_operator_identity_and_routes(mollow_coeffs):
-    gen = LindbladPropagator(mollow_coeffs)
-    assert max_abs(evolution_operator(gen, 0.7, 0.7) - np.eye(4)) == 0.0
-    rho0 = np.array([[0.2, 0.1j], [-0.1j, 0.8]], dtype=complex)
-    via_u = devectorize(evolution_operator(gen, 0.0, 1.0) @ vectorize(rho0), 2)
-    via_rk = propagate_master(gen, rho0, 0.0, 1.0, 1e-3)
-    assert trace_distance(via_u, via_rk) <= 1e-7
-
-
-def test_evolution_operator_composition(mollow_coeffs):
-    gen = LindbladPropagator(mollow_coeffs)
-    u20 = evolution_operator(gen, 0.0, 2.0)
-    u21 = evolution_operator(gen, 1.0, 2.0)
-    u10 = evolution_operator(gen, 0.0, 1.0)
-    assert max_abs(u21 @ u10 - u20) <= 1e-8
-
-
-def test_evolution_operator_time_dependent_generator():
-    """Rotating drive without a co-rotating frame: genuinely time-dependent
-    generator, handled by midpoint-exponential substeps."""
-    model = simple_model(channels=(SIGMA_MINUS,), amplitudes=[0.8], carrier=3.0)
-    coeffs = build_coefficients(model)
-    gen = LindbladPropagator(coeffs)
-    assert not gen.time_independent
-    dt = 1e-3
-    u20 = evolution_operator(gen, 0.0, 2.0, dt=dt)
-    u21 = evolution_operator(gen, 1.0, 2.0, dt=dt)
-    u10 = evolution_operator(gen, 0.0, 1.0, dt=dt)
-    assert max_abs(u21 @ u10 - u20) <= 1e-12  # aligned substeps compose exactly
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    via_u = devectorize(u10 @ vectorize(rho0), 2)
-    via_rk = propagate_master(gen, rho0, 0.0, 1.0, 1e-4)
-    assert trace_distance(via_u, via_rk) <= 1e-5
+    for times in ([1.0, 0.0], 1.0 - 1e-2 * np.arange(101)):
+        with pytest.raises(ValueError, match="increasing"):
+            master_series(gen, rho0, times)
 
 
 def test_propagator_preserves_trace_and_hermiticity(mollow_coeffs, rng):
     gen = LindbladPropagator(mollow_coeffs)
-    u = evolution_operator(gen, 0.3, 1.7)
+    u = matrix_exp(gen.generator_at(0.3), 1.4)
     for _ in range(5):
         rho = random_state(rng)
         out = devectorize(u @ vectorize(rho), 2)
@@ -231,7 +211,8 @@ def test_stationary_state_mollow(mollow_coeffs):
     assert st.nullity == 1 and st.residual <= 1e-10
     pop = st.rho[0, 0].real
     assert 0.0 < pop < 0.5
-    rho_long = propagate_master(gen, np.diag([1.0, 0.0]).astype(complex), 0.0, 50.0, 1e-3)
+    rho_long = master_series(gen, np.diag([1.0, 0.0]).astype(complex),
+                             TimeGrid.covering(50.0, 1e-3).times)[-1]
     assert trace_distance(rho_long, st.rho) <= 1e-6
 
 

@@ -13,8 +13,8 @@ from qsde.mollow import (
     canonical_config,
     find_spectrum_peaks,
     rabi_frequency,
-    run_mollow_spectrum,
 )
+from qsde.statistics import spectrum_scan
 
 
 def test_config_invariants():
@@ -122,21 +122,26 @@ def test_peak_finder_matches_scipy_on_short_arrays(n):
 def test_peak_count_transition_small_scan():
     """One line for weak drive, three for strong, on a coarse resonant scan."""
     nus = np.linspace(2.0, 18.0, 81)
-    weak = run_mollow_spectrum(canonical_config(big_omega=0.1), nus, horizon=60.0, dt=0.01)
-    strong = run_mollow_spectrum(canonical_config(big_omega=5.0), nus, horizon=60.0, dt=0.01)
-    assert weak.npeaks == 1
-    assert strong.npeaks == 3
-    assert abs(weak.peaks[0] - 10.0) <= 0.2 + 1e-12
+
+    def peaks(big_omega):
+        model = build_mollow_model(canonical_config(big_omega=big_omega))
+        return find_spectrum_peaks(nus, spectrum_scan(model, nus, horizon=60.0, dt=0.01).values)
+
+    weak, strong = peaks(0.1), peaks(5.0)
+    assert len(weak) == 1
+    assert len(strong) == 3
+    assert abs(weak[0] - 10.0) <= 0.2 + 1e-12
 
 
 def test_strong_drive_sidebands_and_symmetry_small_scan():
     nus = np.linspace(0.0, 20.0, 101)
-    res = run_mollow_spectrum(canonical_config(), nus, horizon=80.0, dt=0.01)
-    assert res.npeaks == 3
+    cfg = canonical_config()
+    v = spectrum_scan(build_mollow_model(cfg), nus, horizon=80.0, dt=0.01).values
+    peaks, rabi = find_spectrum_peaks(nus, v), rabi_frequency(cfg)
+    assert len(peaks) == 3
     spacing = nus[1] - nus[0]
-    assert abs(res.peaks[0] - (10.0 - res.rabi)) <= 2 * spacing + 1e-12
-    assert abs(res.peaks[-1] - (10.0 + res.rabi)) <= 2 * spacing + 1e-12
-    v = res.scan.values
+    assert abs(peaks[0] - (10.0 - rabi)) <= 2 * spacing + 1e-12
+    assert abs(peaks[-1] - (10.0 + rabi)) <= 2 * spacing + 1e-12
     assert np.max(np.abs(v - v[::-1])) <= 1e-3 * np.max(v)
 
 

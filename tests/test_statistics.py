@@ -13,6 +13,7 @@ from qsde.model import (
     DetectionSpec,
     DriveSpec,
     SystemModel,
+    TimeGrid,
     build_coefficients,
 )
 from qsde.mollow import (
@@ -23,11 +24,10 @@ from qsde.mollow import (
     canonical_config,
 )
 from qsde.statistics import (
-    _closed_form_mean,
     _closed_form_term,
     _constant_steps,
     _two_sided_z,
-    analytic_mean_output,
+    analytic_mean_series,
     analytic_second_moment,
     jackknife_stderr,
     mc_mean_output,
@@ -176,15 +176,6 @@ def dense_closed_form_term(e, p, v0, h, outer, inner, nu, n_out, n_cap, dtype=co
     read = np.concatenate([a, np.zeros_like(a)], axis=1)[:, None]
     y0 = np.concatenate([np.zeros(d2, dtype=dtype), v0])
     return 2.0 * dense_trapezoid(read, y0, h, stages).real.sum(axis=(1, 2))
-
-
-def dense_closed_form_mean(p, v0, h, comps, nu, nsteps, dtype=complex):
-    """``_closed_form_mean`` by the dense two-block matrix [[1, h t^T], [0, phi P]]."""
-    gaps, ops = comps
-    phi = np.exp(1j * h * (gaps + nu[:, None]))[..., None, None]
-    read, phi, p, v0 = (np.asarray(x, dtype=dtype)
-                        for x in (vectorize(ops.swapaxes(-1, -2)), phi, p, v0))
-    return dense_trapezoid(read, v0, h, [(phi * p, nsteps)]).sum(axis=-1)
 
 
 def mollow_at(nu):
@@ -351,10 +342,9 @@ def test_random_ladder_models_are_constant_with_two_components():
 @pytest.mark.parametrize("name", list(KERNEL_MODELS))
 def test_block_kernel_matches_dense_route(name, nsteps):
     """The block-form powers are as accurate as the dense augmented-matrix
-    powers they replace, to 1e-13 relative: every channel pair, the inner
-    cut-off n_cap below, at and above the outer end n_out, and the
-    first-moment sum of ``subtract_mean``.  Like the kernel, the dense route
-    steps the states with the propagator E itself.
+    powers they replace, to 1e-13 relative: every channel pair and the inner
+    cut-off n_cap below, at and above the outer end n_out.  Like the kernel,
+    the dense route steps the states with the propagator E itself.
 
     "Exact" is the dense route in long double on the same double inputs.
     Both double routes err from it by up to about 1.6e-12 relative at 40 000
@@ -386,9 +376,6 @@ def test_block_kernel_matches_dense_route(name, nsteps):
                 args = (v0, h, outer, inner, nus, n_out, n_cap)
                 compare(_closed_form_term(e, *args), dense_closed_form_term(e, e, *args),
                         dense_closed_form_term(e, e, *args, dtype=np.clongdouble))
-        args = (v0, h, outer, nus, nsteps)
-        compare(_closed_form_mean(e, *args), dense_closed_form_mean(e, *args),
-                dense_closed_form_mean(e, *args, dtype=np.clongdouble))
     assert max(block_err) <= max(dense_err) + 1e-13, (max(block_err), max(dense_err))
 
 
@@ -402,15 +389,11 @@ def test_spectrum_closed_form_matches_reference(name, channel):
     nus = np.array([-3.0, -0.4, 0.0, 1.3, 8.0])
     rho = RHO_E if name == "dephasing-diagonal" else stationary_state(gen).rho
     scan = spectrum_scan(model, nus, horizon=horizon, dt=dt, channel=channel, rho0=rho)
-    var = spectrum_scan(model, nus, horizon=horizon, dt=dt, channel=channel, rho0=rho,
-                        subtract_mean=True)
     for k, nu in enumerate(nus):
         c_nu = build_coefficients(dataclasses.replace(model, detection=DetectionSpec(nu=nu)))
         second = reference_second_moment(c_nu, gen, rho, channel, channel,
                                          horizon, horizon, dt)
-        mean = analytic_mean_output(c_nu, gen, rho, channel, horizon, dt)
         assert abs(scan.values[k] - second / horizon) <= 1e-9
-        assert abs(var.values[k] - (second - mean ** 2) / horizon) <= 1e-9
 
 
 def test_spectrum_checks_final_state_positivity(monkeypatch):
@@ -428,15 +411,16 @@ def test_analytic_mean_identity_channel():
     coeffs = build_coefficients(table_model)
     gen = LindbladPropagator(coeffs)
     rho0 = np.eye(2, dtype=complex) / 2
-    assert analytic_mean_output(coeffs, gen, rho0, 0, 1.0, 1e-3) == pytest.approx(2.0, abs=1e-12)
-    assert analytic_mean_output(coeffs, gen, rho0, 0, 0.0, 1e-3) == 0.0
+    means = analytic_mean_series(coeffs, gen, rho0, TimeGrid.covering(1.0, 1e-3))
+    assert means[-1, 0] == pytest.approx(2.0, abs=1e-12)
+    assert means[0, 0] == 0.0
 
 
 def test_analytic_mean_anti_hermitian_channel():
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     coeffs = build_coefficients(simple_model(channels=(1j * x,)))
     gen = LindbladPropagator(coeffs)
-    assert analytic_mean_output(coeffs, gen, RHO_E, 0, 1.0, 1e-3) == 0.0
+    assert analytic_mean_series(coeffs, gen, RHO_E, TimeGrid.covering(1.0, 1e-3))[-1, 0] == 0.0
 
 
 def test_mc_mean_output_identity_channel():
@@ -625,9 +609,9 @@ def test_spectrum_ignores_model_detection_frequency():
     """The scan sets the detection frequency itself: the model's own nu
     changes nothing, bit for bit."""
     nus = np.linspace(7.0, 13.0, 7)
-    ref = spectrum_scan(mollow_at(10.0), nus, horizon=3.0, dt=0.01, subtract_mean=True)
+    ref = spectrum_scan(mollow_at(10.0), nus, horizon=3.0, dt=0.01)
     for nu in (0.0, -2.5, 123.0):
-        scan = spectrum_scan(mollow_at(nu), nus, horizon=3.0, dt=0.01, subtract_mean=True)
+        scan = spectrum_scan(mollow_at(nu), nus, horizon=3.0, dt=0.01)
         assert np.array_equal(scan.values, ref.values)
 
 
@@ -657,22 +641,6 @@ def test_spectrum_blocks_and_start_state_match_per_frequency_route(mollow_setup,
         c_nu = build_coefficients(mollow_at(nu))
         direct = reference_second_moment(c_nu, gen, start, 0, 0, horizon, horizon, dt) / horizon
         assert abs(scan.values[k] - direct) <= 1e-9
-
-
-def test_spectrum_subtract_mean_is_variance_rate(mollow_setup):
-    coeffs, gen = mollow_setup
-    horizon, dt = 5.0, 0.02
-    nus = np.array([8.0, 10.0, 11.0])
-    rho = stationary_state(gen).rho
-    scan = spectrum_scan(mollow_at(10.0), nus, horizon=horizon, dt=dt, subtract_mean=True)
-    means = []
-    for k, nu in enumerate(nus):
-        c_nu = build_coefficients(mollow_at(nu))
-        second = reference_second_moment(c_nu, gen, rho, 0, 0, horizon, horizon, dt)
-        mean = analytic_mean_output(c_nu, gen, rho, 0, horizon, dt)
-        assert abs(scan.values[k] - (second - mean ** 2) / horizon) <= 1e-9
-        means.append(mean)
-    assert max(abs(m) for m in means) > 0.1   # the coherent line: the subtraction matters
 
 
 def test_spectrum_undriven_decay_lorentzian():

@@ -209,16 +209,15 @@ def test_malformed_wiener_paths_rejected(case, mollow_coeffs, monkeypatch):
     path is checked on construction, drawn or built by hand, so neither
     integrator can be given one of these."""
     bad, problem = BAD_PATHS[case]
-    fields = dict(dt=1e-3, nsteps=1000, nchannels=2, increments=np.zeros((1000, 2)),
-                  seed=0) | bad
+    fields = dict(dt=1e-3, nsteps=1000, nchannels=2, increments=np.zeros((1000, 2))) | bad
     monkeypatch.setattr(trajectories, "_run_stacks", _no_work)
     with pytest.raises(ValueError, match=problem):
         WienerPath(**fields)
     if "increments" not in bad:
-        args = {k: fields[k] for k in ("seed", "dt", "nsteps", "nchannels")}
+        args = {k: fields[k] for k in ("dt", "nsteps", "nchannels")}
         monkeypatch.setattr(trajectories, "_philox_stream", _no_work)
         with pytest.raises(ValueError, match=problem):
-            generate_wiener(**args)
+            generate_wiener(seed=0, **args)
     for integrate in (integrate_linear, integrate_nonlinear):
         with pytest.raises(ValueError, match=problem):
             integrate(mollow_coeffs, E0, WienerPath(**fields))
@@ -228,9 +227,23 @@ def test_wiener_path_accepts_numpy_counts():
     """numpy integers are valid counts, and a hand-built path's increments
     are kept as a float array."""
     path = WienerPath(dt=np.float64(0.1), nsteps=np.int64(3), nchannels=np.int32(1),
-                      increments=[[0.1], [-0.2], [0.3]], seed=0)
+                      increments=[[0.1], [-0.2], [0.3]])
     assert path.increments.dtype == float and path.increments.shape == (3, 1)
     assert np.array_equal(path.cumulative()[:, 0], np.cumsum([0.0, 0.1, -0.2, 0.3]))
+
+
+def test_wiener_path_increments_are_read_only(mollow_coeffs):
+    """A NaN written into a drawn path's increments used to reach the
+    integrators as NaN weights: the path holds a read-only copy, and the
+    caller's own array stays writable."""
+    path = generate_wiener(3, 1e-3, 100, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        path.increments[50, 0] = np.nan
+    own = np.zeros((100, 2))
+    built = WienerPath(dt=1e-3, nsteps=100, nchannels=2, increments=own)
+    own[50, 0] = np.nan
+    assert np.isfinite(built.increments).all()
+    assert np.isfinite(integrate_linear(mollow_coeffs, E0, built).weight).all()
 
 
 def test_linear_nonlinear_path_consistency(mollow_coeffs):
@@ -242,7 +255,7 @@ def test_linear_nonlinear_path_consistency(mollow_coeffs):
         path = generate_wiener(500 + s, dt, nsteps, 2)
         lin = integrate_linear(mollow_coeffs, E0, path)
         innov = WienerPath(dt=dt, nsteps=nsteps, nchannels=2,
-                           increments=np.diff(lin.innovation[0], axis=0), seed=500 + s)
+                           increments=np.diff(lin.innovation[0], axis=0))
         nl = integrate_nonlinear(mollow_coeffs, E0, innov)
         overlap = abs(np.vdot(lin.psihat[0, -1], nl.psihat[0, -1]))
         defects.append(1.0 - overlap)
