@@ -10,8 +10,9 @@ A run is described by one JSON document with three sections::
 
 Complex numbers are written as strings "a+bi" (e.g. "0.5-0.5i", "2i",
 "-3"); plain JSON numbers are accepted as reals.  Matrices are nested row
-lists.  Validation collects every error before reporting, so a malformed
-config produces the full list of problems, not just the first.
+lists.  Each key is declared once below, with its kind, default and
+constraint.  Validation collects every error before reporting, so a
+malformed config produces the full list of problems, not just the first.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GRID_TOL, DetectionSpec, DriveSpec, SystemModel, TimeGrid
+from .model import DETECTION_KINDS, GRID_TOL, DetectionSpec, DriveSpec, SystemModel, TimeGrid
 from .mollow import MollowConfig, build_mollow_model
 
 __all__ = [
@@ -125,15 +126,27 @@ class RunConfig:
         return TimeGrid.covering(self.run.horizon, self.run.dt)
 
 
-def _as_float(v) -> float:
-    """``float(v)``, with an integer beyond the float range read as inf."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf
+_REQUIRED, _OPTIONAL = object(), object()
+
+
+def _key(reader, default=_REQUIRED, **constraint) -> tuple:
+    """A declared config key, checked by the :class:`_Collector` method
+    ``reader`` with ``constraint``.  An absent key takes its ``default``, read
+    like a given value.  A None default also reads null as absent; an
+    ``_OPTIONAL`` key is None only when absent; a ``_REQUIRED`` one is needed."""
+    return reader, default, constraint
 
 
 class _Collector:
+    """Reads config values, recording every problem under its path.
+
+    Each reader, ``reader(value, path, ctx, **constraint)``, checks one kind
+    of value and returns it, or None once it has recorded why the value is
+    not of that kind.  ``ctx`` holds the values of the section read before
+    it; the run's times and channels need ``horizon``, ``grid`` and
+    ``nchannels`` in it, None where they are not known to be valid.
+    """
+
     def __init__(self):
         self.errors: list[str] = []
 
@@ -151,274 +164,255 @@ class _Collector:
                 self.add(f"{path}.{key}" if path else key, "unknown key")
         return True
 
-    def complex_scalar(self, value, path: str) -> complex:
+    def fields(self, section: dict, path: str, ctx: dict, keys: dict) -> dict:
+        """Each of the declared ``keys`` of ``section``, in order: read by its
+        reader, or given its default."""
+        ctx = dict(ctx)
+        for name, (_, default, _) in keys.items():
+            value = section.get(name, default)
+            if value is _REQUIRED:
+                self.add(f"{path}.{name}", "missing required value")
+            absent = value in (_REQUIRED, _OPTIONAL) or (value is None and default is None)
+            ctx[name] = None if absent else self.read(keys[name], value, f"{path}.{name}", ctx)
+        return {name: ctx[name] for name in keys}
+
+    def read(self, key: tuple, value, path: str, ctx: dict):
+        reader, _, constraint = key
+        return reader(self, value, path, ctx, **constraint)
+
+    def section(self, value, path: str, ctx: dict, keys: dict) -> dict | None:
+        """An object with only the declared ``keys``, read by :meth:`fields`."""
+        return self.fields(value, path, ctx, keys) if self.known(value, path, keys) else None
+
+    def items(self, value, path: str, ctx: dict, of=None, entries=None, nonempty=False):
+        """A list, as a tuple: each entry read as the key ``of``, or one entry
+        per key of ``entries``."""
+        if not isinstance(value, list) or (entries is not None and len(value) != len(entries)):
+            self.add(path, "expected a list" if entries is None
+                     else f"expected a list of {len(entries)} entries")
+            return None
+        if nonempty and not value:
+            self.add(path, "must not be empty")
+            return None
+        values = tuple(self.read(key, v, f"{path}[{i}]", ctx)
+                       for i, (key, v) in enumerate(zip(entries or [of] * len(value), value)))
+        return None if any(v is None for v in values) else values
+
+    def integer(self, value, path: str, ctx: dict, lo=None, hi=None) -> int | None:
+        """An integer in [lo, hi], either bound optional; JSON true and false
+        are not integers."""
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or (lo is not None and value < lo) or (hi is not None and value > hi)):
+            self.add(path, "must be " + ("an integer" if lo is None
+                                         else f"an integer in [{lo}, {hi}]" if hi is not None
+                                         else "a positive integer" if lo == 1
+                                         else f"an integer >= {lo}"))
+            return None
+        return value
+
+    def real(self, value, path: str, ctx: dict, positive=False, nonnegative=False):
+        """A finite number as a float; > 0 if ``positive``, >= 0 if
+        ``nonnegative``."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            self.add(path, f"expected a number, got {value!r}")
+            return None
+        try:
+            x = float(value)
+        except OverflowError:   # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            self.add(path, f"must be a finite number, got {value!r}")
+        elif positive and x <= 0:
+            self.add(path, "must be positive")
+        elif nonnegative and x < 0:
+            self.add(path, "must not be negative")
+        else:
+            return x
+        return None
+
+    def time(self, value, path: str, ctx: dict) -> float | None:
+        """A finite time, checked to lie in [0, horizon] and on the grid when
+        those are known."""
+        t, horizon, grid = self.real(value, path, ctx), ctx["horizon"], ctx["grid"]
+        if t is None:
+            return None
+        if horizon is not None and not 0.0 <= t <= horizon:
+            self.add(path, f"{t!r} is outside [0, horizon = {horizon!r}]")
+            return None
+        try:
+            if grid is not None:
+                grid.index(t)
+        except ValueError:
+            self.add(path, f"{t!r} is not a multiple of run.dt")
+            return None
+        return t
+
+    def channel(self, value, path: str, ctx: dict) -> int | None:
+        """An integer channel index, checked to lie in [0, nchannels) when
+        the model is valid."""
+        if self.integer(value, path, ctx) is None:
+            return None
+        n = ctx["nchannels"]
+        if n is not None and not 0 <= value < n:
+            self.add(path, f"channel {value} is outside [0, {n})")
+            return None
+        return value
+
+    def complex(self, value, path: str, ctx: dict) -> complex | None:
         try:
             return parse_complex(value)
         except ValueError as exc:
             self.add(path, str(exc))
-            return 0j
+            return None
 
-    def complex_list(self, section: dict, key: str, path: str, default) -> list[complex]:
-        """section[key] (``default`` if absent), a list of complex literals."""
-        values = section.get(key, default)
-        if not isinstance(values, list):
-            self.add(f"{path}.{key}", "expected a list")
-            return []
-        return [self.complex_scalar(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
-
-    def matrix(self, value, path: str, dim: int | None = None) -> np.ndarray:
-        if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-            self.add(path, "expected a nested row list")
-            return np.zeros((dim or 1, dim or 1), dtype=complex)
-        nrows = len(value)
-        ncols = len(value[0]) if nrows else 0
-        if any(len(row) != ncols for row in value):
+    def matrix(self, value, path: str, ctx: dict, size=None) -> np.ndarray | None:
+        """A nested row list of complex entries; dim x dim when ``size``
+        names a dimension in ``ctx`` that is known."""
+        rows = self.items(value, path, ctx, of=_ROW)
+        if rows is None:
+            return None
+        shape, dim = (len(rows), len(rows[0]) if rows else 0), ctx[size] if size else None
+        if any(len(row) != shape[1] for row in rows):
             self.add(path, "rows have inconsistent lengths")
-            return np.zeros((dim or 1, dim or 1), dtype=complex)
-        if dim is not None and (nrows, ncols) != (dim, dim):
-            self.add(path, f"expected a {dim}x{dim} matrix, got {nrows}x{ncols}")
-        out = np.zeros((nrows, max(ncols, 1)), dtype=complex)
-        for i, row in enumerate(value):
-            for j, entry in enumerate(row):
-                out[i, j] = self.complex_scalar(entry, f"{path}[{i}][{j}]")
-        return out
+        elif dim is not None and shape != (dim, dim):
+            self.add(path, f"expected a {dim}x{dim} matrix, got {shape[0]}x{shape[1]}")
+        else:
+            return np.array(rows, dtype=complex).reshape(shape)
+        return None
 
-    def number(self, section: dict, key: str, path: str, default=None, positive=False):
-        if key not in section:
-            if default is None:
-                self.add(f"{path}.{key}", "missing required value")
-                return 0.0
-            return default
-        value = self.finite(section[key], f"{path}.{key}")
-        if value is None:
-            return default if default is not None else 0.0
-        if positive and value <= 0:
-            self.add(f"{path}.{key}", "must be positive")
-        return value
-
-    def finite(self, v, path: str) -> float | None:
-        """``v`` as a finite float, or None after recording why it is not one."""
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            self.add(path, f"expected a number, got {v!r}")
-            return None
-        value = _as_float(v)
-        if not math.isfinite(value):
-            self.add(path, f"must be a finite number, got {v!r}")
+    def choice(self, value, path: str, ctx: dict, options: tuple[str, ...]) -> str | None:
+        if value not in options:
+            self.add(path, f"must be one of {', '.join(options)}")
             return None
         return value
 
-    def time(self, v, path: str, horizon: float | None, grid: TimeGrid | None) -> float:
-        """A finite time, checked to lie in [0, horizon] and on the grid, if known."""
-        t = self.finite(v, path)
-        if t is None:
-            return 0.0
-        if horizon is not None and not 0.0 <= t <= horizon:
-            self.add(path, f"{t!r} is outside [0, horizon = {horizon!r}]")
-        elif grid is not None:
-            try:
-                grid.index(t)
-            except ValueError:
-                self.add(path, f"{t!r} is not a multiple of run.dt")
-        return t
+    def text(self, value, path: str, ctx: dict) -> str | None:
+        if not isinstance(value, str):
+            self.add(path, "expected a string")
+            return None
+        return value
 
-    def channel(self, v, path: str, nchannels: int | None) -> int:
-        """A channel index in [0, nchannels), unchecked in range if the model is invalid."""
-        if not isinstance(v, int) or isinstance(v, bool):
-            self.add(path, f"expected an integer channel index, got {v!r}")
-            return 0
-        if nchannels is not None and not 0 <= v < nchannels:
-            self.add(path, f"channel {v} is outside [0, {nchannels})")
-        return v
+    def frequencies(self, value, path: str, ctx: dict) -> np.ndarray | None:
+        """A non-empty list of finite numbers, or {start, stop, count} for
+        ``np.linspace``."""
+        if isinstance(value, dict):
+            span = self.section(value, path, ctx, _NU_SPAN)
+            return None if None in span.values() else np.linspace(
+                span["start"], span["stop"], span["count"])
+        grid = self.items(value, path, ctx, of=_REAL, nonempty=True)
+        return None if grid is None else np.asarray(grid)
 
 
-_PRESET_KEYS = ("preset", "omega", "omega0", "nu", "alphas", "lambdas")
-_MODEL_KEYS = ("dim", "hamiltonian", "channels", "drive", "detection", "frame")
+_C = _Collector
+_REAL, _COMPLEX, _TIME, _CHANNEL = _key(_C.real), _key(_C.complex), _key(_C.time), _key(_C.channel)
+_ROW = _key(_C.items, of=_COMPLEX)
+
+# model {"preset": "mollow", ...}; omega0 defaults to omega, and nu to omega0.
+_PRESET = {
+    "preset": _key(_C.choice, options=("mollow",)),
+    "omega": _key(_C.real, 10.0, positive=True),
+    "omega0": _key(_C.real, _OPTIONAL, positive=True),
+    "nu": _key(_C.real, _OPTIONAL, positive=True),
+    "alphas": _key(_C.items, ["0.7071067811865476"] * 2, of=_COMPLEX),
+    "lambdas": _key(_C.items, ["0", "3.5355339059327378i"], of=_COMPLEX),
+}
+# An explicit model; the drive amplitudes default to 0 per channel, the frame to 0.
+_MODEL = {
+    "dim": _key(_C.integer, lo=1),
+    "hamiltonian": _key(_C.matrix, size="dim"),
+    "channels": _key(_C.items, of=_key(_C.matrix, size="dim"), nonempty=True),
+    "drive": _key(_C.section, {}, keys={
+        "amplitudes": _key(_C.items, _OPTIONAL, of=_COMPLEX),
+        "carrier": _key(_C.real, 0.0),
+    }),
+    "detection": _key(_C.section, {}, keys={
+        "kind": _key(_C.choice, "diagonal-phase", options=DETECTION_KINDS),
+        "nu": _key(_C.real, 0.0),
+        "matrix": _key(_C.matrix, _OPTIONAL),
+    }),
+    "frame": _key(_C.matrix, _OPTIONAL, size="dim"),
+}
+# The run section is read in two parts, with the rules on dt, horizon and
+# ntraj between them: the times of the second part are checked on the grid
+# of the first.
+_RUN_CLOCK = {
+    "command": _key(_C.choice, options=COMMANDS),
+    "dt": _key(_C.real, 1e-3, positive=True),
+    "horizon": _key(_C.real, 2.0, positive=True),
+    "ntraj": _key(_C.integer, 10_000, lo=1),
+}
+_RUN = {
+    "seed": _key(_C.integer, 1234),
+    "record_times": _key(_C.items, None, of=_TIME, nonempty=True),
+    "nu_grid": _key(_C.frequencies, None),
+    "pairs": _key(_C.items, [], of=_key(_C.items, entries=(_CHANNEL, _CHANNEL, _TIME, _TIME))),
+    "initial_state": _key(_C.items, None, of=_COMPLEX),
+    "chunk_size": _key(_C.integer, 1024, lo=1),
+    "bias_coeff": _key(_C.real, 25.0, nonnegative=True),
+    "identity_tol": _key(_C.real, 1e-11, positive=True),
+}
+_NU_SPAN = {"start": _REAL, "stop": _REAL, "count": _key(_C.integer, lo=1)}
+_OUTPUT = {
+    "directory": _key(_C.text, "out"),
+    "formats": _key(_C.items, ["csv", "json"], of=_key(_C.choice, options=("csv", "json")),
+                    nonempty=True),
+    "precision": _key(_C.integer, 17, lo=1, hi=17),
+}
 
 
 def _parse_model(section, col: _Collector):
+    """The model and, for the preset, its :class:`MollowConfig`; (None, None)
+    once any error is recorded."""
     preset = isinstance(section, dict) and "preset" in section
-    if not col.known(section, "model", _PRESET_KEYS if preset else _MODEL_KEYS):
-        return None, None
-    if preset:
-        if section["preset"] != "mollow":
-            col.add("model.preset", f"unknown preset {section['preset']!r}")
-            return None, None
-        omega = col.number(section, "omega", "model", default=10.0, positive=True)
-        omega0 = col.number(section, "omega0", "model", default=omega, positive=True)
-        nu = col.number(section, "nu", "model", default=omega0, positive=True)
-        alphas = col.complex_list(section, "alphas", "model", ["0.7071067811865476"] * 2)
-        lambdas = col.complex_list(section, "lambdas", "model", ["0", "3.5355339059327378i"])
-        if col.errors:
-            return None, None
-        try:
-            cfg = MollowConfig(omega=omega, omega0=omega0, nu=nu,
-                               alphas=np.array(alphas), lambdas=np.array(lambdas))
-            return build_mollow_model(cfg), cfg
-        except ValueError as exc:
-            col.add("model", str(exc))
-            return None, None
-
-    dim = section.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        col.add("model.dim", "positive integer dimension is required")
-        return None, None
-    h = col.matrix(section.get("hamiltonian", []), "model.hamiltonian", dim)
-    channels = section.get("channels", [])
-    if not isinstance(channels, list) or not channels:
-        col.add("model.channels", "at least one channel matrix is required")
-        channels = []
-    chan_mats = [col.matrix(ch, f"model.channels[{j}]", dim) for j, ch in enumerate(channels)]
-    drive_sec = section.get("drive", {})
-    if not col.known(drive_sec, "model.drive", ("amplitudes", "carrier")):
-        drive_sec = {}
-    amps = col.complex_list(drive_sec, "amplitudes", "model.drive",
-                            [0.0] * max(len(chan_mats), 1))
-    carrier = col.number(drive_sec, "carrier", "model.drive", default=0.0)
-    det_sec = section.get("detection", {"kind": "diagonal-phase", "nu": 0.0})
-    if not col.known(det_sec, "model.detection", ("kind", "nu", "matrix")):
-        det_sec = {}
-    kind = det_sec.get("kind", "diagonal-phase")
-    frame = col.matrix(section.get("frame", np.zeros((dim, dim)).tolist()), "model.frame", dim)
+    v = col.section(section, "model", {}, _PRESET if preset else _MODEL)
     if col.errors:
         return None, None
     try:
-        if kind == "constant-unitary":
-            detection = DetectionSpec(kind=kind, matrix=col.matrix(
-                det_sec.get("matrix", []), "model.detection.matrix", len(chan_mats)))
-        else:
-            detection = DetectionSpec(kind=kind, nu=col.number(det_sec, "nu", "model.detection",
-                                                               default=0.0))
-        model = SystemModel(hamiltonian=h, channels=tuple(chan_mats),
-                            drive=DriveSpec(amplitudes=np.array(amps), carrier=carrier),
-                            detection=detection, frame=frame)
+        if preset:
+            omega0 = v["omega0"] or v["omega"]   # a given value is positive
+            cfg = MollowConfig(omega=v["omega"], omega0=omega0, nu=v["nu"] or omega0,
+                               alphas=np.array(v["alphas"]), lambdas=np.array(v["lambdas"]))
+            return build_mollow_model(cfg), cfg
+        drive, det = v["drive"], v["detection"]
+        model = SystemModel(
+            hamiltonian=v["hamiltonian"], channels=v["channels"],
+            drive=DriveSpec(amplitudes=np.zeros(len(v["channels"])) if drive["amplitudes"] is None
+                            else drive["amplitudes"], carrier=drive["carrier"]),
+            detection=(DetectionSpec(kind=det["kind"], matrix=det["matrix"])
+                       if det["kind"] == "constant-unitary" else DetectionSpec(nu=det["nu"])),
+            frame=np.zeros((v["dim"], v["dim"])) if v["frame"] is None else v["frame"])
         return model, None
     except ValueError as exc:
         col.add("model", str(exc))
         return None, None
 
 
-def _parse_nu_grid(value, col: _Collector):
-    if value is None:
+def _parse_run(section, col: _Collector, model: SystemModel | None) -> RunSpec | None:
+    if not col.known(section, "run", _RUN_CLOCK | _RUN):
         return None
-    if isinstance(value, list):
-        if not value:
-            col.add("run.nu_grid", "frequency grid must not be empty")
-            return None
-        grid = [col.finite(v, f"run.nu_grid[{i}]") for i, v in enumerate(value)]
-        return None if None in grid else np.asarray(grid)
-    if isinstance(value, dict):
-        col.known(value, "run.nu_grid", ("start", "stop", "count"))
-        start = col.number(value, "start", "run.nu_grid")
-        stop = col.number(value, "stop", "run.nu_grid")
-        count = value.get("count")
-        if not isinstance(count, int) or count < 1:
-            col.add("run.nu_grid.count", "positive integer required")
-            return None
-        return np.linspace(start, stop, count)
-    col.add("run.nu_grid", "expected a list or {start, stop, count}")
-    return None
-
-
-def _parse_run(section, col: _Collector, model: SystemModel | None):
-    if not col.known(section, "run", [f.name for f in fields(RunSpec)]):
-        return None
-    command = section.get("command")
-    if command not in COMMANDS:
-        col.add("run.command", f"must be one of {', '.join(COMMANDS)}")
-        command = "verify"
-    nerrors = len(col.errors)
-    dt = col.number(section, "dt", "run", default=1e-3, positive=True)
-    dt_ok = len(col.errors) == nerrors
-    nerrors = len(col.errors)
-    horizon = col.number(section, "horizon", "run", default=2.0, positive=True)
+    run = col.fields(section, "run", {}, _RUN_CLOCK)
+    command, dt, horizon, ntraj = (run[k] for k in ("command", "dt", "horizon", "ntraj"))
     # Times are range-checked only against a valid horizon, and checked to be
     # grid points only when dt divides it, i.e. when the run's grid has step dt.
-    time_bound = horizon if len(col.errors) == nerrors else None
-    grid = TimeGrid.covering(horizon, dt) if dt_ok and time_bound is not None else None
+    grid = None if dt is None or horizon is None else TimeGrid.covering(horizon, dt)
     if grid is not None and abs(grid.h - dt) > GRID_TOL * dt:
         col.add("run.dt", f"{dt!r} does not divide run.horizon = {horizon!r}")
         grid = None
-    ntraj = section.get("ntraj", 10_000)
-    if not isinstance(ntraj, int) or ntraj < 1:
-        col.add("run.ntraj", "must be a positive integer")
-        ntraj = 1
-    elif ntraj < 2 and command in ("trajectories", "moments"):
+    if ntraj is not None and ntraj < 2 and command in ("trajectories", "moments"):
         col.add("run.ntraj", f"{command} needs at least 2 trajectories for a standard error")
-    seed = section.get("seed", 1234)
-    if not isinstance(seed, int):
-        col.add("run.seed", "must be an integer")
-        seed = 0
-    record_times = section.get("record_times")
-    if record_times is not None:
-        if not isinstance(record_times, list) or not all(
-                isinstance(t, (int, float)) for t in record_times):
-            col.add("run.record_times", "expected a list of times")
-            record_times = None
+    nchannels = model.nchannels if model is not None else None
+    run |= col.fields(section, "run", {"horizon": horizon, "grid": grid, "nchannels": nchannels},
+                      _RUN)
+    if run["initial_state"] is not None:
+        vec = np.array(run["initial_state"], dtype=complex)
+        nrm = np.linalg.norm(vec)
+        if model is not None and len(vec) != model.dim:
+            col.add("run.initial_state", f"expected {model.dim} amplitudes, got {len(vec)}")
+        elif not 0 < nrm < math.inf:
+            col.add("run.initial_state", "must be a nonzero vector of finite amplitudes")
         else:
-            record_times = tuple(col.time(t, f"run.record_times[{i}]", time_bound, grid)
-                                 for i, t in enumerate(record_times))
-    nu_grid = _parse_nu_grid(section.get("nu_grid"), col)
-    pairs, requests = [], section.get("pairs", [])
-    if not isinstance(requests, list):
-        col.add("run.pairs", "expected a list")
-        requests = []
-    for p, entry in enumerate(requests):
-        if (not isinstance(entry, list) or len(entry) != 4
-                or not all(isinstance(x, (int, float)) for x in entry)):
-            col.add(f"run.pairs[{p}]", "expected [i, j, t1, t2]")
-            continue
-        nchannels = len(model.channels) if model is not None else None
-        pairs.append((col.channel(entry[0], f"run.pairs[{p}][0]", nchannels),
-                      col.channel(entry[1], f"run.pairs[{p}][1]", nchannels),
-                      col.time(entry[2], f"run.pairs[{p}][2]", time_bound, grid),
-                      col.time(entry[3], f"run.pairs[{p}][3]", time_bound, grid)))
-    initial = section.get("initial_state")
-    if initial is not None:
-        if not isinstance(initial, list):
-            col.add("run.initial_state", "expected a list of amplitudes")
-            initial = None
-        else:
-            nerrors = len(col.errors)
-            vec = np.array([col.complex_scalar(v, f"run.initial_state[{i}]")
-                            for i, v in enumerate(initial)], dtype=complex)
-            nrm = np.linalg.norm(vec)
-            if model is not None and len(vec) != model.dim:
-                col.add("run.initial_state",
-                        f"expected {model.dim} amplitudes, got {len(vec)}")
-            elif not 0 < nrm < math.inf and len(col.errors) == nerrors:
-                col.add("run.initial_state", "must be a nonzero vector of finite amplitudes")
-            initial = vec / nrm if 0 < nrm < math.inf else vec
-    chunk = section.get("chunk_size", 1024)
-    if not isinstance(chunk, int) or chunk < 1:
-        col.add("run.chunk_size", "must be a positive integer")
-        chunk = 1024
-    bias = col.number(section, "bias_coeff", "run", default=25.0)
-    tol = col.number(section, "identity_tol", "run", default=1e-11, positive=True)
-    return RunSpec(command=command, dt=dt, horizon=horizon, ntraj=ntraj, seed=seed,
-                   record_times=record_times, nu_grid=nu_grid, pairs=tuple(pairs),
-                   initial_state=initial, chunk_size=chunk, bias_coeff=bias,
-                   identity_tol=tol)
-
-
-def _parse_output(section, col: _Collector):
-    if section is None:
-        return OutputSpec()
-    if not col.known(section, "output", [f.name for f in fields(OutputSpec)]):
-        return OutputSpec()
-    directory = section.get("directory", "out")
-    if not isinstance(directory, str):
-        col.add("output.directory", "expected a string")
-        directory = "out"
-    formats = section.get("formats", ["csv", "json"])
-    if (not isinstance(formats, list) or not formats
-            or not all(f in ("csv", "json") for f in formats)):
-        col.add("output.formats", "expected a non-empty list drawn from ['csv', 'json']")
-        formats = ["csv", "json"]
-    precision = section.get("precision", 17)
-    if not isinstance(precision, int) or not 1 <= precision <= 17:
-        col.add("output.precision", "expected an integer in [1, 17]")
-        precision = 17
-    return OutputSpec(directory=directory, formats=tuple(formats), precision=precision)
+            run["initial_state"] = vec / nrm
+    return RunSpec(**run)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -437,16 +431,18 @@ def parse_config(text: str) -> RunConfig:
     col.known(doc, "", ("model", "run", "output"))
     model, mollow_cfg = _parse_model(doc.get("model"), col)
     run = _parse_run(doc.get("run", {}), col, model)
-    output = _parse_output(doc.get("output"), col)
-    if (run is not None and run.command in ("spectrum", "mollow") and run.nu_grid is None
+    output = col.section({} if doc.get("output") is None else doc["output"], "output", {},
+                         _OUTPUT)
+    spectral = run is not None and run.command in ("spectrum", "mollow")
+    if (spectral and run.nu_grid is None
             and not any(e.startswith("run.nu_grid") for e in col.errors)):
         col.add("run.nu_grid", f"the {run.command} command requires a frequency grid")
-    if (run is not None and run.command in ("spectrum", "mollow") and model is not None
-            and model.detection.kind != "diagonal-phase"):
+    if spectral and model is not None and model.detection.kind != "diagonal-phase":
         col.add("model.detection.kind",
                 f"the {run.command} command requires diagonal-phase detection")
     if run is not None and run.command == "mollow" and mollow_cfg is None and not col.errors:
         col.add("model", "the mollow command requires the mollow preset")
     if col.errors:
         raise ConfigError(col.errors)
-    return RunConfig(model=model, run=run, output=output, mollow=mollow_cfg, echo=doc)
+    return RunConfig(model=model, run=run, output=OutputSpec(**output), mollow=mollow_cfg,
+                     echo=doc)

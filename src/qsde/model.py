@@ -43,6 +43,7 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
+DETECTION_KINDS = ("diagonal-phase", "constant-unitary")
 # A time is a grid point, and a step equals dt, to this fraction of a step.
 GRID_TOL = 1e-9
 
@@ -82,6 +83,8 @@ class TimeGrid:
         if times is None:
             return np.unique(np.rint(np.linspace(0, self.nsteps, min(self.nsteps, 10) + 1))
                              .astype(int))
+        if np.size(times) == 0:
+            raise ValueError("no checkpoint times: the list of record times is empty")
         return np.unique(self.index(times))
 
 
@@ -117,7 +120,7 @@ class DetectionSpec:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("diagonal-phase", "constant-unitary"):
+        if self.kind not in DETECTION_KINDS:
             raise ValueError(f"unknown detection kind {self.kind!r}")
         if self.kind == "constant-unitary":
             if self.matrix is None:

@@ -1,11 +1,20 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qsde.cli as cli
 from qsde.cli import ResultBundle, _ensemble_diagnostics, bundles_equal, emit, main, run_command
-from qsde.config import ConfigError, format_complex, parse_complex, parse_config
+from qsde.config import (
+    ConfigError,
+    OutputSpec,
+    RunSpec,
+    format_complex,
+    parse_complex,
+    parse_config,
+)
 from qsde.model import TimeGrid
 from qsde.statistics import mc_mean_output
 from qsde.trajectories import Ensemble
@@ -320,6 +329,108 @@ def test_every_spec_field_is_a_known_key():
                          "output.precision": 9})
     cfg = parse_config(json.dumps(doc))
     assert (cfg.run.ntraj, cfg.output.directory, cfg.output.precision) == (4, "o", 9)
+
+
+BOOLEAN_INTEGERS = {   # path: (doc, message)
+    "run.seed": (make_config(**{"run.seed": True}), "must be an integer"),
+    "run.ntraj": (make_config(**{"run.ntraj": True}), "must be a positive integer"),
+    "run.chunk_size": (make_config(**{"run.chunk_size": True}), "must be a positive integer"),
+    "run.nu_grid.count": (make_config(**{"run.command": "spectrum", "run.nu_grid": {
+        "start": 0.0, "stop": 1.0, "count": True}}), "must be a positive integer"),
+    "output.precision": (make_config(**{"output.precision": True}),
+                         "must be an integer in [1, 17]"),
+    "model.dim": ({"model": EXPLICIT_MODEL | {"dim": True},
+                   "run": {"command": "verify"}}, "must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("path", list(BOOLEAN_INTEGERS))
+def test_boolean_is_not_an_integer(path):
+    """JSON true parsed as the integer 1 (a seed, a chunk size, a precision of
+    True), and model.dim true ended in a TypeError: every integer key now
+    rejects a boolean with a ConfigError naming it."""
+    doc, message = BOOLEAN_INTEGERS[path]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [f"{path}: {message}"]
+
+
+@pytest.mark.parametrize("command", ["trajectories", "moments", "master"])
+def test_empty_record_times_rejected(command):
+    """An empty record_times list passed the parser and ended in a reshape
+    error inside the trajectory engine."""
+    doc = make_config(**{"run.command": command, "run.ntraj": 4, "run.record_times": []})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["run.record_times: must not be empty"]
+
+
+def test_negative_bias_coeff_rejected():
+    """A negative slack made the 3 sigma + C dt checks stricter than 3 sigma."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(make_config(**{"run.command": "moments", "run.bias_coeff": -1})))
+    assert err.value.errors == ["run.bias_coeff: must not be negative"]
+    assert parse_config(json.dumps(make_config(**{"run.bias_coeff": 0}))).run.bias_coeff == 0.0
+
+
+NULL_REJECTED = {   # path: (doc, message)
+    "model.omega0": ({"model": {"preset": "mollow", "omega0": None}, "run": {"command": "verify"}},
+                     "expected a number, got None"),
+    "model.nu": ({"model": {"preset": "mollow", "nu": None}, "run": {"command": "verify"}},
+                 "expected a number, got None"),
+    "model.frame": ({"model": EXPLICIT_MODEL | {"frame": None}, "run": {"command": "verify"}},
+                    "expected a list"),
+    "model.drive.amplitudes": ({"model": EXPLICIT_MODEL | {"drive": {"amplitudes": None}},
+                                "run": {"command": "verify"}}, "expected a list"),
+    "run.seed": (make_config(**{"run.seed": None}), "must be an integer"),
+}
+
+
+@pytest.mark.parametrize("path", list(NULL_REJECTED))
+def test_null_is_not_absent_at_keys_that_need_a_value(path):
+    """Only record_times, nu_grid, initial_state and the output section read
+    null as absent; an optional model key given as null is an error."""
+    doc, message = NULL_REJECTED[path]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [f"{path}: {message}"]
+
+
+def test_null_reads_as_absent_where_it_did():
+    doc = make_config(**{"run.record_times": None, "run.nu_grid": None,
+                         "run.initial_state": None, "output": None})
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.run == RunSpec(command="verify") and cfg.output == OutputSpec()
+
+
+def test_absent_keys_take_the_spec_defaults():
+    """The declared defaults are those of RunSpec and OutputSpec."""
+    cfg = parse_config(json.dumps(MINIMAL_MOLLOW))
+    assert cfg.run == RunSpec(command="verify")
+    assert cfg.output == OutputSpec()
+
+
+def _same(a, b) -> bool:
+    """Field-by-field equality of parsed configs, arrays exact."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted([*ROOT.glob("configs/*.json"), *ROOT.glob("perfbench/configs/*.json")])
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.relative_to(ROOT).as_posix() for p in SHIPPED])
+def test_shipped_configs_parse_and_echo_reparses_equal(path):
+    cfg = parse_config(path.read_text())
+    assert cfg.echo == json.loads(path.read_text())
+    assert _same(parse_config(json.dumps(cfg.echo)), cfg)
 
 
 def test_spectrum_requires_grid():

@@ -216,3 +216,11 @@ def test_time_grid_default_checkpoints():
     assert TimeGrid.covering(4.0, 1e-3).checkpoints().tolist() == list(range(0, 4001, 400))
     assert TimeGrid.covering(1.0, 0.25).checkpoints().tolist() == [0, 1, 2, 3, 4]
     assert TimeGrid.covering(1.0, 0.25).checkpoints([1.0, 0.25, 0.5, 0.25]).tolist() == [1, 2, 4]
+
+
+@pytest.mark.parametrize("times", [[], (), np.array([])])
+def test_time_grid_rejects_empty_checkpoint_times(times):
+    """An empty list of record times is an error naming the problem, not an
+    empty set of checkpoints that later fails to reshape."""
+    with pytest.raises(ValueError, match="record times is empty"):
+        TimeGrid.covering(1.0, 0.25).checkpoints(times)

@@ -665,6 +665,18 @@ def test_bad_run_arguments_rejected_before_any_work(run, case, mollow_coeffs, mo
 
 
 @pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
+def test_empty_record_times_rejected_before_any_work(run, mollow_coeffs, monkeypatch):
+    """record_times=[] ended in a reshape error after the whole ensemble had
+    run; it is now a ValueError naming it, raised before any step or fork."""
+    monkeypatch.setenv("QSDE_WORKERS", "2")
+    monkeypatch.setattr(trajectories, "_run_span", _no_work)
+    monkeypatch.setattr(trajectories, "get_context", _no_work)
+    with pytest.raises(ValueError, match="record times is empty"):
+        run(mollow_coeffs, E0, dt=1e-3, nsteps=10, ntraj=8, base_seed=1, chunk_size=4,
+            record_times=[])
+
+
+@pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
 def test_numpy_run_arguments_accepted(run, mollow_coeffs):
     """numpy integers and floats are valid counts, steps and seeds (a numpy
     chunk size or seed overflowed the Philox key)."""
