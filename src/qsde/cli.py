@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .master import (
-    STATIONARY_RESIDUAL_TOL,
     DegenerateStationaryState,
     LindbladPropagator,
     StationaryResult,
@@ -38,23 +37,20 @@ from .master import (
 )
 from .model import build_coefficients, operator_norm_bounds, verify_weight_identity
 from .mollow import find_spectrum_peaks, mollow_checks, rabi_frequency
-from .statistics import mc_mean_output, mc_output_moments, spectrum_scan, wiener_law_tests
+from .statistics import (Check, judge, mc_mean_output, mc_output_moments, spectrum_scan,
+                         wiener_law_tests)
 from .trajectories import Ensemble, run_linear_ensemble, worker_count
 
 __all__ = ["ResultBundle", "Table", "Check", "run_command", "emit", "main", "bundles_equal"]
+
+# Largest max-entry residual max|L_*[rho]| of an accepted stationary state.
+STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class Table:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str
 
 
 @dataclass
@@ -75,8 +71,7 @@ class ResultBundle:
             "tables": {name: {"columns": list(t.columns),
                               "rows": [list(r) for r in t.rows]}
                        for name, t in self.tables.items()},
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
     @classmethod
@@ -84,10 +79,8 @@ class ResultBundle:
         tables = {name: Table(columns=tuple(t["columns"]),
                               rows=tuple(tuple(r) for r in t["rows"]))
                   for name, t in doc["tables"].items()}
-        checks = [Check(name=c["name"], passed=c["passed"], detail=c["detail"])
-                  for c in doc["checks"]]
-        return cls(command=doc["command"], metadata=doc["metadata"],
-                   tables=tables, checks=checks)
+        return cls(command=doc["command"], metadata=doc["metadata"], tables=tables,
+                   checks=[Check(**c) for c in doc["checks"]])
 
 
 def bundles_equal(a: ResultBundle, b: ResultBundle, ignore_walltime: bool = True) -> bool:
@@ -127,8 +120,8 @@ def _report_stationary(st: StationaryResult, bundle: ResultBundle):
         "nullity": st.nullity, "residual": st.residual if np.isfinite(st.residual) else None}
     if not st.degenerate:
         tol = STATIONARY_RESIDUAL_TOL
-        bundle.checks.append(Check(name="stationary-residual", passed=st.residual <= tol,
-                                   detail=f"residual {st.residual:.3e} vs tol {tol:.1e}"))
+        bundle.checks.append(judge("stationary-residual", st.residual, 0.0, slack=tol,
+                                   detail=f"residual {st.residual:.3e} vs tol {tol:.1e}")[0])
 
 
 def _run_verify(cfg: RunConfig, bundle: ResultBundle):
@@ -138,9 +131,9 @@ def _run_verify(cfg: RunConfig, bundle: ResultBundle):
     bundle.tables["residuals"] = Table(
         columns=("t", "residual"),
         rows=tuple((float(t), float(r)) for t, r in zip(report.times, report.residuals)))
-    bundle.checks.append(Check(
-        name="weight-identity", passed=report.passed,
-        detail=f"max residual {report.max_residual:.3e} vs tol {report.tol:.1e}"))
+    bundle.checks.append(judge(
+        "weight-identity", report.residuals, 0.0, slack=report.tol,
+        detail=f"max residual {report.max_residual:.3e} vs tol {report.tol:.1e}")[0])
     bounds = operator_norm_bounds(coeffs, cfg.run.horizon)
     bundle.tables["norm_bounds"] = Table(
         columns=("horizon", "sup_rr", "sup_k"),
@@ -162,17 +155,15 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
     ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, cfg.run.record_times)
     mean_w = ens.weight.mean(axis=0)
     se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj)
-    rows, ok = [], True
-    for m, t in enumerate(ens.times):
-        dev = abs(mean_w[m] - 1.0)
-        passed = dev <= 3.0 * se_w[m] or se_w[m] == 0.0
-        ok &= passed
-        rows.append((float(t), float(mean_w[m]), float(se_w[m]), int(passed)))
-    bundle.tables["weights"] = Table(columns=("t", "mean_weight", "stderr", "passed"),
-                                     rows=tuple(rows))
-    bundle.checks.append(Check(
-        name="martingale", passed=bool(ok),
-        detail="mean weight within 3 standard errors of 1 at every checkpoint"))
+    # A checkpoint where every weight is equal (se 0) passes whatever its mean;
+    # ROADMAP item 3 replaces this clause with an inconclusive outcome.
+    check, ok = judge("martingale", mean_w, 1.0, np.where(se_w == 0.0, np.inf, se_w),
+                      detail="mean weight within 3 standard errors of 1 at every checkpoint")
+    bundle.tables["weights"] = Table(
+        columns=("t", "mean_weight", "stderr", "passed"),
+        rows=tuple((float(t), float(m), float(se), int(p))
+                   for t, m, se, p in zip(ens.times, mean_w, se_w, ok)))
+    bundle.checks.append(check)
 
     nchan = ens.w_path.shape[2]
     bundle.tables["outputs"] = Table(
@@ -186,9 +177,7 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
             columns=("test", "statistic", "expected", "stderr", "passed"),
             rows=tuple((r.name, float(r.statistic), float(r.expected),
                         float(r.stderr), int(r.passed)) for r in law.rows))
-        bundle.checks.append(Check(name="wiener-law", passed=law.passed,
-                                   detail=f"{sum(r.passed for r in law.rows)}/{len(law.rows)} "
-                                          f"tests at {law.confidence:.0%}"))
+        bundle.checks.append(law.check)
 
     path_rows = []
     for b in range(ens.ntraj):
@@ -219,7 +208,7 @@ def _run_master(cfg: RunConfig, bundle: ResultBundle):
     except ValueError as exc:
         bundle.checks.append(Check(name="final-state-valid", passed=False, detail=str(exc)))
     if gen.time_independent:
-        st = stationary_state(gen, residual_tol=np.inf)   # judged by _report_stationary
+        st = stationary_state(gen)
         if st.degenerate:
             bundle.tables["stationary"] = Table(columns=("nullity",), rows=((st.nullity,),))
         else:
@@ -237,30 +226,22 @@ def _run_moments(cfg: RunConfig, bundle: ResultBundle):
     ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, grid.times[record])
     report = mc_output_moments(ens, coeffs, gen, rho0, pairs=run.pairs)
     slack = run.bias_coeff * run.dt
-    rows, ok, worst = [], True, 0.0
-    for m, t in enumerate(report.times):
-        for k in range(report.mc_mean.shape[1]):
-            dev = abs(report.analytic_mean[m, k] - report.mc_mean[m, k])
-            bound = 3.0 * report.mc_mean_stderr[m, k] + slack
-            ok &= dev <= bound
-            worst = max(worst, dev - bound)
-            rows.append((float(t), k, float(report.analytic_mean[m, k]),
-                         float(report.mc_mean[m, k]), float(report.mc_mean_stderr[m, k])))
+    rule = f"3 sigma + {slack:.2e} slack"
     bundle.tables["mean"] = Table(
-        columns=("t", "channel", "analytic", "mc", "stderr"), rows=tuple(rows))
-    bundle.checks.append(Check(name="first-moment", passed=bool(ok),
-                               detail=f"3 sigma + {slack:.2e} slack, "
-                                      f"worst excess {max(worst, 0.0):.2e}"))
+        columns=("t", "channel", "analytic", "mc", "stderr"),
+        rows=tuple((float(t), k, float(report.analytic_mean[m, k]), float(report.mc_mean[m, k]),
+                    float(report.mc_mean_stderr[m, k]))
+                   for m, t in enumerate(report.times) for k in range(report.mc_mean.shape[1])))
+    bundle.checks.append(judge("first-moment", report.mc_mean, report.analytic_mean,
+                               report.mc_mean_stderr, slack=slack, detail=rule)[0])
     if report.second:
-        srows, sok = [], True
-        for r in report.second:
-            sok &= abs(r.analytic - r.mc) <= 3.0 * r.stderr + slack
-            srows.append((r.i, r.j, r.t1, r.t2, r.analytic, r.mc, r.stderr))
+        second = report.second
         bundle.tables["second"] = Table(
             columns=("i", "j", "t1", "t2", "analytic", "mc", "stderr"),
-            rows=tuple(srows))
-        bundle.checks.append(Check(name="second-moment", passed=bool(sok),
-                                   detail=f"3 sigma + {slack:.2e} slack"))
+            rows=tuple((r.i, r.j, r.t1, r.t2, r.analytic, r.mc, r.stderr) for r in second))
+        bundle.checks.append(judge("second-moment", [r.mc for r in second],
+                                   [r.analytic for r in second], [r.stderr for r in second],
+                                   slack=slack, detail=rule)[0])
 
 
 def _run_spectrum(cfg: RunConfig, bundle: ResultBundle):
@@ -285,7 +266,7 @@ def _run_spectrum(cfg: RunConfig, bundle: ResultBundle):
 def _run_mollow(cfg: RunConfig, bundle: ResultBundle):
     scan, peaks = _run_spectrum(cfg, bundle)
     bundle.metadata["rabi_frequency"] = rabi_frequency(cfg.mollow)
-    bundle.checks.extend(Check(*c) for c in mollow_checks(cfg.mollow, scan, peaks))
+    bundle.checks.extend(mollow_checks(cfg.mollow, scan, peaks))
 
 
 _DISPATCH = {
@@ -368,12 +349,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(text)
-        if args.seed is not None:
-            from dataclasses import replace
-            echo = json.loads(json.dumps(cfg.echo))
-            echo.setdefault("run", {})["seed"] = args.seed
-            cfg = RunConfig(model=cfg.model, run=replace(cfg.run, seed=args.seed),
-                            output=cfg.output, mollow=cfg.mollow, echo=echo)
+        if args.seed is not None:   # the override is read like the config's own seed
+            cfg.echo["run"]["seed"] = args.seed
+            cfg = parse_config(json.dumps(cfg.echo))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -342,7 +342,7 @@ _RUN_CLOCK = {
     "ntraj": _key(_C.integer, 10_000, lo=1),
 }
 _RUN = {
-    "seed": _key(_C.integer, 1234),
+    "seed": _key(_C.integer, 1234, lo=0, hi=2**64 - 1),   # the Philox key is 64 bits
     "record_times": _key(_C.items, None, of=_TIME, nonempty=True),
     "nu_grid": _key(_C.frequencies, None),
     "pairs": _key(_C.items, [], of=_key(_C.items, entries=(_CHANNEL, _CHANNEL, _TIME, _TIME))),

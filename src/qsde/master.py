@@ -63,8 +63,6 @@ DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-8
 POSITIVITY_FAIL = -1e-6
-# Largest max-entry residual max|L_*[rho]| of an accepted stationary state.
-STATIONARY_RESIDUAL_TOL = 1e-10
 # Largest change of L_*(t) across the probe times, relative to max(1, max|L_*(0)|),
 # of a generator taken as constant.
 PROBE_TOL = 1e-12
@@ -236,9 +234,9 @@ class StationaryResult:
         return self.nullity != 1
 
 
-def stationary_state(gen: LindbladPropagator,
-                     residual_tol: float = STATIONARY_RESIDUAL_TOL) -> StationaryResult:
-    """Extract the stationary state from the generator's null space."""
+def stationary_state(gen: LindbladPropagator) -> StationaryResult:
+    """Extract the stationary state from the generator's null space; its
+    residual max|L_*[rho]| is reported, for the caller to judge."""
     if not gen.time_independent:
         raise ValueError("stationary state requires a time-independent generator")
     g = gen.generator_at(0.0)
@@ -256,8 +254,6 @@ def stationary_state(gen: LindbladPropagator,
         return StationaryResult(rho=None, nullity=nullity, residual=float("inf"))
     rho = rho / tr
     residual = max_abs(devectorize(g @ vectorize(rho), gen.dim))
-    if residual > residual_tol:
-        raise RuntimeError(f"stationary-state residual {residual:.3e} exceeds {residual_tol:.1e}")
     return StationaryResult(rho=validate_density(rho), nullity=1, residual=residual)
 
 

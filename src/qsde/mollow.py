@@ -20,8 +20,8 @@ import numpy as np
 
 from .model import DetectionSpec, DriveSpec, SystemModel
 # spectrum_scan is imported by name only: perfbench/tests/test_tracer.py checks
-# that the benchmark's tracer wraps it here too (ROADMAP item 5).
-from .statistics import SpectrumScan, spectrum_scan  # noqa: F401
+# that the benchmark's tracer wraps it here too (ROADMAP item 1).
+from .statistics import Check, SpectrumScan, judge, spectrum_scan  # noqa: F401
 
 __all__ = [
     "SIGMA_MINUS",
@@ -156,9 +156,8 @@ def find_spectrum_peaks(nu: np.ndarray, values: np.ndarray,
     return np.asarray(nu)[_prominent_peaks(values, rel_prominence * span)]
 
 
-def mollow_checks(cfg: MollowConfig, scan: SpectrumScan,
-                  peaks: np.ndarray) -> list[tuple[str, bool, str]]:
-    """The Mollow line-shape checks of a scan, as (name, passed, detail).
+def mollow_checks(cfg: MollowConfig, scan: SpectrumScan, peaks: np.ndarray) -> list[Check]:
+    """The Mollow line-shape checks of a scan.
 
     peak-count: three peaks for a strong drive (Rabi frequency above
     gamma / 2), one otherwise.  sideband-locations (strong drive, three
@@ -169,17 +168,18 @@ def mollow_checks(cfg: MollowConfig, scan: SpectrumScan,
     omega = rabi_frequency(cfg)
     strong = omega > 0.5 * cfg.gamma
     expected = 3 if strong else 1
-    checks = [("peak-count", len(peaks) == expected,
-               f"found {len(peaks)}, expected {expected}")]
+    checks = [Check("peak-count", len(peaks) == expected,
+                    f"found {len(peaks)}, expected {expected}")]
     if strong and len(peaks) == 3:
         tol = 2 * (scan.nu[1] - scan.nu[0]) + 1e-12
         lo, hi = cfg.omega0 - omega, cfg.omega0 + omega
-        ok = abs(peaks[0] - lo) <= tol and abs(peaks[-1] - hi) <= tol
-        checks.append(("sideband-locations", bool(ok),
-                       f"peaks {peaks[0]:.3f}/{peaks[-1]:.3f} vs {lo:.3f}/{hi:.3f}"))
+        found = f"peaks {peaks[0]:.3f}/{peaks[-1]:.3f} vs {lo:.3f}/{hi:.3f}"
+        checks.append(judge("sideband-locations", [peaks[0], peaks[-1]], [lo, hi], slack=tol,
+                            detail=found)[0])
     grid_sym = np.allclose(scan.nu + scan.nu[::-1], 2 * cfg.omega0, atol=1e-9)
     if cfg.omega == cfg.omega0 and grid_sym:
         asym = float(np.max(np.abs(scan.values - scan.values[::-1])))
-        checks.append(("spectrum-symmetry", asym <= 1e-3 * float(np.max(scan.values)),
-                       f"max asymmetry {asym:.3e}"))
+        checks.append(judge("spectrum-symmetry", asym, 0.0,
+                            slack=1e-3 * float(np.max(scan.values)),
+                            detail=f"max asymmetry {asym:.3e}")[0])
     return checks

@@ -1,5 +1,6 @@
 """Measurement-output statistics: analytic moments, Monte Carlo estimators,
-Wiener-law diagnostics and the heterodyne spectrum scan.
+Wiener-law diagnostics and the heterodyne spectrum scan, plus ``judge``, the
+one rule that decides every comparison check of a result bundle.
 
 Analytic side.  The first moment of the output of channel k is
 
@@ -114,6 +115,8 @@ from .master import (
 from .model import Coefficients, DetectionSpec, SystemModel, TimeGrid, build_coefficients
 
 __all__ = [
+    "Check",
+    "judge",
     "analytic_mean_series",
     "analytic_second_moment",
     "mc_mean_output",
@@ -128,6 +131,33 @@ __all__ = [
     "SpectrumScan",
     "jackknife_stderr",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Checks
+# ---------------------------------------------------------------------------
+
+class Check(NamedTuple):
+    """One verdict of a result bundle; ``detail`` says what was compared."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def judge(name: str, estimate, expected, stderr=0.0, z: float = 3.0, slack: float = 0.0, *,
+          detail: str) -> tuple[Check, np.ndarray]:
+    """|estimate - expected| <= z stderr + slack, entry by entry (the arguments
+    broadcast; a NaN entry fails), as the check, passed when every entry is,
+    and the per-entry verdicts.  The check's detail is ``detail`` and then the
+    worst excess of an entry over its bound (0 when all pass).  A
+    deterministic bound is ``stderr`` 0 with the bound as ``slack``.
+    """
+    dev = np.abs(np.asarray(estimate, dtype=float) - expected)
+    bound = z * np.asarray(stderr, dtype=float) + slack
+    ok = dev <= bound
+    worst = float(np.max(dev - bound, initial=0.0))
+    return Check(name, bool(ok.all()), f"{detail}, worst excess {worst:.2e}"), ok
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +400,6 @@ class MomentReport:
     mc_mean: np.ndarray         # (ntimes, J)
     mc_mean_stderr: np.ndarray  # (ntimes, J)
     second: tuple[SecondMomentRow, ...] = field(default=())
-    ntraj: int = 0
 
 
 def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
@@ -395,7 +424,7 @@ def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
     rows = [SecondMomentRow(i=i, j=j, t1=t1, t2=t2, analytic=ana, mc=value, stderr=stderr)
             for (i, j, t1, t2), ana, (value, stderr) in zip(pairs, exact, estimates)]
     return MomentReport(times=times, analytic_mean=analytic, mc_mean=mc,
-                        mc_mean_stderr=se, second=tuple(rows), ntraj=ensemble.ntraj)
+                        mc_mean_stderr=se, second=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +442,12 @@ class WienerLawRow:
 
 @dataclass(frozen=True)
 class WienerLawReport:
-    confidence: float
-    reweighted: bool
+    check: Check
     rows: tuple[WienerLawRow, ...]
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return self.check.passed
 
     def row(self, name: str) -> WienerLawRow:
         for r in self.rows:
@@ -443,7 +471,8 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
     and vanishing lag-1 autocovariance.  They are reweighted by the
     final-time weight (valid for all earlier functionals by the martingale
     property; 1 for a normalized ensemble); ``reweight=False`` is the
-    negative control.
+    negative control.  Each row is judged at the two-sided ``confidence``
+    quantile on its own, and the report's ``check`` by one ``judge`` call.
     """
     zcrit = _two_sided_z(confidence)
     times = ensemble.times
@@ -454,26 +483,22 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
     ntraj, nint, nchan = z.shape
     w = ensemble.weight[:, -1] if reweight else np.ones(ntraj)
 
-    def run(name: str, per_traj: np.ndarray, expected: float) -> WienerLawRow:
-        contrib = w * per_traj
-        stat = float(contrib.mean())
-        se = jackknife_stderr(contrib)
-        passed = abs(stat - expected) <= zcrit * se
-        return WienerLawRow(name=name, statistic=stat, expected=expected,
-                            stderr=se, passed=passed)
-
-    rows = []
+    tests = []   # (name, per-trajectory value, expected mean)
     for k in range(nchan):
-        rows.append(run(f"mean[{k}]", z[:, :, k].mean(axis=1), 0.0))
-        rows.append(run(f"variance[{k}]", (z[:, :, k] ** 2).mean(axis=1), 1.0))
+        tests.append((f"mean[{k}]", z[:, :, k].mean(axis=1), 0.0))
+        tests.append((f"variance[{k}]", (z[:, :, k] ** 2).mean(axis=1), 1.0))
         if nint >= 2:
-            rows.append(run(f"lag1[{k}]",
-                            (z[:, :-1, k] * z[:, 1:, k]).mean(axis=1), 0.0))
+            tests.append((f"lag1[{k}]", (z[:, :-1, k] * z[:, 1:, k]).mean(axis=1), 0.0))
     for a in range(nchan):
         for b in range(a + 1, nchan):
-            rows.append(run(f"cross[{a},{b}]",
-                            (z[:, :, a] * z[:, :, b]).mean(axis=1), 0.0))
-    return WienerLawReport(confidence=confidence, reweighted=reweight, rows=tuple(rows))
+            tests.append((f"cross[{a},{b}]", (z[:, :, a] * z[:, :, b]).mean(axis=1), 0.0))
+    names, values, expected = zip(*tests)
+    stats = [float((w * v).mean()) for v in values]
+    stderr = [jackknife_stderr(w * v) for v in values]
+    check, ok = judge("wiener-law", stats, expected, stderr, z=zcrit,
+                      detail=f"{len(tests)} tests at {confidence:.0%}")
+    return WienerLawReport(check=check, rows=tuple(
+        WienerLawRow(*row, passed=bool(p)) for *row, p in zip(names, stats, expected, stderr, ok)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +544,7 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
         raise ValueError("spectrum scan requires a time-independent generator")
     st = None
     if rho0 is None:
-        st = stationary_state(gen, residual_tol=np.inf)
+        st = stationary_state(gen)
         if st.degenerate:
             raise DegenerateStationaryState(
                 f"stationary manifold has dimension {st.nullity}; supply rho0")

@@ -16,7 +16,7 @@ from qsde.config import (
     parse_config,
 )
 from qsde.model import TimeGrid
-from qsde.statistics import mc_mean_output
+from qsde.statistics import Check, mc_mean_output
 from qsde.trajectories import Ensemble
 
 MINIMAL_MOLLOW = {
@@ -331,8 +331,9 @@ def test_every_spec_field_is_a_known_key():
     assert (cfg.run.ntraj, cfg.output.directory, cfg.output.precision) == (4, "o", 9)
 
 
+SEED_RANGE = "must be an integer in [0, 18446744073709551615]"
 BOOLEAN_INTEGERS = {   # path: (doc, message)
-    "run.seed": (make_config(**{"run.seed": True}), "must be an integer"),
+    "run.seed": (make_config(**{"run.seed": True}), SEED_RANGE),
     "run.ntraj": (make_config(**{"run.ntraj": True}), "must be a positive integer"),
     "run.chunk_size": (make_config(**{"run.chunk_size": True}), "must be a positive integer"),
     "run.nu_grid.count": (make_config(**{"run.command": "spectrum", "run.nu_grid": {
@@ -382,7 +383,7 @@ NULL_REJECTED = {   # path: (doc, message)
                     "expected a list"),
     "model.drive.amplitudes": ({"model": EXPLICIT_MODEL | {"drive": {"amplitudes": None}},
                                 "run": {"command": "verify"}}, "expected a list"),
-    "run.seed": (make_config(**{"run.seed": None}), "must be an integer"),
+    "run.seed": (make_config(**{"run.seed": None}), SEED_RANGE),
 }
 
 
@@ -665,6 +666,63 @@ def test_main_seed_override_changes_filenames(tmp_path):
     assert named, list(out.iterdir())
     echo = json.loads((out / "trajectories_778899.json").read_text())
     assert echo["metadata"]["config"]["run"]["seed"] == 778899
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_philox_key_rejected(seed):
+    """The generator is keyed by the seed mod 2^64, so -1 and 2^64 - 1 named
+    one run twice."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(make_config(**{"run.seed": seed})))
+    assert err.value.errors == [f"run.seed: {SEED_RANGE}"]
+    for accepted in (0, 2**64 - 1):
+        assert parse_config(json.dumps(make_config(**{"run.seed": accepted}))).run.seed == accepted
+
+
+def test_main_seed_override_is_validated(tmp_path, capsys):
+    """--seed used to bypass the config checks."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(make_config(**{"output.directory": str(tmp_path / "out")})))
+    assert main(["--config", str(cfg_path), "--seed", "-1"]) == 1
+    assert f"run.seed: {SEED_RANGE}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_martingale_row_with_zero_stderr_passes():
+    """[1, 1] normalises to a squared norm of 0.9999999999999998, the same in
+    every lane, so at t = 0 the mean weight is not 1 and its stderr is 0.  Such
+    a row passes whatever its mean."""
+    doc = make_config(**{"run.command": "trajectories", "run.ntraj": 4, "run.horizon": 0.2,
+                         "run.dt": 0.01, "run.seed": 3, "run.initial_state": [1, 1]})
+    t, mean, stderr, passed = run_command(parse_config(json.dumps(doc))).tables["weights"].rows[0]
+    assert (t, stderr, passed) == (0.0, 0.0, 1) and mean != 1.0
+
+
+TINY_RUNS = {   # command: (run overrides, the checks in the order reported)
+    "verify": ({}, ["weight-identity"]),
+    "trajectories": ({"run.ntraj": 8, "run.horizon": 0.1, "run.dt": 0.01},
+                     ["martingale", "wiener-law"]),
+    "master": ({"run.horizon": 0.1, "run.dt": 0.01}, ["final-state-valid", "stationary-residual"]),
+    "moments": ({"run.ntraj": 8, "run.horizon": 0.1, "run.dt": 0.01,
+                 "run.pairs": [[0, 0, 0.1, 0.1]]}, ["first-moment", "second-moment"]),
+    "spectrum": ({"run.horizon": 1.0, "run.dt": 0.01,
+                  "run.nu_grid": {"start": 0.0, "stop": 20.0, "count": 41}},
+                 ["stationary-residual", "spectrum-nonnegative"]),
+    "mollow": ({"run.horizon": 1.0, "run.dt": 0.01,
+                "run.nu_grid": {"start": 0.0, "stop": 20.0, "count": 41}},
+               ["stationary-residual", "spectrum-nonnegative", "peak-count",
+                "sideband-locations", "spectrum-symmetry"]),
+}
+
+
+@pytest.mark.parametrize("command", list(TINY_RUNS))
+def test_each_command_reports_its_checks_in_order(command):
+    """A dropped or renamed check shows here; every check is the one type."""
+    overrides, names = TINY_RUNS[command]
+    bundle = run_command(parse_config(json.dumps(make_config(**{"run.command": command,
+                                                                **overrides}))))
+    assert [c.name for c in bundle.checks] == names
+    assert all(type(c) is Check and type(c.passed) is bool for c in bundle.checks)
 
 
 def test_config_echo_reproduces_run(tmp_path):

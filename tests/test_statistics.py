@@ -24,12 +24,14 @@ from qsde.mollow import (
     canonical_config,
 )
 from qsde.statistics import (
+    Check,
     _closed_form_term,
     _constant_steps,
     _two_sided_z,
     analytic_mean_series,
     analytic_second_moment,
     jackknife_stderr,
+    judge,
     mc_mean_output,
     mc_output_moments,
     mc_second_moment,
@@ -503,6 +505,40 @@ def test_decay_second_moment_mc_agreement():
                               base_seed=611, record_times=[t])
     mc, se = mc_second_moment(ens, 0, 0, t, t)
     assert abs(ana - mc) <= 3.0 * se + 25 * dt
+
+
+def test_judge_entry_at_the_bound_passes_and_next_float_fails():
+    """|estimate - expected| <= z stderr + slack: 3 * 0.5 + 0.25 = 1.75 exactly."""
+    at = judge("c", 1.75, 0.0, 0.5, slack=0.25, detail="d")[0]
+    above = judge("c", np.nextafter(1.75, np.inf), 0.0, 0.5, slack=0.25, detail="d")[0]
+    assert at.passed is True and above.passed is False
+    assert judge("c", -1.75, 0.0, 0.5, slack=0.25, detail="d")[0].passed
+
+
+def test_judge_nan_fails():
+    for estimate, stderr, verdicts in ((np.nan, 1.0, [True, False]),
+                                       (0.0, np.nan, [False, False])):
+        check, ok = judge("c", [0.0, estimate], 0.0, stderr, detail="d")
+        assert not check.passed and ok.tolist() == verdicts
+
+
+def test_judge_scalar_and_2d_inputs():
+    check, ok = judge("scalar", 0.5, 0.0, slack=1.0, detail="d")
+    assert check == Check("scalar", True, "d, worst excess 0.00e+00") and ok.shape == ()
+    estimate = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    check, ok = judge("grid", estimate, np.array([0.0, 1.0, 2.0]), np.ones((2, 3)), z=1.0,
+                      detail="d")
+    assert not check.passed and ok.tolist() == [[True, True, True], [False, False, False]]
+    assert isinstance(check.passed, bool)
+
+
+def test_judge_detail_ends_with_worst_excess():
+    """The caller's text, then the largest amount by which an entry exceeds
+    its bound: here 4 - (3 * 0.5 + 1) = 1.5."""
+    check, _ = judge("c", [1.0, 4.0, 2.0], 0.0, 0.5, slack=1.0, detail="3 sigma + 1 slack")
+    assert check.detail == "3 sigma + 1 slack, worst excess 1.50e+00"
+    name, passed, detail = check
+    assert (name, passed, detail) == ("c", False, check.detail)
 
 
 def test_jackknife_matches_standard_error(rng):
