@@ -155,10 +155,13 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
     ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, cfg.run.record_times)
     mean_w = ens.weight.mean(axis=0)
     se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj)
+    # E[w_t] = E[w_0]: the null is the mean initial weight, as the t = 0 row rounds it.
+    mean_w0 = mean_w[0] if ens.times[0] == 0.0 else np.vdot(psi0, psi0).real
     # A checkpoint where every weight is equal (se 0) passes whatever its mean;
     # ROADMAP item 3 replaces this clause with an inconclusive outcome.
-    check, ok = judge("martingale", mean_w, 1.0, np.where(se_w == 0.0, np.inf, se_w),
-                      detail="mean weight within 3 standard errors of 1 at every checkpoint")
+    check, ok = judge("martingale", mean_w, mean_w0, np.where(se_w == 0.0, np.inf, se_w),
+                      detail="mean weight within 3 standard errors of the mean initial "
+                             "weight at every checkpoint")
     bundle.tables["weights"] = Table(
         columns=("t", "mean_weight", "stderr", "passed"),
         rows=tuple((float(t), float(m), float(se), int(p))

@@ -48,6 +48,14 @@ DETECTION_KINDS = ("diagonal-phase", "constant-unitary")
 GRID_TOL = 1e-9
 
 
+def _check_integers(lo: int, hi: float, **values):
+    """ValueError unless each value is an integer in [lo, hi] (numpy's too, bool not)."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
+            bound = f"of at least {lo}" if hi == np.inf else f"in [{lo}, {hi}]"
+            raise ValueError(f"{name} must be an integer {bound}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """The uniform grid t_n = n h, n = 0..nsteps, shared by the trajectory,
@@ -58,7 +66,10 @@ class TimeGrid:
 
     @classmethod
     def covering(cls, horizon: float, dt: float) -> "TimeGrid":
-        """The grid of [0, horizon] with nsteps = max(1, round(horizon / dt))."""
+        """The grid of [0, horizon] with nsteps = max(1, round(horizon / dt));
+        ValueError unless horizon and dt are finite and positive."""
+        if not (0 < horizon < np.inf and 0 < dt < np.inf):
+            raise ValueError(f"horizon and dt must be finite and positive, got {horizon}, {dt}")
         nsteps = max(1, int(round(horizon / dt)))
         return cls(h=horizon / nsteps, nsteps=nsteps)
 

@@ -91,8 +91,9 @@ N = 40 000 on the test models, mostly through the phase powers psi^n) and
 agree to 7.8e-14 of max S on the canonical Mollow scan;
 tests/test_statistics.py keeps the dense route as the reference.
 A time-dependent generator has no such form: ``analytic_second_moment``
-then runs ``_folded_sweep``, the recurrence step by step with midpoint
-propagators E_n and RK4 states (nu = 0); the spectrum requires constant G.
+then runs ``_folded_sweep``, the recurrence step by step (nu = 0), with the
+fourth-order Magnus steps E_n that also step its ``master_series`` states
+(``master`` module docstring); the spectrum requires constant G.
 """
 
 from __future__ import annotations
@@ -109,10 +110,12 @@ from .master import (
     LindbladPropagator,
     StationaryResult,
     _cleanup,
+    _magnus_steps,
     master_series,
     stationary_state,
 )
-from .model import Coefficients, DetectionSpec, SystemModel, TimeGrid, build_coefficients
+from .model import (Coefficients, DetectionSpec, SystemModel, TimeGrid, _check_integers,
+                    build_coefficients)
 
 __all__ = [
     "Check",
@@ -169,7 +172,8 @@ def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     """Cumulative E[W_k(t_n)] for all channels on ``grid``, as means[n, k].
 
     Trapezoid quadrature of Tr{rho_s (R_k + R_k^*)} along the master_series
-    states on the same grid (exact steps e^{hG} for a constant G, else RK4).
+    states on the same grid (exact steps e^{hG} for a constant G, else
+    fourth-order Magnus steps).
     """
     times = grid.times
     rho = master_series(gen, rho0, times)
@@ -177,13 +181,6 @@ def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     means = np.zeros_like(integrand)
     means[1:] = grid.h * np.cumsum(0.5 * (integrand[1:] + integrand[:-1]), axis=0)
     return means
-
-
-def _step_propagators(gen: LindbladPropagator, grid: TimeGrid) -> np.ndarray:
-    """Stack of transposed midpoint propagators E_n^T = e^{h L_*(t_n + h/2)}^T on the grid."""
-    steps = matrix_exp(np.stack([gen.generator_at((n + 0.5) * grid.h)
-                                 for n in range(grid.nsteps)]), grid.h)
-    return np.ascontiguousarray(steps.swapaxes(-1, -2))
 
 
 def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps: int):
@@ -294,14 +291,16 @@ def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: 
     otherwise (module docstring).  With all channel operators zero this
     reduces exactly to delta_{ij} min(t1, t2).  The Kronecker delta on the
     shot-noise term follows from the independence of the shifted noises:
-    distinct channels carry no common white-noise component.
+    distinct channels carry no common white-noise component.  ValueError
+    unless i and j are channels of ``coeffs``, t1 and t2 are finite and
+    non-negative, and dt is finite and positive.
     """
-    if t1 < 0 or t2 < 0:
-        raise ValueError("times must be nonnegative")
-    t_max = max(t1, t2)
-    if t_max == 0:
-        return 0.0
-    return _second_moments(coeffs, gen, rho0, TimeGrid.covering(t_max, dt), [(i, j, t1, t2)])[0]
+    _check_integers(0, coeffs.nchannels - 1, i=i, j=j)
+    if not (0 <= t1 < np.inf and 0 <= t2 < np.inf):
+        raise ValueError(f"times must be finite and non-negative, got {t1!r}, {t2!r}")
+    # At t1 = t2 = 0 a one-step grid still checks dt; the sum is then 0.
+    grid = TimeGrid.covering(max(t1, t2) or dt, dt)
+    return _second_moments(coeffs, gen, rho0, grid, [(i, j, t1, t2)])[0]
 
 
 def _second_moments(coeffs, gen, rho0, grid: TimeGrid, pairs) -> list[float]:
@@ -317,7 +316,7 @@ def _second_moments(coeffs, gen, rho0, grid: TimeGrid, pairs) -> list[float]:
         r = coeffs.r_table(grid.times)
         mu = vectorize(r @ rho[:, None])
         q = vectorize(r + r.conj().swapaxes(-1, -2)).conj()
-        e_ts = _step_propagators(gen, grid)
+        steps = _magnus_steps(gen, grid.times[:-1], grid.h)
     values = []
     for (i, j, t1, t2) in pairs:
         total = min(t1, t2) if i == j else 0.0
@@ -330,7 +329,7 @@ def _second_moments(coeffs, gen, rho0, grid: TimeGrid, pairs) -> list[float]:
                                            n_out, n_cap)[0]
             else:
                 out = slice(n_out + 1)
-                total += _folded_sweep(mu[out, b], q[out, a], e_ts[:n_out], grid.h, n_cap)
+                total += _folded_sweep(mu[out, b], q[out, a], steps[:n_out], grid.h, n_cap)
         values.append(float(total))
     return values
 
@@ -534,8 +533,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     nu_grid = np.asarray(nu_grid, dtype=float)
     if len(nu_grid) == 0:
         raise ValueError("empty frequency grid")
-    if horizon <= 0 or dt <= 0:
-        raise ValueError("horizon and dt must be positive")
+    grid = TimeGrid.covering(horizon, dt)
+    _check_integers(0, model.nchannels - 1, channel=channel)
     if model.detection.kind != "diagonal-phase":
         raise ValueError("spectrum scan requires diagonal-phase detection")
     base = build_coefficients(replace(model, detection=DetectionSpec(nu=0.0)))
@@ -549,7 +548,6 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
             raise DegenerateStationaryState(
                 f"stationary manifold has dimension {st.nullity}; supply rho0")
         rho0 = st.rho
-    grid = TimeGrid.covering(horizon, dt)
     h, nsteps = grid.h, grid.nsteps
     e, v0 = _constant_steps(gen, rho0, h, nsteps)
     # With diagonal-phase detection R^{(nu)}(s) = e^{i nu s} B(s): the
@@ -560,21 +558,20 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
                         channel=channel, stationary=st)
 
 
-def _folded_sweep(mu, q, e_ts, h, n_cap):
+def _folded_sweep(mu, q, steps, h, n_cap):
     """The trapezoid recurrence of the module docstring, one step at a time.
 
     ``mu`` holds vec(B_n rho_n) and ``q`` conj vec(A_n + A_n^*) on the grid,
-    ``e_ts`` the transposed one-step propagators; the carried c_n are row
-    vectors, so E_n acts as e_ts[n] = E_n^T.
+    ``steps`` the one-step propagators E_n.
     """
-    nsteps = len(e_ts)
+    nsteps = len(steps)
     w = np.full(nsteps + 1, h)
     w[[0, -1]] = 0.5 * h
     half_mu = (0.5 * h) * mu
-    kicks = np.matmul(half_mu[:-1, None], e_ts)[:, 0] + half_mu[1:]
+    kicks = (steps @ half_mu[:-1, :, None])[..., 0] + half_mu[1:]
     kicks[n_cap:] = 0.0   # the inner integral ends at t_{n_cap}
     c = np.zeros_like(mu)
     for n in range(nsteps):
-        np.matmul(c[n], e_ts[n], out=c[n + 1])
+        np.matmul(steps[n], c[n], out=c[n + 1])
         c[n + 1] += kicks[n]
     return 2.0 * float(w @ np.einsum("nk,nk->n", c, q).real)

@@ -85,7 +85,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .model import GRID_TOL, CoefficientTable, Coefficients, TimeGrid
+from .model import GRID_TOL, CoefficientTable, Coefficients, TimeGrid, _check_integers
 
 __all__ = [
     "WienerPath",
@@ -108,24 +108,22 @@ WEIGHT_FLOOR = 1e-12
 _LOCKSTEP_LANES = 1024
 _BLOCK_STEPS = 128
 
-_UINT64 = np.uint64
-_MASK64 = (1 << 64) - 1
+# The Philox key is two 64-bit words, (seed, stream); wider values are rejected, not wrapped.
+_KEY_MAX = (1 << 64) - 1
 # Counter offset for auxiliary draws (initial-state sampling): disjoint from
 # the increment stream, which counts up from zero.
 _AUX_COUNTER = 1 << 192
 
 
 def _philox_stream(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=_UINT64)
+    key = np.array([int(seed), int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _check_counts(dt: float, **counts):
-    """ValueError unless every count is an integer of at least 1 (numpy
-    integers accepted, bool not) and ``dt`` is finite and positive."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    """ValueError unless every count is an integer of at least 1 and ``dt``
+    is finite and positive."""
+    _check_integers(1, np.inf, **counts)
     if not (dt > 0 and np.isfinite(dt)):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
 
@@ -168,6 +166,7 @@ class WienerPath:
 def generate_wiener(seed: int, dt: float, nsteps: int, nchannels: int, stream: int = 0) -> WienerPath:
     """Draw a Wiener path from the counter-based stream (seed, stream)."""
     _check_counts(dt, nsteps=nsteps, nchannels=nchannels)
+    _check_integers(0, _KEY_MAX, seed=seed, stream=stream)
     rng = _philox_stream(seed, stream)
     increments = rng.normal(0.0, np.sqrt(dt), size=(nsteps, nchannels))
     return WienerPath(dt=dt, nsteps=nsteps, nchannels=nchannels, increments=increments)
@@ -582,9 +581,11 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients | CoefficientTable, initial,
               nsteps: int, ntraj: int, base_seed: int, record_times, weight_floor: float,
               chunk_size: int) -> Ensemble:
     """Run either unraveling into an :class:`Ensemble`, checking the counts,
-    ``dt`` and ``initial`` before any fork.  Each worker process steps one
-    contiguous span of chunks: this process the first, a forked pool the rest."""
+    ``dt``, ``base_seed`` and ``initial`` before any fork.  Each worker
+    process steps one contiguous span of chunks: this process the first, a
+    forked pool the rest."""
     _check_counts(dt, ntraj=ntraj, nsteps=nsteps, chunk_size=chunk_size)
+    _check_integers(0, _KEY_MAX, base_seed=base_seed)
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
     _check_table(coeffs, grid)

@@ -698,6 +698,20 @@ def test_martingale_row_with_zero_stderr_passes():
     assert (t, stderr, passed) == (0.0, 0.0, 1) and mean != 1.0
 
 
+@pytest.mark.parametrize("ntraj", [16, 100])
+def test_martingale_null_is_the_mean_initial_weight(ntraj):
+    """From [1, 1] the rounded mean of the t = 0 weights, 0.9999999999999999,
+    carries a stderr of about 1e-17, so judging it against the literal 1
+    failed a correct run at t = 0.  The null is now the mean initial weight,
+    E[w_t] = E[w_0], which that row meets exactly."""
+    doc = make_config(**{"run.command": "trajectories", "run.ntraj": ntraj, "run.horizon": 0.2,
+                         "run.dt": 0.01, "run.seed": 1234, "run.initial_state": [1, 1]})
+    bundle = run_command(parse_config(json.dumps(doc)))
+    t, mean, stderr, passed = bundle.tables["weights"].rows[0]
+    assert t == 0.0 and 0.0 < stderr < 1e-15 and mean != 1.0 and passed == 1
+    assert next(c for c in bundle.checks if c.name == "martingale").passed
+
+
 TINY_RUNS = {   # command: (run overrides, the checks in the order reported)
     "verify": ({}, ["weight-identity"]),
     "trajectories": ({"run.ntraj": 8, "run.horizon": 0.1, "run.dt": 0.01},

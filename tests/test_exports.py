@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 import qsde
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", sorted(info.name for info in pkgutil.iter_modules(qsde.__path__)))
@@ -17,6 +20,33 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"qsde.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"qsde.{name}.__all__ names {missing}"
+
+
+def _tracer_probes() -> dict[str, set[str]]:
+    """Each entry of the benchmark tracer's ``PROBES`` table, read from its
+    source without importing it: the target and the call arguments its probe
+    reads as ``args["name"]``."""
+    tree = ast.parse(TRACER.read_text())
+    probes = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["PROBES"])
+    return {key.value: {n.slice.value for n in ast.walk(probes[probe.id])
+                        if isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == "args"}
+            for key, probe in zip(table.keys, table.values)}
+
+
+@pytest.mark.parametrize("target", sorted(_tracer_probes()))
+def test_benchmark_tracer_probe_targets_exist(target):
+    """Each probe of ``perfbench/tracer.py`` wraps the qsde function it names
+    and reads arguments of its calls (``nsteps``, ``ntraj``, ``chunk_size``,
+    ``coeffs``).  A renamed function or argument would leave the probe's
+    counter at zero without an error; here it fails."""
+    layer, _, name = target.partition(".")
+    fn = getattr(importlib.import_module(f"qsde.{layer}"), name, None)
+    assert inspect.isfunction(fn) and fn.__module__ == f"qsde.{layer}", target
+    reads = _tracer_probes()[target]
+    missing = reads - set(inspect.signature(fn).parameters)
+    assert missing == set(), f"{target} takes no argument {sorted(missing)}"
 
 
 def test_cli_import_graph_has_no_scipy():

@@ -135,7 +135,8 @@ def test_master_series_rejects_grid_off_by_a_millionth_step(mollow_coeffs):
 
 def test_lab_frame_rk4_series_matches_rotating_frame_exact_series():
     """The same driven atom in two frames: in the lab frame its generator is
-    time dependent and master_series marches it by RK4; in the frame
+    time dependent and master_series marches it by fourth-order Magnus steps
+    (the test is named for the RK4 march they replaced); in the frame
     H0 = omega0 P_e it is constant and stepped exactly by e^{hG}.  The two
     series agree, rho_rot(t) = e^{i H0 t} rho_lab(t) e^{-i H0 t}, with the
     gap falling like h^4 (about 16x per halving of h)."""
@@ -154,6 +155,19 @@ def test_lab_frame_rk4_series_matches_rotating_frame_exact_series():
         gaps.append(max_abs(to_rotating - master_series(gen_rot, rho0, times)))
     assert gaps[-1] <= 1e-8, gaps
     assert gaps[0] / gaps[1] >= 10 and gaps[1] / gaps[2] >= 10, gaps
+
+
+def test_time_dependent_series_does_not_depend_on_step_block(monkeypatch):
+    """master_series builds the Magnus steps of a time-dependent generator a
+    block at a time; the states are the same, bit for bit, for any block."""
+    model = simple_model(channels=(SIGMA_MINUS,), amplitudes=[0.4], carrier=1.5)
+    gen = LindbladPropagator(build_coefficients(model))
+    assert not gen.time_independent
+    times = TimeGrid.covering(0.5, 1e-2).times
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    series = master_series(gen, rho0, times)
+    monkeypatch.setattr(master, "_STEP_BLOCK", 7)
+    assert np.array_equal(master_series(gen, rho0, times), series)
 
 
 def test_propagate_identity_generator():

@@ -73,14 +73,25 @@ def naive_ordered_term(coeffs, gen, rho0, i, j, t_outer, t_inner, dt):
     return total
 
 
+def cf4_step(gen, t, dt):
+    """The fourth-order commutator-free Magnus step from t to t + dt (Blanes &
+    Moan 2006, Appl. Numer. Math. 56:1519), one step at a time:
+    e^{dt (a2 G1 + a1 G2)} e^{dt (a1 G1 + a2 G2)} with G_{1,2} the generator
+    at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt and a_{1,2} = 1/4 +- sqrt(3)/6."""
+    c = np.sqrt(3.0) / 6.0
+    g1 = gen.generator_at(t + (0.5 - c) * dt)
+    g2 = gen.generator_at(t + (0.5 + c) * dt)
+    return matrix_exp((0.25 - c) * g1 + (0.25 + c) * g2, dt) @ matrix_exp(
+        (0.25 + c) * g1 + (0.25 - c) * g2, dt)
+
+
 def reference_ordered_term(gen, r, rho, i, j, t_outer, t_inner, dt):
     """One ordered term by the per-step, unfolded trapezoid recurrence.
 
     Carries the whole inner sum acc (both halves of m_n, no Hermitian fold,
-    no blocks) one step at a time, with the midpoint exponential
-    e^{dt L(t_n + dt/2)} as the step, or one exponential for a constant
-    generator.  ``r`` and ``rho`` are the R table and the states on the grid
-    of spacing dt.
+    no blocks) one step at a time, with ``cf4_step`` as the step, or one
+    exponential for a constant generator.  ``r`` and ``rho`` are the R table
+    and the states on the grid of spacing dt.
     """
     n_out = int(round(t_outer / dt))
     n_cap = int(round(t_inner / dt))
@@ -101,7 +112,7 @@ def reference_ordered_term(gen, r, rho, i, j, t_outer, t_inner, dt):
         total += w_out * (q[n1] @ acc).real * dt
         if n1 == n_out:
             break
-        step = e_step if constant else matrix_exp(gen.generator_at((n1 + 0.5) * dt), dt)
+        step = e_step if constant else cf4_step(gen, n1 * dt, dt)
         if n1 < n_cap:
             acc = step @ (acc + (0.5 * dt) * m[n1]) + (0.5 * dt) * m[n1 + 1]
         else:
@@ -272,7 +283,7 @@ def test_second_moment_pair_swap_symmetry(mollow_setup):
 
 
 def test_second_moment_time_dependent_generator_route():
-    """The midpoint-propagator stack agrees with the per-step reference on
+    """The batched Magnus-step stack agrees with the per-step reference on
     models whose generator depends on time: a carrier-driven atom and
     random models with a random frame, for i != j and t1 != t2."""
     models = [simple_model(channels=(SIGMA_MINUS, 0.5 * SIGMA_MINUS),
@@ -288,6 +299,29 @@ def test_second_moment_time_dependent_generator_route():
             fast = analytic_second_moment(coeffs, gen, rho0, i, j, t1, t2, 1e-2)
             ref = reference_second_moment(coeffs, gen, rho0, i, j, t1, t2, 1e-2)
             assert abs(fast - ref) <= 1e-12 * abs(ref), (i, j, t1, t2, fast, ref)
+
+
+def test_lab_frame_second_moments_match_rotating_frame_closed_form():
+    """The driven atom of the master-equation frame test: in the lab frame its
+    generator is time dependent and the second moments run the Magnus-step
+    sweep; in the frame H0 = omega0 P_e they take the exact closed form.  The
+    output W does not depend on the frame, so the two agree, with the gap
+    falling like h^4 (about 16x per halving of h).  The midpoint steps these
+    replaced fell 4x, to 2.9e-7 at h = 1e-3."""
+    cfg = MollowConfig(omega=10.0, omega0=9.0, nu=9.0, alphas=[0.7, 0.5], lambdas=[0.0, 2j])
+    rotating = build_mollow_model(cfg)
+    lab = dataclasses.replace(rotating, frame=np.zeros((2, 2)))
+    (c_rot, gen_rot), (c_lab, gen_lab) = (
+        (c, LindbladPropagator(c)) for c in map(build_coefficients, (rotating, lab)))
+    assert gen_rot.time_independent and not gen_lab.time_independent
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    for pair in [(0, 0, 1.0, 1.0), (0, 1, 1.0, 0.6)]:
+        gaps = [abs(analytic_second_moment(c_lab, gen_lab, rho0, *pair, dt)
+                    - analytic_second_moment(c_rot, gen_rot, rho0, *pair, dt))
+                for dt in (4e-3, 2e-3, 1e-3)]
+        assert gaps[-1] <= 1e-11, (pair, gaps)
+        if pair[:2] == (0, 0):
+            assert gaps[0] / gaps[1] >= 10 and gaps[1] / gaps[2] >= 10, gaps
 
 
 def test_constant_models_have_constant_generators():
@@ -633,6 +667,42 @@ def test_spectrum_requires_rho0_when_degenerate():
 def test_spectrum_empty_grid_rejected():
     with pytest.raises(ValueError, match="empty"):
         spectrum_scan(simple_model(), np.array([]), horizon=1.0, dt=0.01)
+
+
+BAD_ANALYTIC_INPUTS = {
+    # analytic_second_moment(i, j, t1, t2, dt) on the two-channel Mollow model
+    "dt_-0.01": ("moment", (0, 0, 1.0, 1.0, -0.01), "dt must be finite and positive"),
+    "dt_0": ("moment", (0, 0, 1.0, 1.0, 0.0), "dt must be finite and positive"),
+    "dt_nan": ("moment", (0, 0, 1.0, 1.0, np.nan), "dt must be finite and positive"),
+    "dt_inf": ("moment", (0, 0, 1.0, 1.0, np.inf), "dt must be finite and positive"),
+    "t_0_dt_-1": ("moment", (0, 0, 0.0, 0.0, -1.0), "dt must be finite and positive"),
+    "t1_nan": ("moment", (0, 0, np.nan, 1.0, 0.01), "times must be finite and non-negative"),
+    "t2_inf": ("moment", (0, 1, 1.0, np.inf, 0.01), "times must be finite and non-negative"),
+    "t1_-0.5": ("moment", (0, 1, -0.5, 1.0, 0.01), "times must be finite and non-negative"),
+    "i_-1": ("moment", (-1, 0, 1.0, 1.0, 0.01), r"i must be an integer in \[0, 1\]"),
+    "j_2": ("moment", (0, 2, 1.0, 1.0, 0.01), r"j must be an integer in \[0, 1\]"),
+    "i_1.0": ("moment", (1.0, 0, 1.0, 1.0, 0.01), "i must be an integer in"),
+    # spectrum_scan(horizon, dt, channel)
+    "channel_-1": ("scan", (1.0, 0.01, -1), r"channel must be an integer in \[0, 1\]"),
+    "channel_5": ("scan", (1.0, 0.01, 5), r"channel must be an integer in \[0, 1\]"),
+    "horizon_nan": ("scan", (np.nan, 0.01, 0), "horizon and dt must be finite and positive"),
+    "scan_dt_inf": ("scan", (1.0, np.inf, 0), "horizon and dt must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ANALYTIC_INPUTS))
+def test_analytic_route_inputs_fail_loudly(case, mollow_setup):
+    """dt = -0.01 gave the one-step answer, dt = 0 a ZeroDivisionError, a NaN
+    time a conversion error, channel -1 scanned channel 1 and channel 5 an
+    IndexError: each is a ValueError that names the input."""
+    route, args, problem = BAD_ANALYTIC_INPUTS[case]
+    coeffs, gen = mollow_setup
+    with pytest.raises(ValueError, match=problem):
+        if route == "moment":
+            analytic_second_moment(coeffs, gen, RHO_E, *args)
+        else:
+            horizon, dt, channel = args
+            spectrum_scan(mollow_at(10.0), [9.0, 10.0], horizon, dt, channel=channel)
 
 
 def test_spectrum_rejects_constant_unitary_detection():

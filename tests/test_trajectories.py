@@ -664,6 +664,32 @@ def test_bad_run_arguments_rejected_before_any_work(run, case, mollow_coeffs, mo
         run(mollow_coeffs, E0, **args)
 
 
+def _no_stream(*args, **kwargs):
+    raise AssertionError("drew noise, stepped or forked before the seed was checked")
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("entry", ["generate_wiener-seed", "generate_wiener-stream",
+                                   "run_linear_ensemble", "run_nonlinear_ensemble"])
+def test_philox_keys_outside_64_bits_rejected_before_any_work(entry, value, mollow_coeffs,
+                                                              monkeypatch):
+    """The Philox key was masked to 64 bits, so seed -1 drew the stream of
+    seed 2^64 - 1: a seed or stream outside [0, 2^64 - 1] is a ValueError
+    naming it, raised before any noise is drawn or step taken."""
+    monkeypatch.setenv("QSDE_WORKERS", "2")
+    monkeypatch.setattr(trajectories, "_philox_stream", _no_stream)
+    monkeypatch.setattr(trajectories, "_run_stacks", _no_stream)
+    monkeypatch.setattr(trajectories, "get_context", _no_stream)
+    name = {"generate_wiener-stream": "stream", "generate_wiener-seed": "seed"}.get(
+        entry, "base_seed")
+    with pytest.raises(ValueError, match=rf"{name} must be an integer in \[0, {2**64 - 1}\]"):
+        if entry.startswith("generate_wiener"):
+            generate_wiener(**{"seed": 1, "dt": 1e-3, "nsteps": 10, "nchannels": 2, name: value})
+        else:
+            getattr(trajectories, entry)(mollow_coeffs, E0, dt=1e-3, nsteps=10, ntraj=8,
+                                         base_seed=value, chunk_size=4)
+
+
 @pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
 def test_empty_record_times_rejected_before_any_work(run, mollow_coeffs, monkeypatch):
     """record_times=[] ended in a reshape error after the whole ensemble had
