@@ -3,6 +3,8 @@
 Operators live on a d-dimensional Hilbert space (d up to a few dozen) and
 are stored as dense complex128 numpy arrays.  Superoperators act on
 column-vectorized d x d matrices and are stored as d^2 x d^2 arrays.
+Every operator and superoperator function acts on the last two axes, so a
+stack (..., d, d) of matrices gives the stack of their results.
 
 Vectorization convention (fixed globally): column stacking, so that
 vec(A X B) = kron(B.T, A) @ vec(X).
@@ -24,7 +26,6 @@ __all__ = [
     "spost",
     "sandwich",
     "max_abs",
-    "spectral_norm",
     "ensure_finite",
 ]
 
@@ -38,8 +39,8 @@ def ensure_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+    """Conjugate transpose, on the last two axes."""
+    return np.swapaxes(np.asarray(m, dtype=complex).conj(), -1, -2)
 
 
 # Higham (2005), SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3 and eq. (2.1):
@@ -89,11 +90,7 @@ def matrix_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:
-    """Column-stack a d x d matrix into a length-d^2 vector.
-
-    Acts on the last two axes, so a stack of matrices gives a stack of
-    vectors.
-    """
+    """Column-stack a d x d matrix into a length-d^2 vector."""
     m = np.asarray(m, dtype=complex)
     return np.swapaxes(m, -1, -2).reshape(m.shape[:-2] + (-1,))
 
@@ -124,7 +121,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spre(a: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of x -> a x, for a matrix or a stack of them."""
+    """Superoperator matrix of x -> a x."""
     a = np.asarray(a, dtype=complex)
     return _kron(np.eye(a.shape[-1]), a)
 
@@ -132,19 +129,14 @@ def spre(a: np.ndarray) -> np.ndarray:
 def spost(b: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> x b."""
     b = np.asarray(b, dtype=complex)
-    return _kron(b.T, np.eye(b.shape[0]))
+    return _kron(np.swapaxes(b, -1, -2), np.eye(b.shape[-1]))
 
 
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> a x b."""
-    return _kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
+    return _kron(np.swapaxes(np.asarray(b, dtype=complex), -1, -2), np.asarray(a, dtype=complex))
 
 
 def max_abs(m: np.ndarray) -> float:
     """Max-entry norm."""
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
-
-
-def spectral_norm(m: np.ndarray) -> float:
-    """Operator 2-norm (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))

@@ -17,14 +17,15 @@ the duality Tr{L_*[rho] a} = Tr{rho L[a]}; the Heisenberg commutator sign
 is fixed by that duality together with the Schrodinger-picture evolution
 (e.g. rho_t = e^{-iHt} rho e^{iHt} for a purely Hamiltonian K = H).
 
-Everything here is a dense superoperator on column-vectorized matrices.
+Everything here is a dense superoperator on column-vectorized matrices, and
+one formula, ``_lindblad``, builds L_* from K and R at one time or on a grid.
 ``master_series`` is the one route that evolves a state: it records rho on a
 uniform grid, stepping a constant generator G exactly, by E = e^{hG}, and a
-time-dependent one by fourth-order Magnus steps (``_magnus_steps``), the one
-step rule that also gives ``statistics`` its two-time propagators.  A state
-at a single time t is the last entry of the series on the grid covering
-[0, t].  It serves as the exact cross-check for the Monte Carlo trajectory
-ensembles.
+time-dependent one by fourth-order Magnus steps (``_magnus_steps``, built
+from one K and one R table per Gauss node), the one step rule that also
+gives ``statistics`` its two-time propagators.  A state at a single time t
+is the last entry of the series on the grid covering [0, t].  It serves as
+the exact cross-check for the Monte Carlo trajectory ensembles.
 """
 
 from __future__ import annotations
@@ -102,25 +103,22 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def _dissipator_pieces(r: np.ndarray):
-    """sum_j R_j . R_j^* sandwich and the (1/2){R^*R, .} halves."""
-    d = r.shape[-1]
-    gain = np.zeros((d * d, d * d), dtype=complex)
-    rr = np.zeros((d, d), dtype=complex)
-    for rj in r:
+def _lindblad(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """L_*(t) of K (..., d, d) and R (..., J, d, d): one superoperator matrix
+    per leading index, each bitwise the one its (K, R) alone gives."""
+    d = k.shape[-1]
+    kh = k + adjoint(k)
+    gain = np.zeros(k.shape[:-2] + (d * d, d * d), dtype=complex)
+    rr = np.zeros(k.shape, dtype=complex)
+    for rj in np.moveaxis(r, -3, 0):
         gain += sandwich(rj, adjoint(rj))
         rr += adjoint(rj) @ rj
-    return gain, rr
+    return -0.5j * (spre(kh) - spost(kh)) + (gain - 0.5 * (spre(rr) + spost(rr)))
 
 
 def build_schrodinger_generator(coeffs: Coefficients, t: float) -> np.ndarray:
     """Superoperator matrix of the state-evolution generator L_*(t)."""
-    k, r = coeffs.at(t)
-    kh = k + adjoint(k)
-    gain, rr = _dissipator_pieces(r)
-    gen = -0.5j * (spre(kh) - spost(kh))
-    gen += gain - 0.5 * (spre(rr) + spost(rr))
-    return gen
+    return _lindblad(*coeffs.at(t))
 
 
 def build_heisenberg_generator(coeffs: Coefficients, t: float) -> np.ndarray:
@@ -175,11 +173,13 @@ def _magnus_steps(gen: LindbladPropagator, starts: np.ndarray, h: float) -> np.n
 
         E_n = e^{h(a2 G1 + a1 G2)} e^{h(a1 G1 + a2 G2)},   a_{1,2} = 1/4 +- sqrt(3)/6,
 
-    with G_{1,2} = L_*(t_n + (1/2 -+ sqrt(3)/6) h).  Global error O(h^4).
+    with G_{1,2} = L_*(t_n + (1/2 -+ sqrt(3)/6) h), each node's generators one
+    ``_lindblad`` of one K and one R table.  Global error O(h^4).
     """
     c = np.sqrt(3.0) / 6.0
     a1, a2 = 0.25 + c, 0.25 - c
-    g1, g2 = (np.stack([gen.generator_at(t) for t in starts + x * h]) for x in (0.5 - c, 0.5 + c))
+    g1, g2 = (_lindblad(gen.coeffs.k_table(t), gen.coeffs.r_table(t))
+              for t in (starts + (0.5 - c) * h, starts + (0.5 + c) * h))
     first, second = np.split(
         matrix_exp(np.concatenate([a1 * g1 + a2 * g2, a2 * g1 + a1 * g2]), h), 2)
     return second @ first

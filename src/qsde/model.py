@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import adjoint, ensure_finite, is_hermitian, max_abs, spectral_norm
+from .linalg import adjoint, ensure_finite, is_hermitian, max_abs
 
 __all__ = [
     "DriveSpec",
@@ -328,26 +328,30 @@ class WeightIdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(self.residuals)) if len(self.residuals) else 0.0
+        return float(np.max(self.residuals))
 
 
-def weight_identity_residual(k: np.ndarray, r: np.ndarray) -> float:
-    """Max-entry norm of -i(K^* - K) - sum_j R_j^* R_j."""
-    lhs = -1j * (k.conj().T - k)
-    rhs = np.einsum("jlk,jlm->km", r.conj(), r)
-    return max_abs(lhs - rhs)
+def weight_identity_residual(k: np.ndarray, r: np.ndarray):
+    """Max-entry norm of -i(K^* - K) - sum_j R_j^* R_j, for K of shape
+    (..., d, d) and R of shape (..., J, d, d): one residual per leading index."""
+    lhs = -1j * (adjoint(k) - k)
+    rhs = np.einsum("...jlk,...jlm->...km", r.conj(), r)
+    return np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
 def verify_weight_identity(coeffs: Coefficients, times, tol: float = 1e-11) -> WeightIdentityReport:
     """Check the martingale (weight-conservation) identity at each time.
 
     A failure is reported, not raised: hand-built coefficients may violate
-    the identity on purpose.
+    the identity on purpose.  ValueError unless ``tol`` is finite and
+    positive and ``times`` is a non-empty list of finite times.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     times = np.asarray(times, dtype=float)
-    residuals = np.array([weight_identity_residual(*coeffs.at(t)) for t in times])
+    if times.ndim != 1 or not len(times) or not np.isfinite(times).all():
+        raise ValueError(f"times must be a non-empty list of finite times, got {times!r}")
+    residuals = weight_identity_residual(coeffs.k_table(times), coeffs.r_table(times))
     return WeightIdentityReport(times=times, residuals=residuals, tol=tol)
 
 
@@ -362,14 +366,14 @@ class NormBoundReport:
 
 
 def operator_norm_bounds(coeffs: Coefficients, horizon: float, ngrid: int = 101) -> NormBoundReport:
-    """Informational coefficient norm bounds (always finite in finite dimension)."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    sup_rr = 0.0
-    sup_k = 0.0
-    for t in np.linspace(0.0, horizon, ngrid):
-        k, r = coeffs.at(t)
-        rr = np.einsum("jlk,jlm->km", r.conj(), r)
-        sup_rr = max(sup_rr, spectral_norm(rr))
-        sup_k = max(sup_k, spectral_norm(k))
+    """Coefficient norm bounds on ``ngrid`` points of [0, horizon]; ValueError
+    unless the horizon is finite and positive and ngrid an integer >= 2."""
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    _check_integers(2, np.inf, ngrid=ngrid)
+    times = np.linspace(0.0, horizon, ngrid)
+    r = coeffs.r_table(times)
+    rr = np.einsum("...jlk,...jlm->...km", r.conj(), r)
+    sup_rr, sup_k = (float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
+                     for m in (rr, coeffs.k_table(times)))
     return NormBoundReport(horizon=horizon, ngrid=ngrid, sup_rr=sup_rr, sup_k=sup_k)

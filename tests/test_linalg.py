@@ -173,14 +173,21 @@ def signed_zero_matrix(rng, d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_superoperators_are_bitwise_kron(rng, d):
     """spre, spost and sandwich take the products of np.kron: the same bytes,
-    signed zeros included, and spre of a stack is spre of each matrix."""
+    signed zeros included.  On a stack, adjoint and the superoperators give
+    each matrix's own result, bit for bit."""
     a, b = signed_zero_matrix(rng, d), signed_zero_matrix(rng, d)
     assert spre(a).tobytes() == np.kron(np.eye(d), a).tobytes()
     assert spost(b).tobytes() == np.kron(b.T, np.eye(d)).tobytes()
     assert sandwich(a, b).tobytes() == np.kron(b.T, a).tobytes()
     assert spre(a).shape == spost(b).shape == sandwich(a, b).shape == (d * d, d * d)
     stack = np.stack([a, b, signed_zero_matrix(rng, d)])
-    assert spre(stack).tobytes() == np.stack([spre(m) for m in stack]).tobytes()
+    others = np.stack([signed_zero_matrix(rng, d) for _ in stack])
+    for fn, args in ((spre, (stack,)), (spost, (stack,)), (adjoint, (stack,)),
+                     (sandwich, (stack, others))):
+        stacked = fn(*args)
+        assert stacked.shape[0] == len(stack), fn.__name__
+        for n, row in enumerate(stacked):
+            assert row.tobytes() == fn(*(x[n] for x in args)).tobytes(), (fn.__name__, n)
 
 
 def test_is_hermitian(rng):

@@ -4,12 +4,13 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import simple_model
+from conftest import random_model, simple_model
 from qsde import master
 from qsde.linalg import devectorize, matrix_exp, max_abs, vectorize
 from qsde.master import (
     LindbladPropagator,
     PositivityError,
+    _lindblad,
     apriori_from_trajectories,
     build_heisenberg_generator,
     build_schrodinger_generator,
@@ -18,7 +19,7 @@ from qsde.master import (
     trace_distance,
     validate_density,
 )
-from qsde.model import TimeGrid, build_coefficients
+from qsde.model import Coefficients, TimeGrid, build_coefficients
 from qsde.mollow import EXCITED_PROJECTOR, SIGMA_MINUS, MollowConfig, build_mollow_model
 from qsde.trajectories import run_linear_ensemble, run_nonlinear_ensemble
 
@@ -65,6 +66,45 @@ def test_schrodinger_trace_preservation(mollow_coeffs, rng):
     for _ in range(10):
         out = devectorize(ls @ vectorize(random_state(rng)), 2)
         assert abs(np.trace(out)) <= 1e-10
+
+
+def time_dependent_models():
+    """A carrier-driven atom, the driven atom of the frame tests in the lab
+    frame, and three random models with a random frame."""
+    cfg = MollowConfig(omega=10.0, omega0=9.0, nu=9.0, alphas=[0.7, 0.5], lambdas=[0.0, 2j])
+    return [simple_model(channels=(SIGMA_MINUS, 0.5 * SIGMA_MINUS), amplitudes=[0.4, 0.3],
+                         carrier=1.5),
+            dataclasses.replace(build_mollow_model(cfg), frame=np.zeros((2, 2)))] + [
+        random_model(np.random.default_rng(seed)) for seed in (300, 301, 302)]
+
+
+@pytest.mark.parametrize("model", time_dependent_models())
+def test_generator_of_a_table_is_the_generator_at_each_time(model):
+    """_lindblad of one K and one R table gives, row by row, the generator
+    built at each time alone, bit for bit."""
+    coeffs = build_coefficients(model)
+    ts = 0.0137 + 0.01 * np.arange(120)
+    stacked = _lindblad(coeffs.k_table(ts), coeffs.r_table(ts))
+    assert stacked.shape == (len(ts),) + (coeffs.dim ** 2,) * 2
+    for t, row in zip(ts, stacked):
+        assert row.tobytes() == build_schrodinger_generator(coeffs, t).tobytes(), t
+
+
+def test_time_dependent_series_evaluates_no_coefficients_one_time_at_a_time(monkeypatch):
+    """master_series builds a time-dependent generator's Magnus steps from
+    K and R tables: no Coefficients.at call (it made two per step)."""
+    gen = LindbladPropagator(build_coefficients(time_dependent_models()[0]))
+    assert not gen.time_independent
+    calls = []
+    at = Coefficients.at
+
+    def spy(self, t):
+        calls.append(t)
+        return at(self, t)
+
+    monkeypatch.setattr(Coefficients, "at", spy)
+    master_series(gen, np.diag([1.0, 0.0]), TimeGrid.covering(0.5, 1e-2).times)
+    assert calls == []
 
 
 def test_two_level_decay_closed_form():

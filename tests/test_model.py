@@ -140,13 +140,20 @@ def test_weight_identity_hand_built_failure():
     assert weight_identity_residual(k, r) == pytest.approx(1.0)
     k_ok = -0.5j * (SIGMA_PLUS @ SIGMA_MINUS)
     assert weight_identity_residual(k_ok, r) == 0.0
+    assert weight_identity_residual(np.stack([k, k_ok]), np.stack([r, r])).tolist() == [1.0, 0.0]
 
 
 def test_weight_identity_report_interface(mollow_coeffs):
+    """A report can fail: the tolerance is finite and positive and the times
+    a non-empty list of finite times (tol = inf or no times passed vacuously,
+    tol = nan failed with a max residual of 0.0)."""
     report = verify_weight_identity(mollow_coeffs, [0.0, 0.5, 1.0], tol=1e-12)
     assert report.passed and report.max_residual <= 1e-12
-    with pytest.raises(ValueError):
-        verify_weight_identity(mollow_coeffs, [0.0], tol=0.0)
+    for times, tol in [([0.0], 0.0), ([0.0], -1e-11), ([0.0], np.inf), ([0.0], np.nan),
+                       ([], 1e-11), ([0.0, np.nan], 1e-11), ([0.0, np.inf], 1e-11),
+                       (0.5, 1e-11)]:
+        with pytest.raises(ValueError, match="tol|times"):
+            verify_weight_identity(mollow_coeffs, times, tol=tol)
 
 
 def test_rr_norm_time_independent(rng):
@@ -177,6 +184,15 @@ def test_operator_norm_bounds():
     assert bd.sup_k == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         operator_norm_bounds(build_coefficients(zero), horizon=-1.0)
+
+
+@pytest.mark.parametrize("horizon, ngrid", [
+    (np.nan, 101), (np.inf, 101), (0.0, 101), (1.0, 0), (1.0, 1), (1.0, 2.0), (1.0, True)])
+def test_operator_norm_bounds_reject_what_they_cannot_bound(mollow_coeffs, horizon, ngrid):
+    """A non-finite horizon ended in an SVD that did not converge, and ngrid 0
+    or 1 gave bounds over no points or over t = 0 alone."""
+    with pytest.raises(ValueError, match="horizon|ngrid"):
+        operator_norm_bounds(mollow_coeffs, horizon, ngrid)
 
 
 @pytest.mark.parametrize("horizon, dt", [(0.3, 0.1), (50, 0.005), (2.0, 5e-4), (1.0, 0.25),
