@@ -92,15 +92,12 @@ def bundles_equal(a: ResultBundle, b: ResultBundle, ignore_walltime: bool = True
     return da == db
 
 
-def _start(cfg: RunConfig, master: bool = True):
-    """Coefficients, generator (if ``master``), initial vector and state of a
-    run; the vector is the normalised ``run.initial_state`` or basis state 0."""
-    coeffs = build_coefficients(cfg.model)
+def _start(cfg: RunConfig):
+    """Coefficients and initial vector of a run: normalised run.initial_state or basis state 0."""
     psi0 = cfg.run.initial_state
     if psi0 is None:
         psi0 = np.eye(cfg.model.dim, dtype=complex)[0]
-    gen = LindbladPropagator(coeffs) if master else None
-    return coeffs, gen, psi0, np.outer(psi0, psi0.conj())
+    return build_coefficients(cfg.model), psi0
 
 
 def _ensemble_diagnostics(ens: Ensemble) -> dict:
@@ -151,7 +148,7 @@ def _trajectory_ensemble(cfg: RunConfig, bundle: ResultBundle, coeffs, psi0, rec
 
 
 def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
-    coeffs, _, psi0, _ = _start(cfg, master=False)
+    coeffs, psi0 = _start(cfg)
     ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, cfg.run.record_times)
     mean_w = ens.weight.mean(axis=0)
     se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj)
@@ -193,10 +190,11 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
 
 
 def _run_master(cfg: RunConfig, bundle: ResultBundle):
-    _, gen, _, rho0 = _start(cfg)
+    coeffs, psi0 = _start(cfg)
+    gen = LindbladPropagator(coeffs)
     grid = cfg.grid
     times = grid.times
-    series = master_series(gen, rho0, times)
+    series = master_series(gen, np.outer(psi0, psi0.conj()), times)
     rows = []
     for n in grid.checkpoints(cfg.run.record_times):
         for i in range(gen.dim):
@@ -222,12 +220,13 @@ def _run_master(cfg: RunConfig, bundle: ResultBundle):
 
 
 def _run_moments(cfg: RunConfig, bundle: ResultBundle):
-    coeffs, gen, psi0, rho0 = _start(cfg)
+    coeffs, psi0 = _start(cfg)
     run, grid = cfg.run, cfg.grid
     pair_times = [t for (_, _, t1, t2) in run.pairs for t in (t1, t2)]
     record = np.union1d(grid.checkpoints(run.record_times), grid.index(pair_times))
     ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, grid.times[record])
-    report = mc_output_moments(ens, coeffs, gen, rho0, pairs=run.pairs)
+    report = mc_output_moments(ens, LindbladPropagator(coeffs), np.outer(psi0, psi0.conj()),
+                               pairs=run.pairs)
     slack = run.bias_coeff * run.dt
     rule = f"3 sigma + {slack:.2e} slack"
     bundle.tables["mean"] = Table(

@@ -293,13 +293,17 @@ class _Collector:
         return value
 
     def frequencies(self, value, path: str, ctx: dict) -> np.ndarray | None:
-        """A non-empty list of finite numbers, or {start, stop, count} for
-        ``np.linspace``."""
+        """A non-empty, strictly increasing list of finite numbers, or
+        {start, stop, count} for ``np.linspace`` (stop > start when count >= 2)."""
         if isinstance(value, dict):
             span = self.section(value, path, ctx, _NU_SPAN)
-            return None if None in span.values() else np.linspace(
+            grid = None if None in span.values() else np.linspace(
                 span["start"], span["stop"], span["count"])
-        grid = self.items(value, path, ctx, of=_REAL, nonempty=True)
+        else:
+            grid = self.items(value, path, ctx, of=_REAL, nonempty=True)
+        if grid is not None and np.any(np.diff(grid) <= 0):
+            self.add(path, "must be strictly increasing")
+            grid = None
         return None if grid is None else np.asarray(grid)
 
 

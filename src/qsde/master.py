@@ -82,17 +82,16 @@ class DegenerateStationaryState(RuntimeError):
     """Raised by callers that require a unique stationary state."""
 
 
-def validate_density(rho: np.ndarray, herm_tol: float = DENSITY_HERMITIAN_TOL,
-                     trace_tol: float = DENSITY_TRACE_TOL,
-                     eig_floor: float = DENSITY_EIG_FLOOR) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace and numerical positivity of
-    a state."""
+    a state, to the DENSITY_* tolerances."""
     rho = ensure_finite(rho, "density matrix")
-    if max_abs(rho - rho.conj().T) > herm_tol:
+    tr = np.trace(rho)
+    if max_abs(rho - rho.conj().T) > DENSITY_HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(tr.real - 1.0) > DENSITY_TRACE_TOL or abs(tr.imag) > DENSITY_TRACE_TOL:
         raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < eig_floor:
+    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < DENSITY_EIG_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 
@@ -212,11 +211,11 @@ def _cleanup(rho: np.ndarray, check_positivity: bool) -> np.ndarray:
     return rho
 
 
-def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
-                  check_positivity: bool = True) -> np.ndarray:
+def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States on a uniform, increasing grid (times[0] = start), shape
     (len(times), d, d): by the ``TimeGrid`` rule, each times[n] within
-    GRID_TOL steps of times[0] + n (times[1] - times[0])."""
+    GRID_TOL steps of times[0] + n (times[1] - times[0]).  PositivityError
+    if the last state has an eigenvalue below POSITIVITY_FAIL."""
     times = np.asarray(times, dtype=float)
     nsteps = len(times) - 1
     d = gen.dim
@@ -228,7 +227,7 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray,
                 np.abs((times - times[0]) / h - np.arange(nsteps + 1)) <= GRID_TOL):
             raise ValueError("master_series needs a uniform, increasing time grid")
         _rk4_march(gen, record[0], times[0], nsteps, h, record)
-    return _cleanup(devectorize(record, d), check_positivity)
+    return _cleanup(devectorize(record, d), check_positivity=True)
 
 
 @dataclass(frozen=True)

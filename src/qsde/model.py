@@ -46,6 +46,7 @@ UNITARY_TOL = 1e-10
 DETECTION_KINDS = ("diagonal-phase", "constant-unitary")
 # A time is a grid point, and a step equals dt, to this fraction of a step.
 GRID_TOL = 1e-9
+NORM_BOUND_POINTS = 101
 
 
 def _check_integers(lo: int, hi: float, **values):
@@ -357,23 +358,21 @@ def verify_weight_identity(coeffs: Coefficients, times, tol: float = 1e-11) -> W
 
 @dataclass(frozen=True)
 class NormBoundReport:
-    """Grid suprema of ||sum_j R_j^* R_j|| and ||K|| over [0, horizon]."""
+    """Suprema of ||sum_j R_j^* R_j|| and ||K|| over NORM_BOUND_POINTS points of [0, horizon]."""
 
     horizon: float
-    ngrid: int
     sup_rr: float
     sup_k: float
 
 
-def operator_norm_bounds(coeffs: Coefficients, horizon: float, ngrid: int = 101) -> NormBoundReport:
-    """Coefficient norm bounds on ``ngrid`` points of [0, horizon]; ValueError
-    unless the horizon is finite and positive and ngrid an integer >= 2."""
+def operator_norm_bounds(coeffs: Coefficients, horizon: float) -> NormBoundReport:
+    """Coefficient norm bounds on NORM_BOUND_POINTS evenly spaced points of
+    [0, horizon]; ValueError unless the horizon is finite and positive."""
     if not 0 < horizon < np.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    _check_integers(2, np.inf, ngrid=ngrid)
-    times = np.linspace(0.0, horizon, ngrid)
+    times = np.linspace(0.0, horizon, NORM_BOUND_POINTS)
     r = coeffs.r_table(times)
     rr = np.einsum("...jlk,...jlm->...km", r.conj(), r)
     sup_rr, sup_k = (float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
                      for m in (rr, coeffs.k_table(times)))
-    return NormBoundReport(horizon=horizon, ngrid=ngrid, sup_rr=sup_rr, sup_k=sup_k)
+    return NormBoundReport(horizon=horizon, sup_rr=sup_rr, sup_k=sup_k)

@@ -38,6 +38,7 @@ __all__ = [
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 EXCITED_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+PEAK_REL_PROMINENCE = 0.08
 
 
 @dataclass(frozen=True)
@@ -142,18 +143,18 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
     return peaks[prominence >= min_prominence]
 
 
-def find_spectrum_peaks(nu: np.ndarray, values: np.ndarray,
-                        rel_prominence: float = 0.08) -> np.ndarray:
-    """Frequencies of local maxima with topographic prominence above
-    rel_prominence * (max - min); filters quadrature ripples without
-    missing broad peaks.  NaN or inf values raise ValueError."""
-    values = np.asarray(values, dtype=float)
+def find_spectrum_peaks(nu: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Frequencies of local maxima with topographic prominence above PEAK_REL_PROMINENCE
+    * (max - min), filtering quadrature ripples but not broad peaks.  ValueError unless
+    nu and values are 1-D and of one length, nu strictly increasing and values finite."""
+    nu, values = np.asarray(nu, dtype=float), np.asarray(values, dtype=float)
+    if nu.ndim != 1 or nu.shape != values.shape or not np.all(np.diff(nu) > 0):
+        raise ValueError("nu and values must be 1-D and of one length, nu strictly increasing; "
+                         f"got shapes {nu.shape} and {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("spectrum values contain NaN or inf")
-    span = float(values.max() - values.min())
-    if span == 0.0:
-        return np.array([])
-    return np.asarray(nu)[_prominent_peaks(values, rel_prominence * span)]
+    span = float(values.max() - values.min())   # 0 for a flat scan, which has no peaks
+    return nu[_prominent_peaks(values, PEAK_REL_PROMINENCE * span)]
 
 
 def mollow_checks(cfg: MollowConfig, scan: SpectrumScan, peaks: np.ndarray) -> list[Check]:

@@ -114,8 +114,7 @@ from .master import (
     master_series,
     stationary_state,
 )
-from .model import (Coefficients, DetectionSpec, SystemModel, TimeGrid, _check_integers,
-                    build_coefficients)
+from .model import DetectionSpec, SystemModel, TimeGrid, _check_integers, build_coefficients
 
 __all__ = [
     "Check",
@@ -134,6 +133,8 @@ __all__ = [
     "SpectrumScan",
     "jackknife_stderr",
 ]
+
+WIENER_LAW_CONFIDENCE = 0.99
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +168,8 @@ def judge(name: str, estimate, expected, stderr=0.0, z: float = 3.0, slack: floa
 # Analytic moments
 # ---------------------------------------------------------------------------
 
-def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
-                         grid: TimeGrid) -> np.ndarray:
-    """Cumulative E[W_k(t_n)] for all channels on ``grid``, as means[n, k].
+def analytic_mean_series(gen: LindbladPropagator, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Cumulative E[W_k(t_n)] for all channels of ``gen.coeffs`` on ``grid``, as means[n, k].
 
     Trapezoid quadrature of Tr{rho_s (R_k + R_k^*)} along the master_series
     states on the same grid (exact steps e^{hG} for a constant G, else
@@ -177,7 +177,7 @@ def analytic_mean_series(coeffs: Coefficients, gen: LindbladPropagator, rho0: np
     """
     times = grid.times
     rho = master_series(gen, rho0, times)
-    integrand = 2.0 * np.einsum("njkl,nlk->nj", coeffs.r_table(times), rho).real
+    integrand = 2.0 * np.einsum("njkl,nlk->nj", gen.coeffs.r_table(times), rho).real
     means = np.zeros_like(integrand)
     means[1:] = grid.h * np.cumsum(0.5 * (integrand[1:] + integrand[:-1]), axis=0)
     return means
@@ -282,32 +282,36 @@ def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap):
     return 2.0 * _block_trapezoid(step, total, v0).real.reshape(shape[0], -1).sum(axis=1)
 
 
-def analytic_second_moment(coeffs: Coefficients, gen: LindbladPropagator, rho0: np.ndarray,
-                           i: int, j: int, t1: float, t2: float, dt: float) -> float:
-    """E[W_i(t1) W_j(t2)] under the physical law.
+# Named for the benchmark's statistics.analytic_second_moment.* metrics, which are keyed on it.
+def analytic_second_moment(gen: LindbladPropagator, rho0: np.ndarray, grid: TimeGrid,
+                           pairs) -> list[float]:
+    """E[W_i(t1) W_j(t2)] under the physical law for each (i, j, t1, t2) of
+    ``pairs``, all on ``grid``.
 
     Shot-noise term delta_{ij} min(t1, t2) plus both ordered double
     integrals: in closed form for a constant generator, by the sweep
     otherwise (module docstring).  With all channel operators zero this
     reduces exactly to delta_{ij} min(t1, t2).  The Kronecker delta on the
     shot-noise term follows from the independence of the shifted noises:
-    distinct channels carry no common white-noise component.  ValueError
-    unless i and j are channels of ``coeffs``, t1 and t2 are finite and
-    non-negative, and dt is finite and positive.
+    distinct channels carry no common white-noise component.
+
+    ValueError naming the first bad pair, before any work, unless i and j are
+    channels of ``gen.coeffs`` and t1, t2 finite, non-negative times of
+    ``grid``.  Everything is built once for all pairs, up to the latest pair
+    time (one step at least), where the state's positivity is checked.
     """
-    _check_integers(0, coeffs.nchannels - 1, i=i, j=j)
-    if not (0 <= t1 < np.inf and 0 <= t2 < np.inf):
-        raise ValueError(f"times must be finite and non-negative, got {t1!r}, {t2!r}")
-    # At t1 = t2 = 0 a one-step grid still checks dt; the sum is then 0.
-    grid = TimeGrid.covering(max(t1, t2) or dt, dt)
-    return _second_moments(coeffs, gen, rho0, grid, [(i, j, t1, t2)])[0]
-
-
-def _second_moments(coeffs, gen, rho0, grid: TimeGrid, pairs) -> list[float]:
-    """E[W_i(t1) W_j(t2)] for each (i, j, t1, t2) of ``pairs``, all on ``grid``.
-
-    The propagators, states and channel components are built once for every
-    pair; positivity is checked on the state at the end of ``grid``."""
+    coeffs = gen.coeffs
+    indices = []
+    for pair in pairs:
+        try:
+            i, j, t1, t2 = pair
+            _check_integers(0, coeffs.nchannels - 1, i=i, j=j)
+            if not (0 <= t1 < np.inf and 0 <= t2 < np.inf):
+                raise ValueError(f"times must be finite and non-negative, got {t1!r}, {t2!r}")
+            indices.append(grid.index([t1, t2]).tolist())
+        except ValueError as exc:
+            raise ValueError(f"pair {tuple(pair)!r}: {exc}") from None
+    grid = TimeGrid(grid.h, int(np.max(indices, initial=1)))
     if gen.time_independent:
         e, v0 = _constant_steps(gen, rho0, grid.h, grid.nsteps)
         comps = [coeffs.r_components(c) for c in range(coeffs.nchannels)]
@@ -318,10 +322,9 @@ def _second_moments(coeffs, gen, rho0, grid: TimeGrid, pairs) -> list[float]:
         q = vectorize(r + r.conj().swapaxes(-1, -2)).conj()
         steps = _magnus_steps(gen, grid.times[:-1], grid.h)
     values = []
-    for (i, j, t1, t2) in pairs:
+    for (i, j, t1, t2), (n1, n2) in zip(pairs, indices):
         total = min(t1, t2) if i == j else 0.0
-        for a, b, t_outer, t_inner in ((i, j, t1, t2), (j, i, t2, t1)):
-            n_out, n_cap = grid.index([t_outer, t_inner]).tolist()
+        for a, b, n_out, n_cap in ((i, j, n1, n2), (j, i, n2, n1)):
             if n_out == 0 or n_cap == 0:
                 continue
             if gen.time_independent:
@@ -401,25 +404,22 @@ class MomentReport:
     second: tuple[SecondMomentRow, ...] = field(default=())
 
 
-def mc_output_moments(ensemble, coeffs: Coefficients, gen: LindbladPropagator,
-                      rho0: np.ndarray,
+def mc_output_moments(ensemble, gen: LindbladPropagator, rho0: np.ndarray,
                       pairs: tuple[tuple[int, int, float, float], ...] = ()) -> MomentReport:
     """Build a full moment report for the ensemble checkpoints.
 
     The analytic side runs on the ensemble's own grid: the means up to its
     last checkpoint, the second moments up to the latest requested time.
-    ``pairs`` lists (i, j, t1, t2) second-moment requests; the requested
-    times must be checkpoints of the ensemble.
+    ``pairs`` lists (i, j, t1, t2) second-moment requests, checked first by
+    ``analytic_second_moment``; the requested times must be checkpoints.
     """
-    times = ensemble.times
-    grid = ensemble.grid
+    times, grid = ensemble.times, ensemble.grid
+    exact = analytic_second_moment(gen, rho0, grid, pairs)
     idx = grid.index(times)
-    analytic = analytic_mean_series(coeffs, gen, rho0, TimeGrid(grid.h, idx[-1]))[idx]
+    analytic = analytic_mean_series(gen, rho0, TimeGrid(grid.h, idx[-1]))[idx]
     mc, se = np.moveaxis([[mc_mean_output(ensemble, k, t) for k in range(ensemble.w_path.shape[2])]
                           for t in times], -1, 0)
     estimates = [mc_second_moment(ensemble, i, j, t1, t2) for (i, j, t1, t2) in pairs]
-    last = max((grid.index(t) for pair in pairs for t in pair[2:]), default=0)
-    exact = _second_moments(coeffs, gen, rho0, TimeGrid(grid.h, max(last, 1)), pairs)
     rows = [SecondMomentRow(i=i, j=j, t1=t1, t2=t2, analytic=ana, mc=value, stderr=stderr)
             for (i, j, t1, t2), ana, (value, stderr) in zip(pairs, exact, estimates)]
     return MomentReport(times=times, analytic_mean=analytic, mc_mean=mc,
@@ -456,13 +456,11 @@ class WienerLawReport:
 
 
 def _two_sided_z(confidence: float) -> float:
-    """Standard-normal quantile at (1 + confidence) / 2, for 0 < confidence < 1."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
+    """Standard-normal quantile at (1 + confidence) / 2."""
     return _NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
-def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) -> WienerLawReport:
+def wiener_law_tests(ensemble, reweight: bool = True) -> WienerLawReport:
     """Moment tests of the shifted noises under the physical law.
 
     Checkpoint increments of the innovation path, scaled to unit variance,
@@ -470,10 +468,9 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
     and vanishing lag-1 autocovariance.  They are reweighted by the
     final-time weight (valid for all earlier functionals by the martingale
     property; 1 for a normalized ensemble); ``reweight=False`` is the
-    negative control.  Each row is judged at the two-sided ``confidence``
-    quantile on its own, and the report's ``check`` by one ``judge`` call.
+    negative control.  Each row is judged on its own at the two-sided
+    WIENER_LAW_CONFIDENCE quantile, the report's ``check`` by one ``judge`` call.
     """
-    zcrit = _two_sided_z(confidence)
     times = ensemble.times
     if len(times) < 3:
         raise ValueError("need at least two checkpoint increments")
@@ -494,8 +491,8 @@ def wiener_law_tests(ensemble, confidence: float = 0.99, reweight: bool = True) 
     names, values, expected = zip(*tests)
     stats = [float((w * v).mean()) for v in values]
     stderr = [jackknife_stderr(w * v) for v in values]
-    check, ok = judge("wiener-law", stats, expected, stderr, z=zcrit,
-                      detail=f"{len(tests)} tests at {confidence:.0%}")
+    check, ok = judge("wiener-law", stats, expected, stderr, z=_two_sided_z(WIENER_LAW_CONFIDENCE),
+                      detail=f"{len(tests)} tests at {WIENER_LAW_CONFIDENCE:.0%}")
     return WienerLawReport(check=check, rows=tuple(
         WienerLawRow(*row, passed=bool(p)) for *row, p in zip(names, stats, expected, stderr, ok)))
 

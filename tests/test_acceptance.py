@@ -212,10 +212,10 @@ def test_criterion_04_closed_form_decay():
 
 
 def test_criterion_05_output_first_moment(canonical, mollow_linear, identity_channel_ensemble):
-    coeffs, gen = canonical
+    _, gen = canonical
     detail, ok = [], True
     for k in range(2):
-        ana = analytic_mean_series(coeffs, gen, RHO0, TimeGrid.covering(1.0, DT))[-1, k]
+        ana = analytic_mean_series(gen, RHO0, TimeGrid.covering(1.0, DT))[-1, k]
         mc, se = mc_mean_output(mollow_linear, k, 1.0)
         bound = 3.0 * se + C_MOMENT * DT
         ok &= abs(ana - mc) <= bound
@@ -224,10 +224,9 @@ def test_criterion_05_output_first_moment(canonical, mollow_linear, identity_cha
     table_model = SystemModel(hamiltonian=np.zeros((2, 2)), channels=(np.eye(2),),
                               drive=DriveSpec(amplitudes=[0.0]),
                               detection=DetectionSpec(), frame=np.zeros((2, 2)))
-    coeffs_i = build_coefficients(table_model)
-    gen_i = LindbladPropagator(coeffs_i)
+    gen_i = LindbladPropagator(build_coefficients(table_model))
     for t in (0.5, 1.0):
-        ana = analytic_mean_series(coeffs_i, gen_i, np.eye(2) / 2, TimeGrid.covering(t, DT))[-1, 0]
+        ana = analytic_mean_series(gen_i, np.eye(2) / 2, TimeGrid.covering(t, DT))[-1, 0]
         ok &= abs(ana - 2.0 * t) <= 1e-10
         mc, se = mc_mean_output(identity_channel_ensemble, 0, t)
         bound = 3.0 * se + C_MOMENT * DT
@@ -237,11 +236,12 @@ def test_criterion_05_output_first_moment(canonical, mollow_linear, identity_cha
 
 
 def test_criterion_06_output_second_moment(canonical, mollow_linear):
-    coeffs, gen = canonical
+    _, gen = canonical
     detail, ok = [], True
     for (i, j) in ((0, 0), (0, 1)):
         for (t1, t2) in ((1.0, 1.0), (1.0, 0.5)):
-            ana = analytic_second_moment(coeffs, gen, RHO0, i, j, t1, t2, DT)
+            ana, = analytic_second_moment(gen, RHO0, TimeGrid.covering(max(t1, t2), DT),
+                                          [(i, j, t1, t2)])
             mc, se = mc_second_moment(mollow_linear, i, j, t1, t2)
             bound = 3.0 * se + C_MOMENT * DT
             ok &= abs(ana - mc) <= bound
@@ -251,19 +251,18 @@ def test_criterion_06_output_second_moment(canonical, mollow_linear):
                              channels=(np.zeros((2, 2)), np.zeros((2, 2))),
                              drive=DriveSpec(amplitudes=[0.0, 0.0]),
                              detection=DetectionSpec(), frame=np.zeros((2, 2)))
-    cz = build_coefficients(zero_model)
-    gz = LindbladPropagator(cz)
-    same = analytic_second_moment(cz, gz, np.eye(2) / 2, 0, 0, 1.0, 0.5, 1e-2)
-    cross = analytic_second_moment(cz, gz, np.eye(2) / 2, 0, 1, 1.0, 0.5, 1e-2)
+    gz = LindbladPropagator(build_coefficients(zero_model))
+    same, cross = analytic_second_moment(gz, np.eye(2) / 2, TimeGrid.covering(1.0, 1e-2),
+                                         [(0, 0, 1.0, 0.5), (0, 1, 1.0, 0.5)])
     ok &= same == 0.5 and cross == 0.0
     detail.append(f"noise-only controls: {same}, {cross}")
     report(6, bool(ok), "; ".join(detail))
 
 
 def test_criterion_07_girsanov_law(mollow_linear, identity_channel_ensemble):
-    law = wiener_law_tests(mollow_linear, confidence=0.99)
+    law = wiener_law_tests(mollow_linear)
     failed = [r.name for r in law.rows if not r.passed]
-    control = wiener_law_tests(identity_channel_ensemble, confidence=0.99, reweight=False)
+    control = wiener_law_tests(identity_channel_ensemble, reweight=False)
     control_mean_failed = not control.row("mean[0]").passed
     ok = law.passed and control_mean_failed
     report(7, bool(ok),

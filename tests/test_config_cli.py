@@ -250,6 +250,26 @@ def test_nu_grid_list_entries_rejected(entry):
     assert [e.partition(":")[0] for e in err.value.errors] == ["run.nu_grid[1]"]
 
 
+@pytest.mark.parametrize("grid", [
+    [10.0, 9.0], [9.0, 9.0], [9.0, 11.0, 10.0],
+    {"start": 20.0, "stop": 0.0, "count": 81}, {"start": 5.0, "stop": 5.0, "count": 2}],
+    ids=["descending", "repeated", "shuffled", "span-descending", "span-empty"])
+def test_nu_grid_not_strictly_increasing_rejected(grid):
+    """A descending grid gave the right spectrum but swapped the sidebands of
+    the Mollow checks, and a shuffled one reported spurious peaks."""
+    doc = make_config(**{"run.command": "mollow", "run.nu_grid": grid})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["run.nu_grid: must be strictly increasing"]
+
+
+@pytest.mark.parametrize("grid, size", [([9.0], 1), ([9.0, 9.5], 2),
+                                        ({"start": 5.0, "stop": 4.0, "count": 1}, 1)])
+def test_nu_grid_of_one_point_or_increasing_accepted(grid, size):
+    doc = make_config(**{"run.command": "mollow", "run.nu_grid": grid})
+    assert len(parse_config(json.dumps(doc)).run.nu_grid) == size
+
+
 def test_explicit_model_section():
     doc = {
         "model": {

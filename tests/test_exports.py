@@ -13,6 +13,7 @@ import qsde
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+LAYER_METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 @pytest.mark.parametrize("name", sorted(info.name for info in pkgutil.iter_modules(qsde.__path__)))
@@ -47,6 +48,33 @@ def test_benchmark_tracer_probe_targets_exist(target):
     reads = _tracer_probes()[target]
     missing = reads - set(inspect.signature(fn).parameters)
     assert missing == set(), f"{target} takes no argument {sorted(missing)}"
+
+
+def _span_metrics() -> list[str]:
+    """The span names of the benchmark's per-layer span metrics
+    ``<layer>.<name>.(calls|s|self_s)``, read from ``perfbench/layers.py``
+    without importing it."""
+    tree = ast.parse(LAYER_METRICS.read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["LAYER_METRICS"])
+    spans = [key.value.rpartition(".") for key in table.keys]
+    return sorted({span for span, _, field in spans if field in ("calls", "s", "self_s")})
+
+
+@pytest.mark.parametrize("span", _span_metrics())
+def test_benchmark_span_metrics_name_public_functions(span):
+    """The tracer names a span after the public function or method it wraps
+    (``<layer>.<function>``, or ``<layer>.<Class>.<method>`` when two classes
+    share the method name); a metric whose function was renamed or made
+    private reads 0 without an error, and here it fails."""
+    layer, _, name = span.partition(".")
+    tree = ast.parse((Path(qsde.__file__).parent / f"{layer}.py").read_text())
+    *cls, attr = name.split(".")
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef) and not c.name.startswith("_")]
+    scopes = [c for c in classes if c.name == cls[0]] if cls else [tree, *classes]
+    defined = [f for scope in scopes for f in scope.body
+               if isinstance(f, ast.FunctionDef) and f.name == attr]
+    assert not attr.startswith("_") and defined, f"qsde.{layer} defines no public {name}"
 
 
 def test_cli_import_graph_has_no_scipy():

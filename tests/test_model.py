@@ -186,13 +186,11 @@ def test_operator_norm_bounds():
         operator_norm_bounds(build_coefficients(zero), horizon=-1.0)
 
 
-@pytest.mark.parametrize("horizon, ngrid", [
-    (np.nan, 101), (np.inf, 101), (0.0, 101), (1.0, 0), (1.0, 1), (1.0, 2.0), (1.0, True)])
-def test_operator_norm_bounds_reject_what_they_cannot_bound(mollow_coeffs, horizon, ngrid):
-    """A non-finite horizon ended in an SVD that did not converge, and ngrid 0
-    or 1 gave bounds over no points or over t = 0 alone."""
-    with pytest.raises(ValueError, match="horizon|ngrid"):
-        operator_norm_bounds(mollow_coeffs, horizon, ngrid)
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0])
+def test_operator_norm_bounds_reject_what_they_cannot_bound(mollow_coeffs, horizon):
+    """A non-finite horizon ended in an SVD that did not converge."""
+    with pytest.raises(ValueError, match="horizon"):
+        operator_norm_bounds(mollow_coeffs, horizon)
 
 
 @pytest.mark.parametrize("horizon, dt", [(0.3, 0.1), (50, 0.005), (2.0, 5e-4), (1.0, 0.25),

@@ -78,7 +78,7 @@ def test_rabi_frequency_cases():
 def test_find_spectrum_peaks_filters_ripples():
     nu = np.linspace(0, 10, 101)
     values = np.exp(-((nu - 5.0) ** 2)) + 1e-4 * np.sin(40 * nu)
-    peaks = find_spectrum_peaks(nu, values, rel_prominence=0.02)
+    peaks = find_spectrum_peaks(nu, values)
     assert len(peaks) == 1 and abs(peaks[0] - 5.0) <= 0.1
     assert len(find_spectrum_peaks(nu, np.ones_like(nu))) == 0
 
@@ -89,6 +89,22 @@ def test_find_spectrum_peaks_rejects_non_finite(bad):
     values = np.exp(-((nu - 5.0) ** 2))
     values[3] = bad
     with pytest.raises(ValueError, match="NaN or inf"):
+        find_spectrum_peaks(nu, values)
+
+
+@pytest.mark.parametrize("nu, values", [
+    (np.arange(3.0), [0.0, 1.0, 0.0, 2.0, 0.0]),
+    (np.arange(7.0), [0.0, 1.0, 0.0, 2.0, 0.0]),
+    (np.arange(6.0).reshape(2, 3), np.zeros((2, 3))),
+    (np.arange(5.0)[::-1], [0.0, 1.0, 0.0, 2.0, 0.0]),
+    ([0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 2.0, 0.0]),
+    ([0.0, 2.0, 1.0, 3.0, 4.0], [0.0, 1.0, 0.0, 2.0, 0.0]),
+    ([0.0, np.nan, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 2.0, 0.0])],
+    ids=["nu-short", "nu-long", "2-D", "descending", "repeated", "shuffled", "nan"])
+def test_find_spectrum_peaks_rejects_misaligned_grids(nu, values):
+    """A short nu raised IndexError and a long one gave peaks at the wrong
+    frequencies; a grid out of order reads neighbours that are not."""
+    with pytest.raises(ValueError, match="1-D and of one length, nu strictly increasing"):
         find_spectrum_peaks(nu, values)
 
 
