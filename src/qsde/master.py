@@ -12,20 +12,20 @@ whose trace dual acts on observables as
               + sum_j ( R_j^* a R_j - (1/2) {R_j^* R_j, a} )
             = +(i/2) [K + K^*, a] + (1/2) sum_j ( R_j^*[a, R_j] + [R_j^*, a] R_j ).
 
-Both pictures are built explicitly and verified against each other through
-the duality Tr{L_*[rho] a} = Tr{rho L[a]}; the Heisenberg commutator sign
-is fixed by that duality together with the Schrodinger-picture evolution
-(e.g. rho_t = e^{-iHt} rho e^{iHt} for a purely Hamiltonian K = H).
+Only L_* is built here; the tests check it against an independent
+transcription of L through the duality Tr{L_*[rho] a} = Tr{rho L[a]}, which
+with the Schrodinger-picture evolution (e.g. rho_t = e^{-iHt} rho e^{iHt}
+for a purely Hamiltonian K = H) fixes the Heisenberg commutator sign.
 
 Everything here is a dense superoperator on column-vectorized matrices, and
 one formula, ``_lindblad``, builds L_* from K and R at one time or on a grid.
-``master_series`` is the one route that evolves a state: it records rho on a
-uniform grid, stepping a constant generator G exactly, by E = e^{hG}, and a
-time-dependent one by fourth-order Magnus steps (``_magnus_steps``, built
-from one K and one R table per Gauss node), the one step rule that also
-gives ``statistics`` its two-time propagators.  A state at a single time t
-is the last entry of the series on the grid covering [0, t].  It serves as
-the exact cross-check for the Monte Carlo trajectory ensembles.
+One march, ``_rk4_march``, evolves every state: exact steps E = e^{hG} for a
+constant generator G, else fourth-order Magnus steps (``_magnus_steps``, one
+K and one R table per Gauss node), each built once, a block at a time.
+``master_series`` records its states on a uniform grid; the two-time sums
+of ``statistics`` take each block's steps as their propagators.  A state at
+a single time t is the last entry of the series on the grid covering
+[0, t].  It serves as the exact cross-check for the trajectory ensembles.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .model import GRID_TOL, Coefficients
 __all__ = [
     "PositivityError",
     "DegenerateStationaryState",
-    "build_heisenberg_generator",
     "build_schrodinger_generator",
     "LindbladPropagator",
     "master_series",
@@ -69,8 +68,8 @@ POSITIVITY_FAIL = -1e-6
 # Largest change of L_*(t) across the probe times, relative to max(1, max|L_*(0)|),
 # of a generator taken as constant.
 PROBE_TOL = 1e-12
-# master_series builds a time-dependent generator's Magnus steps this many at a
-# time, so that its memory does not grow with the number of steps.
+# _rk4_march builds a time-dependent generator's Magnus steps this many at a
+# time, so that the steps it holds do not grow with the number of steps.
 _STEP_BLOCK = 256
 
 
@@ -118,24 +117,6 @@ def _lindblad(k: np.ndarray, r: np.ndarray) -> np.ndarray:
 def build_schrodinger_generator(coeffs: Coefficients, t: float) -> np.ndarray:
     """Superoperator matrix of the state-evolution generator L_*(t)."""
     return _lindblad(*coeffs.at(t))
-
-
-def build_heisenberg_generator(coeffs: Coefficients, t: float) -> np.ndarray:
-    """Superoperator matrix of the observable-evolution generator L(t).
-
-    Trace dual of :func:`build_schrodinger_generator`; unital whenever the
-    coefficients satisfy the weight-conservation identity.
-    """
-    k, r = coeffs.at(t)
-    kh = k + adjoint(k)
-    d = k.shape[0]
-    gen = 0.5j * (spre(kh) - spost(kh))
-    rr = np.zeros((d, d), dtype=complex)
-    for rj in r:
-        gen += sandwich(adjoint(rj), rj)
-        rr += adjoint(rj) @ rj
-    gen -= 0.5 * (spre(rr) + spost(rr))
-    return gen
 
 
 class LindbladPropagator:
@@ -186,9 +167,10 @@ def _magnus_steps(gen: LindbladPropagator, starts: np.ndarray, h: float) -> np.n
 
 # Named for the benchmark tracer's ``master.rk4_steps`` probe, which binds it and its nsteps.
 def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
-               h: float, record: np.ndarray) -> None:
+               h: float, record: np.ndarray, sweep=None) -> None:
     """March vec(rho) nsteps steps of h into record[1:]: the exact step e^{hG}
-    of a constant generator G, or Magnus steps built _STEP_BLOCK at a time."""
+    of a constant generator G, or Magnus steps built _STEP_BLOCK at a time,
+    each block handed on as ``sweep(first, steps)`` once its states are recorded."""
     exact = matrix_exp(gen.generator_at(t0), h) if gen.time_independent else None
     for first in range(0, nsteps, _STEP_BLOCK):
         starts = t0 + h * np.arange(first, min(first + _STEP_BLOCK, nsteps))
@@ -196,6 +178,8 @@ def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
         for n, step in enumerate(steps, first + 1):
             v = step @ v
             record[n] = v
+        if sweep is not None:
+            sweep(first, steps)
 
 
 def _cleanup(rho: np.ndarray, check_positivity: bool) -> np.ndarray:

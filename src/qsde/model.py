@@ -60,10 +60,16 @@ def _check_integers(lo: int, hi: float, **values):
 @dataclass(frozen=True)
 class TimeGrid:
     """The uniform grid t_n = n h, n = 0..nsteps, shared by the trajectory,
-    master-equation and analytic routes."""
+    master-equation and analytic routes; ValueError unless h is finite and
+    positive and nsteps an integer >= 0."""
 
     h: float
     nsteps: int
+
+    def __post_init__(self):
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"h must be finite and positive, got {self.h!r}")
+        _check_integers(0, np.inf, nsteps=self.nsteps)
 
     @classmethod
     def covering(cls, horizon: float, dt: float) -> "TimeGrid":

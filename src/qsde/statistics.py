@@ -91,9 +91,11 @@ N = 40 000 on the test models, mostly through the phase powers psi^n) and
 agree to 7.8e-14 of max S on the canonical Mollow scan;
 tests/test_statistics.py keeps the dense route as the reference.
 A time-dependent generator has no such form: ``analytic_second_moment``
-then runs ``_folded_sweep``, the recurrence step by step (nu = 0), with the
-fourth-order Magnus steps E_n that also step its ``master_series`` states
-(``master`` module docstring); the spectrum requires constant G.
+then takes the recurrence step by step (nu = 0) inside the one
+master-equation march (``master`` module docstring): each block of Magnus
+steps E_n, built once, steps the states, then one (d^2, 2P) matrix whose
+columns are the c_n of the 2P ordered terms, with the m_n of the block's
+own states.  The spectrum requires constant G.
 """
 
 from __future__ import annotations
@@ -104,13 +106,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import devectorize, matrix_exp, spre, vectorize
+from .linalg import adjoint, devectorize, matrix_exp, spre, vectorize
 from .master import (
     DegenerateStationaryState,
     LindbladPropagator,
     StationaryResult,
     _cleanup,
-    _magnus_steps,
+    _rk4_march,
     master_series,
     stationary_state,
 )
@@ -289,8 +291,8 @@ def analytic_second_moment(gen: LindbladPropagator, rho0: np.ndarray, grid: Time
     ``pairs``, all on ``grid``.
 
     Shot-noise term delta_{ij} min(t1, t2) plus both ordered double
-    integrals: in closed form for a constant generator, by the sweep
-    otherwise (module docstring).  With all channel operators zero this
+    integrals: in closed form for a constant generator, else step by step
+    in the master-equation march (module docstring).  With all channel operators zero this
     reduces exactly to delta_{ij} min(t1, t2).  The Kronecker delta on the
     shot-noise term follows from the independence of the shifted noises:
     distinct channels carry no common white-noise component.
@@ -312,29 +314,48 @@ def analytic_second_moment(gen: LindbladPropagator, rho0: np.ndarray, grid: Time
         except ValueError as exc:
             raise ValueError(f"pair {tuple(pair)!r}: {exc}") from None
     grid = TimeGrid(grid.h, int(np.max(indices, initial=1)))
+    terms = [term for (i, j, _, _), (n1, n2) in zip(pairs, indices)
+             for term in ((i, j, n1, n2), (j, i, n2, n1))]
     if gen.time_independent:
         e, v0 = _constant_steps(gen, rho0, grid.h, grid.nsteps)
         comps = [coeffs.r_components(c) for c in range(coeffs.nchannels)]
+        sums = [_closed_form_term(e, v0, grid.h, comps[a], comps[b], np.zeros(1), n_out, n_cap)[0]
+                if n_out and n_cap else 0.0 for a, b, n_out, n_cap in terms]
     else:
-        rho = master_series(gen, rho0, grid.times)
-        r = coeffs.r_table(grid.times)
-        mu = vectorize(r @ rho[:, None])
-        q = vectorize(r + r.conj().swapaxes(-1, -2)).conj()
-        steps = _magnus_steps(gen, grid.times[:-1], grid.h)
-    values = []
-    for (i, j, t1, t2), (n1, n2) in zip(pairs, indices):
-        total = min(t1, t2) if i == j else 0.0
-        for a, b, n_out, n_cap in ((i, j, n1, n2), (j, i, n2, n1)):
-            if n_out == 0 or n_cap == 0:
-                continue
-            if gen.time_independent:
-                total += _closed_form_term(e, v0, grid.h, comps[a], comps[b], np.zeros(1),
-                                           n_out, n_cap)[0]
-            else:
-                out = slice(n_out + 1)
-                total += _folded_sweep(mu[out, b], q[out, a], steps[:n_out], grid.h, n_cap)
-        values.append(float(total))
-    return values
+        sums = _marched_terms(gen, rho0, grid, terms)
+    return [float((min(t1, t2) if i == j else 0.0) + sums[2 * k] + sums[2 * k + 1])
+            for k, (i, j, t1, t2) in enumerate(pairs)]
+
+
+def _marched_terms(gen: LindbladPropagator, rho0: np.ndarray, grid: TimeGrid,
+                   terms) -> np.ndarray:
+    """The sums of the ordered terms (outer a, inner b, n_out, n_cap) of a
+    time-dependent generator by the recurrence of the module docstring, each
+    term's c_n a column of c, stepped by each block of the march."""
+    d, h, nsteps = gen.dim, grid.h, grid.nsteps
+    outer, inner, n_out, n_cap = np.array(terms, dtype=int).reshape(-1, 4).T
+    record = np.empty((nsteps + 1, d * d), dtype=complex)
+    record[0] = vectorize(np.asarray(rho0, dtype=complex))
+    c = np.zeros((d * d, len(terms)), dtype=complex)
+    dots = np.zeros((nsteps + 1, len(terms)))   # Re q_n . c_n per term
+
+    def sweep(first, steps):
+        n = np.arange(first, first + len(steps) + 1)
+        rho = _cleanup(devectorize(record[n], d), check_positivity=n[-1] == nsteps)
+        r = gen.coeffs.r_table(h * n)
+        half_m = (0.5 * h) * vectorize(r[:, inner] @ rho[:, None]).swapaxes(1, 2)
+        live = n[:-1, None, None] < n_cap   # the inner integral ends at t_{n_cap}
+        pre, post = half_m[:-1] * live, half_m[1:] * live
+        block = np.empty_like(pre)
+        for k, step in enumerate(steps):
+            c[:] = block[k] = step @ (c + pre[k]) + post[k]
+        q = vectorize(r[1:] + adjoint(r[1:]))[:, outer].conj().swapaxes(1, 2)
+        dots[n[1:]] = (q * block).sum(1).real
+
+    _rk4_march(gen, record[0], 0.0, nsteps, h, record, sweep)
+    n = np.arange(nsteps + 1)[:, None]
+    w = h * ((n <= n_out) - 0.5 * ((n == 0) | (n == n_out)))   # trapezoid weights to t_{n_out}
+    return 2.0 * (w * dots).sum(0)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +539,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     """Scan S(nu) = E[W_channel(T)^2] / T over the detection frequency grid.
 
     ``model`` must use diagonal-phase detection; its ``detection.nu`` is
-    ignored, the scan taking the frequencies from ``nu_grid``.  The initial
+    ignored, the scan taking the frequencies from ``nu_grid``, which must be
+    1-D, non-empty, finite and strictly increasing (ValueError).  The initial
     state defaults to the stationary state of the (detection independent)
     generator; a non-unique stationary manifold is an error unless ``rho0``
     is supplied.  That stationary solve is returned as ``stationary``, its
@@ -528,8 +550,9 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     independent of horizon / dt.
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
-    if len(nu_grid) == 0:
-        raise ValueError("empty frequency grid")
+    if not (nu_grid.ndim == 1 and len(nu_grid) and np.isfinite(nu_grid).all()
+            and np.all(np.diff(nu_grid) > 0)):
+        raise ValueError("nu_grid must be non-empty, 1-D, finite and strictly increasing")
     grid = TimeGrid.covering(horizon, dt)
     _check_integers(0, model.nchannels - 1, channel=channel)
     if model.detection.kind != "diagonal-phase":
@@ -554,21 +577,3 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     return SpectrumScan(nu=nu_grid, values=second / horizon, horizon=horizon, dt=h,
                         channel=channel, stationary=st)
 
-
-def _folded_sweep(mu, q, steps, h, n_cap):
-    """The trapezoid recurrence of the module docstring, one step at a time.
-
-    ``mu`` holds vec(B_n rho_n) and ``q`` conj vec(A_n + A_n^*) on the grid,
-    ``steps`` the one-step propagators E_n.
-    """
-    nsteps = len(steps)
-    w = np.full(nsteps + 1, h)
-    w[[0, -1]] = 0.5 * h
-    half_mu = (0.5 * h) * mu
-    kicks = (steps @ half_mu[:-1, :, None])[..., 0] + half_mu[1:]
-    kicks[n_cap:] = 0.0   # the inner integral ends at t_{n_cap}
-    c = np.zeros_like(mu)
-    for n in range(nsteps):
-        np.matmul(steps[n], c[n], out=c[n + 1])
-        c[n + 1] += kicks[n]
-    return 2.0 * float(w @ np.einsum("nk,nk->n", c, q).real)

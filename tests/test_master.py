@@ -12,7 +12,6 @@ from qsde.master import (
     PositivityError,
     _lindblad,
     apriori_from_trajectories,
-    build_heisenberg_generator,
     build_schrodinger_generator,
     master_series,
     stationary_state,
@@ -21,6 +20,7 @@ from qsde.master import (
 )
 from qsde.model import Coefficients, TimeGrid, build_coefficients
 from qsde.mollow import EXCITED_PROJECTOR, SIGMA_MINUS, MollowConfig, build_mollow_model
+from qsde.statistics import analytic_second_moment
 from qsde.trajectories import run_linear_ensemble, run_nonlinear_ensemble
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -32,27 +32,48 @@ def random_state(rng, d=2):
     return rho / np.trace(rho)
 
 
+def heisenberg_generator(coeffs, t):
+    """Superoperator matrix of the observable-picture generator L(t), column m
+    the vec of L applied to the m-th vec basis matrix, transcribed from
+
+        L[a] = (i/2) [K + K^*, a] + sum_j ( R_j^* a R_j - (1/2) {R_j^* R_j, a} )
+
+    with plain matrix products, independently of the state-picture L_*."""
+    k, r = coeffs.at(t)
+    kh = k + k.conj().T
+    d = len(k)
+
+    def lindblad(a):
+        out = 0.5j * (kh @ a - a @ kh)
+        for rj in r:
+            rr = rj.conj().T @ rj
+            out += rj.conj().T @ a @ rj - 0.5 * (rr @ a + a @ rr)
+        return out
+
+    return np.stack([vectorize(lindblad(devectorize(e, d))) for e in np.eye(d * d)], axis=1)
+
+
 def test_heisenberg_energy_conservation():
     h = np.array([[1.2, 0.5 - 0.3j], [0.5 + 0.3j, -0.4]], dtype=complex)
     coeffs = build_coefficients(simple_model(hamiltonian=h))
-    gen = build_heisenberg_generator(coeffs, 0.0)
+    gen = heisenberg_generator(coeffs, 0.0)
     assert max_abs(devectorize(gen @ vectorize(h), 2)) <= 1e-12
 
 
 def test_heisenberg_unitality(mollow_coeffs):
-    gen = build_heisenberg_generator(mollow_coeffs, 0.3)
+    gen = heisenberg_generator(mollow_coeffs, 0.3)
     assert max_abs(devectorize(gen @ vectorize(np.eye(2)), 2)) <= 1e-10
 
 
 def test_heisenberg_projector_decay(decay_coeffs):
-    gen = build_heisenberg_generator(decay_coeffs, 0.0)
+    gen = heisenberg_generator(decay_coeffs, 0.0)
     out = devectorize(gen @ vectorize(EXCITED_PROJECTOR), 2)
     assert max_abs(out + EXCITED_PROJECTOR) <= 1e-14
 
 
 def test_duality_on_random_pairs(mollow_coeffs, rng):
     ls = build_schrodinger_generator(mollow_coeffs, 0.4)
-    lh = build_heisenberg_generator(mollow_coeffs, 0.4)
+    lh = heisenberg_generator(mollow_coeffs, 0.4)
     for _ in range(20):
         rho = random_state(rng)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -198,16 +219,24 @@ def test_lab_frame_rk4_series_matches_rotating_frame_exact_series():
 
 
 def test_time_dependent_series_does_not_depend_on_step_block(monkeypatch):
-    """master_series builds the Magnus steps of a time-dependent generator a
-    block at a time; the states are the same, bit for bit, for any block."""
-    model = simple_model(channels=(SIGMA_MINUS,), amplitudes=[0.4], carrier=1.5)
+    """master_series and the two-time sums of analytic_second_moment build the
+    Magnus steps of a time-dependent generator a block at a time; the states
+    and the second moments are the same, bit for bit, for any block."""
+    model = simple_model(channels=(SIGMA_MINUS, 0.5 * SIGMA_MINUS), amplitudes=[0.4, 0.3],
+                         carrier=1.5)
     gen = LindbladPropagator(build_coefficients(model))
     assert not gen.time_independent
-    times = TimeGrid.covering(0.5, 1e-2).times
+    grid = TimeGrid.covering(0.5, 1e-2)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    series = master_series(gen, rho0, times)
-    monkeypatch.setattr(master, "_STEP_BLOCK", 7)
-    assert np.array_equal(master_series(gen, rho0, times), series)
+    pairs = [(0, 0, 0.5, 0.5), (0, 1, 0.5, 0.23), (1, 0, 0.07, 0.41), (1, 1, 0.3, 0.3)]
+    runs = []
+    for block in (256, 7):
+        monkeypatch.setattr(master, "_STEP_BLOCK", block)
+        runs.append((master_series(gen, rho0, grid.times),
+                     analytic_second_moment(gen, rho0, grid, pairs)))
+    (series, moments), (series_7, moments_7) = runs
+    assert np.array_equal(series_7, series)
+    assert moments_7 == moments
 
 
 def test_propagate_identity_generator():

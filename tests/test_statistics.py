@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +303,47 @@ def test_second_moment_time_dependent_generator_route():
         for (i, j, t1, t2), fast in zip(pairs, values):
             ref = reference_second_moment(coeffs, gen, rho0, i, j, t1, t2, 1e-2)
             assert abs(fast - ref) <= 1e-12 * abs(ref), (i, j, t1, t2, fast, ref)
+
+
+def test_time_dependent_second_moments_build_each_magnus_step_once(monkeypatch):
+    """The states and the two-time sums of a time-dependent generator share one
+    march: over an N-step grid, N Magnus steps are built, not 2N."""
+    gen = LindbladPropagator(build_coefficients(random_model(np.random.default_rng(300))))
+    built = []
+    magnus = master._magnus_steps
+
+    def spy(gen, starts, h):
+        built.append(len(starts))
+        return magnus(gen, starts, h)
+
+    # in every qsde module that binds it, so that an import by name is counted too
+    for module in [m for name, m in sys.modules.items() if name.startswith("qsde.")]:
+        if getattr(module, "_magnus_steps", None) is magnus:
+            monkeypatch.setattr(module, "_magnus_steps", spy)
+    analytic_second_moment(gen, np.eye(3) / 3, TimeGrid(1e-2, 600), [(0, 1, 6.0, 2.5)])
+    assert sum(built) == 600
+
+
+def test_time_dependent_second_moment_memory_does_not_grow_with_horizon():
+    """The two-time sums hold one block of Magnus steps at a time: on a d = 4
+    time-dependent model at 2000 steps, the traced peak of
+    analytic_second_moment exceeds that of master_series on the same grid by at
+    most 4 _STEP_BLOCK d^4 16 B.  A stack of every step held 159 MB more."""
+    gen = LindbladPropagator(build_coefficients(random_model(np.random.default_rng(300), d=4)))
+    assert not gen.time_independent
+    rho0 = np.eye(4) / 4
+    grid = TimeGrid(1e-3, 2000)
+    pairs = [(0, 0, 2.0, 2.0), (0, 1, 2.0, 1.0), (1, 1, 0.5, 1.5)]
+    peaks = []
+    for run in (lambda: master_series(gen, rho0, grid.times),
+                lambda: analytic_second_moment(gen, rho0, grid, pairs)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 4 * master._STEP_BLOCK * gen.dim**4 * 16, peaks
 
 
 def test_lab_frame_second_moments_match_rotating_frame_closed_form():
@@ -693,6 +736,21 @@ BAD_ANALYTIC_INPUTS = {
     "channel_5": ("scan", (1.0, 0.01, 5), r"channel must be an integer in \[0, 1\]"),
     "horizon_nan": ("scan", (np.nan, 0.01, 0), "horizon and dt must be finite and positive"),
     "scan_dt_inf": ("scan", (1.0, np.inf, 0), "horizon and dt must be finite and positive"),
+    # spectrum_scan(nu_grid) at horizon 1, dt 0.01
+    "nu_nan": ("nu", [np.nan, 10.0], "nu_grid must be non-empty, 1-D, finite and strictly"),
+    "nu_inf": ("nu", [9.0, np.inf], "nu_grid must be"),
+    "nu_descending": ("nu", [10.0, 9.0], "nu_grid must be"),
+    "nu_repeated": ("nu", [9.0, 9.0, 10.0], "nu_grid must be"),
+    "nu_shuffled": ("nu", [9.0, 11.0, 10.0], "nu_grid must be"),
+    "nu_2d": ("nu", [[9.0, 10.0]], "nu_grid must be"),
+    "nu_scalar": ("nu", 9.0, "nu_grid must be"),
+    # analytic_second_moment on TimeGrid(h, nsteps) built directly
+    "grid_h_-0.01": ("grid", (-0.01, 100), "h must be finite and positive"),
+    "grid_h_0": ("grid", (0.0, 10), "h must be finite and positive"),
+    "grid_h_nan": ("grid", (np.nan, 5), "h must be finite and positive"),
+    "grid_nsteps_-1": ("grid", (0.1, -1), "nsteps must be an integer of at least 0"),
+    "grid_nsteps_2.5": ("grid", (0.1, 2.5), "nsteps must be an integer"),
+    "grid_nsteps_True": ("grid", (0.1, True), "nsteps must be an integer"),
 }
 
 
@@ -702,7 +760,10 @@ def test_analytic_route_inputs_fail_loudly(case, mollow_setup, monkeypatch):
     time a conversion error, channel -1 scanned channel 1 and channel 5 an
     IndexError: each is a ValueError that names the input, before any
     propagator is built.  A bad pair is named, also behind a good one and in
-    a moment report, where channel 2 was an IndexError of the Monte Carlo side."""
+    a moment report, where channel 2 was an IndexError of the Monte Carlo side.
+    A NaN frequency gave S = nan and a descending grid was scanned as given; a
+    TimeGrid built directly with h = -0.01 marched backwards into a
+    PositivityError and h = 0 divided by zero."""
     route, args, problem = BAD_ANALYTIC_INPUTS[case]
     coeffs, gen = mollow_setup
     if route == "report":
@@ -720,6 +781,10 @@ def test_analytic_route_inputs_fail_loudly(case, mollow_setup, monkeypatch):
                                    [(0, 0, 0.5, 0.5), tuple(pair)])
         elif route == "report":
             mc_output_moments(ens, gen, RHO_E, pairs=((0, 0, 0.1, 0.1), args))
+        elif route == "nu":
+            spectrum_scan(mollow_at(10.0), args, 1.0, 0.01)
+        elif route == "grid":
+            analytic_second_moment(gen, RHO_E, TimeGrid(*args), [(0, 0, 0.0, 0.0)])
         else:
             horizon, dt, channel = args
             spectrum_scan(mollow_at(10.0), [9.0, 10.0], horizon, dt, channel=channel)
