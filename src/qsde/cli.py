@@ -305,7 +305,7 @@ def _format_value(v, precision: int) -> str:
 
 def emit(bundle: ResultBundle, directory: str | Path, formats=("csv", "json"),
          precision: int = 17) -> list[Path]:
-    """Write the bundle as CSV tables and/or one JSON document.
+    """Write the bundle as CSV tables and/or one JSON document (one line, sorted keys).
 
     CSV bytes are a pure function of the payload (metadata such as wall
     time goes only into the JSON document).
@@ -326,8 +326,8 @@ def emit(bundle: ResultBundle, directory: str | Path, formats=("csv", "json"),
             written.append(path)
     if "json" in formats:
         path = outdir / f"{bundle.command}_{seed}.json"
-        path.write_text(json.dumps(bundle.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        # One line: any indent makes json fall back from its C encoder to pure Python.
+        path.write_text(json.dumps(bundle.to_json_dict(), sort_keys=True) + "\n", encoding="utf-8")
         written.append(path)
     return written
 

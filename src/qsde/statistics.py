@@ -79,16 +79,18 @@ and the product of two of them, A^a A^b, is
     s = s_b + psi^b s_a E^b,   t = t_b + s_a U_b + (psi phi)^b t_a E^b,
     U = psi^a E^a U_b + (psi phi)^b U_a E^b.
 
-So the powers are taken by repeated squaring (the binary powering of
-np.linalg.matrix_power) on a stack of (nu, outer, inner) items that share
-E^n, with psi^n and (psi phi)^n scalars per item and only s_n, t_n and U_n
-stored per item: each product is one matrix product over the whole stack
-for each of E U, U E, s E and t E, plus elementwise work, and there are
-O(log N) of them instead of N steps.  In double precision this route and
-the dense (1 + 2 d^2)-square powers err from the exact sum of their inputs
-by rounding that grows like N u (u = 2^-53; up to 1.6e-12 relative at
-N = 40 000 on the test models, mostly through the phase powers psi^n) and
-agree to 7.8e-14 of max S on the canonical Mollow scan;
+So the squares A^(2^j) are taken by repeated squaring on a stack of
+(nu, outer, inner) items that share E^n; psi^n and (psi phi)^n are scalars
+and s_n, t_n, U_n are stored per item, items last (``_Block``).  Each
+squaring is one matrix product over the stack for each of E U, U E, s E and
+t E plus elementwise passes, O(log N) of them instead of N steps, and A^k is
+never formed: the state [0; 0; vec rho0] of every item is carried through,
+each square whose bit is set in k applied to it, then likewise through
+A_0^(n_out - k), and the sum is read off the end state.  In double
+precision this route and the dense (1 + 2 d^2)-square powers err from the
+exact sum of their inputs by rounding that grows like N u (u = 2^-53; up to
+1.6e-12 relative at N = 40 000 on the test models, mostly through psi^n)
+and agree to 1.0e-13 of max S on the canonical Mollow scan;
 tests/test_statistics.py keeps the dense route as the reference.
 A time-dependent generator has no such form: ``analytic_second_moment``
 then takes the recurrence step by step (nu = 0) inside the one
@@ -201,10 +203,11 @@ def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps:
 class _Block(NamedTuple):
     """A^n = [[1, s, t], [0, alpha E, U], [0, 0, beta E]] for a stack of N items.
 
-    E is the d^2-square power shared by every item; alpha and beta (N,) are
-    per-item scalars and s, t (N, d^2) per-item rows.  The blocks are stored
-    as u[:, k, :] = U of item k, so that E U and U E are one matrix product
-    each over the whole stack.
+    E is the d^2-square power shared by every item; the rest is stored items
+    last, alpha and beta (N,), s and t (d^2, N), u (d^2, d^2, N) with
+    u[k, m, i] = U_i[k, m], so that elementwise passes and the s U reduction
+    run over a contiguous item axis and E U, U E, s E and t E are one matrix
+    product each.  ``_apply`` multiplies a state (sigma (N,), x, z (d^2, N)).
     """
 
     alpha: np.ndarray
@@ -217,38 +220,35 @@ class _Block(NamedTuple):
 
 def _combine(x: _Block, y: _Block) -> _Block:
     """The block product x y."""
-    d2 = len(y.e)
-    ey = (x.e @ y.u.reshape(d2, -1)).reshape(y.u.shape)
-    ue = (x.u.reshape(-1, d2) @ y.e).reshape(y.u.shape)
+    et = y.e.T
+    # In place, and s U by einsum: a fresh (d^2, d^2, N) temporary costs more than its arithmetic.
+    u = (x.e @ y.u.reshape(len(et), -1)).reshape(y.u.shape)
+    u *= x.alpha
+    ue = et @ x.u
+    ue *= y.beta
+    u += ue
     return _Block(alpha=x.alpha * y.alpha, beta=x.beta * y.beta, e=x.e @ y.e,
-                  s=y.s + y.alpha[:, None] * (x.s @ y.e),
-                  t=y.t + (x.s.T[..., None] * y.u).sum(0) + y.beta[:, None] * (x.t @ y.e),
-                  u=x.alpha[:, None] * ey + y.beta[:, None] * ue)
+                  s=y.s + y.alpha * (et @ x.s),
+                  t=y.t + np.einsum("ki,kmi->mi", x.s, y.u) + y.beta * (et @ x.t), u=u)
 
 
-def _block_power(step: _Block, n: int) -> _Block:
-    """step^n, n >= 1, by the binary powering of np.linalg.matrix_power."""
-    z = result = None
-    while n > 0:
-        z = step if z is None else _combine(z, z)
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else _combine(result, z)
-    return result
+def _apply(b: _Block, state):
+    """The block times the per-item state (sigma, x, z)."""
+    sigma, x, z = state
+    return (sigma + (b.s * x).sum(0) + (b.t * z).sum(0),
+            b.alpha * (b.e @ x) + np.einsum("kmi,mi->ki", b.u, z), b.beta * (b.e @ z))
 
 
-def _block_trapezoid(step: _Block, total: _Block, v0: np.ndarray) -> np.ndarray:
-    """Per item, the trapezoid sum sum_{n=0}^{N} w_n r.y_n of y_{n+1} = A y_n.
-
-    ``step`` is the one-step block A, whose first row h r = [s, t] reads
-    y = [x; z]; ``total`` is the product of the stages (A^N when the
-    coupling runs throughout).  From y_0 = [0; vec rho0] the first entry of
-    total [0; y_0] is h sum_{n<N} r.y_n; the end weights add
-    (1/2)(h r.y_N - h r.y_0).
-    """
-    x = (total.u @ v0).T
-    z = total.beta[:, None] * (total.e @ v0)
-    return total.t @ v0 + 0.5 * ((step.s * x).sum(-1) + (step.t * (z - v0)).sum(-1))
+def _apply_power(step: _Block, n: int, state):
+    """step^n times the state, by binary powering: the squares of ``step``
+    are applied to the state at the set bits of n, and A^n is never formed."""
+    while n:
+        if n & 1:
+            state = _apply(step, state)
+        n >>= 1
+        if n:
+            step = _combine(step, step)
+    return state
 
 
 def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap):
@@ -272,16 +272,16 @@ def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap):
     shape = np.broadcast_shapes(psi.shape, phi.shape)
     m = spre(in_ops)   # vec(C rho) = (I kron C) vec(rho)
     u = (0.5 * h) * psi[..., None, None] * (e @ m + phi[..., None, None] * (m @ e))
-    s = np.broadcast_to(h * a[:, None], shape + (d2,)).reshape(-1, d2)
+    s = np.moveaxis(np.broadcast_to(h * a[:, None], shape + (d2,)), -1, 0).reshape(d2, -1)
     step = _Block(alpha=np.broadcast_to(psi, shape).ravel(), beta=(psi * phi).ravel(),
                   e=e, s=s, t=np.zeros_like(s),
-                  u=np.moveaxis(u, -2, 0).reshape(d2, -1, d2))
-    k = min(n_cap, n_out)
-    total = _block_power(step, k)
-    if n_out > k:   # the inner integral ends at t_{n_cap}: A_0^(n_out - k) A^k
-        free = step._replace(u=np.zeros_like(step.u))
-        total = _combine(_block_power(free, n_out - k), total)
-    return 2.0 * _block_trapezoid(step, total, v0).real.reshape(shape[0], -1).sum(axis=1)
+                  u=np.moveaxis(u, (-2, -1), (0, 1)).reshape(d2, d2, -1))
+    z = np.broadcast_to(v0[:, None], s.shape)   # [sigma; x; z] = [0; 0; vec rho0] per item
+    state = _apply_power(step, min(n_cap, n_out), (np.zeros_like(s[0]), np.zeros_like(s), z))
+    # The inner integral ends at t_{n_cap}: A_0 (A with U zeroed) for the rest.
+    sigma, x, _ = _apply_power(step._replace(u=np.zeros_like(step.u)), max(n_out - n_cap, 0), state)
+    # Trapezoid end weights: sigma = h sum_{n<N} a.x_n, plus (h/2) a.x_N (x_0 = 0).
+    return 2.0 * (sigma + 0.5 * (s * x).sum(0)).real.reshape(shape[0], -1).sum(axis=1)
 
 
 # Named for the benchmark's statistics.analytic_second_moment.* metrics, which are keyed on it.

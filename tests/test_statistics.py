@@ -424,8 +424,9 @@ def test_random_ladder_models_are_constant_with_two_components():
 def test_block_kernel_matches_dense_route(name, nsteps):
     """The block-form powers are as accurate as the dense augmented-matrix
     powers they replace, to 1e-13 relative: every channel pair and the inner
-    cut-off n_cap below, at and above the outer end n_out.  Like the kernel,
-    the dense route steps the states with the propagator E itself.
+    cut-off n_cap below (down to one step), at and above the outer end n_out.
+    Like the kernel, the dense route steps the states with the propagator E
+    itself.
 
     "Exact" is the dense route in long double on the same double inputs.
     Both double routes err from it by up to about 1.6e-12 relative at 40 000
@@ -440,7 +441,8 @@ def test_block_kernel_matches_dense_route(name, nsteps):
     h, nus = 0.005, np.array([-3.0, 0.0, 1.3, 8.0])
     e, v0 = _constant_steps(gen, rho0, h, nsteps)
     comps = [coeffs.r_components(j) for j in range(gen.coeffs.nchannels)]
-    cuts = {(nsteps, max(1, nsteps // 3)), (nsteps, nsteps), (max(1, nsteps // 2), nsteps)}
+    cuts = {(nsteps, max(1, nsteps // 3)), (nsteps, nsteps), (max(1, nsteps // 2), nsteps),
+            (nsteps, 1)}
     block_err, dense_err = [], []
 
     def compare(fast, dense, exact):
