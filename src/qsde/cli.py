@@ -38,7 +38,7 @@ from .master import (
 from .model import build_coefficients, operator_norm_bounds, verify_weight_identity
 from .mollow import find_spectrum_peaks, mollow_checks, rabi_frequency
 from .statistics import (Check, judge, mc_mean_output, mc_output_moments, spectrum_scan,
-                         wiener_law_tests)
+                         standard_error, wiener_law_tests)
 from .trajectories import Ensemble, run_linear_ensemble, worker_count
 
 __all__ = ["ResultBundle", "Table", "Check", "run_command", "emit", "main", "bundles_equal"]
@@ -151,7 +151,7 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
     coeffs, psi0 = _start(cfg)
     ens = _trajectory_ensemble(cfg, bundle, coeffs, psi0, cfg.run.record_times)
     mean_w = ens.weight.mean(axis=0)
-    se_w = ens.weight.std(axis=0, ddof=1) / np.sqrt(ens.ntraj)
+    se_w = standard_error(ens.weight)
     # E[w_t] = E[w_0]: the null is the mean initial weight, as the t = 0 row rounds it.
     mean_w0 = mean_w[0] if ens.times[0] == 0.0 else np.vdot(psi0, psi0).real
     # A checkpoint where every weight is equal (se 0) passes whatever its mean;

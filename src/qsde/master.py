@@ -95,6 +95,18 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _checked_rho0(rho0, dim: int) -> np.ndarray:
+    """``rho0`` as a complex array; ValueError naming rho0 unless it is a
+    dim x dim state that ``validate_density`` accepts."""
+    try:
+        rho = np.asarray(rho0, dtype=complex)
+        if rho.shape != (dim, dim):
+            raise ValueError(f"expected shape {(dim, dim)}, got {rho.shape}")
+        return validate_density(rho)
+    except ValueError as exc:
+        raise ValueError(f"rho0: {exc}") from None
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) ||a - b||_1 for Hermitian matrices."""
     diff = 0.5 * ((a - b) + (a - b).conj().T)
@@ -199,12 +211,13 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray) 
     """States on a uniform, increasing grid (times[0] = start), shape
     (len(times), d, d): by the ``TimeGrid`` rule, each times[n] within
     GRID_TOL steps of times[0] + n (times[1] - times[0]).  PositivityError
-    if the last state has an eigenvalue below POSITIVITY_FAIL."""
+    if the last state has an eigenvalue below POSITIVITY_FAIL; ValueError
+    before any step unless ``rho0`` is a d x d state (``validate_density``)."""
     times = np.asarray(times, dtype=float)
     nsteps = len(times) - 1
     d = gen.dim
     record = np.empty((nsteps + 1, d * d), dtype=complex)
-    record[0] = vectorize(np.asarray(rho0, dtype=complex))
+    record[0] = vectorize(_checked_rho0(rho0, d))
     if nsteps:
         h = times[1] - times[0]
         if not h > 0 or not np.all(

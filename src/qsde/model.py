@@ -20,7 +20,7 @@ squared norm of the linear solution a martingale (a probability density);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "DetectionSpec",
     "SystemModel",
     "Coefficients",
-    "CoefficientTable",
     "effective_hamiltonian",
     "build_coefficients",
     "verify_weight_identity",
@@ -295,26 +294,11 @@ class Coefficients:
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return self.k_at(t), self.r_at(t)
 
-    def tabulate(self, times: np.ndarray) -> "CoefficientTable":
-        times = np.asarray(times, dtype=float)
-        return CoefficientTable(times=times, k=self.k_table(times), r=self.r_table(times))
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficients pre-evaluated on a time grid (shared by ensemble workers)."""
-
-    times: np.ndarray
-    k: np.ndarray  # (n, d, d)
-    r: np.ndarray  # (n, J, d, d)
-
-    @property
-    def dim(self) -> int:
-        return self.k.shape[1]
-
-    @property
-    def nchannels(self) -> int:
-        return self.r.shape[1]
+    def tabulate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (K table (n, d, d), R table (n, J, d, d)) on a time grid, as
+        ``at`` gives (K, R) at one time: the trajectory engine's one source of
+        coefficients, each block of its run grid tabulated on its own."""
+        return self.k_table(times), self.r_table(times)
 
 
 def build_coefficients(model: SystemModel) -> Coefficients:

@@ -22,7 +22,8 @@ Monte Carlo side.  Physical-law expectations are means over an ensemble
 weighted by its ``weight`` at the latest time entering each functional:
 ||psi||^2 for the linear unraveling (reference-measure averages), exactly 1
 for the normalized one, so every estimator takes either ensemble.  Error
-bars are leave-one-trajectory-out jackknife.
+bars are the standard error of the mean over trajectories,
+std(ddof=1) / sqrt(N) (``standard_error``).
 
 Spectrum.  S(nu) = E[W_0(T)^2] / T with the system started in the
 stationary state, scanned over the local-oscillator frequency nu.  With
@@ -113,6 +114,7 @@ from .master import (
     DegenerateStationaryState,
     LindbladPropagator,
     StationaryResult,
+    _checked_rho0,
     _cleanup,
     _rk4_march,
     master_series,
@@ -135,7 +137,7 @@ __all__ = [
     "WienerLawRow",
     "spectrum_scan",
     "SpectrumScan",
-    "jackknife_stderr",
+    "standard_error",
 ]
 
 WIENER_LAW_CONFIDENCE = 0.99
@@ -299,10 +301,12 @@ def analytic_second_moment(gen: LindbladPropagator, rho0: np.ndarray, grid: Time
 
     ValueError naming the first bad pair, before any work, unless i and j are
     channels of ``gen.coeffs`` and t1, t2 finite, non-negative times of
-    ``grid``.  Everything is built once for all pairs, up to the latest pair
-    time (one step at least), where the state's positivity is checked.
+    ``grid``, and naming rho0 unless it is a d x d state.  Everything is
+    built once for all pairs, up to the latest pair time (one step at
+    least), where the state's positivity is checked.
     """
     coeffs = gen.coeffs
+    rho0 = _checked_rho0(rho0, gen.dim)
     indices = []
     for pair in pairs:
         try:
@@ -362,15 +366,14 @@ def _marched_terms(gen: LindbladPropagator, rho0: np.ndarray, grid: TimeGrid,
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
-def jackknife_stderr(contributions: np.ndarray) -> float:
-    """Leave-one-out jackknife standard error of a mean over trajectories."""
-    a = np.asarray(contributions, dtype=float)
-    n = len(a)
-    if n < 2:
-        return 0.0
-    theta = a.mean()
-    loo = (n * theta - a) / (n - 1)
-    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+def standard_error(samples) -> np.ndarray:
+    """Standard error of the mean over axis 0 (the trajectories),
+    std(ddof=1) / sqrt(n), one per entry of the other axes; NaN for n < 2,
+    which no check passes."""
+    a = np.asarray(samples, dtype=float)
+    if len(a) < 2:
+        return np.full(a.shape[1:], np.nan)
+    return a.std(axis=0, ddof=1) / np.sqrt(len(a))
 
 
 def _checkpoint(ensemble, t: float) -> int:
@@ -384,14 +387,14 @@ def _checkpoint(ensemble, t: float) -> int:
 
 
 def mc_mean_output(ensemble, k: int, t: float) -> tuple[float, float]:
-    """Weighted estimate of E[W_k(t)] with jackknife standard error."""
+    """Weighted estimate of E[W_k(t)] with its standard error."""
     idx = _checkpoint(ensemble, t)
     contrib = ensemble.weight[:, idx] * ensemble.w_path[:, idx, k]
-    return float(contrib.mean()), jackknife_stderr(contrib)
+    return float(contrib.mean()), float(standard_error(contrib))
 
 
 def mc_second_moment(ensemble, i: int, j: int, t1: float, t2: float) -> tuple[float, float]:
-    """Weighted estimate of E[W_i(t1) W_j(t2)] with jackknife standard error.
+    """Weighted estimate of E[W_i(t1) W_j(t2)] with its standard error.
 
     The weight is taken at max(t1, t2), the earliest time at which the
     product is measurable.
@@ -400,7 +403,7 @@ def mc_second_moment(ensemble, i: int, j: int, t1: float, t2: float) -> tuple[fl
     i2 = _checkpoint(ensemble, t2)
     iw = i1 if t1 >= t2 else i2
     contrib = ensemble.weight[:, iw] * ensemble.w_path[:, i1, i] * ensemble.w_path[:, i2, j]
-    return float(contrib.mean()), jackknife_stderr(contrib)
+    return float(contrib.mean()), float(standard_error(contrib))
 
 
 @dataclass(frozen=True)
@@ -511,7 +514,7 @@ def wiener_law_tests(ensemble, reweight: bool = True) -> WienerLawReport:
             tests.append((f"cross[{a},{b}]", (z[:, :, a] * z[:, :, b]).mean(axis=1), 0.0))
     names, values, expected = zip(*tests)
     stats = [float((w * v).mean()) for v in values]
-    stderr = [jackknife_stderr(w * v) for v in values]
+    stderr = standard_error(np.transpose([w * v for v in values])).tolist()
     check, ok = judge("wiener-law", stats, expected, stderr, z=_two_sided_z(WIENER_LAW_CONFIDENCE),
                       detail=f"{len(tests)} tests at {WIENER_LAW_CONFIDENCE:.0%}")
     return WienerLawReport(check=check, rows=tuple(
@@ -543,7 +546,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     1-D, non-empty, finite and strictly increasing (ValueError).  The initial
     state defaults to the stationary state of the (detection independent)
     generator; a non-unique stationary manifold is an error unless ``rho0``
-    is supplied.  That stationary solve is returned as ``stationary``, its
+    is supplied, and a supplied ``rho0`` must be a d x d state (ValueError
+    before any work).  That stationary solve is returned as ``stationary``, its
     residual left to the caller to judge.  Each value is the iterated
     trapezoid evaluation of the printed second-moment formula at
     t1 = t2 = horizon, summed in closed form (module docstring) at a cost
@@ -555,6 +559,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
         raise ValueError("nu_grid must be non-empty, 1-D, finite and strictly increasing")
     grid = TimeGrid.covering(horizon, dt)
     _check_integers(0, model.nchannels - 1, channel=channel)
+    if rho0 is not None:
+        rho0 = _checked_rho0(rho0, model.dim)
     if model.detection.kind != "diagonal-phase":
         raise ValueError("spectrum scan requires diagonal-phase detection")
     base = build_coefficients(replace(model, detection=DetectionSpec(nu=0.0)))

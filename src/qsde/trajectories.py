@@ -61,8 +61,9 @@ Lockstep engine: each process steps one contiguous span of whole chunks.
 Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
 ragged last chunk is a stack of its own (G = 1).  Time runs in blocks of
 _BLOCK_STEPS grid points: per block the process tabulates the coefficients
-on the block's times once (each row equals the full-grid table's bit for
-bit), and every stack, of either equation, in turn draws the block's
+on the block's times once, by ``Coefficients.tabulate``, the engine's one
+source of K and R (each row equals the full-grid table's bit for bit, so
+the tables always lie on the run grid), and every stack, of either equation, in turn draws the block's
 increments, shape (L, G, J, C), and steps through it.  Each lane draws
 from its own stream block after block, which gives the numbers of one
 whole-path draw.  So a process holds its lanes' states, checkpoint
@@ -85,7 +86,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .model import GRID_TOL, CoefficientTable, Coefficients, TimeGrid, _check_integers
+from .model import Coefficients, TimeGrid, _check_integers
 
 __all__ = [
     "WienerPath",
@@ -215,23 +216,15 @@ class Ensemble:
         return self.psi / np.sqrt(self.weight)[..., None]
 
 
-def _check_table(coeffs: Coefficients | CoefficientTable, grid: TimeGrid):
-    """A pre-built table must hold one row per grid time, each within GRID_TOL steps."""
-    if isinstance(coeffs, CoefficientTable) and (
-            len(coeffs.times) != grid.nsteps + 1
-            or not np.all(np.abs(coeffs.times - grid.times) <= GRID_TOL * grid.h)):
-        raise ValueError("coefficient table grid does not match the integration grid")
-
-
-def _step_ops(table: CoefficientTable, dt: float, nonlinear: bool) -> np.ndarray:
-    """Per-step operator stack ops[n] = [G_n; R_1(t_n); ...; R_J(t_n)].
+def _step_ops(k: np.ndarray, r: np.ndarray, dt: float, nonlinear: bool) -> np.ndarray:
+    """Per-step operator stack ops[n] = [G_n; R_1(t_n); ...; R_J(t_n)] from
+    the K table (n, d, d) and R table (n, J, d, d) of ``Coefficients.tabulate``.
 
     Shape (n, (J+1)d, d), so that ``ops[n] @ psi`` gives the drift term
     G_n psi and every R_j psi in one product.  G_n = -i dt K_n for the
     linear equation and -i dt [(K_n + K_n^*)/2 - (i/2) sum_j R_j^* R_j]
     for the normalized one.
     """
-    k, r = table.k, table.r
     if nonlinear:
         rr = np.einsum("njlk,njlm->nkm", r.conj(), r)
         k = 0.5 * (k + k.conj().swapaxes(-1, -2)) - 0.5j * rr
@@ -239,7 +232,7 @@ def _step_ops(table: CoefficientTable, dt: float, nonlinear: bool) -> np.ndarray
     return np.concatenate([(-1j * dt) * k, r.reshape(n, nchan * d, d)], axis=1)
 
 
-def _blocks(coeffs: Coefficients | CoefficientTable, grid: TimeGrid, nonlinear: bool):
+def _blocks(coeffs: Coefficients, grid: TimeGrid, nonlinear: bool):
     """Yield (ops, steps) for each block of _BLOCK_STEPS grid times.
 
     ``ops`` is the step table on the block's times, tabulated for that block
@@ -250,12 +243,8 @@ def _blocks(coeffs: Coefficients | CoefficientTable, grid: TimeGrid, nonlinear: 
     """
     for start in range(0, grid.nsteps + 1, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, grid.nsteps + 1)
-        if isinstance(coeffs, CoefficientTable):
-            table = CoefficientTable(times=coeffs.times[start:stop], k=coeffs.k[start:stop],
-                                     r=coeffs.r[start:stop])
-        else:
-            table = coeffs.tabulate(grid.h * np.arange(start, stop))
-        yield _step_ops(table, grid.h, nonlinear), slice(start, min(stop, grid.nsteps))
+        yield (_step_ops(*coeffs.tabulate(grid.h * np.arange(start, stop)), grid.h, nonlinear),
+               slice(start, min(stop, grid.nsteps)))
 
 
 def _sq_norm(psi: np.ndarray) -> np.ndarray:
@@ -366,7 +355,7 @@ class _Stack:
         return [*map(_lanes_first, self.records), self.frozen_step.reshape(-1)]
 
 
-def _run_stacks(stacks, coeffs: Coefficients | CoefficientTable, grid: TimeGrid,
+def _run_stacks(stacks, coeffs: Coefficients, grid: TimeGrid,
                 nonlinear: bool) -> list[list[np.ndarray]]:
     """Step (stack, noise) pairs through the grid; ``noise(steps)`` returns the
     increments of a slice of steps.  Each block's table is built once and
@@ -387,12 +376,11 @@ def _result(nonlinear: bool, grid: TimeGrid, record_idx: np.ndarray,
                     w_path=w, innovation=innovation, frozen_at=frozen, grid=grid)
 
 
-def _run_path(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray, path: WienerPath,
-              weight_floor: float, nonlinear: bool) -> Ensemble:
+def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath, weight_floor: float,
+              nonlinear: bool) -> Ensemble:
     """Step one state along ``path`` as a G = C = 1 stack, recorded at every
     grid time."""
     grid = TimeGrid(path.dt, path.nsteps)
-    _check_table(coeffs, grid)
     psi0 = _checked_initial(psi0, coeffs.dim)
     if coeffs.nchannels != path.nchannels:
         raise ValueError("noise channel count does not match the coefficients")
@@ -403,8 +391,8 @@ def _run_path(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray, path: W
         [(stack, lambda steps: path.increments[steps, None, :, None])], coeffs, grid, nonlinear))
 
 
-def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
-                     path: WienerPath, weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
+def integrate_linear(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath,
+                     weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
     """Integrate the linear trajectory equation along one noise path W.
 
     The scheme is linear in psi0, so the flow is scale- and
@@ -414,8 +402,8 @@ def integrate_linear(coeffs: Coefficients | CoefficientTable, psi0: np.ndarray,
     return _run_path(coeffs, psi0, path, weight_floor, nonlinear=False)
 
 
-def integrate_nonlinear(coeffs: Coefficients | CoefficientTable, psihat0: np.ndarray,
-                        path: WienerPath, weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
+def integrate_nonlinear(coeffs: Coefficients, psihat0: np.ndarray, path: WienerPath,
+                        weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
     """Integrate the normalized trajectory equation driven by innovation noise.
 
     ``path`` is interpreted as the innovation process What (standard Wiener
@@ -528,7 +516,7 @@ class _Job:
     """What every process of one ensemble run shares."""
 
     nonlinear: bool
-    coeffs: Coefficients | CoefficientTable
+    coeffs: Coefficients
     grid: TimeGrid
     initial: object
     base_seed: int
@@ -577,9 +565,8 @@ def _pool_span(first: int, stop: int) -> list[list[np.ndarray]]:
     return _run_span(_worker_job, first, stop)
 
 
-def _ensemble(nonlinear: bool, coeffs: Coefficients | CoefficientTable, initial, dt: float,
-              nsteps: int, ntraj: int, base_seed: int, record_times, weight_floor: float,
-              chunk_size: int) -> Ensemble:
+def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
+              base_seed: int, record_times, weight_floor: float, chunk_size: int) -> Ensemble:
     """Run either unraveling into an :class:`Ensemble`, checking the counts,
     ``dt``, ``base_seed`` and ``initial`` before any fork.  Each worker
     process steps one contiguous span of chunks: this process the first, a
@@ -588,7 +575,6 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients | CoefficientTable, initial,
     _check_integers(0, _KEY_MAX, base_seed=base_seed)
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
-    _check_table(coeffs, grid)
     job = _Job(nonlinear, coeffs, grid, _checked_initial(initial, coeffs.dim), base_seed,
                record_idx, weight_floor, chunk_size)
     nchunks = -(-ntraj // chunk_size)
@@ -605,9 +591,8 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients | CoefficientTable, initial,
     return _result(nonlinear, grid, record_idx, [stack for span in results for stack in span])
 
 
-def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,
-                        nsteps: int, ntraj: int, base_seed: int,
-                        record_times=None, weight_floor: float = WEIGHT_FLOOR,
+def run_linear_ensemble(coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
+                        base_seed: int, record_times=None, weight_floor: float = WEIGHT_FLOOR,
                         chunk_size: int = 1024) -> Ensemble:
     """Integrate ``ntraj`` linear trajectories with per-trajectory streams.
 
@@ -621,9 +606,8 @@ def run_linear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: fl
                      weight_floor, chunk_size)
 
 
-def run_nonlinear_ensemble(coeffs: Coefficients | CoefficientTable, initial, dt: float,
-                           nsteps: int, ntraj: int, base_seed: int,
-                           record_times=None, weight_floor: float = WEIGHT_FLOOR,
+def run_nonlinear_ensemble(coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
+                           base_seed: int, record_times=None, weight_floor: float = WEIGHT_FLOOR,
                            chunk_size: int = 1024) -> Ensemble:
     """Integrate ``ntraj`` normalized trajectories, as :func:`run_linear_ensemble`."""
     return _ensemble(True, coeffs, initial, dt, nsteps, ntraj, base_seed, record_times,

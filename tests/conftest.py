@@ -30,6 +30,22 @@ def simple_model(hamiltonian=None, channels=None, amplitudes=None, carrier=0.0,
         frame=np.zeros((dim, dim)) if frame is None else frame)
 
 
+class ConstantCoefficients:
+    """Test double of ``Coefficients``: one K and one set of R_j at every
+    time, so it also serves coefficient sets no model yields (ones that
+    violate the weight identity)."""
+
+    def __init__(self, k, r_list):
+        self.k = np.asarray(k, dtype=complex)
+        self.r = np.stack([np.asarray(r, dtype=complex) for r in r_list])
+        self.dim, self.nchannels = self.k.shape[0], len(self.r)
+
+    def tabulate(self, times):
+        n = len(times)
+        return (np.broadcast_to(self.k, (n, *self.k.shape)),
+                np.broadcast_to(self.r, (n, *self.r.shape)))
+
+
 def random_hermitian(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return m + m.conj().T

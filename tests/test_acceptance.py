@@ -23,7 +23,6 @@ from qsde.master import (
     trace_distance,
 )
 from qsde.model import (
-    CoefficientTable,
     DetectionSpec,
     DriveSpec,
     SystemModel,
@@ -68,6 +67,10 @@ C_OVERLAP = 3.0
 
 MARTINGALE_CHECKPOINTS = np.round(np.arange(1, 11) * 0.2, 10)
 RECORD_TIMES = np.unique(np.concatenate([MARTINGALE_CHECKPOINTS, [0.5, 1.0]]))
+# R = identity, K = -(i/2) identity: the exactly solvable scalar model.
+IDENTITY_CHANNEL = SystemModel(hamiltonian=np.zeros((2, 2)), channels=(np.eye(2),),
+                               drive=DriveSpec(amplitudes=[0.0]),
+                               detection=DetectionSpec(), frame=np.zeros((2, 2)))
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -97,15 +100,9 @@ def mollow_nonlinear(canonical):
 
 @pytest.fixture(scope="module")
 def identity_channel_ensemble():
-    """R = identity, K = -(i/2) identity: exactly solvable scalar model."""
-    nsteps = 1000
-    times = DT * np.arange(nsteps + 1)
-    table = CoefficientTable(
-        times=times,
-        k=np.tile((-0.5j * np.eye(2))[None], (nsteps + 1, 1, 1)),
-        r=np.tile(np.eye(2, dtype=complex)[None, None], (nsteps + 1, 1, 1, 1)))
-    return run_linear_ensemble(table, E0, dt=DT, nsteps=nsteps, ntraj=NTRAJ,
-                               base_seed=515151, record_times=np.linspace(0.1, 1.0, 10))
+    return run_linear_ensemble(build_coefficients(IDENTITY_CHANNEL), E0, dt=DT, nsteps=1000,
+                               ntraj=NTRAJ, base_seed=515151,
+                               record_times=np.linspace(0.1, 1.0, 10))
 
 
 def test_criterion_01_martingale(mollow_linear):
@@ -221,10 +218,7 @@ def test_criterion_05_output_first_moment(canonical, mollow_linear, identity_cha
         ok &= abs(ana - mc) <= bound
         detail.append(f"mollow ch{k}: |{ana:.4f}-{mc:.4f}|<={bound:.4f}")
     # identity channel: exact value 2t
-    table_model = SystemModel(hamiltonian=np.zeros((2, 2)), channels=(np.eye(2),),
-                              drive=DriveSpec(amplitudes=[0.0]),
-                              detection=DetectionSpec(), frame=np.zeros((2, 2)))
-    gen_i = LindbladPropagator(build_coefficients(table_model))
+    gen_i = LindbladPropagator(build_coefficients(IDENTITY_CHANNEL))
     for t in (0.5, 1.0):
         ana = analytic_mean_series(gen_i, np.eye(2) / 2, TimeGrid.covering(t, DT))[-1, 0]
         ok &= abs(ana - 2.0 * t) <= 1e-10
@@ -295,11 +289,11 @@ def _overlap_defects(coeffs, dt: float, dw: np.ndarray) -> np.ndarray:
     psi0 = np.broadcast_to(E0[None, :, None], (1, 2, npaths))
     # the paths as one G = 1 stack, stepped through the whole table as one block
     linear = _Stack(psi0, 2, dt, np.arange(nst + 1), 1e-12, nonlinear=False)
-    linear.advance(_step_ops(table, dt, nonlinear=False), dw.transpose(1, 2, 0)[:, None])
+    linear.advance(_step_ops(*table, dt, nonlinear=False), dw.transpose(1, 2, 0)[:, None])
     psi, weight, _, drift, w_path, _ = linear.result()
     dw_hat = np.diff(w_path - 2.0 * drift, axis=1).transpose(1, 2, 0)[:, None]
     normalized = _Stack(psi0, 2, dt, np.array([nst]), 1e-12, nonlinear=True)
-    normalized.advance(_step_ops(table, dt, nonlinear=True), dw_hat)
+    normalized.advance(_step_ops(*table, dt, nonlinear=True), dw_hat)
     psihat = normalized.result()[0]
     lin_hat = psi[:, -1] / np.sqrt(weight[:, -1])[:, None]
     return 1.0 - np.abs(np.einsum("bk,bk->b", lin_hat.conj(), psihat[:, 0]))

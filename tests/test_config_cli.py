@@ -628,8 +628,7 @@ def test_ensemble_diagnostics_values():
 
 def test_trajectories_outputs_rows_are_mc_mean_output(monkeypatch):
     """The `outputs` table is mc_mean_output at every checkpoint and channel:
-    the weighted mean of W_k, with the jackknife error, which equals
-    std(ddof=1) / sqrt(N) up to rounding."""
+    the weighted mean of W_k, with its standard error std(ddof=1) / sqrt(N)."""
     run, ensembles = cli.run_linear_ensemble, []
 
     def run_and_keep(*args, **kwargs):
@@ -647,7 +646,7 @@ def test_trajectories_outputs_rows_are_mc_mean_output(monkeypatch):
         contrib = ens.weight[:, m] * ens.w_path[:, m, k]
         _, _, mean, stderr = rows[2 * m + k]
         assert mean == float(contrib.mean())
-        assert stderr == pytest.approx(float(contrib.std(ddof=1) / np.sqrt(40)), rel=1e-14)
+        assert stderr == float(contrib.std(ddof=1) / np.sqrt(40))
 
 
 @pytest.mark.parametrize("command", ["trajectories", "moments"])

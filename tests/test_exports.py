@@ -11,6 +11,7 @@ import pytest
 
 import qsde
 
+SRC = Path(qsde.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 LAYER_METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -21,6 +22,35 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"qsde.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"qsde.{name}.__all__ names {missing}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``line: name`` of each name the module imports and never reads, is
+    not in its ``__all__`` and not on a ``# noqa: F401`` line (``__future__``
+    imports aside): pyflakes' F401, read from the AST."""
+    source = path.read_text()
+    lines, tree = source.splitlines(), ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {name for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+             for name in ast.literal_eval(node.value)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                getattr(node, "module", None) == "__future__"):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).partition(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_unused_imports(name):
+    """Every name a qsde module imports is used or re-exported: pyflakes is
+    not a dependency, so this walks the module's AST instead."""
+    assert _unused_imports(SRC / name) == []
 
 
 def _tracer_probes() -> dict[str, set[str]]:

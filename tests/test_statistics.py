@@ -11,7 +11,6 @@ from qsde import master, statistics
 from qsde.linalg import adjoint, matrix_exp, max_abs, vectorize
 from qsde.master import LindbladPropagator, PositivityError, master_series, stationary_state
 from qsde.model import (
-    CoefficientTable,
     DetectionSpec,
     DriveSpec,
     SystemModel,
@@ -32,12 +31,12 @@ from qsde.statistics import (
     _two_sided_z,
     analytic_mean_series,
     analytic_second_moment,
-    jackknife_stderr,
     judge,
     mc_mean_output,
     mc_output_moments,
     mc_second_moment,
     spectrum_scan,
+    standard_error,
     wiener_law_tests,
 )
 from qsde.trajectories import run_linear_ensemble, run_nonlinear_ensemble
@@ -507,13 +506,8 @@ def test_analytic_mean_anti_hermitian_channel():
 
 
 def test_mc_mean_output_identity_channel():
-    nsteps, dt = 1000, 1e-3
-    times = dt * np.arange(nsteps + 1)
-    table = CoefficientTable(
-        times=times,
-        k=np.tile((-0.5j * np.eye(2))[None], (nsteps + 1, 1, 1)),
-        r=np.tile(np.eye(2, dtype=complex)[None, None], (nsteps + 1, 1, 1, 1)))
-    ens = run_linear_ensemble(table, E0, dt=dt, nsteps=nsteps, ntraj=4000,
+    coeffs = build_coefficients(simple_model(channels=(np.eye(2),)))
+    ens = run_linear_ensemble(coeffs, E0, dt=1e-3, nsteps=1000, ntraj=4000,
                               base_seed=8, record_times=[0.5, 1.0])
     for t in (0.5, 1.0):
         value, se = mc_mean_output(ens, 0, t)
@@ -622,16 +616,16 @@ def test_judge_detail_ends_with_worst_excess():
     assert (name, passed, detail) == ("c", False, check.detail)
 
 
-def test_jackknife_matches_standard_error(rng):
-    x = rng.normal(size=500)
-    assert jackknife_stderr(x) == pytest.approx(x.std(ddof=1) / np.sqrt(len(x)), rel=1e-10)
-    assert jackknife_stderr(x[:1]) == 0.0
-
-
-def test_jackknife_shrinks_with_ensemble_size(rng):
-    x = rng.normal(size=4000)
-    ratio = jackknife_stderr(x[:1000]) / jackknife_stderr(x)
-    assert ratio == pytest.approx(2.0, rel=0.2)
+def test_standard_error_is_the_textbook_formula(rng):
+    """sqrt(sum (x - mean)^2 / (n - 1)) / sqrt(n) per column; one trajectory
+    has no error estimate (NaN), so a check judged with it fails."""
+    x = rng.normal(size=(500, 3))
+    n = len(x)
+    textbook = np.sqrt(((x - x.mean(axis=0)) ** 2).sum(axis=0) / (n - 1)) / np.sqrt(n)
+    assert standard_error(x) == pytest.approx(textbook, rel=1e-12)
+    assert float(standard_error(x[:, 0])) == pytest.approx(textbook[0], rel=1e-12)
+    assert np.isnan(standard_error(x[:1])).all() and standard_error(x[:1]).shape == (3,)
+    assert not judge("one", 0.0, 0.0, standard_error(x[:1, 0]), slack=1.0, detail="d")[0].passed
 
 
 def test_wiener_law_pass_for_pure_noise():
@@ -647,13 +641,8 @@ def test_wiener_law_pass_for_pure_noise():
 def test_wiener_law_negative_control_identity_channel():
     """Without reweighting, the innovation of the R = identity model keeps
     its -2t drift and the mean test must fail decisively."""
-    nsteps, dt = 1000, 1e-3
-    times = dt * np.arange(nsteps + 1)
-    table = CoefficientTable(
-        times=times,
-        k=np.tile((-0.5j * np.eye(2))[None], (nsteps + 1, 1, 1)),
-        r=np.tile(np.eye(2, dtype=complex)[None, None], (nsteps + 1, 1, 1, 1)))
-    ens = run_linear_ensemble(table, E0, dt=dt, nsteps=nsteps, ntraj=500,
+    coeffs = build_coefficients(simple_model(channels=(np.eye(2),)))
+    ens = run_linear_ensemble(coeffs, E0, dt=1e-3, nsteps=1000, ntraj=500,
                               base_seed=14, record_times=np.linspace(0.1, 1.0, 10))
     bad = wiener_law_tests(ens, reweight=False)
     assert not bad.row("mean[0]").passed
@@ -706,6 +695,13 @@ def test_spectrum_empty_grid_rejected():
         spectrum_scan(simple_model(), np.array([]), horizon=1.0, dt=0.01)
 
 
+BAD_RHO0 = {
+    "nan": (np.full((2, 2), np.nan), "density matrix contains non-finite entries"),
+    "3x3": (np.eye(3) / 3, r"expected shape \(2, 2\), got \(3, 3\)"),
+    "trace_2": (2.0 * RHO_E, "density matrix trace is not 1"),
+    "negative": (np.diag([1.5, -0.5]), "density matrix has a negative eigenvalue"),
+}
+
 BAD_ANALYTIC_INPUTS = {
     # analytic_second_moment on the grid covering [0, 1] with step dt, of the
     # two-channel Mollow model: (i, j, t1, t2, dt)
@@ -753,6 +749,11 @@ BAD_ANALYTIC_INPUTS = {
     "grid_nsteps_-1": ("grid", (0.1, -1), "nsteps must be an integer of at least 0"),
     "grid_nsteps_2.5": ("grid", (0.1, 2.5), "nsteps must be an integer"),
     "grid_nsteps_True": ("grid", (0.1, True), "nsteps must be an integer"),
+    # rho0 of analytic_second_moment (constant and time-dependent generator),
+    # master_series and spectrum_scan: (target, rho0)
+    **{f"rho0_{bad}_{target}": ("rho0", (target, rho0), f"rho0: {problem}")
+       for bad, (rho0, problem) in BAD_RHO0.items()
+       for target in ("moment", "marched", "series", "scan")},
 }
 
 
@@ -765,7 +766,10 @@ def test_analytic_route_inputs_fail_loudly(case, mollow_setup, monkeypatch):
     a moment report, where channel 2 was an IndexError of the Monte Carlo side.
     A NaN frequency gave S = nan and a descending grid was scanned as given; a
     TimeGrid built directly with h = -0.01 marched backwards into a
-    PositivityError and h = 0 divided by zero."""
+    PositivityError and h = 0 divided by zero.  A NaN rho0 gave S = nan, a
+    3 x 3 one a matmul or broadcast error, master_series renormalized a
+    trace-2 rho0, and a non-positive one raised PositivityError only after
+    the whole march."""
     route, args, problem = BAD_ANALYTIC_INPUTS[case]
     coeffs, gen = mollow_setup
     if route == "report":
@@ -773,9 +777,11 @@ def test_analytic_route_inputs_fail_loudly(case, mollow_setup, monkeypatch):
                                   record_times=[0.1, 0.2])
 
     def no_propagators(*args):
-        raise AssertionError("a propagator was built before every pair was checked")
+        raise AssertionError("a propagator was built before every input was checked")
 
-    monkeypatch.setattr(statistics, "_constant_steps", no_propagators)
+    for module, name in ((statistics, "_constant_steps"), (statistics, "_rk4_march"),
+                         (master, "_rk4_march")):
+        monkeypatch.setattr(module, name, no_propagators)
     with pytest.raises(ValueError, match=problem):
         if route == "moment":
             *pair, dt = args
@@ -787,6 +793,19 @@ def test_analytic_route_inputs_fail_loudly(case, mollow_setup, monkeypatch):
             spectrum_scan(mollow_at(10.0), args, 1.0, 0.01)
         elif route == "grid":
             analytic_second_moment(gen, RHO_E, TimeGrid(*args), [(0, 0, 0.0, 0.0)])
+        elif route == "rho0":
+            target, rho0 = args
+            if target == "series":
+                master_series(gen, rho0, 0.01 * np.arange(101))
+            elif target == "scan":
+                spectrum_scan(mollow_at(10.0), [9.0, 10.0], 1.0, 0.01, rho0=rho0)
+            else:
+                if target == "marched":
+                    gen = LindbladPropagator(build_coefficients(simple_model(
+                        channels=(SIGMA_MINUS,), amplitudes=[0.4], carrier=1.5)))
+                    assert not gen.time_independent
+                analytic_second_moment(gen, rho0, TimeGrid.covering(1.0, 0.01),
+                                       [(0, 0, 0.5, 0.5)])
         else:
             horizon, dt, channel = args
             spectrum_scan(mollow_at(10.0), [9.0, 10.0], horizon, dt, channel=channel)

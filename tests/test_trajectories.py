@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import qsde.trajectories as trajectories
-from conftest import random_model, simple_model
+from conftest import ConstantCoefficients, random_model, simple_model
 from qsde.linalg import matrix_exp, max_abs
-from qsde.model import CoefficientTable, TimeGrid, build_coefficients
+from qsde.model import TimeGrid, build_coefficients
 from qsde.mollow import SIGMA_MINUS
 from qsde.trajectories import (
     WienerPath,
@@ -23,15 +23,6 @@ from qsde.trajectories import (
 )
 
 E0 = np.array([1.0, 0.0], dtype=complex)
-
-
-def constant_table(k, r_list, dt, nsteps):
-    """Hand-built coefficient table (allows identity-violating test models)."""
-    times = dt * np.arange(nsteps + 1)
-    k_arr = np.tile(np.asarray(k, dtype=complex)[None], (nsteps + 1, 1, 1))
-    r_arr = np.tile(np.stack([np.asarray(r, dtype=complex) for r in r_list])[None],
-                    (nsteps + 1, 1, 1, 1))
-    return CoefficientTable(times=times, k=k_arr, r=r_arr)
 
 
 def test_noise_free_schrodinger_limit():
@@ -50,9 +41,9 @@ def test_scalar_geometric_euler_product():
     """K = 0, R = c*I: each step multiplies by (1 + c dW), exactly."""
     c = 0.7
     nsteps, dt = 300, 1e-3
-    table = constant_table(np.zeros((2, 2)), [c * np.eye(2)], dt, nsteps)
+    coeffs = ConstantCoefficients(np.zeros((2, 2)), [c * np.eye(2)])
     path = generate_wiener(11, dt, nsteps, 1)
-    rec = integrate_linear(table, E0, path)
+    rec = integrate_linear(coeffs, E0, path)
     product = np.cumprod(1.0 + c * path.increments[:, 0])
     assert max_abs(rec.psi[0, 1:, 0] - product) <= 1e-13
     assert max_abs(rec.psi[0, :, 1]) == 0.0
@@ -70,16 +61,16 @@ def test_girsanov_shift_cases():
     nsteps, dt = 400, 1e-3
     path = generate_wiener(21, dt, nsteps, 1)
     # R = 0: innovation equals the driving noise
-    table0 = constant_table(np.diag([1.0, -1.0]), [np.zeros((2, 2))], dt, nsteps)
-    rec = integrate_linear(table0, E0, path)
+    coeffs0 = build_coefficients(simple_model(hamiltonian=np.diag([1.0, -1.0])))
+    rec = integrate_linear(coeffs0, E0, path)
     assert max_abs(rec.innovation[0] - rec.w_path[0]) == 0.0
     # purely imaginary expectation: R = i 1 gives Re <R> = 0
-    table_i = constant_table(np.zeros((2, 2)), [1j * np.eye(2)], dt, nsteps)
-    rec = integrate_linear(table_i, E0, path)
+    coeffs_i = ConstantCoefficients(np.zeros((2, 2)), [1j * np.eye(2)])
+    rec = integrate_linear(coeffs_i, E0, path)
     assert max_abs(rec.innovation[0] - rec.w_path[0]) == 0.0
     # R = 1: <R> = 1, innovation removes the 2t drift exactly on the grid
-    table_1 = constant_table(-0.5j * np.eye(2), [np.eye(2)], dt, nsteps)
-    rec = integrate_linear(table_1, E0, path)
+    coeffs_1 = build_coefficients(simple_model(channels=(np.eye(2),)))
+    rec = integrate_linear(coeffs_1, E0, path)
     assert max_abs(rec.innovation[0, :, 0] - (rec.w_path[0, :, 0] - 2.0 * rec.times)) <= 1e-12
 
 
@@ -105,13 +96,13 @@ def test_phase_invariance_of_functionals(mollow_coeffs):
 
 def test_linear_path_psihat_is_scale_free_unit_state():
     nsteps, dt = 50, 1e-2
-    table = constant_table(np.diag([0.3, -0.3]), [np.zeros((2, 2))], dt, nsteps)
+    coeffs = build_coefficients(simple_model(hamiltonian=np.diag([0.3, -0.3])))
     path = generate_wiener(2, dt, nsteps, 1)
-    rec = integrate_linear(table, E0, path)
+    rec = integrate_linear(coeffs, E0, path)
     norm = rec.psihat[0]
     assert np.allclose(np.linalg.norm(norm, axis=1), 1.0, atol=1e-12)
     # scaling the state leaves the posterior unchanged
-    rec2 = integrate_linear(table, 2.0 * E0, path)
+    rec2 = integrate_linear(coeffs, 2.0 * E0, path)
     norm2 = rec2.psihat[0]
     assert max_abs(norm - norm2) <= 1e-12
     assert max_abs(rec.r_expect - rec2.r_expect) <= 1e-12
@@ -127,11 +118,11 @@ def test_nonlinear_deterministic_limits(mollow_coeffs):
     assert np.allclose(np.linalg.norm(rec.psihat[0], axis=1), 1.0, atol=1e-12)
     # R = c*identity: the centered diffusion vanishes identically
     nsteps, dt = 300, 1e-3
-    table = constant_table(-0.5j * 0.25 * np.eye(2), [0.5 * np.eye(2)], dt, nsteps)
+    coeffs = build_coefficients(simple_model(channels=(0.5 * np.eye(2),)))
     p1 = generate_wiener(5, dt, nsteps, 1)
     p2 = generate_wiener(6, dt, nsteps, 1)
-    r1 = integrate_nonlinear(table, E0, p1)
-    r2 = integrate_nonlinear(table, E0, p2)
+    r1 = integrate_nonlinear(coeffs, E0, p1)
+    r2 = integrate_nonlinear(coeffs, E0, p2)
     assert max_abs(r1.psihat - r2.psihat) <= 1e-12
 
 
@@ -266,11 +257,11 @@ def test_weight_floor_freezes_trajectory():
     """A strongly contracting scalar model underflows and freezes, flagged."""
     nsteps, dt = 4000, 1e-3
     c = 3.0
-    table = constant_table(np.zeros((2, 2)), [c * np.eye(2)], dt, nsteps)
+    coeffs = ConstantCoefficients(np.zeros((2, 2)), [c * np.eye(2)])
     frozen = 0
     for s in range(20):
         path = generate_wiener(900 + s, dt, nsteps, 1)
-        rec = integrate_linear(table, E0, path, weight_floor=1e-6)
+        rec = integrate_linear(coeffs, E0, path, weight_floor=1e-6)
         if rec.frozen_at[0] >= 0:
             frozen += 1
             n = rec.frozen_at[0]
@@ -440,7 +431,7 @@ def _reference_step(k, r, dt, psi, dw_n, nonlinear):
         dw_n[j] * (r[j] @ psi - m[j] * psi) for j in range(len(r)))
 
 
-def _reference_paths(table, dt, psi0, dw, nonlinear):
+def _reference_paths(k, r, dt, psi0, dw, nonlinear):
     """States (nsteps+1, d) and expectations <R_j> (nsteps+1, J) per path,
     stepping with :func:`_reference_step` (normalized after each step for
     the nonlinear equation)."""
@@ -450,10 +441,10 @@ def _reference_paths(table, dt, psi0, dw, nonlinear):
         path_states, path_expects = [psi], []
         for n in range(len(dw) + 1):
             path_expects.append(
-                np.array([np.vdot(psi, rj @ psi) for rj in table.r[n]]) / np.vdot(psi, psi).real)
+                np.array([np.vdot(psi, rj @ psi) for rj in r[n]]) / np.vdot(psi, psi).real)
             if n == len(dw):
                 break
-            psi = _reference_step(table.k[n], table.r[n], dt, psi, dw[n, :, b], nonlinear)
+            psi = _reference_step(k[n], r[n], dt, psi, dw[n, :, b], nonlinear)
             if nonlinear:
                 psi = psi / np.linalg.norm(psi)
             path_states.append(psi)
@@ -477,10 +468,10 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
     for nonlinear in (False, True):
         # the batch as a G = 1 stack, stepped through the whole table as one block
         stack = _Stack(psi0[None], nchan, dt, every, 1e-12, nonlinear=nonlinear)
-        stack.advance(_step_ops(table, dt, nonlinear), dw[:, None])
+        stack.advance(_step_ops(*table, dt, nonlinear), dw[:, None])
         out = stack.result()
         psi, rexp, frozen = out[0], out[-4], out[-1]
-        ref_psi, ref_rexp = _reference_paths(table, dt, psi0, dw, nonlinear)
+        ref_psi, ref_rexp = _reference_paths(*table, dt, psi0, dw, nonlinear)
         scale = np.max(np.abs(ref_psi))
         assert np.all(frozen == -1)
         assert max_abs(psi - ref_psi) <= 1e-12 * scale
@@ -499,7 +490,7 @@ def test_nonlinear_partial_freeze():
     frozen = ens.frozen_at >= 0
     assert 0 < frozen.sum() < ntraj
     drift = 0.5 * (ens.w_path - ens.innovation)
-    table = coeffs.tabulate(grid)
+    k, r = coeffs.tabulate(grid)
     for b in range(ntraj):
         path = generate_wiener(73, dt, nsteps, 1, stream=b)
         alone = integrate_nonlinear(coeffs, psi0, path, weight_floor=floor)
@@ -509,7 +500,7 @@ def test_nonlinear_partial_freeze():
         # the freeze step is the first whose unnormalized result falls below the floor
         last = nsteps if n < 0 else n
         for i in range(last):
-            psi_new = _reference_step(table.k[i], table.r[i], dt, ens.psihat[b, i],
+            psi_new = _reference_step(k[i], r[i], dt, ens.psihat[b, i],
                                       path.increments[i], nonlinear=True)
             assert (np.vdot(psi_new, psi_new).real < floor) == (i == n - 1)
         if n >= 0:
@@ -533,7 +524,7 @@ def test_block_noise_and_tables_match_whole_path(mollow_coeffs, monkeypatch):
     for b in range(groups * lanes):
         path = generate_wiener(8, grid.h, 50, 2, stream=first + b)
         assert np.array_equal(dw[:, b // lanes, :, b % lanes], path.increments)
-    full = _step_ops(mollow_coeffs.tabulate(grid.times), grid.h, nonlinear=True)
+    full = _step_ops(*mollow_coeffs.tabulate(grid.times), grid.h, nonlinear=True)
     assert np.array_equal(np.concatenate([ops for ops, _ in blocks]), full)
 
 
@@ -564,20 +555,6 @@ def test_lockstep_stacks_match_single_chunks(nonlinear, monkeypatch):
         for field, value in vars(alone).items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(getattr(stacked, field), value), (lanes, workers, field)
-
-
-@pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
-def test_table_off_the_run_grid_rejected(run, mollow_coeffs):
-    """A table built for dt = 1e-3 does not serve a run at dt = 1.000001e-3:
-    its last time is 4e-6 off the run grid, where GRID_TOL allows 1e-9 steps
-    (1e-12); np.allclose's default rtol of 1e-5 let it pass."""
-    table = mollow_coeffs.tabulate(1e-3 * np.arange(4001))
-    with pytest.raises(ValueError, match="does not match the integration grid"):
-        run(table, E0, dt=1.000001e-3, nsteps=4000, ntraj=2, base_seed=1)
-    path = generate_wiener(1, 1.000001e-3, 4000, 2)
-    for integrate in (integrate_linear, integrate_nonlinear):
-        with pytest.raises(ValueError, match="does not match the integration grid"):
-            integrate(table, E0, path)
 
 
 def test_masked_step_equals_unmasked_step_when_nothing_freezes(rng):
