@@ -63,36 +63,46 @@ x_n = psi^n c_n and z_n = (psi phi)^n E^n vec(rho0); then, with M = I kron C
 
     x_{n+1} = psi E x_n + (h/2) psi (E M + phi M E) z_n,   z_{n+1} = psi phi E z_n,
 
-and sigma_{n+1} = sigma_n + h a.x_n gathers the outer sum.  These three
-lines are the (1 + 2 d^2)-square matrix
+and sigma_{n+1} = sigma_n + h a.x_n gathers the outer sum.  The z-chain
+never leaves an E-invariant subspace that holds vec(rho0): with its basis
+B (E B = B F) and vec(rho0) = B z_0, z_n = (psi phi)^n B F^n z_0, so it is
+carried in the coordinates of B.  These three lines are the matrix
 
-    A = [[1, h a^T, 0], [0, psi E, (h/2) psi (E M + phi M E)], [0, 0, psi phi E]],
+    A = [[1, h a^T, 0], [0, psi E, (h/2) psi (E M B + phi M B F)], [0, 0, psi phi F]],
 
 and the trapezoid sum is sigma_N + (h/2) a.x_N (x_0 = 0), read from
-A_0^{n_out - k} A^k [0; 0; vec rho0], k = min(n_cap, n_out), where A_0 is A
-with its coupling block zeroed (no forcing after n_cap).  Every power keeps
-the block form
+A_0^{n_out - k} A^k [0; 0; z_0], k = min(n_cap, n_out), where A_0 is A
+with its coupling block zeroed (no forcing after n_cap).  A general start
+takes B = I, F = E, z_0 = vec(rho0): A is (1 + 2 d^2)-square.  The
+spectrum's default start, its own stationary solve, takes B = vec(rho_ss),
+F = [1], z_0 = [1], using E vec(rho_ss) = vec(rho_ss), which holds to the
+stationary residual: A is (2 + d^2)-square, and U and t below are one
+column per item.  Every power keeps the block form
 
-    A^n = [[1, s_n, t_n], [0, psi^n E^n, U_n], [0, 0, (psi phi)^n E^n]],
+    A^n = [[1, s_n, t_n], [0, psi^n E^n, U_n], [0, 0, (psi phi)^n F^n]],
 
 and the product of two of them, A^a A^b, is
 
-    s = s_b + psi^b s_a E^b,   t = t_b + s_a U_b + (psi phi)^b t_a E^b,
-    U = psi^a E^a U_b + (psi phi)^b U_a E^b.
+    s = s_b + psi^b s_a E^b,   t = t_b + s_a U_b + (psi phi)^b t_a F^b,
+    U = psi^a E^a U_b + (psi phi)^b U_a F^b.
 
 So the squares A^(2^j) are taken by repeated squaring on a stack of
-(nu, outer, inner) items that share E^n; psi^n and (psi phi)^n are scalars
-and s_n, t_n, U_n are stored per item, items last (``_Block``).  Each
-squaring is one matrix product over the stack for each of E U, U E, s E and
-t E plus elementwise passes, O(log N) of them instead of N steps, and A^k is
-never formed: the state [0; 0; vec rho0] of every item is carried through,
-each square whose bit is set in k applied to it, then likewise through
-A_0^(n_out - k), and the sum is read off the end state.  In double
-precision this route and the dense (1 + 2 d^2)-square powers err from the
-exact sum of their inputs by rounding that grows like N u (u = 2^-53; up to
-1.6e-12 relative at N = 40 000 on the test models, mostly through psi^n)
-and agree to 1.0e-13 of max S on the canonical Mollow scan;
-tests/test_statistics.py keeps the dense route as the reference.
+(nu, outer, inner) items that share E^n and F^n; psi^n and (psi phi)^n are
+scalars and s_n, t_n, U_n are stored per item, items last (``_Block``).
+Each squaring is one matrix product over the stack for each of E U, U F,
+s E and t F plus elementwise passes, O(log N) of them instead of N steps,
+and A^k is never formed: the state [0; 0; z_0] of every item is carried
+through, each square whose bit is set in k applied to it, then likewise
+through A_0^(n_out - k), and the sum is read off the end state.  In double
+precision this route and the dense (1 + 2 d^2)- or (2 + d^2)-square powers
+err from the exact sum of their inputs by rounding that grows like N u
+(u = 2^-53; up to 1.6e-12 relative at N = 40 000 on the test models, mostly
+through psi^n) and agree to 1.0e-13 of max S on the canonical Mollow scan;
+tests/test_statistics.py keeps the dense routes as the reference.  The
+stationary start moves S from the general start's value by that rounding
+only: 1.6e-13 of max S at N = 10 000 and 6.7e-13 at N = 40 000 on the
+canonical Mollow scan, where each route errs by 1.5-1.6e-13 / 5.7-5.9e-13
+from a long-double dense sum of its own inputs.
 A time-dependent generator has no such form: ``analytic_second_moment``
 then takes the recurrence step by step (nu = 0) inside the one
 master-equation march (``master`` module docstring): each block of Magnus
@@ -203,18 +213,20 @@ def _constant_steps(gen: LindbladPropagator, rho0: np.ndarray, h: float, nsteps:
 
 
 class _Block(NamedTuple):
-    """A^n = [[1, s, t], [0, alpha E, U], [0, 0, beta E]] for a stack of N items.
+    """A^n = [[1, s, t], [0, alpha E, U], [0, 0, beta F]] for a stack of N items.
 
-    E is the d^2-square power shared by every item; the rest is stored items
-    last, alpha and beta (N,), s and t (d^2, N), u (d^2, d^2, N) with
-    u[k, m, i] = U_i[k, m], so that elementwise passes and the s U reduction
-    run over a contiguous item axis and E U, U E, s E and t E are one matrix
-    product each.  ``_apply`` multiplies a state (sigma (N,), x, z (d^2, N)).
+    E (d^2-square) and F (k-square, F = E or [1]) are the powers shared by
+    every item; the rest is stored items last, alpha and beta (N,), s (d^2, N),
+    t (k, N), u (d^2, k, N) with u[l, m, i] = U_i[l, m], so that elementwise
+    passes and the s U reduction run over a contiguous item axis and E U,
+    U F, s E and t F are one matrix product each.  ``_apply`` multiplies a
+    state (sigma (N,), x (d^2, N), z (k, N)).
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     e: np.ndarray
+    f: np.ndarray
     s: np.ndarray
     t: np.ndarray
     u: np.ndarray
@@ -222,23 +234,23 @@ class _Block(NamedTuple):
 
 def _combine(x: _Block, y: _Block) -> _Block:
     """The block product x y."""
-    et = y.e.T
-    # In place, and s U by einsum: a fresh (d^2, d^2, N) temporary costs more than its arithmetic.
+    et, ft = y.e.T, y.f.T
+    # In place, and s U by einsum: a fresh (d^2, k, N) temporary costs more than its arithmetic.
     u = (x.e @ y.u.reshape(len(et), -1)).reshape(y.u.shape)
     u *= x.alpha
-    ue = et @ x.u
-    ue *= y.beta
-    u += ue
-    return _Block(alpha=x.alpha * y.alpha, beta=x.beta * y.beta, e=x.e @ y.e,
+    uf = ft @ x.u
+    uf *= y.beta
+    u += uf
+    return _Block(alpha=x.alpha * y.alpha, beta=x.beta * y.beta, e=x.e @ y.e, f=x.f @ y.f,
                   s=y.s + y.alpha * (et @ x.s),
-                  t=y.t + np.einsum("ki,kmi->mi", x.s, y.u) + y.beta * (et @ x.t), u=u)
+                  t=y.t + np.einsum("ki,kmi->mi", x.s, y.u) + y.beta * (ft @ x.t), u=u)
 
 
 def _apply(b: _Block, state):
     """The block times the per-item state (sigma, x, z)."""
     sigma, x, z = state
     return (sigma + (b.s * x).sum(0) + (b.t * z).sum(0),
-            b.alpha * (b.e @ x) + np.einsum("kmi,mi->ki", b.u, z), b.beta * (b.e @ z))
+            b.alpha * (b.e @ x) + np.einsum("kmi,mi->ki", b.u, z), b.beta * (b.f @ z))
 
 
 def _apply_power(step: _Block, n: int, state):
@@ -253,12 +265,14 @@ def _apply_power(step: _Block, n: int, state):
     return state
 
 
-def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap):
+def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap, stationary=False):
     """One ordered double-integral sum for a constant generator, per nu.
 
     ``outer`` and ``inner`` are the (gaps, ops) phase components of the
     outer and inner channel operators at nu = 0 (``Coefficients.r_components``);
-    every gap is shifted by each entry of ``nu``.  See the module docstring.
+    every gap is shifted by each entry of ``nu``.  The z-chain runs in the
+    E-invariant subspace B of vec rho0 = ``v0``: B = [v0] with F = [1] when
+    ``stationary`` (E v0 = v0), else B = I with F = E.  See the module docstring.
     """
     d2 = len(v0)
     out_gaps, out_ops = outer
@@ -273,12 +287,14 @@ def _closed_form_term(e, v0, h, outer, inner, nu, n_out, n_cap):
     psi, phi = psi[:, :, None], phi[:, None, :]   # items (nu, outer, inner)
     shape = np.broadcast_shapes(psi.shape, phi.shape)
     m = spre(in_ops)   # vec(C rho) = (I kron C) vec(rho)
-    u = (0.5 * h) * psi[..., None, None] * (e @ m + phi[..., None, None] * (m @ e))
+    # M B, F and the start z0 (B z0 = v0): B = [v0], F = [1] on the stationary start, else B = I.
+    mb, f, z0 = (m @ v0[:, None], np.ones((1, 1)), np.ones(1)) if stationary else (m, e, v0)
+    u = (0.5 * h) * psi[..., None, None] * (e @ mb + phi[..., None, None] * (mb @ f))
     s = np.moveaxis(np.broadcast_to(h * a[:, None], shape + (d2,)), -1, 0).reshape(d2, -1)
     step = _Block(alpha=np.broadcast_to(psi, shape).ravel(), beta=(psi * phi).ravel(),
-                  e=e, s=s, t=np.zeros_like(s),
-                  u=np.moveaxis(u, (-2, -1), (0, 1)).reshape(d2, d2, -1))
-    z = np.broadcast_to(v0[:, None], s.shape)   # [sigma; x; z] = [0; 0; vec rho0] per item
+                  e=e, f=f, s=s, t=np.zeros((len(f), s.shape[1]), dtype=complex),
+                  u=np.moveaxis(u, (-2, -1), (0, 1)).reshape(d2, len(f), -1))
+    z = np.broadcast_to(z0[:, None], step.t.shape)   # [sigma; x; z] = [0; 0; z0] per item
     state = _apply_power(step, min(n_cap, n_out), (np.zeros_like(s[0]), np.zeros_like(s), z))
     # The inner integral ends at t_{n_cap}: A_0 (A with U zeroed) for the rest.
     sigma, x, _ = _apply_power(step._replace(u=np.zeros_like(step.u)), max(n_out - n_cap, 0), state)
@@ -318,17 +334,19 @@ def analytic_second_moment(gen: LindbladPropagator, rho0: np.ndarray, grid: Time
         except ValueError as exc:
             raise ValueError(f"pair {tuple(pair)!r}: {exc}") from None
     grid = TimeGrid(grid.h, int(np.max(indices, initial=1)))
-    terms = [term for (i, j, _, _), (n1, n2) in zip(pairs, indices)
-             for term in ((i, j, n1, n2), (j, i, n2, n1))]
+    terms = [((i, j, n1, n2), (j, i, n2, n1)) for (i, j, _, _), (n1, n2) in zip(pairs, indices)]
+    # Each distinct (outer, inner, n_out, n_cap) once: i = j with t1 = t2 gives one term twice.
+    distinct = list(dict.fromkeys(term for both in terms for term in both))
     if gen.time_independent:
         e, v0 = _constant_steps(gen, rho0, grid.h, grid.nsteps)
         comps = [coeffs.r_components(c) for c in range(coeffs.nchannels)]
         sums = [_closed_form_term(e, v0, grid.h, comps[a], comps[b], np.zeros(1), n_out, n_cap)[0]
-                if n_out and n_cap else 0.0 for a, b, n_out, n_cap in terms]
+                if n_out and n_cap else 0.0 for a, b, n_out, n_cap in distinct]
     else:
-        sums = _marched_terms(gen, rho0, grid, terms)
-    return [float((min(t1, t2) if i == j else 0.0) + sums[2 * k] + sums[2 * k + 1])
-            for k, (i, j, t1, t2) in enumerate(pairs)]
+        sums = _marched_terms(gen, rho0, grid, distinct)
+    sums = dict(zip(distinct, sums))
+    return [float((min(t1, t2) if i == j else 0.0) + sums[first] + sums[second])
+            for (i, j, t1, t2), (first, second) in zip(pairs, terms)]
 
 
 def _marched_terms(gen: LindbladPropagator, rho0: np.ndarray, grid: TimeGrid,
@@ -551,7 +569,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     residual left to the caller to judge.  Each value is the iterated
     trapezoid evaluation of the printed second-moment formula at
     t1 = t2 = horizon, summed in closed form (module docstring) at a cost
-    independent of horizon / dt.
+    independent of horizon / dt; from the default start the states' row of
+    the kernel is the one column vec(rho_ss).
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
     if not (nu_grid.ndim == 1 and len(nu_grid) and np.isfinite(nu_grid).all()
@@ -579,7 +598,8 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     # With diagonal-phase detection R^{(nu)}(s) = e^{i nu s} B(s): the
     # components of B, each gap shifted by nu.
     comps = base.r_components(channel)
-    second = horizon + 2.0 * _closed_form_term(e, v0, h, comps, comps, nu_grid, nsteps, nsteps)
+    second = horizon + 2.0 * _closed_form_term(e, v0, h, comps, comps, nu_grid, nsteps, nsteps,
+                                               stationary=st is not None)
     return SpectrumScan(nu=nu_grid, values=second / horizon, horizon=horizon, dt=h,
                         channel=channel, stationary=st)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.stats import norm
 
 from conftest import random_model, simple_model
 from qsde import master, statistics
+from qsde.config import parse_config
 from qsde.linalg import adjoint, matrix_exp, max_abs, vectorize
 from qsde.master import LindbladPropagator, PositivityError, master_series, stationary_state
 from qsde.model import (
@@ -41,6 +43,7 @@ from qsde.statistics import (
 )
 from qsde.trajectories import run_linear_ensemble, run_nonlinear_ensemble
 
+ROOT = Path(__file__).resolve().parents[1]
 E0 = np.array([1.0, 0.0], dtype=complex)
 RHO_E = np.outer(E0, E0.conj())
 
@@ -416,6 +419,33 @@ def test_random_ladder_models_are_constant_with_two_components():
         assert all(len(coeffs.r_components(j)[0]) == 2 for j in range(3))
 
 
+def kernel_and_dense_errors(coeffs, e, p, v0, nsteps, **kernel):
+    """Errors of ``_closed_form_term`` (called with ``kernel``) and of the
+    dense double route, each relative to the dense route in long double,
+    over every channel pair and the inner cut-off n_cap below (down to one
+    step), at and above the outer end n_out; h = 0.005.  ``p`` steps the
+    dense route's states."""
+    h, nus = 0.005, np.array([-3.0, 0.0, 1.3, 8.0])
+    comps = [coeffs.r_components(j) for j in range(coeffs.nchannels)]
+    cuts = {(nsteps, max(1, nsteps // 3)), (nsteps, nsteps), (max(1, nsteps // 2), nsteps),
+            (nsteps, 1)}
+    block_err, dense_err = [], []
+    for outer in comps:
+        for inner in comps:
+            for n_out, n_cap in sorted(cuts):
+                args = (v0, h, outer, inner, nus, n_out, n_cap)
+                fast = _closed_form_term(e, *args, **kernel)
+                dense = dense_closed_form_term(e, p, *args)
+                exact = dense_closed_form_term(e, p, *args, dtype=np.clongdouble)
+                scale = max_abs(exact)
+                if scale == 0.0:   # a term that vanishes identically, in every route
+                    assert max_abs(fast) == max_abs(dense) == 0.0
+                    continue
+                block_err.append(max_abs(fast - exact) / scale)
+                dense_err.append(max_abs(dense - exact) / scale)
+    return block_err, dense_err
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="the exact sums need a long double wider than a double")
 @pytest.mark.parametrize("nsteps", [1, 2, 7, 10_000, 40_000])
@@ -437,28 +467,125 @@ def test_block_kernel_matches_dense_route(name, nsteps):
     gen = LindbladPropagator(coeffs)
     psi = np.arange(1, gen.dim + 1) - 0.4j
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-    h, nus = 0.005, np.array([-3.0, 0.0, 1.3, 8.0])
-    e, v0 = _constant_steps(gen, rho0, h, nsteps)
-    comps = [coeffs.r_components(j) for j in range(gen.coeffs.nchannels)]
-    cuts = {(nsteps, max(1, nsteps // 3)), (nsteps, nsteps), (max(1, nsteps // 2), nsteps),
-            (nsteps, 1)}
-    block_err, dense_err = [], []
-
-    def compare(fast, dense, exact):
-        scale = max_abs(exact)
-        if scale == 0.0:   # a term that vanishes identically, in every route
-            assert max_abs(fast) == max_abs(dense) == 0.0
-            return
-        block_err.append(max_abs(fast - exact) / scale)
-        dense_err.append(max_abs(dense - exact) / scale)
-
-    for outer in comps:
-        for inner in comps:
-            for n_out, n_cap in sorted(cuts):
-                args = (v0, h, outer, inner, nus, n_out, n_cap)
-                compare(_closed_form_term(e, *args), dense_closed_form_term(e, e, *args),
-                        dense_closed_form_term(e, e, *args, dtype=np.clongdouble))
+    e, v0 = _constant_steps(gen, rho0, 0.005, nsteps)
+    block_err, dense_err = kernel_and_dense_errors(coeffs, e, e, v0, nsteps)
     assert max(block_err) <= max(dense_err) + 1e-13, (max(block_err), max(dense_err))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the exact sums need a long double wider than a double")
+@pytest.mark.parametrize("nsteps", [1, 2, 7, 10_000, 40_000])
+# The other KERNEL_MODELS relax to the ground state, which their channel
+# operators annihilate from either side, so every stationary term vanishes.
+@pytest.mark.parametrize("name", ["mollow-detuned-lo", "random-ladder-400", "random-ladder-401"])
+def test_stationary_kernel_matches_dense_route(name, nsteps):
+    """The stationary start of the block kernel (z-chain in span{vec rho_ss},
+    F = [1]) is as accurate as the dense augmented-matrix powers on the same
+    inputs, to 1e-13 relative, by the rule of the general-start test above.
+
+    "Exact" is the dense route in long double with the z-chain held at
+    vec rho_ss (its propagator the identity), which is the sum the
+    stationary route takes: E vec rho_ss = vec rho_ss holds to the
+    stationary residual, which this compares neither route against.
+    """
+    coeffs = build_coefficients(KERNEL_MODELS[name])
+    gen = LindbladPropagator(coeffs)
+    st = stationary_state(gen)
+    assert not st.degenerate, name
+    e, v0 = _constant_steps(gen, st.rho, 0.005, nsteps)
+    block_err, dense_err = kernel_and_dense_errors(coeffs, e, np.eye(len(v0)), v0, nsteps,
+                                                   stationary=True)
+    assert max(block_err) <= max(dense_err) + 1e-13, (max(block_err), max(dense_err))
+
+
+@pytest.mark.parametrize("lo", [7.5, 10.0])
+def test_spectrum_stationary_start_matches_supplied_stationary_state(lo):
+    """The default start (the scan's own stationary solve, z-chain in
+    span{vec rho_ss}) and the same state supplied as rho0 (the general
+    route, z-chain stepped by E) agree within the 1.6e-12 of max S that the
+    statistics docstring states for 40 000 steps, on the Mollow model with
+    the local oscillator detuned and at resonance."""
+    model = mollow_at(lo)
+    nus = np.array([-3.0, -0.4, 0.0, 1.3, 5.1, 8.0, 10.0])
+    default = spectrum_scan(model, nus, horizon=200.0, dt=0.005)
+    supplied = spectrum_scan(model, nus, horizon=200.0, dt=0.005, rho0=default.stationary.rho)
+    assert supplied.stationary is None
+    gap = max_abs(default.values - supplied.values)
+    assert gap <= 1.6e-12 * max_abs(supplied.values), gap
+
+
+def test_default_start_spectrum_runs_one_column_coupling_block(monkeypatch):
+    """Guard on the stationary route: a default-start scan powers blocks whose
+    coupling U has one column (F = [1]); a supplied rho0 has d^2 columns."""
+    model = mollow_at(10.0)
+    shapes = []
+    original = statistics._apply_power
+
+    def spy(step, n, state):
+        shapes.append((step.u.shape[:2], step.f.shape, state[2].shape[0]))
+        return original(step, n, state)
+
+    monkeypatch.setattr(statistics, "_apply_power", spy)
+    default = spectrum_scan(model, [5.0, 10.0], horizon=1.0, dt=0.01)
+    assert shapes and set(shapes) == {((4, 1), (1, 1), 1)}, shapes
+    shapes.clear()
+    spectrum_scan(model, [5.0, 10.0], horizon=1.0, dt=0.01, rho0=default.stationary.rho)
+    assert shapes and set(shapes) == {((4, 4), (4, 4), 4)}, shapes
+
+
+def test_second_moment_computes_each_distinct_term_once(monkeypatch):
+    """On the perfbench moments_pairs config the twelve pairs have 24 ordered
+    terms, of which the three i = j, t1 = t2 pairs repeat one each: 21 closed
+    forms, and every value bit-identical to summing both terms of each pair."""
+    cfg = parse_config((ROOT / "perfbench" / "configs" / "moments_pairs.json").read_text())
+    coeffs = build_coefficients(cfg.model)
+    gen = LindbladPropagator(coeffs)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    pairs = cfg.run.pairs
+    calls = []
+    original = statistics._closed_form_term
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(statistics, "_closed_form_term", spy)
+    values = analytic_second_moment(gen, rho0, cfg.grid, pairs)
+    assert len(calls) == 21
+    monkeypatch.undo()
+    h = cfg.grid.h
+    e, v0 = _constant_steps(gen, rho0, h, cfg.grid.nsteps)
+    comps = [coeffs.r_components(c) for c in range(coeffs.nchannels)]
+    for (i, j, t1, t2), value in zip(pairs, values):
+        n1, n2 = cfg.grid.index([t1, t2])
+        terms = [original(e, v0, h, comps[a], comps[b], np.zeros(1), n_out, n_cap)[0]
+                 for a, b, n_out, n_cap in ((i, j, n1, n2), (j, i, n2, n1))]
+        assert value == float((min(t1, t2) if i == j else 0.0) + terms[0] + terms[1])
+
+
+# The constant and the time-dependent generators that the probe must tell apart.
+PROBE_MODELS = {**KERNEL_MODELS,
+                **{f"random-{seed}": random_model(np.random.default_rng(seed))
+                   for seed in (300, 301, 302)},
+                "carrier-driven-atom": simple_model(channels=(SIGMA_MINUS, 0.5 * SIGMA_MINUS),
+                                                    amplitudes=[0.4, 0.3], carrier=1.5)}
+
+
+@pytest.mark.parametrize("name", list(PROBE_MODELS))
+def test_stacked_time_independence_probe_matches_per_time_loop(name):
+    """LindbladPropagator's probe builds the three later probe times as one
+    stack; its verdict and the bytes of L_*(0) are those of the per-time
+    loop it replaced."""
+    coeffs = build_coefficients(PROBE_MODELS[name])
+    times = LindbladPropagator._PROBE_TIMES
+    g0 = master.build_schrodinger_generator(coeffs, times[0])
+    scale = max(max_abs(g0), 1.0)
+    verdict = all(max_abs(master.build_schrodinger_generator(coeffs, t) - g0)
+                  <= master.PROBE_TOL * scale for t in times[1:])
+    gen = LindbladPropagator(coeffs)
+    assert gen.time_independent is verdict
+    assert verdict is (name in KERNEL_MODELS)
+    assert gen.generator_at(0.0).tobytes() == g0.tobytes()
 
 
 @pytest.mark.parametrize("name, channel", [
