@@ -74,14 +74,6 @@ class ResultBundle:
             "checks": [c._asdict() for c in self.checks],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ResultBundle":
-        tables = {name: Table(columns=tuple(t["columns"]),
-                              rows=tuple(tuple(r) for r in t["rows"]))
-                  for name, t in doc["tables"].items()}
-        return cls(command=doc["command"], metadata=doc["metadata"], tables=tables,
-                   checks=[Check(**c) for c in doc["checks"]])
-
 
 def bundles_equal(a: ResultBundle, b: ResultBundle, ignore_walltime: bool = True) -> bool:
     """Field-for-field equality, by default ignoring the volatile wall time."""
@@ -155,7 +147,8 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
     # E[w_t] = E[w_0]: the null is the mean initial weight, as the t = 0 row rounds it.
     mean_w0 = mean_w[0] if ens.times[0] == 0.0 else np.vdot(psi0, psi0).real
     # A checkpoint where every weight is equal (se 0) passes whatever its mean;
-    # ROADMAP item 3 replaces this clause with an inconclusive outcome.
+    # ROADMAP item "The normalized equation as the CLI default, with checks that
+    # can fail" replaces this clause with an inconclusive outcome.
     check, ok = judge("martingale", mean_w, mean_w0, np.where(se_w == 0.0, np.inf, se_w),
                       detail="mean weight within 3 standard errors of the mean initial "
                              "weight at every checkpoint")

@@ -34,7 +34,6 @@ __all__ = [
     "RunSpec",
     "parse_config",
     "parse_complex",
-    "format_complex",
 ]
 
 COMMANDS = ("verify", "trajectories", "master", "moments", "spectrum", "mollow")
@@ -77,16 +76,6 @@ def parse_complex(value) -> complex:
     if m:
         return complex(float(m.group("re")), 0.0)
     raise ValueError(f"malformed complex literal {value!r}")
-
-
-def format_complex(z: complex, precision: int = 17) -> str:
-    """Inverse of :func:`parse_complex`."""
-    re_s = f"{z.real:.{precision}g}"
-    im = z.imag
-    if im == 0:
-        return re_s
-    sign = "+" if im >= 0 else "-"
-    return f"{re_s}{sign}{abs(im):.{precision}g}i"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import DetectionSpec, DriveSpec, SystemModel
 # spectrum_scan is imported by name only: perfbench/tests/test_tracer.py checks
-# that the benchmark's tracer wraps it here too (ROADMAP item 1).
+# that the benchmark's tracer wraps it here too (ROADMAP item "Benchmark upkeep").
 from .statistics import Check, SpectrumScan, judge, spectrum_scan  # noqa: F401
 
 __all__ = [

@@ -111,14 +111,11 @@ _BLOCK_STEPS = 128
 
 # The Philox key is two 64-bit words, (seed, stream); wider values are rejected, not wrapped.
 _KEY_MAX = (1 << 64) - 1
-# Counter offset for auxiliary draws (initial-state sampling): disjoint from
-# the increment stream, which counts up from zero.
-_AUX_COUNTER = 1 << 192
 
 
-def _philox_stream(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
+def _philox_stream(seed: int, stream: int) -> np.random.Generator:
     key = np.array([int(seed), int(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _check_counts(dt: float, **counts):
@@ -411,7 +408,8 @@ def integrate_nonlinear(coeffs: Coefficients, psihat0: np.ndarray, path: WienerP
     every Euler step; the continuous-time flow preserves the norm exactly,
     the discretized one only to O(dt).
     """
-    if abs(np.linalg.norm(np.asarray(psihat0, dtype=complex)) - 1.0) > 1e-9:
+    psihat0 = _checked_initial(psihat0, coeffs.dim)
+    if abs(np.linalg.norm(psihat0) - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
     return _run_path(coeffs, psihat0, path, weight_floor, nonlinear=True)
 
@@ -435,55 +433,20 @@ def worker_count() -> int:
     return n
 
 
-def _checked_initial(initial, dim: int):
-    """An initial state as a (dim,) array, or a mixture as (states (k, dim),
-    cumulative probabilities (k,) ending in 1).
-
-    Raises ValueError unless every state is finite, nonzero and ``dim`` long,
-    and the probabilities are finite, non-negative, one per state and with a
-    positive sum.
-    """
-    mixture = isinstance(initial, tuple)
-    if mixture:
-        states, probs = initial
-        states = np.asarray(states, dtype=complex)
-    else:
-        states = np.asarray(initial, dtype=complex).reshape(1, -1)
-    if states.ndim != 2 or states.shape[1] != dim:
-        raise ValueError(f"initial states must have {dim} amplitudes, got shape {states.shape}")
-    if not np.isfinite(states).all():
-        raise ValueError("initial states must have finite amplitudes")
-    if not np.any(states != 0, axis=1).all():
-        raise ValueError("initial states must be nonzero")
-    if not mixture:
-        return states[0]
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (len(states),):
-        raise ValueError(f"expected one probability per initial state ({len(states)}), "
-                         f"got shape {probs.shape}")
-    if not np.isfinite(probs).all():
-        raise ValueError("initial-state probabilities must be finite")
-    if np.any(probs < 0):
-        raise ValueError("initial-state probabilities must be non-negative")
-    cdf = np.cumsum(probs)
-    if not 0 < cdf[-1] < np.inf:
-        raise ValueError("initial-state probabilities must have a positive, finite sum")
-    cdf /= cdf[-1]
-    return states, cdf
-
-
-def _draw_initials(initial, ntraj: int, first: int, base_seed: int) -> np.ndarray:
-    """Per-trajectory initial states from a checked ``initial``
-    (:func:`_checked_initial`); mixtures sample from the aux stream."""
-    if isinstance(initial, tuple):
-        states, cdf = initial
-        out = np.empty((ntraj, states.shape[1]), dtype=complex)
-        for b in range(ntraj):
-            rng = _philox_stream(base_seed, first + b, counter=_AUX_COUNTER)
-            pick = int(np.searchsorted(cdf, rng.uniform()))
-            out[b] = states[min(pick, len(states) - 1)]
-        return out
-    return np.broadcast_to(initial, (ntraj, len(initial))).copy()
+def _checked_initial(initial, dim: int) -> np.ndarray:
+    """The initial state as a (dim,) complex array; ValueError naming the
+    initial state unless it is a finite, nonzero vector of ``dim`` amplitudes."""
+    try:
+        psi0 = np.asarray(initial, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"initial state: {exc}") from None
+    if psi0.shape != (dim,):
+        raise ValueError(f"initial state must have {dim} amplitudes, got shape {psi0.shape}")
+    if not np.isfinite(psi0).all():
+        raise ValueError("initial state must have finite amplitudes")
+    if not psi0.any():
+        raise ValueError("initial state must be nonzero")
+    return psi0
 
 
 def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: int,
@@ -518,7 +481,7 @@ class _Job:
     nonlinear: bool
     coeffs: Coefficients
     grid: TimeGrid
-    initial: object
+    initial: np.ndarray
     base_seed: int
     record_idx: np.ndarray
     weight_floor: float
@@ -545,9 +508,8 @@ def _run_span(job: _Job, first: int, stop: int) -> list[list[np.ndarray]]:
     dim, nchan, h = job.coeffs.dim, job.coeffs.nchannels, job.grid.h
     stacks = []
     for start, groups, lanes in _stacks(first, stop, job.chunk_size):
-        psi0 = _draw_initials(job.initial, groups * lanes, start, job.base_seed)
-        stacks.append((_Stack(psi0.reshape(groups, lanes, dim).transpose(0, 2, 1), nchan, h,
-                              job.record_idx, job.weight_floor, job.nonlinear),
+        psi0 = np.broadcast_to(job.initial[:, None], (groups, dim, lanes))
+        stacks.append((_Stack(psi0, nchan, h, job.record_idx, job.weight_floor, job.nonlinear),
                        _lane_noise(job.base_seed, start, groups, lanes, nchan, h)))
     return _run_stacks(stacks, job.coeffs, job.grid, job.nonlinear)
 
@@ -596,8 +558,7 @@ def run_linear_ensemble(coeffs: Coefficients, initial, dt: float, nsteps: int, n
                         chunk_size: int = 1024) -> Ensemble:
     """Integrate ``ntraj`` linear trajectories with per-trajectory streams.
 
-    ``initial`` is a state vector shared by all trajectories, or a tuple
-    (states, probabilities) sampled per trajectory (mixed initial state).
+    ``initial`` is the state vector every trajectory starts from.
     ``record_times`` must be points of the grid n dt, n = 0..nsteps.
     Results are independent of chunk scheduling and worker count;
     ``chunk_size`` fixes the shape of the batched matrix products.

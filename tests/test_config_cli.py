@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import qsde.cli as cli
-from qsde.cli import ResultBundle, _ensemble_diagnostics, bundles_equal, emit, main, run_command
+from qsde.cli import _ensemble_diagnostics, emit, main, run_command
 from qsde.config import (
     ConfigError,
     OutputSpec,
     RunSpec,
-    format_complex,
     parse_complex,
     parse_config,
 )
@@ -46,13 +45,6 @@ def test_parse_complex_literals():
     for bad in ("", "abc", "1+2", "2ii", "1 + 2i"):
         with pytest.raises(ValueError):
             parse_complex(bad)
-
-
-def test_format_complex_roundtrip(rng):
-    for _ in range(50):
-        z = complex(rng.normal(), rng.normal())
-        assert parse_complex(format_complex(z)) == z
-    assert parse_complex(format_complex(1.5 + 0j)) == 1.5
 
 
 def test_minimal_mollow_defaults():
@@ -499,8 +491,7 @@ def test_json_roundtrip_field_for_field(tmp_path):
     cfg = parse_config(json.dumps(make_config()))
     bundle = run_command(cfg)
     paths = emit(bundle, tmp_path, formats=("json",))
-    loaded = ResultBundle.from_json_dict(json.loads(paths[0].read_text()))
-    assert bundles_equal(bundle, loaded, ignore_walltime=False)
+    assert json.loads(paths[0].read_text()) == bundle.to_json_dict()
 
 
 def test_moments_csv_schema(tmp_path):

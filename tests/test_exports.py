@@ -3,6 +3,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,10 @@ import pytest
 import qsde
 
 SRC = Path(qsde.__file__).resolve().parent
-README = Path(__file__).resolve().parents[1] / "README.md"
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-LAYER_METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TRACER = ROOT / "perfbench" / "tracer.py"
+LAYER_METRICS = ROOT / "perfbench" / "layers.py"
 
 
 @pytest.mark.parametrize("name", sorted(info.name for info in pkgutil.iter_modules(qsde.__path__)))
@@ -130,3 +132,16 @@ def test_readme_library_use_block_runs(capsys):
     peaks = "[ 5.1 10.  14.9]"
     assert capsys.readouterr().out.splitlines()[-1] == peaks
     assert f"# {peaks}\n" in code
+
+
+def test_roadmap_items_are_named_by_title():
+    """ROADMAP renumbers its items when it is rewritten, so a number in the
+    code soon points at another item: every file under src/ and tests/
+    names an item by its title."""
+    numbered = re.compile(r"ROADMAP item \d")
+    hits = [f"{path.relative_to(ROOT)}:{n}"
+            for top in ("src", "tests") for path in sorted((ROOT / top).rglob("*"))
+            if path.is_file() and "__pycache__" not in path.parts
+            for n, line in enumerate(path.read_text(errors="replace").splitlines(), 1)
+            if numbered.search(line)]
+    assert hits == []

@@ -163,7 +163,12 @@ def test_strong_drive_sidebands_and_symmetry_small_scan():
 
 def test_mc_spectrum_matches_analytic_on_coarse_grid():
     """Reweighted trajectory estimate of the same variance-rate functional
-    agrees with the analytic scan at each frequency (matched horizon)."""
+    agrees with the analytic scan at each frequency (matched horizon).
+
+    The scan starts from rho_ss = sum_s p_s |e_s><e_s|; the ensembles sample
+    it by strata, one ensemble per eigenvector e_s with round(p_s N)
+    trajectories, combined as sum_s p_s mc_s with error sqrt(sum_s (p_s se_s)^2).
+    """
     from qsde.master import LindbladPropagator, stationary_state
     from qsde.statistics import mc_second_moment, spectrum_scan
     from qsde.trajectories import run_linear_ensemble
@@ -173,15 +178,18 @@ def test_mc_spectrum_matches_analytic_on_coarse_grid():
 
     model = build_mollow_model(canonical_config())
     gen = LindbladPropagator(build_coefficients(model))
-    st = stationary_state(gen)
-    evals, evecs = np.linalg.eigh(st.rho)
-    initial = (evecs.T, np.clip(evals, 0.0, None))  # rows are the eigenstates
+    probs, states = np.linalg.eigh(stationary_state(gen).rho)
+    strata = [(s, p, states[:, s], round(p * ntraj)) for s, p in enumerate(probs)]
     scan = spectrum_scan(model, nus, horizon=horizon, dt=dt)
     for k, nu in enumerate(nus):
         coeffs_nu = build_coefficients(build_mollow_model(canonical_config(nu=nu)))
-        ens = run_linear_ensemble(coeffs_nu, initial, dt=dt, nsteps=int(horizon / dt),
-                                  ntraj=ntraj, base_seed=7000 + k, record_times=[horizon])
-        mc, se = mc_second_moment(ens, 0, 0, horizon, horizon)
-        s_mc = mc / horizon
+        mc, var = 0.0, 0.0
+        for s, p, state, n in strata:
+            ens = run_linear_ensemble(coeffs_nu, state, dt=dt, nsteps=int(horizon / dt),
+                                      ntraj=n, base_seed=7000 + k + 100 * s,
+                                      record_times=[horizon])
+            mc_s, se_s = mc_second_moment(ens, 0, 0, horizon, horizon)
+            mc, var = mc + p * mc_s, var + (p * se_s) ** 2
+        s_mc, se = mc / horizon, np.sqrt(var)
         assert abs(s_mc - scan.values[k]) <= 3.0 * se / horizon + 10 * dt, (
             nu, s_mc, scan.values[k], se / horizon)

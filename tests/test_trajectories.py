@@ -134,11 +134,13 @@ def test_nonlinear_requires_unit_norm(mollow_coeffs):
 
 def test_single_paths_reject_malformed_states(mollow_coeffs):
     """A NaN state slipped past the unit-norm check (|nan - 1| > 1e-9 is
-    false) and gave NaN paths; a zero state gave an all-zero linear path."""
+    false) and gave NaN paths; a zero state gave an all-zero linear path; a
+    (states, probabilities) tuple gave numpy's bare shape error."""
     path = generate_wiener(1, 1e-3, 10, 2)
     for integrate in (integrate_linear, integrate_nonlinear):
         for psi0, problem in ((np.array([np.nan, 1.0]), "finite amplitudes"),
-                              (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes")):
+                              (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes"),
+                              ((np.eye(2), [0.5, 0.5]), "^initial state: ")):
             with pytest.raises(ValueError, match=problem):
                 integrate(mollow_coeffs, psi0, path)
     with pytest.raises(ValueError, match="must be nonzero"):
@@ -366,15 +368,6 @@ def test_record_times_are_grid_points(mollow_coeffs):
             run_nonlinear_ensemble(mollow_coeffs, record_times=bad, **common)
 
 
-def test_mixed_initial_state_sampling(mollow_coeffs):
-    states = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    probs = np.array([0.25, 0.75])
-    ens = run_linear_ensemble(mollow_coeffs, (states, probs), dt=1e-3, nsteps=1,
-                              ntraj=4000, base_seed=31, record_times=[0.0])
-    excited = np.mean(np.abs(ens.psi[:, 0, 0]) ** 2 > 0.5)
-    assert abs(excited - 0.25) <= 5 * np.sqrt(0.25 * 0.75 / 4000)
-
-
 def test_girsanov_two_time_moments(mollow_coeffs):
     """Reweighted innovation moments: mean zero and covariance
     delta_{jk} min(t, s) within 3 standard errors plus O(dt)."""
@@ -582,12 +575,8 @@ MALFORMED_INITIALS = {
     "zero_state": (np.zeros(2), "must be nonzero"),
     "nan_amplitude": (np.array([1.0, np.nan]), "finite amplitudes"),
     "three_amplitudes": (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes"),
-    "zero_state_in_mixture": ((np.array([[1.0, 0.0], [0.0, 0.0]]), [0.5, 0.5]),
-                              "must be nonzero"),
-    "probabilities_0_0": ((np.eye(2), [0.0, 0.0]), "positive, finite sum"),
-    "probabilities_-1_2": ((np.eye(2), [-1.0, 2.0]), "non-negative"),
-    "nan_probability": ((np.eye(2), [np.nan, 1.0]), "probabilities must be finite"),
-    "one_probability_two_states": ((np.eye(2), [1.0]), "one probability per initial state"),
+    "mixture_tuple": ((np.eye(2), [0.5, 0.5]), "^initial state: "),
+    "matrix": (np.eye(2), "^initial state must have 2 amplitudes, got shape \\(2, 2\\)"),
 }
 
 
@@ -599,9 +588,10 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("run", [run_linear_ensemble, run_nonlinear_ensemble])
 def test_malformed_initial_state_rejected_before_any_work(run, case, mollow_coeffs,
                                                           monkeypatch):
-    """A zero state gave all-NaN normalized paths, a NaN entry NaN paths, bad
-    probabilities were accepted and a 3-vector broke a broadcast: each is now
-    a ValueError naming the problem, raised before any step or fork."""
+    """A zero state gave all-NaN normalized paths, a NaN entry NaN paths and a
+    3-vector broke a broadcast; a (states, probabilities) mixture or a matrix
+    is not a state vector: each is a ValueError naming the initial state and
+    the problem, raised before any step or fork."""
     initial, problem = MALFORMED_INITIALS[case]
     monkeypatch.setenv("QSDE_WORKERS", "2")
     monkeypatch.setattr(trajectories, "_run_span", _no_work)
