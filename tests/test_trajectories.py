@@ -576,6 +576,14 @@ MALFORMED_INITIALS = {
     "nan_amplitude": (np.array([1.0, np.nan]), "finite amplitudes"),
     "three_amplitudes": (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes"),
     "mixture_tuple": ((np.eye(2), [0.5, 0.5]), "^initial state: "),
+    # The former (states, probabilities) mixture inputs, valid or not, are
+    # each rejected whole as not a state vector.
+    "zero_state_in_mixture": ((np.array([[1.0, 0.0], [0.0, 0.0]]), [0.5, 0.5]),
+                              "^initial state: "),
+    "probabilities_0_0": ((np.eye(2), [0.0, 0.0]), "^initial state: "),
+    "probabilities_-1_2": ((np.eye(2), [-1.0, 2.0]), "^initial state: "),
+    "nan_probability": ((np.eye(2), [np.nan, 1.0]), "^initial state: "),
+    "one_probability_two_states": ((np.eye(2), [1.0]), "^initial state: "),
     "matrix": (np.eye(2), "^initial state must have 2 amplitudes, got shape \\(2, 2\\)"),
 }
 
@@ -589,9 +597,9 @@ def _no_work(*args, **kwargs):
 def test_malformed_initial_state_rejected_before_any_work(run, case, mollow_coeffs,
                                                           monkeypatch):
     """A zero state gave all-NaN normalized paths, a NaN entry NaN paths and a
-    3-vector broke a broadcast; a (states, probabilities) mixture or a matrix
-    is not a state vector: each is a ValueError naming the initial state and
-    the problem, raised before any step or fork."""
+    3-vector broke a broadcast; a (states, probabilities) mixture, whatever
+    its probabilities, or a matrix is not a state vector: each is a ValueError
+    naming the initial state and the problem, raised before any step or fork."""
     initial, problem = MALFORMED_INITIALS[case]
     monkeypatch.setenv("QSDE_WORKERS", "2")
     monkeypatch.setattr(trajectories, "_run_span", _no_work)
