@@ -41,7 +41,7 @@ from .statistics import (Check, judge, mc_mean_output, mc_output_moments, spectr
                          standard_error, wiener_law_tests)
 from .trajectories import Ensemble, run_linear_ensemble, worker_count
 
-__all__ = ["ResultBundle", "Table", "Check", "run_command", "emit", "main", "bundles_equal"]
+__all__ = ["ResultBundle", "Table", "Check", "run_command", "emit", "main"]
 
 # Largest max-entry residual max|L_*[rho]| of an accepted stationary state.
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -73,15 +73,6 @@ class ResultBundle:
                        for name, t in self.tables.items()},
             "checks": [c._asdict() for c in self.checks],
         }
-
-
-def bundles_equal(a: ResultBundle, b: ResultBundle, ignore_walltime: bool = True) -> bool:
-    """Field-for-field equality, by default ignoring the volatile wall time."""
-    da, db = a.to_json_dict(), b.to_json_dict()
-    if ignore_walltime:
-        da["metadata"] = {k: v for k, v in da["metadata"].items() if k != "walltime_s"}
-        db["metadata"] = {k: v for k, v in db["metadata"].items() if k != "walltime_s"}
-    return da == db
 
 
 def _start(cfg: RunConfig):
@@ -121,8 +112,9 @@ def _run_verify(cfg: RunConfig, bundle: ResultBundle):
         columns=("t", "residual"),
         rows=tuple((float(t), float(r)) for t, r in zip(report.times, report.residuals)))
     bundle.checks.append(judge(
-        "weight-identity", report.residuals, 0.0, slack=report.tol,
-        detail=f"max residual {report.max_residual:.3e} vs tol {report.tol:.1e}")[0])
+        "weight-identity", report.residuals, 0.0, slack=report.bounds,
+        detail=f"max residual {report.max_residual:.3e} vs tol {cfg.run.identity_tol:.1e} "
+               "x max(1, max-entry of sum_j R_j^* R_j)")[0])
     bounds = operator_norm_bounds(coeffs, cfg.run.horizon)
     bundle.tables["norm_bounds"] = Table(
         columns=("horizon", "sup_rr", "sup_k"),
@@ -165,12 +157,12 @@ def _run_trajectories(cfg: RunConfig, bundle: ResultBundle):
                    for t in ens.times for k in range(nchan)))
 
     if len(ens.times) >= 3:
-        law = wiener_law_tests(ens)
+        check, rows = wiener_law_tests(ens)
         bundle.tables["wiener_law"] = Table(
             columns=("test", "statistic", "expected", "stderr", "passed"),
             rows=tuple((r.name, float(r.statistic), float(r.expected),
-                        float(r.stderr), int(r.passed)) for r in law.rows))
-        bundle.checks.append(law.check)
+                        float(r.stderr), int(r.passed)) for r in rows))
+        bundle.checks.append(check)
 
     path_rows = []
     for b in range(ens.ntraj):
@@ -350,8 +342,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    outdir = Path(args.out if args.out is not None else cfg.output.directory)
+    try:   # before the run, so an unusable directory costs no work
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     bundle = run_command(cfg)
-    outdir = args.out if args.out is not None else cfg.output.directory
     paths = emit(bundle, outdir, formats=cfg.output.formats, precision=cfg.output.precision)
     for c in bundle.checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")

@@ -277,7 +277,6 @@ class DensitySeries:
     times: np.ndarray
     rho: np.ndarray       # (ntimes, d, d)
     stderr: np.ndarray    # (ntimes, d, d) real, combined re/im standard error
-    ntraj: int
 
 
 def apriori_from_trajectories(ensemble) -> DensitySeries:
@@ -285,16 +284,14 @@ def apriori_from_trajectories(ensemble) -> DensitySeries:
 
     The plain mean of |psi><psi| is the weighted mean of |psihat><psihat|:
     the states of a linear ensemble carry the importance weight ||psi||^2,
-    and those of a normalized one have weight 1.
+    and those of a normalized one have weight 1.  Each entry's error bar is
+    sqrt(se_re^2 + se_im^2) from the ``statistics.standard_error`` of its
+    real and imaginary parts, so it is NaN for one trajectory.
     """
-    states, ntraj = ensemble.psi, ensemble.ntraj
-    if ntraj == 0:
+    from .statistics import standard_error   # statistics imports this module
+
+    if ensemble.ntraj == 0:
         raise ValueError("empty ensemble")
-    outer = np.einsum("btk,btl->btkl", states, states.conj())
-    rho = outer.mean(axis=0)
-    if ntraj > 1:
-        var = outer.real.var(axis=0, ddof=1) + outer.imag.var(axis=0, ddof=1)
-        stderr = np.sqrt(var / ntraj)
-    else:
-        stderr = np.zeros_like(rho, dtype=float)
-    return DensitySeries(times=ensemble.times, rho=rho, stderr=stderr, ntraj=ntraj)
+    outer = np.einsum("btk,btl->btkl", ensemble.psi, ensemble.psi.conj())
+    stderr = np.sqrt(standard_error(outer.real) ** 2 + standard_error(outer.imag) ** 2)
+    return DensitySeries(times=ensemble.times, rho=outer.mean(axis=0), stderr=stderr)

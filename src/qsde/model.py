@@ -15,7 +15,8 @@ nonlinear trajectory equations as well as the master-equation oracle.
 
 The identity -i (K(t)^* - K(t)) = sum_j R_j(t)^* R_j(t) is what makes the
 squared norm of the linear solution a martingale (a probability density);
-:func:`verify_weight_identity` checks it on a time grid.
+:func:`verify_weight_identity` checks it on a time grid, relative to the
+scale of sum_j R_j^* R_j.
 """
 
 from __future__ import annotations
@@ -307,43 +308,54 @@ def build_coefficients(model: SystemModel) -> Coefficients:
 
 @dataclass(frozen=True)
 class WeightIdentityReport:
-    """Residuals of -i(K^* - K) = sum_j R_j^* R_j on a time grid."""
+    """Residuals of -i(K^* - K) = sum_j R_j^* R_j on a time grid, each
+    passing when at most its bound tol * max(1, max-entry of sum_j R_j^* R_j)."""
 
     times: np.ndarray
     residuals: np.ndarray
-    tol: float
+    bounds: np.ndarray
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.residuals <= self.tol))
+        return bool(np.all(self.residuals <= self.bounds))
 
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residuals))
 
 
+def _sum_rr(r: np.ndarray) -> np.ndarray:
+    """sum_j R_j^* R_j for R of shape (..., J, d, d)."""
+    return np.einsum("...jlk,...jlm->...km", r.conj(), r)
+
+
 def weight_identity_residual(k: np.ndarray, r: np.ndarray):
     """Max-entry norm of -i(K^* - K) - sum_j R_j^* R_j, for K of shape
     (..., d, d) and R of shape (..., J, d, d): one residual per leading index."""
     lhs = -1j * (adjoint(k) - k)
-    rhs = np.einsum("...jlk,...jlm->...km", r.conj(), r)
-    return np.abs(lhs - rhs).max(axis=(-2, -1))
+    return np.abs(lhs - _sum_rr(r)).max(axis=(-2, -1))
 
 
 def verify_weight_identity(coeffs: Coefficients, times, tol: float = 1e-11) -> WeightIdentityReport:
     """Check the martingale (weight-conservation) identity at each time.
 
-    A failure is reported, not raised: hand-built coefficients may violate
-    the identity on purpose.  ValueError unless ``tol`` is finite and
-    positive and ``times`` is a non-empty list of finite times.
+    The residual at t is judged relative to the channels' scale: its bound
+    is tol * max(1, max-entry of sum_j R_j^* R_j(t)), since rounding in K
+    and R grows with their entries.  A failure is reported, not raised:
+    hand-built coefficients may violate the identity on purpose.
+    ValueError unless ``tol`` is finite and positive and ``times`` is a
+    non-empty list of finite times.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not len(times) or not np.isfinite(times).all():
         raise ValueError(f"times must be a non-empty list of finite times, got {times!r}")
-    residuals = weight_identity_residual(coeffs.k_table(times), coeffs.r_table(times))
-    return WeightIdentityReport(times=times, residuals=residuals, tol=tol)
+    r = coeffs.r_table(times)
+    scale = np.abs(_sum_rr(r)).max(axis=(-2, -1))
+    return WeightIdentityReport(times=times,
+                                residuals=weight_identity_residual(coeffs.k_table(times), r),
+                                bounds=tol * np.maximum(1.0, scale))
 
 
 @dataclass(frozen=True)
@@ -362,7 +374,6 @@ def operator_norm_bounds(coeffs: Coefficients, horizon: float) -> NormBoundRepor
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     times = np.linspace(0.0, horizon, NORM_BOUND_POINTS)
     r = coeffs.r_table(times)
-    rr = np.einsum("...jlk,...jlm->...km", r.conj(), r)
     sup_rr, sup_k = (float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
-                     for m in (rr, coeffs.k_table(times)))
+                     for m in (_sum_rr(r), coeffs.k_table(times)))
     return NormBoundReport(horizon=horizon, sup_rr=sup_rr, sup_k=sup_k)

@@ -143,7 +143,6 @@ __all__ = [
     "MomentReport",
     "SecondMomentRow",
     "wiener_law_tests",
-    "WienerLawReport",
     "WienerLawRow",
     "spectrum_scan",
     "SpectrumScan",
@@ -481,28 +480,12 @@ class WienerLawRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class WienerLawReport:
-    check: Check
-    rows: tuple[WienerLawRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.check.passed
-
-    def row(self, name: str) -> WienerLawRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
 def _two_sided_z(confidence: float) -> float:
     """Standard-normal quantile at (1 + confidence) / 2."""
     return _NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
-def wiener_law_tests(ensemble, reweight: bool = True) -> WienerLawReport:
+def wiener_law_tests(ensemble, reweight: bool = True) -> tuple[Check, tuple[WienerLawRow, ...]]:
     """Moment tests of the shifted noises under the physical law.
 
     Checkpoint increments of the innovation path, scaled to unit variance,
@@ -510,8 +493,9 @@ def wiener_law_tests(ensemble, reweight: bool = True) -> WienerLawReport:
     and vanishing lag-1 autocovariance.  They are reweighted by the
     final-time weight (valid for all earlier functionals by the martingale
     property; 1 for a normalized ensemble); ``reweight=False`` is the
-    negative control.  Each row is judged on its own at the two-sided
-    WIENER_LAW_CONFIDENCE quantile, the report's ``check`` by one ``judge`` call.
+    negative control.  One ``judge`` call judges each row on its own at the
+    two-sided WIENER_LAW_CONFIDENCE quantile; its check is returned with the
+    rows, as ``judge`` returns its check with the verdicts.
     """
     times = ensemble.times
     if len(times) < 3:
@@ -535,8 +519,8 @@ def wiener_law_tests(ensemble, reweight: bool = True) -> WienerLawReport:
     stderr = standard_error(np.transpose([w * v for v in values])).tolist()
     check, ok = judge("wiener-law", stats, expected, stderr, z=_two_sided_z(WIENER_LAW_CONFIDENCE),
                       detail=f"{len(tests)} tests at {WIENER_LAW_CONFIDENCE:.0%}")
-    return WienerLawReport(check=check, rows=tuple(
-        WienerLawRow(*row, passed=bool(p)) for *row, p in zip(names, stats, expected, stderr, ok)))
+    return check, tuple(WienerLawRow(*row, passed=bool(p))
+                        for *row, p in zip(names, stats, expected, stderr, ok))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +533,6 @@ class SpectrumScan:
 
     nu: np.ndarray
     values: np.ndarray
-    horizon: float
-    dt: float
-    channel: int
     stationary: StationaryResult | None   # the solve behind the default rho0
 
 
@@ -600,6 +581,5 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     comps = base.r_components(channel)
     second = horizon + 2.0 * _closed_form_term(e, v0, h, comps, comps, nu_grid, nsteps, nsteps,
                                                stationary=st is not None)
-    return SpectrumScan(nu=nu_grid, values=second / horizon, horizon=horizon, dt=h,
-                        channel=channel, stationary=st)
+    return SpectrumScan(nu=nu_grid, values=second / horizon, stationary=st)
 

@@ -52,10 +52,11 @@ part G_n = -i dt [(K+K^*)/2 - (i/2) sum_j R_j^*R_j], the step
 so a step costs one small matmul plus a few elementwise operations on
 (G, J, C) arrays, for every lane of the stack at once.  One stack class
 steps both equations.  They share the product, the forms <psi|R_j psi>,
-the checkpoint records, the sum W and the freeze bookkeeping, and differ
-only in e_j and s, in the renormalization after each normalized step and
-in the state a freezing path keeps.  The freeze masks are applied only
-once some path has frozen.
+the drift integral int_0^t Re <R_j> ds, the sum W, the checkpoint records
+of psi, ||psi||^2, the drift integral and W, and the freeze bookkeeping,
+and differ only in e_j and s, in the renormalization after each
+normalized step and in the state a freezing path keeps.  The freeze masks
+are applied only once some path has frozen.
 
 Lockstep engine: each process steps one contiguous span of whole chunks.
 Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
@@ -154,12 +155,6 @@ class WienerPath:
         increments.flags.writeable = False
         object.__setattr__(self, "increments", increments)
 
-    def cumulative(self) -> np.ndarray:
-        """W_j(t_n) on the full grid, shape (nsteps + 1, nchannels)."""
-        out = np.zeros((self.nsteps + 1, self.nchannels))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
 
 def generate_wiener(seed: int, dt: float, nsteps: int, nchannels: int, stream: int = 0) -> WienerPath:
     """Draw a Wiener path from the counter-based stream (seed, stream)."""
@@ -187,7 +182,6 @@ class Ensemble:
     times: np.ndarray
     psi: np.ndarray
     weight: np.ndarray
-    r_expect: np.ndarray
     w_path: np.ndarray
     innovation: np.ndarray
     frozen_at: np.ndarray
@@ -204,9 +198,9 @@ class Ensemble:
 
         The stochastic phase that would make a normalized linear state solve
         the autonomous normalized equation is deliberately not applied: every
-        exported functional (projector, weight, channel expectations) is
-        phase invariant, so cross-checks against normalized trajectories
-        compare |<psihat_lin|psihat_nl>| rather than raw vectors.
+        exported functional (projector, weight, innovation) is phase
+        invariant, so cross-checks against normalized trajectories compare
+        |<psihat_lin|psihat_nl>| rather than raw vectors.
         """
         if np.any(self.weight <= 0):
             raise ValueError("a zero-norm state has no a-posteriori state")
@@ -265,9 +259,9 @@ class _Stack:
     shape (L, G, J, C).  The final block has one row of ``ops`` more than
     increments; its last row evaluates the final time.  ``result()`` returns
     the records at ``record_idx`` lane-first: the states (G*C, nrec, d), the
-    weights ||psi||^2 (G*C, nrec; 1 for the normalized equation), the
-    normalized expectations <R_j>, the drift integrals and the noise W (each
-    (G*C, nrec, J)), then the per-lane freeze step (-1 if never frozen).
+    weights ||psi||^2 (G*C, nrec; 1 for the normalized equation), the drift
+    integrals int_0^t Re <R_j> ds and the noise W (each (G*C, nrec, J)), then
+    the per-lane freeze step (-1 if never frozen).
 
     A path freezes at the first step whose squared norm falls below
     ``weight_floor`` times its initial one.  A linear path keeps that first
@@ -291,10 +285,10 @@ class _Stack:
         self.w = np.zeros((groups, nchan, lanes))
         self.frozen_step = np.full((groups, 1, lanes), -1, dtype=np.int64)
         self.rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
-        # records of psi, ||psi||^2, <R_j>, the drift integral and W, in result() order
+        # records of psi, ||psi||^2, the drift integral and W, in result() order
         self.records = [np.empty((len(record_idx), groups, *inner, lanes), dtype=dtype)
-                        for inner, dtype in (((d,), complex), ((), float), ((nchan,), complex),
-                                             ((nchan,), float), ((nchan,), float))]
+                        for inner, dtype in (((d,), complex), ((), float), ((nchan,), float),
+                                             ((nchan,), float))]
 
     def advance(self, ops: np.ndarray, dw: np.ndarray):
         groups, d, lanes = self.psi.shape
@@ -311,7 +305,7 @@ class _Stack:
                     weight > 0, rexp / np.where(weight > 0, weight, 1.0), 0.0)
             pos = self.rec_pos.get(n)
             if pos is not None:
-                for rec, value in zip(self.records, (psi, weight[:, 0], rexp, drift, w)):
+                for rec, value in zip(self.records, (psi, weight[:, 0], drift, w)):
                     rec[pos] = value
             if i == len(dw):
                 break
@@ -366,11 +360,11 @@ def _run_stacks(stacks, coeffs: Coefficients, grid: TimeGrid,
 def _result(nonlinear: bool, grid: TimeGrid, record_idx: np.ndarray,
             results: list[list[np.ndarray]]) -> Ensemble:
     """The :class:`Ensemble` of stacks' results, in trajectory order."""
-    psi, weight, rexp, drift, noise, frozen = (np.concatenate(parts) for parts in zip(*results))
+    psi, weight, drift, noise, frozen = (np.concatenate(parts) for parts in zip(*results))
     # the driving noise is W for the linear equation and What for the normalized one
     w, innovation = (noise + 2.0 * drift, noise) if nonlinear else (noise, noise - 2.0 * drift)
-    return Ensemble(times=grid.times[record_idx], psi=psi, weight=weight, r_expect=rexp,
-                    w_path=w, innovation=innovation, frozen_at=frozen, grid=grid)
+    return Ensemble(times=grid.times[record_idx], psi=psi, weight=weight, w_path=w,
+                    innovation=innovation, frozen_at=frozen, grid=grid)
 
 
 def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath, weight_floor: float,

@@ -14,7 +14,7 @@ from qsde.config import (
     parse_complex,
     parse_config,
 )
-from qsde.model import TimeGrid
+from qsde.model import Coefficients, TimeGrid, build_coefficients, verify_weight_identity
 from qsde.statistics import Check, mc_mean_output
 from qsde.trajectories import Ensemble
 
@@ -462,6 +462,56 @@ def test_verify_command_runs_green():
     assert "residuals" in bundle.tables and "norm_bounds" in bundle.tables
 
 
+def _random_verify_doc(rng, scale: float) -> dict:
+    """A verify config of a d = 3 model: random Hermitian H and frame, a
+    random drive and two random channel matrices with entries near ``scale``."""
+    def literal(z):
+        return f"{z.real:.17g}{z.imag:+.17g}i"
+
+    def matrix(m):
+        return [[literal(z) for z in row] for row in m]
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def hermitian():
+        m = complex_normal(3, 3)
+        return m + m.conj().T
+
+    return {"model": {"dim": 3, "hamiltonian": matrix(hermitian()), "frame": matrix(hermitian()),
+                      "channels": [matrix(scale * complex_normal(3, 3)) for _ in range(2)],
+                      "drive": {"amplitudes": [literal(z) for z in complex_normal(2)],
+                                "carrier": 1.3}},
+            "run": {"command": "verify"}}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3, 1e4])
+@pytest.mark.parametrize("fault, passes", [(False, True), (True, False)],
+                         ids=["valid", "fault"])
+def test_weight_identity_judged_against_channel_scale(scale, fault, passes, monkeypatch):
+    """verify judges each residual against run.identity_tol * max(1, max-entry
+    of sum_j R_j^* R_j): a valid model passes at every channel scale (its
+    residuals grow with the entries, and the absolute 1e-11 failed valid
+    models from scale 1e2 up), and K -> K - i delta I with delta = 1e-9
+    max-entry(sum_j R_j^* R_j) fails at every scale.  The report and the
+    CLI check give the same verdict."""
+    cfg = parse_config(json.dumps(_random_verify_doc(np.random.default_rng(2718), scale)))
+    if fault:
+        k_table = Coefficients.k_table
+
+        def shifted(self, times):
+            r = self.r_table(times)
+            delta = 1e-9 * np.abs(np.einsum("njlk,njlm->nkm", r.conj(), r)).max(axis=(1, 2))
+            return k_table(self, times) - 1j * delta[:, None, None] * np.eye(self.dim)
+
+        monkeypatch.setattr(Coefficients, "k_table", shifted)
+    report = verify_weight_identity(build_coefficients(cfg.model), np.linspace(0.0, 2.0, 11),
+                                    tol=cfg.run.identity_tol)
+    check, = run_command(cfg).checks
+    assert check.name == "weight-identity"
+    assert report.passed is check.passed is passes, check.detail
+
+
 def test_trajectory_command_rerun_bit_identical(tmp_path):
     doc = make_config(**{"run.command": "trajectories", "run.ntraj": 50,
                          "run.horizon": 0.2, "run.seed": 909})
@@ -514,6 +564,27 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("route", ["--out", "output.directory"])
+def test_unusable_output_directory_rejected_before_any_work(route, tmp_path, monkeypatch, capsys):
+    """An output directory under a regular file used to run the whole command
+    and then die in emit with a NotADirectoryError traceback: main now makes
+    the directory first and reports the OSError as exit 1."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = str(blocker / "out")
+    cfg_path = tmp_path / "run.json"
+    doc = make_config() if route == "--out" else make_config(**{"output.directory": outdir})
+    cfg_path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "run_command", lambda cfg: pytest.fail("the command ran"))
+    argv = ["--config", str(cfg_path)] + (["--out", outdir] if route == "--out" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
+    assert outdir in lines[0]
 
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-3"])
@@ -606,9 +677,8 @@ def test_ensemble_diagnostics_values():
     the first checkpoint at or after n."""
     weight = np.array([[1.0, 1.0, 4.0], [1.0, 3.0, 0.5], [1.0, 2.0, 0.5]])
     ens = Ensemble(times=np.array([0.0, 0.5, 1.0]), psi=np.zeros((3, 3, 2)), weight=weight,
-                   r_expect=np.zeros((3, 3, 1)), w_path=np.zeros((3, 3, 1)),
-                   innovation=np.zeros((3, 3, 1)), frozen_at=np.array([-1, 5, 7]),
-                   grid=TimeGrid(0.1, 10))
+                   w_path=np.zeros((3, 3, 1)), innovation=np.zeros((3, 3, 1)),
+                   frozen_at=np.array([-1, 5, 7]), grid=TimeGrid(0.1, 10))
     diag = _ensemble_diagnostics(ens)
     assert diag["t"] == [0.0, 0.5, 1.0]
     assert diag["frozen"] == [0, 1, 2]

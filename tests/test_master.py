@@ -315,7 +315,8 @@ def test_apriori_single_deterministic_trajectory():
     for m in range(len(series.times)):
         expected = np.outer(ens.psi[0, m], ens.psi[0, m].conj())
         assert max_abs(series.rho[m] - expected) <= 1e-15
-    assert np.all(series.stderr == 0.0)
+    # one trajectory gives no standard error, so no check can pass on it
+    assert np.isnan(series.stderr).all()
 
 
 def test_apriori_weighted_and_normalized_forms_agree(mollow_coeffs):

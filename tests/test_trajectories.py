@@ -87,7 +87,7 @@ def test_phase_invariance_of_functionals(mollow_coeffs):
     a = integrate_linear(mollow_coeffs, E0, path)
     b = integrate_linear(mollow_coeffs, np.exp(0.73j) * E0, path)
     assert max_abs(a.weight - b.weight) <= 1e-12
-    assert max_abs(a.r_expect - b.r_expect) <= 1e-12
+    assert max_abs(a.innovation - b.innovation) <= 1e-12
     na, nb = a.psihat[0], b.psihat[0]
     proj_a = np.einsum("tk,tl->tkl", na, na.conj())
     proj_b = np.einsum("tk,tl->tkl", nb, nb.conj())
@@ -105,7 +105,7 @@ def test_linear_path_psihat_is_scale_free_unit_state():
     rec2 = integrate_linear(coeffs, 2.0 * E0, path)
     norm2 = rec2.psihat[0]
     assert max_abs(norm - norm2) <= 1e-12
-    assert max_abs(rec.r_expect - rec2.r_expect) <= 1e-12
+    assert max_abs(rec.innovation - rec2.innovation) <= 1e-12
 
 
 def test_nonlinear_deterministic_limits(mollow_coeffs):
@@ -164,7 +164,7 @@ def test_single_path_is_an_ensemble_of_one(nonlinear, mollow_coeffs):
     assert single.grid == grid and single.ntraj == 1
     assert np.array_equal(single.times, grid.times)
     assert single.psi.shape == (1, nsteps + 1, 2) and single.weight.shape == (1, nsteps + 1)
-    for field in ("r_expect", "w_path", "innovation"):
+    for field in ("w_path", "innovation"):
         assert getattr(single, field).shape == (1, nsteps + 1, 2)
     assert single.frozen_at.shape == (1,) and single.frozen_at[0] == -1
     ens = run(mollow_coeffs, E0, dt=dt, nsteps=nsteps, ntraj=1, base_seed=19,
@@ -222,7 +222,6 @@ def test_wiener_path_accepts_numpy_counts():
     path = WienerPath(dt=np.float64(0.1), nsteps=np.int64(3), nchannels=np.int32(1),
                       increments=[[0.1], [-0.2], [0.3]])
     assert path.increments.dtype == float and path.increments.shape == (3, 1)
-    assert np.array_equal(path.cumulative()[:, 0], np.cumsum([0.0, 0.1, -0.2, 0.3]))
 
 
 def test_wiener_path_increments_are_read_only(mollow_coeffs):
@@ -307,7 +306,7 @@ def test_ensemble_worker_count_invariance(mollow_coeffs, monkeypatch):
     bn = run_nonlinear_ensemble(mollow_coeffs, **common)
     assert np.array_equal(a.psi, b.psi)
     assert np.array_equal(a.weight, b.weight)
-    for field in ("psihat", "r_expect", "w_path", "innovation", "frozen_at"):
+    for field in ("psihat", "w_path", "innovation", "frozen_at"):
         assert np.array_equal(getattr(an, field), getattr(bn, field))
 
 
@@ -462,13 +461,15 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
         # the batch as a G = 1 stack, stepped through the whole table as one block
         stack = _Stack(psi0[None], nchan, dt, every, 1e-12, nonlinear=nonlinear)
         stack.advance(_step_ops(*table, dt, nonlinear), dw[:, None])
-        out = stack.result()
-        psi, rexp, frozen = out[0], out[-4], out[-1]
+        psi, _, drift, _, frozen = stack.result()
         ref_psi, ref_rexp = _reference_paths(*table, dt, psi0, dw, nonlinear)
+        # the drift integral int_0^t Re <R_j> ds, left-point sums of the reference <R_j>
+        ref_drift = np.zeros(ref_rexp.shape)
+        ref_drift[:, 1:] = dt * np.cumsum(ref_rexp.real[:, :-1], axis=1)
         scale = np.max(np.abs(ref_psi))
         assert np.all(frozen == -1)
         assert max_abs(psi - ref_psi) <= 1e-12 * scale
-        assert max_abs(rexp - ref_rexp) <= 1e-12 * max(1.0, max_abs(ref_rexp))
+        assert max_abs(drift - ref_drift) <= 1e-12 * max(1.0, max_abs(ref_drift))
 
 
 def test_nonlinear_partial_freeze():

@@ -47,14 +47,6 @@ def test_cross_channel_correlation():
     assert abs(corr) <= 5.0 / np.sqrt(n)
 
 
-def test_cumulative_path():
-    path = generate_wiener(5, 0.5, 4, 2)
-    w = path.cumulative()
-    assert w.shape == (5, 2)
-    assert np.array_equal(w[0], np.zeros(2))
-    assert np.allclose(w[-1], path.increments.sum(axis=0))
-
-
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         generate_wiener(1, -0.1, 10, 1)
