@@ -19,13 +19,15 @@ for a purely Hamiltonian K = H) fixes the Heisenberg commutator sign.
 
 Everything here is a dense superoperator on column-vectorized matrices, and
 one formula, ``_lindblad``, builds L_* from K and R at one time or on a grid.
-One march, ``_rk4_march``, evolves every state: exact steps E = e^{hG} for a
-constant generator G, else fourth-order Magnus steps (``_magnus_steps``, one
-K and one R table per Gauss node), each built once, a block at a time.
-``master_series`` records its states on a uniform grid; the two-time sums
-of ``statistics`` take each block's steps as their propagators.  A state at
-a single time t is the last entry of the series on the grid covering
-[0, t].  It serves as the exact cross-check for the trajectory ensembles.
+One march, ``_rk4_march``, evolves every state, as an iterator over blocks
+of _STEP_BLOCK steps: each block's steps (exact steps E = e^{hG} for a
+constant generator G, else fourth-order Magnus steps, ``_magnus_steps``, one
+K and one R table per Gauss node) and the states they reach.
+``master_series`` concatenates the states; the two-time sums of
+``statistics`` take each block's steps as their propagators and hold one
+block at a time.  A state at a single time t is the last entry of the series
+on the grid covering [0, t].  It serves as the exact cross-check for the
+trajectory ensembles.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .model import GRID_TOL, Coefficients
 __all__ = [
     "PositivityError",
     "DegenerateStationaryState",
-    "build_schrodinger_generator",
     "LindbladPropagator",
     "master_series",
     "stationary_state",
@@ -68,8 +69,10 @@ POSITIVITY_FAIL = -1e-6
 # Largest change of L_*(t) across the probe times, relative to max(1, max|L_*(0)|),
 # of a generator taken as constant.
 PROBE_TOL = 1e-12
-# _rk4_march builds a time-dependent generator's Magnus steps this many at a
-# time, so that the steps it holds do not grow with the number of steps.
+# StationaryResult.bound = STATIONARY_RESIDUAL_TOL x max(1, max-entry of L_*).
+STATIONARY_RESIDUAL_TOL = 1e-10
+# _rk4_march yields blocks of this many steps, so that the steps and states it
+# holds do not grow with the number of steps.
 _STEP_BLOCK = 256
 
 
@@ -126,18 +129,14 @@ def _lindblad(k: np.ndarray, r: np.ndarray) -> np.ndarray:
     return -0.5j * (spre(kh) - spost(kh)) + (gain - 0.5 * (spre(rr) + spost(rr)))
 
 
-def build_schrodinger_generator(coeffs: Coefficients, t: float) -> np.ndarray:
-    """Superoperator matrix of the state-evolution generator L_*(t)."""
-    return _lindblad(*coeffs.at(t))
-
-
 class LindbladPropagator:
     """Generator family t -> L_*(t) with a cache for the constant case.
 
     Time independence is probed numerically at a few incommensurate times;
     models whose time dependence sits entirely in detection/frame phases
-    have a constant generator even though K(t), R_j(t) vary.  L_*(0) is
-    built from ``Coefficients.at`` and kept as the generator of a constant
+    have a constant generator even though K(t), R_j(t) vary.  L_*(0), built
+    by ``_lindblad`` from ``Coefficients.k_at`` and ``r_at`` as
+    ``generator_at`` builds L_*(t), is kept as the generator of a constant
     family; the other probe times are one stacked ``_lindblad`` of one K and
     one R table, each compared with it.
     """
@@ -147,8 +146,8 @@ class LindbladPropagator:
     def __init__(self, coeffs: Coefficients):
         self.coeffs = coeffs
         self.dim = coeffs.dim
-        # Through Coefficients.at: the benchmark's model.k_at / model.r_at metrics count this build.
-        g0 = build_schrodinger_generator(coeffs, self._PROBE_TIMES[0])
+        # Through k_at and r_at: the benchmark's model.k_at / model.r_at metrics count this build.
+        g0 = _lindblad(coeffs.k_at(self._PROBE_TIMES[0]), coeffs.r_at(self._PROBE_TIMES[0]))
         scale = max(max_abs(g0), 1.0)
         later = np.array(self._PROBE_TIMES[1:])
         probes = _lindblad(coeffs.k_table(later), coeffs.r_table(later))
@@ -158,7 +157,7 @@ class LindbladPropagator:
     def generator_at(self, t: float) -> np.ndarray:
         if self._g0 is not None:
             return self._g0
-        return build_schrodinger_generator(self.coeffs, t)
+        return _lindblad(self.coeffs.k_at(t), self.coeffs.r_at(t))
 
 
 def _magnus_steps(gen: LindbladPropagator, starts: np.ndarray, h: float) -> np.ndarray:
@@ -181,20 +180,20 @@ def _magnus_steps(gen: LindbladPropagator, starts: np.ndarray, h: float) -> np.n
 
 
 # Named for the benchmark tracer's ``master.rk4_steps`` probe, which binds it and its nsteps.
-def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int,
-               h: float, record: np.ndarray, sweep=None) -> None:
-    """March vec(rho) nsteps steps of h into record[1:]: the exact step e^{hG}
-    of a constant generator G, or Magnus steps built _STEP_BLOCK at a time,
-    each block handed on as ``sweep(first, steps)`` once its states are recorded."""
+def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int, h: float):
+    """March vec(rho) = ``v`` nsteps steps of h from t0, yielding (first,
+    steps, states) per block of at most _STEP_BLOCK steps: the block's first
+    step index, its steps (the exact step e^{hG} of a constant generator G,
+    or Magnus steps built for the block) and the states (len(steps), d^2)
+    after each of them."""
     exact = matrix_exp(gen.generator_at(t0), h) if gen.time_independent else None
     for first in range(0, nsteps, _STEP_BLOCK):
         starts = t0 + h * np.arange(first, min(first + _STEP_BLOCK, nsteps))
         steps = [exact] * len(starts) if exact is not None else _magnus_steps(gen, starts, h)
-        for n, step in enumerate(steps, first + 1):
-            v = step @ v
-            record[n] = v
-        if sweep is not None:
-            sweep(first, steps)
+        states = np.empty((len(steps), len(v)), dtype=complex)
+        for k, step in enumerate(steps):
+            v = states[k] = step @ v
+        yield first, steps, states
 
 
 def _cleanup(rho: np.ndarray, check_positivity: bool) -> np.ndarray:
@@ -218,16 +217,15 @@ def master_series(gen: LindbladPropagator, rho0: np.ndarray, times: np.ndarray) 
     before any step unless ``rho0`` is a d x d state (``validate_density``)."""
     times = np.asarray(times, dtype=float)
     nsteps = len(times) - 1
-    d = gen.dim
-    record = np.empty((nsteps + 1, d * d), dtype=complex)
-    record[0] = vectorize(_checked_rho0(rho0, d))
+    v0 = vectorize(_checked_rho0(rho0, gen.dim))
+    blocks = [v0[None]]
     if nsteps:
         h = times[1] - times[0]
         if not h > 0 or not np.all(
                 np.abs((times - times[0]) / h - np.arange(nsteps + 1)) <= GRID_TOL):
             raise ValueError("master_series needs a uniform, increasing time grid")
-        _rk4_march(gen, record[0], times[0], nsteps, h, record)
-    return _cleanup(devectorize(record, d), check_positivity=True)
+        blocks += [states for _, _, states in _rk4_march(gen, v0, times[0], nsteps, h)]
+    return _cleanup(devectorize(np.concatenate(blocks), gen.dim), check_positivity=True)
 
 
 @dataclass(frozen=True)
@@ -235,12 +233,15 @@ class StationaryResult:
     """Null-space solve of L_*[rho] = 0 with Tr rho = 1.
 
     ``nullity`` > 1 flags a degenerate stationary manifold; ``rho`` is then
-    None and the caller decides whether to proceed.
+    None and the caller decides whether to proceed.  A unique state passes
+    when its ``residual`` max|L_*[rho]| is at most ``bound``, which grows
+    with the generator's entries as the rounding of the solve does.
     """
 
     rho: np.ndarray | None
     nullity: int
     residual: float
+    bound: float
 
     @property
     def degenerate(self) -> bool:
@@ -249,25 +250,26 @@ class StationaryResult:
 
 def stationary_state(gen: LindbladPropagator) -> StationaryResult:
     """Extract the stationary state from the generator's null space; its
-    residual max|L_*[rho]| is reported, for the caller to judge."""
+    residual max|L_*[rho]| is reported with its bound, for the caller to judge."""
     if not gen.time_independent:
         raise ValueError("stationary state requires a time-independent generator")
     g = gen.generator_at(0.0)
+    bound = STATIONARY_RESIDUAL_TOL * max(1.0, max_abs(g))
     _, svals, vh = np.linalg.svd(g)
     smax = svals[0] if len(svals) else 0.0
     null_tol = max(smax * 1e-10, 1e-14)
     nullity = int(np.sum(svals <= null_tol))
     if nullity != 1:
-        return StationaryResult(rho=None, nullity=nullity, residual=float("nan"))
+        return StationaryResult(rho=None, nullity=nullity, residual=float("nan"), bound=bound)
     v = vh[-1].conj()
     rho = devectorize(v, gen.dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-12 * max(max_abs(rho), 1e-300):
-        return StationaryResult(rho=None, nullity=nullity, residual=float("inf"))
+        return StationaryResult(rho=None, nullity=nullity, residual=float("inf"), bound=bound)
     rho = rho / tr
     residual = max_abs(devectorize(g @ vectorize(rho), gen.dim))
-    return StationaryResult(rho=validate_density(rho), nullity=1, residual=residual)
+    return StationaryResult(rho=validate_density(rho), nullity=1, residual=residual, bound=bound)
 
 
 @dataclass(frozen=True)

@@ -292,13 +292,11 @@ class Coefficients:
         shift = detection.nu if detection.kind == "diagonal-phase" else 0.0
         return gaps[keep] + shift, vecs @ masked[keep] @ vecs.conj().T
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.k_at(t), self.r_at(t)
-
     def tabulate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (K table (n, d, d), R table (n, J, d, d)) on a time grid, as
-        ``at`` gives (K, R) at one time: the trajectory engine's one source of
-        coefficients, each block of its run grid tabulated on its own."""
+        """The pair (K table (n, d, d), R table (n, J, d, d)) on a time grid,
+        each row as ``k_at`` and ``r_at`` give it at one time: the trajectory
+        engine's one source of coefficients, each block of its run grid
+        tabulated on its own."""
         return self.k_table(times), self.r_table(times)
 
 

@@ -25,11 +25,11 @@ for the normalized one, so every estimator takes either ensemble.  Error
 bars are the standard error of the mean over trajectories,
 std(ddof=1) / sqrt(N) (``standard_error``).
 
-Spectrum.  S(nu) = E[W_0(T)^2] / T with the system started in the
-stationary state, scanned over the local-oscillator frequency nu.  With
-diagonal-phase detection the measured operator is R^{(nu)}(s) = p(s) B(s),
-p(s) = e^{i nu s}, B the operator at nu = 0, so the states and the
-propagators are shared by all nu.
+Spectrum.  S(nu) = E[W_0(T)^2] / T of the measured channel 0, with the
+system started in the stationary state, scanned over the local-oscillator
+frequency nu.  With diagonal-phase detection the measured operator is
+R^{(nu)}(s) = p(s) B(s), p(s) = e^{i nu s}, B the operator at nu = 0, so
+the states and the propagators are shared by all nu.
 
 Correlation kernel.  With E_n the one-step propagator from t_n to t_{n+1}
 on the grid t_n = n h, the inner trapezoid sum of an ordered term obeys
@@ -38,9 +38,9 @@ on the grid t_n = n h, the inner trapezoid sum of an ordered term obeys
     m_n = p_n vec(B_n rho_n) + conj(p_n) vec(rho_n B_n^*),
 
 which is the trapezoid sum exactly; n_cap = t_inner / h ends the inner
-integral at min(t_inner, s1).  The spectrum takes B = R_channel at every
-nu; each ordered second-moment term takes nu = 0, R_j in m_n and R_i in
-the outer sum.
+integral at min(t_inner, s1).  The spectrum takes B = R_0 at every nu;
+each ordered second-moment term takes nu = 0, R_j in m_n and R_i in the
+outer sum.
 
 Every rho_n is Hermitian and each E_n maps X^* to (E_n X)^*, as every
 Lindblad-form generator does, so m_n is vec-Hermitian and
@@ -108,13 +108,13 @@ then takes the recurrence step by step (nu = 0) inside the one
 master-equation march (``master`` module docstring): each block of Magnus
 steps E_n, built once, steps the states, then one (d^2, 2P) matrix whose
 columns are the c_n of the 2P ordered terms, with the m_n of the block's
-own states.  The spectrum requires constant G.
+own states, each pairing added to a running trapezoid sum: no array grows
+with the number of steps.  The spectrum requires constant G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist as _NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -355,14 +355,14 @@ def _marched_terms(gen: LindbladPropagator, rho0: np.ndarray, grid: TimeGrid,
     term's c_n a column of c, stepped by each block of the march."""
     d, h, nsteps = gen.dim, grid.h, grid.nsteps
     outer, inner, n_out, n_cap = np.array(terms, dtype=int).reshape(-1, 4).T
-    record = np.empty((nsteps + 1, d * d), dtype=complex)
-    record[0] = vectorize(np.asarray(rho0, dtype=complex))
+    v = vectorize(np.asarray(rho0, dtype=complex))
     c = np.zeros((d * d, len(terms)), dtype=complex)
-    dots = np.zeros((nsteps + 1, len(terms)))   # Re q_n . c_n per term
-
-    def sweep(first, steps):
+    total = np.zeros(len(terms))   # sum_n w_n Re q_n . c_n per term, c_0 = 0
+    for first, steps, states in _rk4_march(gen, v, 0.0, nsteps, h):
         n = np.arange(first, first + len(steps) + 1)
-        rho = _cleanup(devectorize(record[n], d), check_positivity=n[-1] == nsteps)
+        rho = _cleanup(devectorize(np.concatenate([v[None], states]), d),
+                       check_positivity=n[-1] == nsteps)
+        v = states[-1]
         r = gen.coeffs.r_table(h * n)
         half_m = (0.5 * h) * vectorize(r[:, inner] @ rho[:, None]).swapaxes(1, 2)
         live = n[:-1, None, None] < n_cap   # the inner integral ends at t_{n_cap}
@@ -371,12 +371,11 @@ def _marched_terms(gen: LindbladPropagator, rho0: np.ndarray, grid: TimeGrid,
         for k, step in enumerate(steps):
             c[:] = block[k] = step @ (c + pre[k]) + post[k]
         q = vectorize(r[1:] + adjoint(r[1:]))[:, outer].conj().swapaxes(1, 2)
-        dots[n[1:]] = (q * block).sum(1).real
-
-    _rk4_march(gen, record[0], 0.0, nsteps, h, record, sweep)
-    n = np.arange(nsteps + 1)[:, None]
-    w = h * ((n <= n_out) - 0.5 * ((n == 0) | (n == n_out)))   # trapezoid weights to t_{n_out}
-    return 2.0 * (w * dots).sum(0)
+        m = n[1:, None]
+        w = h * ((m <= n_out) - 0.5 * (m == n_out))   # trapezoid weights to t_{n_out}
+        for row in w * (q * block).sum(1).real:   # in step order: no sum depends on _STEP_BLOCK
+            total += row
+    return 2.0 * total
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +481,9 @@ class WienerLawRow:
 
 def _two_sided_z(confidence: float) -> float:
     """Standard-normal quantile at (1 + confidence) / 2."""
-    return _NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    from statistics import NormalDist   # the stdlib module, which loads fractions and decimal
+
+    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 def wiener_law_tests(ensemble, reweight: bool = True) -> tuple[Check, tuple[WienerLawRow, ...]]:
@@ -537,8 +538,9 @@ class SpectrumScan:
 
 
 def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
-                  channel: int = 0, rho0: np.ndarray | None = None) -> SpectrumScan:
-    """Scan S(nu) = E[W_channel(T)^2] / T over the detection frequency grid.
+                  rho0: np.ndarray | None = None) -> SpectrumScan:
+    """Scan S(nu) = E[W_0(T)^2] / T of the measured channel 0 over the
+    detection frequency grid.
 
     ``model`` must use diagonal-phase detection; its ``detection.nu`` is
     ignored, the scan taking the frequencies from ``nu_grid``, which must be
@@ -558,7 +560,6 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
             and np.all(np.diff(nu_grid) > 0)):
         raise ValueError("nu_grid must be non-empty, 1-D, finite and strictly increasing")
     grid = TimeGrid.covering(horizon, dt)
-    _check_integers(0, model.nchannels - 1, channel=channel)
     if rho0 is not None:
         rho0 = _checked_rho0(rho0, model.dim)
     if model.detection.kind != "diagonal-phase":
@@ -578,7 +579,7 @@ def spectrum_scan(model: SystemModel, nu_grid, horizon: float, dt: float,
     e, v0 = _constant_steps(gen, rho0, h, nsteps)
     # With diagonal-phase detection R^{(nu)}(s) = e^{i nu s} B(s): the
     # components of B, each gap shifted by nu.
-    comps = base.r_components(channel)
+    comps = base.r_components(0)
     second = horizon + 2.0 * _closed_form_term(e, v0, h, comps, comps, nu_grid, nsteps, nsteps,
                                                stationary=st is not None)
     return SpectrumScan(nu=nu_grid, values=second / horizon, stationary=st)

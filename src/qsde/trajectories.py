@@ -83,7 +83,6 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -100,6 +99,7 @@ __all__ = [
     "worker_count",
 ]
 
+# A path freezes once its squared norm falls below this fraction of its initial one.
 WEIGHT_FLOOR = 1e-12
 
 # Lockstep layout (module docstring): whole chunks are stacked up to this many
@@ -264,12 +264,12 @@ class _Stack:
     the per-lane freeze step (-1 if never frozen).
 
     A path freezes at the first step whose squared norm falls below
-    ``weight_floor`` times its initial one.  A linear path keeps that first
+    WEIGHT_FLOOR times its initial one.  A linear path keeps that first
     state below the floor; a normalized path keeps its last state above it.
     """
 
     def __init__(self, psi0: np.ndarray, nchan: int, dt: float, record_idx: np.ndarray,
-                 weight_floor: float, nonlinear: bool):
+                 nonlinear: bool):
         groups, d, lanes = psi0.shape
         self.dt, self.nonlinear, self.n = dt, nonlinear, 0
         self.psi = np.ascontiguousarray(psi0, dtype=complex)
@@ -277,7 +277,7 @@ class _Stack:
         if nonlinear:
             self.psi = self.psi / np.sqrt(self.weight)
             self.weight = np.ones_like(self.weight)
-        self.floor = weight_floor * self.weight
+        self.floor = WEIGHT_FLOOR * self.weight
         # None while no path is frozen: the masks are needed only after the
         # first freeze (or when a floor is zero and norms may vanish).
         self.active = None if np.all(self.floor > 0) else np.ones(self.weight.shape, dtype=bool)
@@ -367,7 +367,7 @@ def _result(nonlinear: bool, grid: TimeGrid, record_idx: np.ndarray,
                     innovation=innovation, frozen_at=frozen, grid=grid)
 
 
-def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath, weight_floor: float,
+def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath,
               nonlinear: bool) -> Ensemble:
     """Step one state along ``path`` as a G = C = 1 stack, recorded at every
     grid time."""
@@ -376,25 +376,22 @@ def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath, weight_f
     if coeffs.nchannels != path.nchannels:
         raise ValueError("noise channel count does not match the coefficients")
     record_idx = np.arange(path.nsteps + 1)
-    stack = _Stack(psi0[None, :, None], path.nchannels, path.dt, record_idx, weight_floor,
-                   nonlinear)
+    stack = _Stack(psi0[None, :, None], path.nchannels, path.dt, record_idx, nonlinear)
     return _result(nonlinear, grid, record_idx, _run_stacks(
         [(stack, lambda steps: path.increments[steps, None, :, None])], coeffs, grid, nonlinear))
 
 
-def integrate_linear(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath,
-                     weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
+def integrate_linear(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath) -> Ensemble:
     """Integrate the linear trajectory equation along one noise path W.
 
     The scheme is linear in psi0, so the flow is scale- and
     phase-equivariant; unit norm is only required for the probabilistic
     interpretation of the weight.
     """
-    return _run_path(coeffs, psi0, path, weight_floor, nonlinear=False)
+    return _run_path(coeffs, psi0, path, nonlinear=False)
 
 
-def integrate_nonlinear(coeffs: Coefficients, psihat0: np.ndarray, path: WienerPath,
-                        weight_floor: float = WEIGHT_FLOOR) -> Ensemble:
+def integrate_nonlinear(coeffs: Coefficients, psihat0: np.ndarray, path: WienerPath) -> Ensemble:
     """Integrate the normalized trajectory equation driven by innovation noise.
 
     ``path`` is interpreted as the innovation process What (standard Wiener
@@ -405,7 +402,7 @@ def integrate_nonlinear(coeffs: Coefficients, psihat0: np.ndarray, path: WienerP
     psihat0 = _checked_initial(psihat0, coeffs.dim)
     if abs(np.linalg.norm(psihat0) - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
-    return _run_path(coeffs, psihat0, path, weight_floor, nonlinear=True)
+    return _run_path(coeffs, psihat0, path, nonlinear=True)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +475,6 @@ class _Job:
     initial: np.ndarray
     base_seed: int
     record_idx: np.ndarray
-    weight_floor: float
     chunk_size: int
 
 
@@ -503,7 +499,7 @@ def _run_span(job: _Job, first: int, stop: int) -> list[list[np.ndarray]]:
     stacks = []
     for start, groups, lanes in _stacks(first, stop, job.chunk_size):
         psi0 = np.broadcast_to(job.initial[:, None], (groups, dim, lanes))
-        stacks.append((_Stack(psi0, nchan, h, job.record_idx, job.weight_floor, job.nonlinear),
+        stacks.append((_Stack(psi0, nchan, h, job.record_idx, job.nonlinear),
                        _lane_noise(job.base_seed, start, groups, lanes, nchan, h)))
     return _run_stacks(stacks, job.coeffs, job.grid, job.nonlinear)
 
@@ -522,7 +518,7 @@ def _pool_span(first: int, stop: int) -> list[list[np.ndarray]]:
 
 
 def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
-              base_seed: int, record_times, weight_floor: float, chunk_size: int) -> Ensemble:
+              base_seed: int, record_times, chunk_size: int) -> Ensemble:
     """Run either unraveling into an :class:`Ensemble`, checking the counts,
     ``dt``, ``base_seed`` and ``initial`` before any fork.  Each worker
     process steps one contiguous span of chunks: this process the first, a
@@ -532,7 +528,7 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps:
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
     job = _Job(nonlinear, coeffs, grid, _checked_initial(initial, coeffs.dim), base_seed,
-               record_idx, weight_floor, chunk_size)
+               record_idx, chunk_size)
     nchunks = -(-ntraj // chunk_size)
     nworkers = min(worker_count(), nchunks)
     cuts = [min(ntraj, chunk_size * (nchunks * k // nworkers)) for k in range(nworkers + 1)]
@@ -540,6 +536,8 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps:
     if nworkers == 1:
         results = [_run_span(job, *spans[0])]
     else:
+        from multiprocessing import get_context   # here: a run with no pool skips its import
+
         with get_context("fork").Pool(processes=nworkers - 1, initializer=_adopt_job,
                                       initargs=(job,)) as pool:
             others = pool.starmap_async(_pool_span, spans[1:])
@@ -548,8 +546,7 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps:
 
 
 def run_linear_ensemble(coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
-                        base_seed: int, record_times=None, weight_floor: float = WEIGHT_FLOOR,
-                        chunk_size: int = 1024) -> Ensemble:
+                        base_seed: int, record_times=None, chunk_size: int = 1024) -> Ensemble:
     """Integrate ``ntraj`` linear trajectories with per-trajectory streams.
 
     ``initial`` is the state vector every trajectory starts from.
@@ -557,13 +554,10 @@ def run_linear_ensemble(coeffs: Coefficients, initial, dt: float, nsteps: int, n
     Results are independent of chunk scheduling and worker count;
     ``chunk_size`` fixes the shape of the batched matrix products.
     """
-    return _ensemble(False, coeffs, initial, dt, nsteps, ntraj, base_seed, record_times,
-                     weight_floor, chunk_size)
+    return _ensemble(False, coeffs, initial, dt, nsteps, ntraj, base_seed, record_times, chunk_size)
 
 
 def run_nonlinear_ensemble(coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
-                           base_seed: int, record_times=None, weight_floor: float = WEIGHT_FLOOR,
-                           chunk_size: int = 1024) -> Ensemble:
+                           base_seed: int, record_times=None, chunk_size: int = 1024) -> Ensemble:
     """Integrate ``ntraj`` normalized trajectories, as :func:`run_linear_ensemble`."""
-    return _ensemble(True, coeffs, initial, dt, nsteps, ntraj, base_seed, record_times,
-                     weight_floor, chunk_size)
+    return _ensemble(True, coeffs, initial, dt, nsteps, ntraj, base_seed, record_times, chunk_size)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qsde.cli as cli
+from qsde import master
 from qsde.cli import _ensemble_diagnostics, emit, main, run_command
 from qsde.config import (
     ConfigError,
@@ -14,7 +15,10 @@ from qsde.config import (
     parse_complex,
     parse_config,
 )
+from qsde.linalg import max_abs
+from qsde.master import STATIONARY_RESIDUAL_TOL, LindbladPropagator, stationary_state
 from qsde.model import Coefficients, TimeGrid, build_coefficients, verify_weight_identity
+from qsde.mollow import build_mollow_model, canonical_config
 from qsde.statistics import Check, mc_mean_output
 from qsde.trajectories import Ensemble
 
@@ -604,37 +608,71 @@ def test_bad_worker_count_rejected_before_any_work(workers, tmp_path, monkeypatc
     assert not out.exists()
 
 
-def test_stationary_residual_check_can_fail(tmp_path, capsys):
-    """A drive of 1e7 puts the null-space residual at about 1e-16 * ||L||,
-    above the check's absolute 1e-10: a FAIL row and exit 2, not a traceback."""
+def _plant_stationary_fault(monkeypatch):
+    """A fault in the stationary solve: ``master.vectorize`` adds 1e-8
+    diag(1, -1), a traceless Hermitian change that L_* does not annihilate,
+    to each matrix it vectorizes.  In ``stationary_state`` that is the state
+    whose residual is taken; the ``master`` command's initial state moves by
+    it too, which no check sees."""
+    vectorize = master.vectorize
+    monkeypatch.setattr(master, "vectorize",
+                        lambda m: vectorize(m + 1e-8 * np.diag([1.0, -1.0])))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e7])
+def test_stationary_residual_bound_scales_with_generator(scale, monkeypatch):
+    """The canonical Mollow model with every rate scaled: its stationary
+    residual grows like the generator's entries (2.35e-10 at 1e6 and 2.8e-9
+    at 1e7, which the former absolute bound 1e-10 failed), so the check
+    passes it against 1e-10 x max(1, max-entry of L_*), and fails the same
+    state perturbed by 1e-8 at every scale."""
+    cfg = canonical_config(big_omega=5.0 * scale, gamma=scale, omega=10.0 * scale)
+    gen = LindbladPropagator(build_coefficients(build_mollow_model(cfg)))
+    verdicts = []
+    for faulty in (False, True):
+        if faulty:
+            _plant_stationary_fault(monkeypatch)
+        st = stationary_state(gen)
+        assert st.bound == STATIONARY_RESIDUAL_TOL * max_abs(gen.generator_at(0.0))
+        bundle = cli.ResultBundle(command="master", metadata={})
+        cli._report_stationary(st, bundle)
+        verdicts += [c.passed for c in bundle.checks if c.name == "stationary-residual"]
+    assert verdicts == [True, False]
+
+
+def test_stationary_residual_check_can_fail(tmp_path, capsys, monkeypatch):
+    """A stationary state off by 1e-8 puts the residual far above its bound:
+    a FAIL row and exit 2, not a traceback."""
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(make_config(**{
-        "model.lambdas": ["0", "1e7i"], "run.command": "master", "run.horizon": 1e-6,
-        "run.dt": 1e-7, "output.directory": str(tmp_path / "out")})))
+        "run.command": "master", "run.horizon": 0.1, "run.dt": 0.01,
+        "output.directory": str(tmp_path / "out")})))
+    _plant_stationary_fault(monkeypatch)
     assert main(["--config", str(cfg_path)]) == 2
     rows = [line for line in capsys.readouterr().out.splitlines() if "stationary-residual" in line]
     assert len(rows) == 1 and rows[0].startswith("[FAIL] stationary-residual: residual ")
     residual = float(rows[0].split()[3])
-    assert residual > 1e-10
+    assert residual > 1e-9
     doc = json.loads(next((tmp_path / "out").glob("master_*.json")).read_text())
     assert [c["passed"] for c in doc["checks"] if c["name"] == "stationary-residual"] == [False]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "mollow"])
-def test_spectrum_stationary_residual_check_can_fail(command, tmp_path, capsys):
+def test_spectrum_stationary_residual_check_can_fail(command, tmp_path, capsys, monkeypatch):
     """The spectrum commands judge their stationary state as ``master`` does:
-    the same drive of 1e7 gives a FAIL row with the residual and exit 2,
-    where the scan used to end in a RuntimeError traceback."""
+    the same fault gives a FAIL row with the residual and exit 2, where the
+    scan used to end in a RuntimeError traceback."""
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(make_config(**{
-        "model.lambdas": ["0", "1e7i"], "run.command": command, "run.horizon": 1e-6,
-        "run.dt": 1e-7, "run.nu_grid": {"start": 0.0, "stop": 20.0, "count": 5},
+        "run.command": command, "run.horizon": 0.1, "run.dt": 0.01,
+        "run.nu_grid": {"start": 0.0, "stop": 20.0, "count": 5},
         "output.directory": str(tmp_path / "out")})))
+    _plant_stationary_fault(monkeypatch)
     assert main(["--config", str(cfg_path)]) == 2
     rows = [line for line in capsys.readouterr().out.splitlines() if "stationary-residual" in line]
     assert len(rows) == 1 and rows[0].startswith("[FAIL] stationary-residual: residual ")
     residual = float(rows[0].split()[3])
-    assert residual > 1e-10
+    assert residual > 1e-9
     doc = json.loads(next((tmp_path / "out").glob(f"{command}_*.json")).read_text())
     assert [c["passed"] for c in doc["checks"] if c["name"] == "stationary-residual"] == [False]
     info = doc["metadata"]["stationary"]

@@ -109,14 +109,21 @@ def test_benchmark_span_metrics_name_public_functions(span):
     assert not attr.startswith("_") and defined, f"qsde.{layer} defines no public {name}"
 
 
+# Standard-library modules that numpy does not load and a library import of
+# qsde.cli does not need: the worker pool's, the Wiener-law quantile's and the
+# command line's, imported where they are used.
+DEFERRED_STDLIB = ("multiprocessing", "socket", "statistics", "fractions", "decimal", "argparse")
+
+
 def test_cli_import_graph_has_no_scipy():
     """Loading scipy made up most of a CLI run's start-up; qsde runs on numpy
-    alone, so a fresh ``import qsde.cli`` loads no scipy module."""
+    alone, so a fresh ``import qsde.cli`` loads no scipy module, nor any of
+    DEFERRED_STDLIB."""
     env = dict(os.environ)
     src = str(Path(qsde.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, qsde.cli; print(' '.join(m for m in sys.modules "
-             "if m.startswith('scipy')))")
+    probe = (f"import sys, qsde.cli; print(' '.join(m for m in sys.modules "
+             f"if m.startswith('scipy') or m.partition('.')[0] in {DEFERRED_STDLIB!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.strip()
     assert out == ""
@@ -193,3 +200,69 @@ def test_no_public_api_only_tests_read():
     allowlisted name that gains a reader fails too, so the list stays true)."""
     unread = _unread_public_names(SRC, sorted((ROOT / "perfbench").rglob("*.py")))
     assert sorted(name.rpartition(".")[2] for name in unread) == sorted(UNREAD_BY_DESIGN), unread
+
+
+# The parameters with a default that no call under src/ or perfbench/ passes,
+# each with its reason.
+SET_BY_TESTS_BY_DESIGN = {
+    "trajectories.generate_wiener.stream": "the acceptance criteria draw per-trajectory paths",
+    "statistics.wiener_law_tests.reweight": "criterion 07's negative control",
+    **{f"mollow.canonical_config.{name}": "an input of the experiment, set in README and in "
+                                          "the perfbench tests"
+       for name in ("big_omega", "gamma", "omega", "nu")},
+    "cli.main.argv": "the CLI's test entry",
+}
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, position among the arguments a call spells out) of each
+    parameter of ``fn`` with a default; None for a keyword-only one.  A
+    method's position leaves out ``self`` or ``cls``."""
+    args = fn.args
+    positional = [a.arg for a in [*args.posonlyargs, *args.args]][1 if method else 0:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    return ([(name, positional.index(name)) for name in defaulted]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _unpassed_parameters(src: Path, callers: list[Path]) -> list[str]:
+    """``module.function.parameter`` (``module.Class.method.parameter`` for a
+    method) of each parameter with a default of a public function of the
+    modules under ``src``, or of a public method of their public classes,
+    that no call in ``src`` or ``callers`` passes.  A call is matched by the
+    function's name (``f(...)`` or ``x.f(...)``) and passes a parameter by
+    keyword or by position; one with ``*`` or ``**`` arguments passes all."""
+    calls = [n for path in [*sorted(src.glob("*.py")), *callers]
+             for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+    by_name: dict[str, list[ast.Call]] = {}
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        by_name.setdefault(name, []).append(call)
+    unpassed = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            defs = [(node, False, f"{path.stem}.{node.name}")] if isinstance(
+                node, ast.FunctionDef) else [
+                (m, True, f"{path.stem}.{node.name}.{m.name}") for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            for fn, method, qualname in defs:
+                for param, pos in _defaulted_parameters(fn, method):
+                    if not any(
+                            any(isinstance(a, ast.Starred) for a in call.args)
+                            or any(k.arg in (None, param) for k in call.keywords)
+                            or (pos is not None and len(call.args) > pos)
+                            for call in by_name.get(fn.name, [])):
+                        unpassed.append(f"{qualname}.{param}")
+    return unpassed
+
+
+def test_no_public_parameter_only_tests_set():
+    """A parameter with a default that no command, workload or benchmark
+    passes is a knob only tests turn; every such parameter of the public
+    functions and methods under src/ is passed by some call in src/ or
+    perfbench/, apart from the allowlisted ones (an allowlisted parameter
+    that gains a caller fails too, so the list stays true)."""
+    unpassed = _unpassed_parameters(SRC, sorted((ROOT / "perfbench").rglob("*.py")))
+    assert sorted(unpassed) == sorted(SET_BY_TESTS_BY_DESIGN), unpassed

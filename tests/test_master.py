@@ -12,7 +12,6 @@ from qsde.master import (
     PositivityError,
     _lindblad,
     apriori_from_trajectories,
-    build_schrodinger_generator,
     master_series,
     stationary_state,
     trace_distance,
@@ -39,7 +38,7 @@ def heisenberg_generator(coeffs, t):
         L[a] = (i/2) [K + K^*, a] + sum_j ( R_j^* a R_j - (1/2) {R_j^* R_j, a} )
 
     with plain matrix products, independently of the state-picture L_*."""
-    k, r = coeffs.at(t)
+    k, r = coeffs.k_at(t), coeffs.r_at(t)
     kh = k + k.conj().T
     d = len(k)
 
@@ -72,7 +71,7 @@ def test_heisenberg_projector_decay(decay_coeffs):
 
 
 def test_duality_on_random_pairs(mollow_coeffs, rng):
-    ls = build_schrodinger_generator(mollow_coeffs, 0.4)
+    ls = LindbladPropagator(mollow_coeffs).generator_at(0.4)
     lh = heisenberg_generator(mollow_coeffs, 0.4)
     for _ in range(20):
         rho = random_state(rng)
@@ -83,7 +82,7 @@ def test_duality_on_random_pairs(mollow_coeffs, rng):
 
 
 def test_schrodinger_trace_preservation(mollow_coeffs, rng):
-    ls = build_schrodinger_generator(mollow_coeffs, 0.0)
+    ls = LindbladPropagator(mollow_coeffs).generator_at(0.0)
     for _ in range(10):
         out = devectorize(ls @ vectorize(random_state(rng)), 2)
         assert abs(np.trace(out)) <= 1e-10
@@ -104,26 +103,28 @@ def test_generator_of_a_table_is_the_generator_at_each_time(model):
     """_lindblad of one K and one R table gives, row by row, the generator
     built at each time alone, bit for bit."""
     coeffs = build_coefficients(model)
+    gen = LindbladPropagator(coeffs)
+    assert not gen.time_independent
     ts = 0.0137 + 0.01 * np.arange(120)
     stacked = _lindblad(coeffs.k_table(ts), coeffs.r_table(ts))
     assert stacked.shape == (len(ts),) + (coeffs.dim ** 2,) * 2
     for t, row in zip(ts, stacked):
-        assert row.tobytes() == build_schrodinger_generator(coeffs, t).tobytes(), t
+        assert row.tobytes() == gen.generator_at(t).tobytes(), t
 
 
 def test_time_dependent_series_evaluates_no_coefficients_one_time_at_a_time(monkeypatch):
     """master_series builds a time-dependent generator's Magnus steps from
-    K and R tables: no Coefficients.at call (it made two per step)."""
+    K and R tables: no k_at or r_at call (the per-time route made two per
+    step)."""
     gen = LindbladPropagator(build_coefficients(time_dependent_models()[0]))
     assert not gen.time_independent
     calls = []
-    at = Coefficients.at
+    for name in ("k_at", "r_at"):
+        def spy(self, t, one_time=getattr(Coefficients, name)):
+            calls.append(t)
+            return one_time(self, t)
 
-    def spy(self, t):
-        calls.append(t)
-        return at(self, t)
-
-    monkeypatch.setattr(Coefficients, "at", spy)
+        monkeypatch.setattr(Coefficients, name, spy)
     master_series(gen, np.diag([1.0, 0.0]), TimeGrid.covering(0.5, 1e-2).times)
     assert calls == []
 

@@ -95,7 +95,7 @@ def test_coefficients_trivial_dressing(rng):
     m = simple_model(hamiltonian=random_hermitian(rng, d), channels=channels, dim=d)
     coeffs = build_coefficients(m)
     for t in (0.0, 0.9, 4.2):
-        k, r = coeffs.at(t)
+        k, r = coeffs.k_at(t), coeffs.r_at(t)
         assert max_abs(k - effective_hamiltonian(m)) == 0.0
         for j, L in enumerate(channels):
             assert max_abs(r[j] - L) == 0.0
@@ -110,7 +110,7 @@ def test_mollow_coefficients_closed_form():
                   - 0.5j * cfg.gamma * (SIGMA_PLUS @ SIGMA_MINUS)
                   + 1j * (c * SIGMA_MINUS - np.conj(c) * SIGMA_PLUS))
     for t in (0.0, 0.37, 1.9):
-        k, r = coeffs.at(t)
+        k, r = coeffs.k_at(t), coeffs.r_at(t)
         assert max_abs(k - k_expected) <= 1e-13
         for j in range(2):
             r_expected = np.exp(1j * (cfg.nu - cfg.omega0) * t) * cfg.alphas[j] * SIGMA_MINUS

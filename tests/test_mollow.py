@@ -46,9 +46,9 @@ def test_undriven_reduction_to_detuned_decay():
 
 def test_resonant_coefficients_time_independent():
     coeffs = build_coefficients(build_mollow_model(canonical_config()))
-    k0, r0 = coeffs.at(0.0)
+    k0, r0 = coeffs.k_at(0.0), coeffs.r_at(0.0)
     for t in (0.3, 1.7, 6.1):
-        k, r = coeffs.at(t)
+        k, r = coeffs.k_at(t), coeffs.r_at(t)
         assert max_abs(k - k0) <= 1e-12
         assert max_abs(r - r0) <= 1e-12
 

@@ -348,6 +348,29 @@ def test_time_dependent_second_moment_memory_does_not_grow_with_horizon():
     assert peaks[1] - peaks[0] <= 4 * master._STEP_BLOCK * gen.dim**4 * 16, peaks
 
 
+def test_time_dependent_second_moment_peak_memory_is_flat_in_nsteps():
+    """The two-time sums keep the march's current block and a running sum:
+    on a d = 3, J = 2 time-dependent model with two pairs at h = 1e-3, the
+    traced peak of analytic_second_moment at 8000 steps is within 10% of
+    that at 1000.  Full-grid state and pairing arrays took it from 7.98 MB at
+    2000 steps to 9.00 MB at 8000 and 13.05 MB at 32000."""
+    gen = LindbladPropagator(build_coefficients(random_model(np.random.default_rng(300))))
+    assert not gen.time_independent
+    rho0 = np.eye(3) / 3
+    analytic_second_moment(gen, rho0, TimeGrid(1e-3, 10), [(0, 1, 0.01, 0.005)])
+    peaks = []
+    for nsteps in (1000, 8000):
+        t = 1e-3 * nsteps
+        tracemalloc.start()
+        try:
+            analytic_second_moment(gen, rho0, TimeGrid(1e-3, nsteps),
+                                   [(0, 1, t, t / 2), (1, 1, t, t)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_lab_frame_second_moments_match_rotating_frame_closed_form():
     """The driven atom of the master-equation frame test: in the lab frame its
     generator is time dependent and the second moments run the Magnus-step
@@ -578,10 +601,9 @@ def test_stacked_time_independence_probe_matches_per_time_loop(name):
     loop it replaced."""
     coeffs = build_coefficients(PROBE_MODELS[name])
     times = LindbladPropagator._PROBE_TIMES
-    g0 = master.build_schrodinger_generator(coeffs, times[0])
+    g0, *later = (master._lindblad(coeffs.k_at(t), coeffs.r_at(t)) for t in times)
     scale = max(max_abs(g0), 1.0)
-    verdict = all(max_abs(master.build_schrodinger_generator(coeffs, t) - g0)
-                  <= master.PROBE_TOL * scale for t in times[1:])
+    verdict = all(max_abs(g - g0) <= master.PROBE_TOL * scale for g in later)
     gen = LindbladPropagator(coeffs)
     assert gen.time_independent is verdict
     assert verdict is (name in KERNEL_MODELS)
@@ -592,6 +614,9 @@ def test_stacked_time_independence_probe_matches_per_time_loop(name):
     ("dephasing-diagonal", 0), ("dephasing-diagonal", 1),
     ("trivial-frame", 0), ("trivial-frame", 1), ("mollow-detuned-lo", 0)])
 def test_spectrum_closed_form_matches_reference(name, channel):
+    """The scan of channel 0 matches the reference recurrence; channel 1 is
+    scanned as channel 0 of the model with its channels and drive amplitudes
+    reversed, which has the same generator."""
     model = CONSTANT_MODELS[name]
     gen = LindbladPropagator(build_coefficients(model))
     horizon, dt = 3.0, 0.02
@@ -599,7 +624,10 @@ def test_spectrum_closed_form_matches_reference(name, channel):
     # trivial-frame relaxes to the ground state, which both channel operators
     # annihilate: from there S = 1 at every nu on both routes, so it starts excited
     rho = stationary_state(gen).rho if name == "mollow-detuned-lo" else RHO_E
-    scan = spectrum_scan(model, nus, horizon=horizon, dt=dt, channel=channel, rho0=rho)
+    order = slice(None, None, 1 if channel == 0 else -1)
+    scanned = dataclasses.replace(model, channels=model.channels[order], drive=DriveSpec(
+        amplitudes=model.drive.amplitudes[order], carrier=model.drive.carrier))
+    scan = spectrum_scan(scanned, nus, horizon=horizon, dt=dt, rho0=rho)
     assert np.ptp(scan.values) > 1e-3 * scan.values.max()
     for k, nu in enumerate(nus):
         c_nu = build_coefficients(dataclasses.replace(model, detection=DetectionSpec(nu=nu)))
@@ -859,11 +887,9 @@ BAD_ANALYTIC_INPUTS = {
     # mc_output_moments on an ensemble of dt 0.01 up to 0.2: (i, j, t1, t2)
     "report_j_2": ("report", (0, 2, 0.1, 0.2), r"pair \(0, 2, 0.1, 0.2\): j must be an integer"),
     "report_t2_nan": ("report", (0, 0, 0.1, np.nan), r"pair \(0, 0, 0.1, nan\): times must be"),
-    # spectrum_scan(horizon, dt, channel)
-    "channel_-1": ("scan", (1.0, 0.01, -1), r"channel must be an integer in \[0, 1\]"),
-    "channel_5": ("scan", (1.0, 0.01, 5), r"channel must be an integer in \[0, 1\]"),
-    "horizon_nan": ("scan", (np.nan, 0.01, 0), "horizon and dt must be finite and positive"),
-    "scan_dt_inf": ("scan", (1.0, np.inf, 0), "horizon and dt must be finite and positive"),
+    # spectrum_scan(horizon, dt)
+    "horizon_nan": ("scan", (np.nan, 0.01), "horizon and dt must be finite and positive"),
+    "scan_dt_inf": ("scan", (1.0, np.inf), "horizon and dt must be finite and positive"),
     # spectrum_scan(nu_grid) at horizon 1, dt 0.01
     "nu_nan": ("nu", [np.nan, 10.0], "nu_grid must be non-empty, 1-D, finite and strictly"),
     "nu_inf": ("nu", [9.0, np.inf], "nu_grid must be"),
@@ -889,10 +915,9 @@ BAD_ANALYTIC_INPUTS = {
 
 @pytest.mark.parametrize("case", list(BAD_ANALYTIC_INPUTS))
 def test_analytic_route_inputs_fail_loudly(case, mollow_setup, monkeypatch):
-    """dt = -0.01 gave the one-step answer, dt = 0 a ZeroDivisionError, a NaN
-    time a conversion error, channel -1 scanned channel 1 and channel 5 an
-    IndexError: each is a ValueError that names the input, before any
-    propagator is built.  A bad pair is named, also behind a good one and in
+    """dt = -0.01 gave the one-step answer, dt = 0 a ZeroDivisionError and a
+    NaN time a conversion error: each is a ValueError that names the input,
+    before any propagator is built.  A bad pair is named, also behind a good one and in
     a moment report, where channel 2 was an IndexError of the Monte Carlo side.
     A NaN frequency gave S = nan and a descending grid was scanned as given; a
     TimeGrid built directly with h = -0.01 marched backwards into a
@@ -937,8 +962,7 @@ def test_analytic_route_inputs_fail_loudly(case, mollow_setup, monkeypatch):
                 analytic_second_moment(gen, rho0, TimeGrid.covering(1.0, 0.01),
                                        [(0, 0, 0.5, 0.5)])
         else:
-            horizon, dt, channel = args
-            spectrum_scan(mollow_at(10.0), [9.0, 10.0], horizon, dt, channel=channel)
+            spectrum_scan(mollow_at(10.0), [9.0, 10.0], *args)
 
 
 def test_spectrum_rejects_constant_unitary_detection():

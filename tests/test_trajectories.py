@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -254,15 +255,16 @@ def test_linear_nonlinear_path_consistency(mollow_coeffs):
     assert max(defects) <= 50 * dt
 
 
-def test_weight_floor_freezes_trajectory():
+def test_weight_floor_freezes_trajectory(monkeypatch):
     """A strongly contracting scalar model underflows and freezes, flagged."""
     nsteps, dt = 4000, 1e-3
     c = 3.0
     coeffs = ConstantCoefficients(np.zeros((2, 2)), [c * np.eye(2)])
+    monkeypatch.setattr(trajectories, "WEIGHT_FLOOR", 1e-6)
     frozen = 0
     for s in range(20):
         path = generate_wiener(900 + s, dt, nsteps, 1)
-        rec = integrate_linear(coeffs, E0, path, weight_floor=1e-6)
+        rec = integrate_linear(coeffs, E0, path)
         if rec.frozen_at[0] >= 0:
             frozen += 1
             n = rec.frozen_at[0]
@@ -459,7 +461,7 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
     every = np.arange(nsteps + 1)
     for nonlinear in (False, True):
         # the batch as a G = 1 stack, stepped through the whole table as one block
-        stack = _Stack(psi0[None], nchan, dt, every, 1e-12, nonlinear=nonlinear)
+        stack = _Stack(psi0[None], nchan, dt, every, nonlinear=nonlinear)
         stack.advance(_step_ops(*table, dt, nonlinear), dw[:, None])
         psi, _, drift, _, frozen = stack.result()
         ref_psi, ref_rexp = _reference_paths(*table, dt, psi0, dw, nonlinear)
@@ -472,22 +474,23 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
         assert max_abs(drift - ref_drift) <= 1e-12 * max(1.0, max_abs(ref_drift))
 
 
-def test_nonlinear_partial_freeze():
+def test_nonlinear_partial_freeze(monkeypatch):
     """Only some paths of a batch freeze: their state and drift stop, the
     others are stepped exactly as they would be on their own."""
     coeffs = build_coefficients(simple_model(channels=(2.0 * SIGMA_MINUS,)))
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     dt, nsteps, ntraj, floor = 0.01, 30, 12, 0.992
+    monkeypatch.setattr(trajectories, "WEIGHT_FLOOR", floor)
     grid = dt * np.arange(nsteps + 1)
     ens = run_nonlinear_ensemble(coeffs, psi0, dt=dt, nsteps=nsteps, ntraj=ntraj,
-                                 base_seed=73, record_times=grid, weight_floor=floor)
+                                 base_seed=73, record_times=grid)
     frozen = ens.frozen_at >= 0
     assert 0 < frozen.sum() < ntraj
     drift = 0.5 * (ens.w_path - ens.innovation)
     k, r = coeffs.tabulate(grid)
     for b in range(ntraj):
         path = generate_wiener(73, dt, nsteps, 1, stream=b)
-        alone = integrate_nonlinear(coeffs, psi0, path, weight_floor=floor)
+        alone = integrate_nonlinear(coeffs, psi0, path)
         assert max_abs(ens.psihat[b] - alone.psihat[0]) <= 1e-14
         n = ens.frozen_at[b]
         assert alone.frozen_at[0] == n
@@ -536,7 +539,8 @@ def test_lockstep_stacks_match_single_chunks(nonlinear, monkeypatch):
     run, floor = FREEZING[nonlinear]
     coeffs = build_coefficients(simple_model(channels=(2.0 * SIGMA_MINUS,)))
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    common = dict(dt=0.01, nsteps=30, ntraj=37, base_seed=73, weight_floor=floor, chunk_size=8)
+    common = dict(dt=0.01, nsteps=30, ntraj=37, base_seed=73, chunk_size=8)
+    monkeypatch.setattr(trajectories, "WEIGHT_FLOOR", floor)
     monkeypatch.setenv("QSDE_WORKERS", "1")
     monkeypatch.setattr(trajectories, "_LOCKSTEP_LANES", 1)
     alone = run(coeffs, psi0, **common)
@@ -551,8 +555,8 @@ def test_lockstep_stacks_match_single_chunks(nonlinear, monkeypatch):
                 assert np.array_equal(getattr(stacked, field), value), (lanes, workers, field)
 
 
-def test_masked_step_equals_unmasked_step_when_nothing_freezes(rng):
-    """weight_floor = 0 steps with the freeze masks from the first step, while
+def test_masked_step_equals_unmasked_step_when_nothing_freezes(rng, monkeypatch):
+    """WEIGHT_FLOOR = 0 steps with the freeze masks from the first step, while
     1e-12 skips them as long as no path freezes: on a model whose
     coefficients depend on time, every ensemble field agrees bit for bit,
     for both unravelings."""
@@ -562,10 +566,13 @@ def test_masked_step_equals_unmasked_step_when_nothing_freezes(rng):
                   record_times=1e-2 * np.arange(101), chunk_size=8)
     for nonlinear, run in ((False, run_linear_ensemble), (True, run_nonlinear_ensemble)):
         lane = psi0[None, :, None]
-        assert _Stack(lane, 2, 1e-2, np.arange(1), 0.0, nonlinear=nonlinear).active is not None
-        assert _Stack(lane, 2, 1e-2, np.arange(1), 1e-12, nonlinear=nonlinear).active is None
-        masked = run(coeffs, psi0, weight_floor=0.0, **common)
-        unmasked = run(coeffs, psi0, weight_floor=1e-12, **common)
+        runs = []
+        for floor in (0.0, 1e-12):
+            monkeypatch.setattr(trajectories, "WEIGHT_FLOOR", floor)
+            masks = _Stack(lane, 2, 1e-2, np.arange(1), nonlinear=nonlinear).active is not None
+            assert masks is (floor == 0.0)
+            runs.append(run(coeffs, psi0, **common))
+        masked, unmasked = runs
         assert np.all(unmasked.frozen_at == -1)
         for field, value in vars(unmasked).items():
             if isinstance(value, np.ndarray):
@@ -604,7 +611,7 @@ def test_malformed_initial_state_rejected_before_any_work(run, case, mollow_coef
     initial, problem = MALFORMED_INITIALS[case]
     monkeypatch.setenv("QSDE_WORKERS", "2")
     monkeypatch.setattr(trajectories, "_run_span", _no_work)
-    monkeypatch.setattr(trajectories, "get_context", _no_work)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_work)
     with pytest.raises(ValueError, match=problem):
         run(mollow_coeffs, initial, dt=1e-3, nsteps=10, ntraj=8, base_seed=1, chunk_size=4)
 
@@ -634,7 +641,7 @@ def test_bad_run_arguments_rejected_before_any_work(run, case, mollow_coeffs, mo
     bad, problem = BAD_RUN_ARGS[case]
     monkeypatch.setenv("QSDE_WORKERS", "2")
     monkeypatch.setattr(trajectories, "_run_span", _no_work)
-    monkeypatch.setattr(trajectories, "get_context", _no_work)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_work)
     args = dict(dt=1e-3, nsteps=10, ntraj=8, base_seed=1, chunk_size=4) | bad
     with pytest.raises(ValueError, match=problem):
         run(mollow_coeffs, E0, **args)
@@ -655,7 +662,7 @@ def test_philox_keys_outside_64_bits_rejected_before_any_work(entry, value, moll
     monkeypatch.setenv("QSDE_WORKERS", "2")
     monkeypatch.setattr(trajectories, "_philox_stream", _no_stream)
     monkeypatch.setattr(trajectories, "_run_stacks", _no_stream)
-    monkeypatch.setattr(trajectories, "get_context", _no_stream)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_stream)
     name = {"generate_wiener-stream": "stream", "generate_wiener-seed": "seed"}.get(
         entry, "base_seed")
     with pytest.raises(ValueError, match=rf"{name} must be an integer in \[0, {2**64 - 1}\]"):
@@ -672,7 +679,7 @@ def test_empty_record_times_rejected_before_any_work(run, mollow_coeffs, monkeyp
     run; it is now a ValueError naming it, raised before any step or fork."""
     monkeypatch.setenv("QSDE_WORKERS", "2")
     monkeypatch.setattr(trajectories, "_run_span", _no_work)
-    monkeypatch.setattr(trajectories, "get_context", _no_work)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_work)
     with pytest.raises(ValueError, match="record times is empty"):
         run(mollow_coeffs, E0, dt=1e-3, nsteps=10, ntraj=8, base_seed=1, chunk_size=4,
             record_times=[])
