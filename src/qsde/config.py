@@ -387,9 +387,12 @@ def _parse_run(section, col: _Collector, model: SystemModel | None) -> RunSpec |
     command, dt, horizon, ntraj = (run[k] for k in ("command", "dt", "horizon", "ntraj"))
     # Times are range-checked only against a valid horizon, and checked to be
     # grid points only when dt divides it, i.e. when the run's grid has step dt.
-    grid = None if dt is None or horizon is None else TimeGrid.covering(horizon, dt)
-    if grid is not None and abs(grid.h - dt) > GRID_TOL * dt:
-        col.add("run.dt", f"{dt!r} does not divide run.horizon = {horizon!r}")
+    try:
+        grid = None if dt is None or horizon is None else TimeGrid.covering(horizon, dt)
+        if grid is not None and abs(grid.h - dt) > GRID_TOL * dt:
+            raise ValueError(f"{dt!r} does not divide run.horizon = {horizon!r}")
+    except ValueError as exc:
+        col.add("run.dt", str(exc))
         grid = None
     if ntraj is not None and ntraj < 2 and command in ("trajectories", "moments"):
         col.add("run.ntraj", f"{command} needs at least 2 trajectories for a standard error")

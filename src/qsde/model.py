@@ -47,6 +47,8 @@ DETECTION_KINDS = ("diagonal-phase", "constant-unitary")
 # A time is a grid point, and a step equals dt, to this fraction of a step.
 GRID_TOL = 1e-9
 NORM_BOUND_POINTS = 101
+# A grid's step count, and so each of its indices, fits an int64.
+NSTEPS_MAX = np.iinfo(np.int64).max
 
 
 def _check_integers(lo: int, hi: float, **values):
@@ -61,7 +63,7 @@ def _check_integers(lo: int, hi: float, **values):
 class TimeGrid:
     """The uniform grid t_n = n h, n = 0..nsteps, shared by the trajectory,
     master-equation and analytic routes; ValueError unless h is finite and
-    positive and nsteps an integer >= 0."""
+    positive and nsteps an integer in [0, NSTEPS_MAX]."""
 
     h: float
     nsteps: int
@@ -70,13 +72,17 @@ class TimeGrid:
         if not 0 < self.h < np.inf:
             raise ValueError(f"h must be finite and positive, got {self.h!r}")
         _check_integers(0, np.inf, nsteps=self.nsteps)
+        if self.nsteps > NSTEPS_MAX:
+            raise ValueError(f"{self.nsteps} steps exceed the int64 index limit {NSTEPS_MAX}")
 
     @classmethod
     def covering(cls, horizon: float, dt: float) -> "TimeGrid":
         """The grid of [0, horizon] with nsteps = max(1, round(horizon / dt));
-        ValueError unless horizon and dt are finite and positive."""
+        ValueError unless horizon and dt are finite, positive and horizon / dt < NSTEPS_MAX."""
         if not (0 < horizon < np.inf and 0 < dt < np.inf):
             raise ValueError(f"horizon and dt must be finite and positive, got {horizon}, {dt}")
+        if not horizon / dt < NSTEPS_MAX:
+            raise ValueError(f"{horizon / dt!r} steps exceed the int64 index limit {NSTEPS_MAX}")
         nsteps = max(1, int(round(horizon / dt)))
         return cls(h=horizon / nsteps, nsteps=nsteps)
 

@@ -75,7 +75,10 @@ worker.
 
 Reproducibility: every trajectory owns a Philox counter-based stream keyed
 by (seed, trajectory index), so for a given chunk size ensembles are
-bit-reproducible regardless of stacking, worker count or scheduling.
+bit-reproducible regardless of stacking, worker count or scheduling.  One
+function draws every increment, so ``generate_wiener(seed, dt, n, J,
+stream=b)`` is trajectory b's noise in an ensemble with ``base_seed=seed``,
+by construction.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -157,11 +161,11 @@ class WienerPath:
 
 
 def generate_wiener(seed: int, dt: float, nsteps: int, nchannels: int, stream: int = 0) -> WienerPath:
-    """Draw a Wiener path from the counter-based stream (seed, stream)."""
+    """Draw a Wiener path from the counter-based stream (seed, stream), as a
+    one-lane stack of the ensemble's noise source."""
     _check_counts(dt, nsteps=nsteps, nchannels=nchannels)
     _check_integers(0, _KEY_MAX, seed=seed, stream=stream)
-    rng = _philox_stream(seed, stream)
-    increments = rng.normal(0.0, np.sqrt(dt), size=(nsteps, nchannels))
+    increments = _lane_noise(seed, stream, 1, 1, nchannels, dt)(slice(0, nsteps))[:, 0, :, 0]
     return WienerPath(dt=dt, nsteps=nsteps, nchannels=nchannels, increments=increments)
 
 
@@ -373,6 +377,8 @@ def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath,
     grid time."""
     grid = TimeGrid(path.dt, path.nsteps)
     psi0 = _checked_initial(psi0, coeffs.dim)
+    if nonlinear and abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+        raise ValueError("initial state must have unit norm")
     if coeffs.nchannels != path.nchannels:
         raise ValueError("noise channel count does not match the coefficients")
     record_idx = np.arange(path.nsteps + 1)
@@ -399,9 +405,6 @@ def integrate_nonlinear(coeffs: Coefficients, psihat0: np.ndarray, path: WienerP
     every Euler step; the continuous-time flow preserves the norm exactly,
     the discretized one only to O(dt).
     """
-    psihat0 = _checked_initial(psihat0, coeffs.dim)
-    if abs(np.linalg.norm(psihat0) - 1.0) > 1e-9:
-        raise ValueError("initial state must have unit norm")
     return _run_path(coeffs, psihat0, path, nonlinear=True)
 
 
@@ -426,17 +429,20 @@ def worker_count() -> int:
 
 def _checked_initial(initial, dim: int) -> np.ndarray:
     """The initial state as a (dim,) complex array; ValueError naming the
-    initial state unless it is a finite, nonzero vector of ``dim`` amplitudes."""
+    initial state unless it has ``dim`` amplitudes and a squared norm that is
+    a positive finite double, the weight every path starts from."""
     try:
         psi0 = np.asarray(initial, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"initial state: {exc}") from None
     if psi0.shape != (dim,):
         raise ValueError(f"initial state must have {dim} amplitudes, got shape {psi0.shape}")
-    if not np.isfinite(psi0).all():
-        raise ValueError("initial state must have finite amplitudes")
-    if not psi0.any():
-        raise ValueError("initial state must be nonzero")
+    sq_norm = float(np.vdot(psi0, psi0).real)
+    if not 0 < sq_norm < np.inf:
+        raise ValueError("initial state " + (
+            "must have finite amplitudes" if not np.isfinite(psi0).all() else
+            "must be nonzero" if not psi0.any() else
+            f"has squared norm {sq_norm!r}, not a positive finite double"))
     return psi0
 
 
@@ -456,65 +462,31 @@ def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: 
         z = np.empty((groups * lanes, steps.stop - steps.start, nchannels))
         for b, rng in enumerate(streams):
             rng.standard_normal(out=z[b])
-        # 0 + sigma z, as Generator.normal(0, sigma) forms it (it turns -0 into +0)
         dw = np.empty((z.shape[1], groups, nchannels, lanes))
         np.multiply(z.reshape(groups, lanes, *z.shape[1:]).transpose(2, 0, 3, 1), sigma, out=dw)
-        dw += 0.0
         return dw
 
     return noise
 
 
-@dataclass(frozen=True)
-class _Job:
-    """What every process of one ensemble run shares."""
-
-    nonlinear: bool
-    coeffs: Coefficients
-    grid: TimeGrid
-    initial: np.ndarray
-    base_seed: int
-    record_idx: np.ndarray
-    chunk_size: int
-
-
-def _stacks(first: int, stop: int, chunk: int):
-    """Lockstep stacks (first, G, C) that cover trajectories first..stop-1.
-
-    Whole chunks of C = ``chunk`` lanes are stacked up to
-    _LOCKSTEP_LANES // C at a time; a ragged last chunk is its own G = 1
-    stack.
-    """
-    per = max(1, _LOCKSTEP_LANES // chunk)
-    full = (stop - first) // chunk
-    for g in range(0, full, per):
-        yield first + g * chunk, min(per, full - g), chunk
-    if (stop - first) % chunk:
-        yield first + full * chunk, 1, (stop - first) % chunk
-
-
-def _run_span(job: _Job, first: int, stop: int) -> list[list[np.ndarray]]:
-    """Step trajectories first..stop-1 (whole chunks), every stack block by block."""
-    dim, nchan, h = job.coeffs.dim, job.coeffs.nchannels, job.grid.h
+def _run_span(nonlinear: bool, coeffs: Coefficients, grid: TimeGrid, initial: np.ndarray,
+              base_seed: int, record_idx: np.ndarray, chunk_size: int,
+              first: int, stop: int) -> list[list[np.ndarray]]:
+    """Step trajectories first..stop-1 (whole chunks of C = ``chunk_size``
+    lanes, stacked up to _LOCKSTEP_LANES // C at a time; a ragged last chunk
+    is its own G = 1 stack), every stack block by block."""
+    per = max(1, _LOCKSTEP_LANES // chunk_size)
+    full = (stop - first) // chunk_size
+    shapes = [(first + g * chunk_size, min(per, full - g), chunk_size) for g in range(0, full, per)]
+    if (stop - first) % chunk_size:
+        shapes.append((first + full * chunk_size, 1, (stop - first) % chunk_size))
+    dim, nchan, h = coeffs.dim, coeffs.nchannels, grid.h
     stacks = []
-    for start, groups, lanes in _stacks(first, stop, job.chunk_size):
-        psi0 = np.broadcast_to(job.initial[:, None], (groups, dim, lanes))
-        stacks.append((_Stack(psi0, nchan, h, job.record_idx, job.nonlinear),
-                       _lane_noise(job.base_seed, start, groups, lanes, nchan, h)))
-    return _run_stacks(stacks, job.coeffs, job.grid, job.nonlinear)
-
-
-_worker_job: _Job | None = None
-
-
-def _adopt_job(job: _Job):
-    """Pool initializer: each worker receives the job once."""
-    global _worker_job
-    _worker_job = job
-
-
-def _pool_span(first: int, stop: int) -> list[list[np.ndarray]]:
-    return _run_span(_worker_job, first, stop)
+    for start, groups, lanes in shapes:
+        psi0 = np.broadcast_to(initial[:, None], (groups, dim, lanes))
+        stacks.append((_Stack(psi0, nchan, h, record_idx, nonlinear),
+                       _lane_noise(base_seed, start, groups, lanes, nchan, h)))
+    return _run_stacks(stacks, coeffs, grid, nonlinear)
 
 
 def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
@@ -527,22 +499,21 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps:
     _check_integers(0, _KEY_MAX, base_seed=base_seed)
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
-    job = _Job(nonlinear, coeffs, grid, _checked_initial(initial, coeffs.dim), base_seed,
-               record_idx, chunk_size)
+    step_span = partial(_run_span, nonlinear, coeffs, grid, _checked_initial(initial, coeffs.dim),
+                        base_seed, record_idx, chunk_size)
     nchunks = -(-ntraj // chunk_size)
     nworkers = min(worker_count(), nchunks)
     cuts = [min(ntraj, chunk_size * (nchunks * k // nworkers)) for k in range(nworkers + 1)]
     spans = list(zip(cuts[:-1], cuts[1:]))
     if nworkers == 1:
-        results = [_run_span(job, *spans[0])]
+        results = [step_span(*spans[0])]
     else:
         from multiprocessing import get_context   # here: a run with no pool skips its import
 
-        with get_context("fork").Pool(processes=nworkers - 1, initializer=_adopt_job,
-                                      initargs=(job,)) as pool:
-            others = pool.starmap_async(_pool_span, spans[1:])
-            results = [_run_span(job, *spans[0]), *others.get()]
-    return _result(nonlinear, grid, record_idx, [stack for span in results for stack in span])
+        with get_context("fork").Pool(processes=nworkers - 1) as pool:
+            others = pool.starmap_async(step_span, spans[1:])
+            results = [step_span(*spans[0]), *others.get()]
+    return _result(nonlinear, grid, record_idx, [stack for part in results for stack in part])
 
 
 def run_linear_ensemble(coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,

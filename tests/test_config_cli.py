@@ -19,7 +19,7 @@ from qsde.linalg import max_abs
 from qsde.master import STATIONARY_RESIDUAL_TOL, LindbladPropagator, stationary_state
 from qsde.model import Coefficients, TimeGrid, build_coefficients, verify_weight_identity
 from qsde.mollow import build_mollow_model, canonical_config
-from qsde.statistics import Check, mc_mean_output
+from qsde.statistics import Check, analytic_mean_series, mc_mean_output
 from qsde.trajectories import Ensemble
 
 MINIMAL_MOLLOW = {
@@ -126,6 +126,18 @@ def test_dt_must_divide_horizon():
     # dt larger than the horizon divides it zero times
     with pytest.raises(ConfigError, match=r"run\.dt: 2\.0 does not divide"):
         parse_config(json.dumps(make_config(**{"run.dt": 2.0, "run.horizon": 1.0})))
+
+
+@pytest.mark.parametrize("dt, horizon, steps", [(1e-300, 1e10, "inf"), (1e-3, 1e300, "1e+303")])
+def test_step_count_past_int64_is_one_run_dt_error(dt, horizon, steps):
+    """horizon / dt = inf steps ended in a raw OverflowError, and 1e303 steps
+    were accepted and failed later in np.arange: each is one run.dt entry of
+    the ConfigError."""
+    doc = make_config(**{"run.dt": dt, "run.horizon": horizon})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [f"run.dt: {steps} steps exceed the int64 index limit "
+                                f"{np.iinfo(np.int64).max}"]
 
 
 def test_pair_times_outside_horizon_rejected():
@@ -448,6 +460,20 @@ def test_shipped_configs_parse_and_echo_reparses_equal(path):
     cfg = parse_config(path.read_text())
     assert cfg.echo == json.loads(path.read_text())
     assert _same(parse_config(json.dumps(cfg.echo)), cfg)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 'Every check shows that it can fail': "
+                   "the config's mean output is zero, so first-moment tests an effect of 6.2e-19")
+def test_first_moment_on_moments_pairs_has_an_effect_to_test():
+    """first-moment judges |mc - E[W_k(t)]| <= 3 sigma + bias_coeff dt.  It can
+    tell the model from the null E[W_k(t)] = 0 only where the analytic mean
+    exceeds that slack; on this config's grid the mean is at most 6.2e-19."""
+    cfg = parse_config((ROOT / "perfbench" / "configs" / "moments_pairs.json").read_text())
+    psi0 = np.eye(cfg.model.dim, dtype=complex)[0]
+    assert cfg.run.initial_state is None
+    mean = analytic_mean_series(LindbladPropagator(build_coefficients(cfg.model)),
+                                np.outer(psi0, psi0.conj()), cfg.grid)
+    assert np.abs(mean).max() > cfg.run.bias_coeff * cfg.run.dt
 
 
 def test_spectrum_requires_grid():

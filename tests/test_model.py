@@ -204,6 +204,18 @@ def test_time_grid_covering_matches_uniform_grid_rule(horizon, dt):
     assert np.array_equal(grid.times, (horizon / nsteps) * np.arange(nsteps + 1))
 
 
+def test_time_grid_rejects_step_counts_past_int64():
+    """Every grid index fits an int64: a larger step count, or a covering
+    whose horizon / dt overflows to inf, is a ValueError, not an
+    OverflowError or a grid that np.arange cannot make."""
+    top = np.iinfo(np.int64).max
+    assert TimeGrid(1.0, top).nsteps == top
+    for make in (lambda: TimeGrid(1.0, top + 1), lambda: TimeGrid.covering(1e10, 1e-300),
+                 lambda: TimeGrid.covering(1e300, 1e-3), lambda: TimeGrid.covering(1e19, 1.0)):
+        with pytest.raises(ValueError, match="int64 index limit"):
+            make()
+
+
 @pytest.mark.parametrize("horizon, dt", [(0.3, 0.1), (50, 0.005), (2.0, 5e-4), (0.45, 1e-2)])
 def test_time_grid_index_round_trips_every_grid_time(horizon, dt):
     grid = TimeGrid.covering(horizon, dt)

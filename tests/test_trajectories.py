@@ -581,6 +581,9 @@ def test_masked_step_equals_unmasked_step_when_nothing_freezes(rng, monkeypatch)
 
 MALFORMED_INITIALS = {
     "zero_state": (np.zeros(2), "must be nonzero"),
+    # squared norms that underflow to 0 and overflow to inf
+    "norm_underflow": (np.array([1e-170, 0.0]), "squared norm 0.0, not a positive finite"),
+    "norm_overflow": (np.array([1e200, 0.0]), "squared norm inf, not a positive finite"),
     "nan_amplitude": (np.array([1.0, np.nan]), "finite amplitudes"),
     "three_amplitudes": (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes"),
     "mixture_tuple": ((np.eye(2), [0.5, 0.5]), "^initial state: "),
@@ -605,7 +608,9 @@ def _no_work(*args, **kwargs):
 def test_malformed_initial_state_rejected_before_any_work(run, case, mollow_coeffs,
                                                           monkeypatch):
     """A zero state gave all-NaN normalized paths, a NaN entry NaN paths and a
-    3-vector broke a broadcast; a (states, probabilities) mixture, whatever
+    3-vector broke a broadcast.  [1e-170, 0] gave non-finite normalized states
+    and all-zero linear weights, [1e200, 0] normalized paths frozen at step 1
+    and infinite linear weights.  A (states, probabilities) mixture, whatever
     its probabilities, or a matrix is not a state vector: each is a ValueError
     naming the initial state and the problem, raised before any step or fork."""
     initial, problem = MALFORMED_INITIALS[case]
