@@ -26,6 +26,7 @@ import numpy as np
 
 from .model import DETECTION_KINDS, GRID_TOL, DetectionSpec, DriveSpec, SystemModel, TimeGrid
 from .mollow import MollowConfig, build_mollow_model
+from .trajectories import _checked_initial
 
 __all__ = [
     "ConfigError",
@@ -90,8 +91,6 @@ class RunSpec:
     pairs: tuple[tuple[int, int, float, float], ...] = ()
     initial_state: np.ndarray | None = None
     chunk_size: int = 1024
-    bias_coeff: float = 25.0
-    identity_tol: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -199,9 +198,8 @@ class _Collector:
             return None
         return value
 
-    def real(self, value, path: str, ctx: dict, positive=False, nonnegative=False):
-        """A finite number as a float; > 0 if ``positive``, >= 0 if
-        ``nonnegative``."""
+    def real(self, value, path: str, ctx: dict, positive=False):
+        """A finite number as a float; > 0 if ``positive``."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.add(path, f"expected a number, got {value!r}")
             return None
@@ -213,8 +211,6 @@ class _Collector:
             self.add(path, f"must be a finite number, got {value!r}")
         elif positive and x <= 0:
             self.add(path, "must be positive")
-        elif nonnegative and x < 0:
-            self.add(path, "must not be negative")
         else:
             return x
         return None
@@ -341,8 +337,6 @@ _RUN = {
     "pairs": _key(_C.items, [], of=_key(_C.items, entries=(_CHANNEL, _CHANNEL, _TIME, _TIME))),
     "initial_state": _key(_C.items, None, of=_COMPLEX),
     "chunk_size": _key(_C.integer, 1024, lo=1),
-    "bias_coeff": _key(_C.real, 25.0, nonnegative=True),
-    "identity_tol": _key(_C.real, 1e-11, positive=True),
 }
 _NU_SPAN = {"start": _REAL, "stop": _REAL, "count": _key(_C.integer, lo=1)}
 _OUTPUT = {
@@ -399,15 +393,13 @@ def _parse_run(section, col: _Collector, model: SystemModel | None) -> RunSpec |
     nchannels = model.nchannels if model is not None else None
     run |= col.fields(section, "run", {"horizon": horizon, "grid": grid, "nchannels": nchannels},
                       _RUN)
-    if run["initial_state"] is not None:
-        vec = np.array(run["initial_state"], dtype=complex)
-        nrm = np.linalg.norm(vec)
-        if model is not None and len(vec) != model.dim:
-            col.add("run.initial_state", f"expected {model.dim} amplitudes, got {len(vec)}")
-        elif not 0 < nrm < math.inf:
-            col.add("run.initial_state", "must be a nonzero vector of finite amplitudes")
-        else:
-            run["initial_state"] = vec / nrm
+    vec = run["initial_state"]
+    if vec is not None:
+        try:
+            vec = _checked_initial(vec, len(vec) if model is None else model.dim)
+            run["initial_state"] = vec / np.linalg.norm(vec)
+        except ValueError as exc:
+            col.add("run.initial_state", str(exc).removeprefix("initial state "))
     return RunSpec(**run)
 
 

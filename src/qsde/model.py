@@ -49,6 +49,8 @@ GRID_TOL = 1e-9
 NORM_BOUND_POINTS = 101
 # A grid's step count, and so each of its indices, fits an int64.
 NSTEPS_MAX = np.iinfo(np.int64).max
+# WeightIdentityReport.bounds = IDENTITY_TOL x max(1, max-entry of sum_j R_j^* R_j).
+IDENTITY_TOL = 1e-11
 
 
 def _check_integers(lo: int, hi: float, **values):
@@ -313,15 +315,11 @@ def build_coefficients(model: SystemModel) -> Coefficients:
 @dataclass(frozen=True)
 class WeightIdentityReport:
     """Residuals of -i(K^* - K) = sum_j R_j^* R_j on a time grid, each
-    passing when at most its bound tol * max(1, max-entry of sum_j R_j^* R_j)."""
+    with its bound IDENTITY_TOL * max(1, max-entry of sum_j R_j^* R_j)."""
 
     times: np.ndarray
     residuals: np.ndarray
     bounds: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.residuals <= self.bounds))
 
     @property
     def max_residual(self) -> float:
@@ -340,18 +338,15 @@ def weight_identity_residual(k: np.ndarray, r: np.ndarray):
     return np.abs(lhs - _sum_rr(r)).max(axis=(-2, -1))
 
 
-def verify_weight_identity(coeffs: Coefficients, times, tol: float = 1e-11) -> WeightIdentityReport:
+def verify_weight_identity(coeffs: Coefficients, times) -> WeightIdentityReport:
     """Check the martingale (weight-conservation) identity at each time.
 
     The residual at t is judged relative to the channels' scale: its bound
-    is tol * max(1, max-entry of sum_j R_j^* R_j(t)), since rounding in K
-    and R grows with their entries.  A failure is reported, not raised:
-    hand-built coefficients may violate the identity on purpose.
-    ValueError unless ``tol`` is finite and positive and ``times`` is a
-    non-empty list of finite times.
+    is IDENTITY_TOL * max(1, max-entry of sum_j R_j^* R_j(t)), since
+    rounding in K and R grows with their entries.  A failure is reported,
+    not raised: hand-built coefficients may violate the identity on purpose.
+    ValueError unless ``times`` is a non-empty list of finite times.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not len(times) or not np.isfinite(times).all():
         raise ValueError(f"times must be a non-empty list of finite times, got {times!r}")
@@ -359,7 +354,7 @@ def verify_weight_identity(coeffs: Coefficients, times, tol: float = 1e-11) -> W
     scale = np.abs(_sum_rr(r)).max(axis=(-2, -1))
     return WeightIdentityReport(times=times,
                                 residuals=weight_identity_residual(coeffs.k_table(times), r),
-                                bounds=tol * np.maximum(1.0, scale))
+                                bounds=IDENTITY_TOL * np.maximum(1.0, scale))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import Coefficients, TimeGrid, _check_integers
+from .model import Coefficients, TimeGrid, _check_integers, _sum_rr
 
 __all__ = [
     "WienerPath",
@@ -221,8 +221,7 @@ def _step_ops(k: np.ndarray, r: np.ndarray, dt: float, nonlinear: bool) -> np.nd
     for the normalized one.
     """
     if nonlinear:
-        rr = np.einsum("njlk,njlm->nkm", r.conj(), r)
-        k = 0.5 * (k + k.conj().swapaxes(-1, -2)) - 0.5j * rr
+        k = 0.5 * (k + k.conj().swapaxes(-1, -2)) - 0.5j * _sum_rr(r)
     n, nchan, d, _ = r.shape
     return np.concatenate([(-1j * dt) * k, r.reshape(n, nchan * d, d)], axis=1)
 
@@ -429,8 +428,9 @@ def worker_count() -> int:
 
 def _checked_initial(initial, dim: int) -> np.ndarray:
     """The initial state as a (dim,) complex array; ValueError naming the
-    initial state unless it has ``dim`` amplitudes and a squared norm that is
-    a positive finite double, the weight every path starts from."""
+    initial state unless it has ``dim`` amplitudes and a squared norm, the
+    weight every path starts from, that is a finite normal double (a
+    subnormal one has lost its digits)."""
     try:
         psi0 = np.asarray(initial, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -438,11 +438,11 @@ def _checked_initial(initial, dim: int) -> np.ndarray:
     if psi0.shape != (dim,):
         raise ValueError(f"initial state must have {dim} amplitudes, got shape {psi0.shape}")
     sq_norm = float(np.vdot(psi0, psi0).real)
-    if not 0 < sq_norm < np.inf:
+    if not np.finfo(float).tiny <= sq_norm < np.inf:
         raise ValueError("initial state " + (
             "must have finite amplitudes" if not np.isfinite(psi0).all() else
             "must be nonzero" if not psi0.any() else
-            f"has squared norm {sq_norm!r}, not a positive finite double"))
+            f"has squared norm {sq_norm!r}, not a positive finite normal double"))
     return psi0
 
 

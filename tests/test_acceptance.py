@@ -141,10 +141,9 @@ def test_criterion_02_weight_identity_randomized():
                             carrier=rng.uniform(-5, 5)),
             detection=detection,
             frame=herm())
-        rep = verify_weight_identity(build_coefficients(model),
-                                     rng.uniform(0.0, 5.0, size=10), tol=1e-11)
+        rep = verify_weight_identity(build_coefficients(model), rng.uniform(0.0, 5.0, size=10))
         worst = max(worst, rep.max_residual)
-        assert rep.passed
+        assert (rep.residuals <= rep.bounds).all()
     report(2, worst <= 1e-11,
            f"20 random models x 10 times, max residual {worst:.2e} <= 1e-11")
 

@@ -129,9 +129,8 @@ def test_weight_identity_constructed_coefficients(rng):
     """Built coefficients satisfy the martingale identity at every time."""
     for trial in range(5):
         m = random_model(np.random.default_rng(100 + trial))
-        report = verify_weight_identity(build_coefficients(m),
-                                        rng.uniform(0, 5, size=6), tol=1e-11)
-        assert report.passed, report.residuals
+        report = verify_weight_identity(build_coefficients(m), rng.uniform(0, 5, size=6))
+        assert (report.residuals <= report.bounds).all(), report.residuals
 
 
 def test_weight_identity_hand_built_failure():
@@ -143,17 +142,15 @@ def test_weight_identity_hand_built_failure():
     assert weight_identity_residual(np.stack([k, k_ok]), np.stack([r, r])).tolist() == [1.0, 0.0]
 
 
-def test_weight_identity_report_interface(mollow_coeffs):
-    """A report can fail: the tolerance is finite and positive and the times
-    a non-empty list of finite times (tol = inf or no times passed vacuously,
-    tol = nan failed with a max residual of 0.0)."""
-    report = verify_weight_identity(mollow_coeffs, [0.0, 0.5, 1.0], tol=1e-12)
-    assert report.passed and report.max_residual <= 1e-12
-    for times, tol in [([0.0], 0.0), ([0.0], -1e-11), ([0.0], np.inf), ([0.0], np.nan),
-                       ([], 1e-11), ([0.0, np.nan], 1e-11), ([0.0, np.inf], 1e-11),
-                       (0.5, 1e-11)]:
-        with pytest.raises(ValueError, match="tol|times"):
-            verify_weight_identity(mollow_coeffs, times, tol=tol)
+def test_weight_identity_report_interface(mollow_coeffs, monkeypatch):
+    """A report can fail: the times are a non-empty list of finite times (no
+    times passed vacuously).  Its bounds use model.IDENTITY_TOL, here 1e-12."""
+    monkeypatch.setattr("qsde.model.IDENTITY_TOL", 1e-12)
+    report = verify_weight_identity(mollow_coeffs, [0.0, 0.5, 1.0])
+    assert (report.residuals <= report.bounds).all() and report.max_residual <= 1e-12
+    for times in [[], [0.0, np.nan], [0.0, np.inf], 0.5]:
+        with pytest.raises(ValueError, match="times"):
+            verify_weight_identity(mollow_coeffs, times)
 
 
 def test_rr_norm_time_independent(rng):

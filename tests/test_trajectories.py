@@ -584,6 +584,9 @@ MALFORMED_INITIALS = {
     # squared norms that underflow to 0 and overflow to inf
     "norm_underflow": (np.array([1e-170, 0.0]), "squared norm 0.0, not a positive finite"),
     "norm_overflow": (np.array([1e200, 0.0]), "squared norm inf, not a positive finite"),
+    # subnormal squared norms, which have lost their digits
+    "norm_subnormal_3e-162": (np.array([3e-162, 0.0]), "squared norm 1e-323, not a positive"),
+    "norm_subnormal_1e-160": (np.array([1e-160, 0.0]), "squared norm 1e-320, not a positive"),
     "nan_amplitude": (np.array([1.0, np.nan]), "finite amplitudes"),
     "three_amplitudes": (np.ones(3) / np.sqrt(3.0), "must have 2 amplitudes"),
     "mixture_tuple": ((np.eye(2), [0.5, 0.5]), "^initial state: "),
@@ -610,7 +613,9 @@ def test_malformed_initial_state_rejected_before_any_work(run, case, mollow_coef
     """A zero state gave all-NaN normalized paths, a NaN entry NaN paths and a
     3-vector broke a broadcast.  [1e-170, 0] gave non-finite normalized states
     and all-zero linear weights, [1e200, 0] normalized paths frozen at step 1
-    and infinite linear weights.  A (states, probabilities) mixture, whatever
+    and infinite linear weights.  [3e-162, 0] and [1e-160, 0], whose squared
+    norms are subnormal, gave linear weight ratios w_T / w_0 off by up to 50%
+    and 2e-4 from those of [1, 0].  A (states, probabilities) mixture, whatever
     its probabilities, or a matrix is not a state vector: each is a ValueError
     naming the initial state and the problem, raised before any step or fork."""
     initial, problem = MALFORMED_INITIALS[case]
