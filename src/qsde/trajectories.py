@@ -10,15 +10,22 @@ Two unravelings of the same open dynamics are implemented:
       What_k(t) = W_k(t) - 2 int_0^t Re <R_k> ds
   are standard Wiener processes under the physical law (Girsanov);
 
-* the nonlinear (normalized, a-posteriori) equation
-      d psihat = -i Khat(t, psihat) dt + sum_k Rhat_k(t, psihat) dWhat_k
-  driven directly by the innovation noises, with
-      Rhat_k(t, f) = (R_k - <f|R_k f>/||f||^2) f
-  and Khat containing the matching drift corrections.
+* the nonlinear (normalized, a-posteriori) equation, whose solution is
+  the linear one's divided by its norm, psihat_t = psi_t / ||psi_t||,
+  driven by the innovation noises What, so that the output is
+      W_k(t) = What_k(t) + 2 int_0^t Re <psihat|R_k psihat> ds.
 
-Both use the Euler-Maruyama scheme (weak order 1) with left-point
-evaluation of all time-dependent quantities, so the two routes agree up to
-O(dt) and can be cross-checked path by path through the shared noise.
+Both are stepped by one map, with left-point evaluation of all
+time-dependent quantities,
+
+    M_n = I - i dt K(t_n) + sum_j dY_j R_j(t_n).
+
+The linear equation takes dY = dW (Euler-Maruyama).  The normalized one
+takes the output increments dY_j = dWhat_j + 2 dt Re <psihat_n|R_j psihat_n>
+and sets psihat_{n+1} = M_n psihat_n / ||M_n psihat_n||, the filter form of
+Rouchon & Ralph (2015), Phys. Rev. A 91:012118.  Both schemes are weak
+order 1, and a normalized path driven by a linear path's innovation is
+that path's psi / ||psi||, up to rounding.
 
 The two describe one physical law, tied by the Girsanov weight ||psi||^2,
 so an ensemble of either is states plus importance weights: one
@@ -31,32 +38,19 @@ Kernel layout: trajectories are the lanes of a (G, d, C) stack, G chunks
 of C states each, every chunk column-major as a (d, C) array.  The
 per-step operators are stacked as
 
-    ops[n] = [G_n; R_1(t_n); ...; R_J(t_n)],    shape ((J+1)d, d),
+    ops[n] = [-i dt K(t_n); R_1(t_n); ...; R_J(t_n)],    shape ((J+1)d, d),
 
-so that one product ``ops[n] @ psi`` yields G_n psi and every R_j psi.
+so that one product ``ops[n] @ psi`` yields -i dt K psi and every R_j psi.
 numpy makes that product one (d, C) matrix product per chunk, so a
-chunk's results do not depend on how many chunks share its stack.
-For the linear equation G_n = -i dt K(t_n) and a step is
-dpsi = G psi + sum_j dW_j R_j psi.  For the normalized one, write
-m_j = <psi|R_j psi> (psi has unit norm) and
-
-    Khat = (K+K^*)/2 - (i/2) sum_j (R_j^*R_j - 2 conj(m_j) R_j + |m_j|^2),
-
-the drift of the normalized equation.  Splitting off the psi-independent
-part G_n = -i dt [(K+K^*)/2 - (i/2) sum_j R_j^*R_j], the step
--i Khat psi dt + sum_j (R_j - m_j) psi dW_j is exactly
-
-    dpsi = G psi + sum_j e_j R_j psi - s psi,
-    e_j = dt conj(m_j) + dW_j,   s = sum_j m_j (dt/2 conj(m_j) + dW_j),
-
-so a step costs one small matmul plus a few elementwise operations on
+chunk's results do not depend on how many chunks share its stack.  A step
+M_n psi then costs that product plus a few elementwise operations on
 (G, J, C) arrays, for every lane of the stack at once.  One stack class
-steps both equations.  They share the product, the forms <psi|R_j psi>,
-the drift integral int_0^t Re <R_j> ds, the sum W, the checkpoint records
-of psi, ||psi||^2, the drift integral and W, and the freeze bookkeeping,
-and differ only in e_j and s, in the renormalization after each
-normalized step and in the state a freezing path keeps.  The freeze masks
-are applied only once some path has frozen.
+and one step table serve both equations.  They share the product, the
+forms <psi|R_j psi>, the drift integral int_0^t Re <R_j> ds, the sum W,
+the checkpoint records of psi, ||psi||^2, the drift integral and W, and
+the freeze bookkeeping, and differ only in dY, in the renormalization
+after each normalized step and in the state a freezing path keeps.  The
+freeze masks are applied only once some path has frozen.
 
 Lockstep engine: each process steps one contiguous span of whole chunks.
 Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
@@ -64,9 +58,9 @@ ragged last chunk is a stack of its own (G = 1).  Time runs in blocks of
 _BLOCK_STEPS grid points: per block the process tabulates the coefficients
 on the block's times once, by ``Coefficients.tabulate``, the engine's one
 source of K and R (each row equals the full-grid table's bit for bit, so
-the tables always lie on the run grid), and every stack, of either equation, in turn draws the block's
-increments, shape (L, G, J, C), and steps through it.  Each lane draws
-from its own stream block after block, which gives the numbers of one
+the tables always lie on the run grid), and every stack in turn draws the
+block's increments, shape (L, G, J, C), and steps through it.  Each lane
+draws from its own stream block after block, which gives the numbers of one
 whole-path draw.  So a process holds its lanes' states, checkpoint
 records and streams, plus one block of step table and of one stack's
 noise: nothing grows with the horizon.  With several workers, the calling
@@ -90,7 +84,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import Coefficients, TimeGrid, _check_integers, _sum_rr
+from .model import Coefficients, TimeGrid, _check_integers
 
 __all__ = [
     "WienerPath",
@@ -200,33 +194,27 @@ class Ensemble:
         """The a-posteriori states psi / ||psi|| (``psi`` itself, bit for bit,
         for a normalized ensemble); ValueError on a zero-norm state.
 
-        The stochastic phase that would make a normalized linear state solve
-        the autonomous normalized equation is deliberately not applied: every
-        exported functional (projector, weight, innovation) is phase
-        invariant, so cross-checks against normalized trajectories compare
-        |<psihat_lin|psihat_nl>| rather than raw vectors.
+        A linear path's psihat equals, to rounding and with the same phase,
+        the state of the normalized path driven by its ``innovation``.
         """
         if np.any(self.weight <= 0):
             raise ValueError("a zero-norm state has no a-posteriori state")
         return self.psi / np.sqrt(self.weight)[..., None]
 
 
-def _step_ops(k: np.ndarray, r: np.ndarray, dt: float, nonlinear: bool) -> np.ndarray:
-    """Per-step operator stack ops[n] = [G_n; R_1(t_n); ...; R_J(t_n)] from
-    the K table (n, d, d) and R table (n, J, d, d) of ``Coefficients.tabulate``.
+def _step_ops(k: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
+    """Per-step operator stack ops[n] = [-i dt K_n; R_1(t_n); ...; R_J(t_n)]
+    from the K table (n, d, d) and R table (n, J, d, d) of
+    ``Coefficients.tabulate``.
 
     Shape (n, (J+1)d, d), so that ``ops[n] @ psi`` gives the drift term
-    G_n psi and every R_j psi in one product.  G_n = -i dt K_n for the
-    linear equation and -i dt [(K_n + K_n^*)/2 - (i/2) sum_j R_j^* R_j]
-    for the normalized one.
+    -i dt K_n psi and every R_j psi in one product.
     """
-    if nonlinear:
-        k = 0.5 * (k + k.conj().swapaxes(-1, -2)) - 0.5j * _sum_rr(r)
     n, nchan, d, _ = r.shape
     return np.concatenate([(-1j * dt) * k, r.reshape(n, nchan * d, d)], axis=1)
 
 
-def _blocks(coeffs: Coefficients, grid: TimeGrid, nonlinear: bool):
+def _blocks(coeffs: Coefficients, grid: TimeGrid):
     """Yield (ops, steps) for each block of _BLOCK_STEPS grid times.
 
     ``ops`` is the step table on the block's times, tabulated for that block
@@ -237,7 +225,7 @@ def _blocks(coeffs: Coefficients, grid: TimeGrid, nonlinear: bool):
     """
     for start in range(0, grid.nsteps + 1, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, grid.nsteps + 1)
-        yield (_step_ops(*coeffs.tabulate(grid.h * np.arange(start, stop)), grid.h, nonlinear),
+        yield (_step_ops(*coeffs.tabulate(grid.h * np.arange(start, stop)), grid.h),
                slice(start, min(stop, grid.nsteps)))
 
 
@@ -253,7 +241,8 @@ def _lanes_first(rec: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """Euler-Maruyama state of a (G, d, C) stack, stepped one block at a time.
+    """State of a (G, d, C) stack under the step map M_n (module docstring),
+    stepped one block at a time.
 
     ``nonlinear`` selects the normalized equation, whose states are
     renormalized after every step; otherwise the stack steps the linear one.
@@ -266,8 +255,9 @@ class _Stack:
     integrals int_0^t Re <R_j> ds and the noise W (each (G*C, nrec, J)), then
     the per-lane freeze step (-1 if never frozen).
 
-    A path freezes at the first step whose squared norm falls below
-    WEIGHT_FLOOR times its initial one.  A linear path keeps that first
+    A path freezes at the first step whose squared norm (a normalized
+    path's ||M_n psihat||^2) falls below WEIGHT_FLOOR times its initial
+    one.  A linear path keeps that first
     state below the floor; a normalized path keeps its last state above it.
     """
 
@@ -296,7 +286,6 @@ class _Stack:
     def advance(self, ops: np.ndarray, dw: np.ndarray):
         groups, d, lanes = self.psi.shape
         nchan, dt, floor, nonlinear = self.drift.shape[1], self.dt, self.floor, self.nonlinear
-        half_dt = 0.5 * dt
         psi, weight, drift, w, active, n = (self.psi, self.weight, self.drift, self.w,
                                             self.active, self.n)
         for i, op in enumerate(ops):
@@ -313,14 +302,10 @@ class _Stack:
             if i == len(dw):
                 break
             dw_n = dw[i]
-            if nonlinear:
-                # dpsi = G psi + sum_j e_j R_j psi - s psi (module docstring)
-                m_conj = rexp.conj()
-                e = dt * m_conj + dw_n
-                s = (rexp * (half_dt * m_conj + dw_n)).sum(axis=1, keepdims=True)
-                psi_new = psi + (y[:, 0] + (e[:, :, None] * rpsi).sum(axis=1) - s * psi)
-            else:
-                psi_new = psi + (y[:, 0] + (dw_n[:, :, None] * rpsi).sum(axis=1))
+            d_drift = dt * rexp.real
+            # the normalized equation steps on the output increments dWhat + 2 dt Re <R>
+            dy = dw_n + 2.0 * d_drift if nonlinear else dw_n
+            psi_new = psi + (y[:, 0] + (dy[:, :, None] * rpsi).sum(axis=1))
             w = w + dw_n
             nn = _sq_norm(psi_new)
             newly_frozen = nn < floor if active is None else active & (nn < floor)
@@ -338,10 +323,10 @@ class _Stack:
             else:
                 weight = nn if taken is None else np.where(taken, nn, weight)
             if taken is None:
-                psi, drift = psi_new, drift + dt * rexp.real
+                psi, drift = psi_new, drift + d_drift
             else:
                 psi = np.where(taken, psi_new, psi)
-                drift = drift + np.where(taken, dt * rexp.real, 0.0)
+                drift = drift + np.where(taken, d_drift, 0.0)
         self.psi, self.weight, self.drift, self.w, self.active, self.n = (psi, weight, drift, w,
                                                                           active, n)
 
@@ -349,12 +334,11 @@ class _Stack:
         return [*map(_lanes_first, self.records), self.frozen_step.reshape(-1)]
 
 
-def _run_stacks(stacks, coeffs: Coefficients, grid: TimeGrid,
-                nonlinear: bool) -> list[list[np.ndarray]]:
+def _run_stacks(stacks, coeffs: Coefficients, grid: TimeGrid) -> list[list[np.ndarray]]:
     """Step (stack, noise) pairs through the grid; ``noise(steps)`` returns the
     increments of a slice of steps.  Each block's table is built once and
     serves every stack."""
-    for ops, steps in _blocks(coeffs, grid, nonlinear):
+    for ops, steps in _blocks(coeffs, grid):
         for stack, noise in stacks:
             stack.advance(ops, noise(steps))
     return [stack.result() for stack, _ in stacks]
@@ -383,7 +367,7 @@ def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath,
     record_idx = np.arange(path.nsteps + 1)
     stack = _Stack(psi0[None, :, None], path.nchannels, path.dt, record_idx, nonlinear)
     return _result(nonlinear, grid, record_idx, _run_stacks(
-        [(stack, lambda steps: path.increments[steps, None, :, None])], coeffs, grid, nonlinear))
+        [(stack, lambda steps: path.increments[steps, None, :, None])], coeffs, grid))
 
 
 def integrate_linear(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath) -> Ensemble:
@@ -400,9 +384,9 @@ def integrate_nonlinear(coeffs: Coefficients, psihat0: np.ndarray, path: WienerP
     """Integrate the normalized trajectory equation driven by innovation noise.
 
     ``path`` is interpreted as the innovation process What (standard Wiener
-    under the physical law).  The state is projected back to unit norm after
-    every Euler step; the continuous-time flow preserves the norm exactly,
-    the discretized one only to O(dt).
+    under the physical law).  Each step applies the linear equation's step
+    map to the output increments dWhat + 2 dt Re <R> and divides by the
+    norm (module docstring).
     """
     return _run_path(coeffs, psihat0, path, nonlinear=True)
 
@@ -486,7 +470,7 @@ def _run_span(nonlinear: bool, coeffs: Coefficients, grid: TimeGrid, initial: np
         psi0 = np.broadcast_to(initial[:, None], (groups, dim, lanes))
         stacks.append((_Stack(psi0, nchan, h, record_idx, nonlinear),
                        _lane_noise(base_seed, start, groups, lanes, nchan, h)))
-    return _run_stacks(stacks, coeffs, grid, nonlinear)
+    return _run_stacks(stacks, coeffs, grid)
 
 
 def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,

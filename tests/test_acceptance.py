@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per release criterion, tolerances pinned.
+"""Acceptance suite: one test per release criterion, tolerances pinned,
+plus a check that the normalized equation's step map meets criterion 03
+as the Euler-Maruyama route it replaced does.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  Statistical tolerances are 3 standard errors plus a
@@ -10,12 +12,15 @@ halving itself is asserted in criterion 3).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import random_model
 from qsde.cli import emit, run_command
 from qsde.config import parse_config
+from qsde.linalg import adjoint
 from qsde.master import (
     LindbladPropagator,
     apriori_from_trajectories,
@@ -27,6 +32,7 @@ from qsde.model import (
     DriveSpec,
     SystemModel,
     TimeGrid,
+    _sum_rr,
     build_coefficients,
     verify_weight_identity,
 )
@@ -47,6 +53,7 @@ from qsde.statistics import (
 )
 from qsde.trajectories import (
     _Stack,
+    _lane_noise,
     _step_ops,
     generate_wiener,
     run_linear_ensemble,
@@ -59,11 +66,11 @@ DT = 1e-3
 HORIZON = 2.0
 NTRAJ = 10_000
 # Euler weak-order-1 slack constants, frozen from step-halving calibration
-# (measured trace-distance slope ~7/dt, moment bias well under 10*dt, worst
-# per-path overlap defect ~1.6e-3 at dt=1e-3 on low-weight paths).
+# (measured trace-distance slope ~7/dt, moment bias well under 10*dt).
 C_TRACE = 15.0
 C_MOMENT = 25.0
-C_OVERLAP = 3.0
+# Rounding bound on the difference of two routes that agree in exact arithmetic.
+PATH_TOL = 1e-12
 
 MARTINGALE_CHECKPOINTS = np.round(np.arange(1, 11) * 0.2, 10)
 RECORD_TIMES = np.unique(np.concatenate([MARTINGALE_CHECKPOINTS, [0.5, 1.0]]))
@@ -161,8 +168,7 @@ def test_criterion_03_trajectory_master_equivalence(canonical, mollow_linear, mo
             m = int(np.argmin(np.abs(series.times - t)))
             n = int(round(t / DT))
             dist = trace_distance(series.rho[m], rho_exact[n])
-            sigma = np.sqrt(2) / 2 * np.sqrt(np.sum(series.stderr[m] ** 2))
-            bound = 3.0 * sigma + C_TRACE * DT
+            bound = 3.0 * _trace_sigma(series, m) + C_TRACE * DT
             ok &= dist <= bound
             detail.append(f"{label} t={t}: {dist:.4f}<={bound:.4f}")
     # weak-order-1 evidence: with the bias dominant (coarse steps), halving
@@ -180,6 +186,73 @@ def test_criterion_03_trajectory_master_equivalence(canonical, mollow_linear, mo
     ok &= 0.3 <= ratio <= 0.8
     detail.append(f"halving ratio {ratio:.2f} in [0.3, 0.8]")
     report(3, bool(ok), "; ".join(detail))
+
+
+def _trace_sigma(series, m: int) -> float:
+    """Criterion 03's standard error of a trace distance at checkpoint m."""
+    return np.sqrt(2) / 2 * np.sqrt(np.sum(series.stderr[m] ** 2))
+
+
+def _normalized_em_states(coeffs, initial, grid, ntraj, base_seed, record_idx):
+    """States (ntraj, nrec, d) of the normalized equation stepped by
+    Euler-Maruyama on ``run_nonlinear_ensemble``'s innovation noise and
+    renormalized after each step: the engine's route before the step map
+    M_n.  No path freezes.
+
+    With m_j = <psi|R_j psi> and G = -i dt [(K+K^*)/2 - (i/2) sum_j R_j^*R_j],
+    the step -i Khat psi dt + sum_j (R_j - m_j) psi dWhat_j is
+    G psi + sum_j e_j R_j psi - s psi, with e_j = dt conj(m_j) + dWhat_j and
+    s = sum_j m_j (dt/2 conj(m_j) + dWhat_j).
+    """
+    dt, block = grid.h, 128
+    k, r = coeffs.tabulate(grid.times)
+    g = -1j * dt * (0.5 * (k + adjoint(k)) - 0.5j * _sum_rr(r))
+    noise = _lane_noise(base_seed, 0, 1, ntraj, coeffs.nchannels, dt)
+    psi = np.repeat(initial[:, None] / np.linalg.norm(initial), ntraj, axis=1)
+    record, states = set(record_idx.tolist()), []
+    for start in range(0, grid.nsteps + 1, block):
+        dw = noise(slice(start, min(start + block, grid.nsteps)))[:, 0]
+        for n in range(start, min(start + block, grid.nsteps + 1)):
+            if n in record:
+                states.append(psi)
+            if n == grid.nsteps:
+                break
+            rpsi = np.einsum("jkl,lc->jkc", r[n], psi)
+            m = np.einsum("kc,jkc->jc", psi.conj(), rpsi)
+            e = dt * m.conj() + dw[n - start]
+            s = (m * (0.5 * dt * m.conj() + dw[n - start])).sum(axis=0)
+            psi = psi + g[n] @ psi + (e[:, None] * rpsi).sum(axis=0) - s * psi
+            psi = psi / np.linalg.norm(psi, axis=0)
+    return np.stack(states).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("which", ["mollow", "random"])
+def test_step_map_and_euler_routes_meet_criterion_03(which, canonical):
+    """The normalized equation's step map M_n and the Euler-Maruyama route it
+    replaced, driven by the same innovation noise, give averaged states
+    that agree within 3 sigma + C_TRACE dt at the checkpoints, and each
+    meets criterion 03's rule against master_series, on the canonical
+    Mollow model and on a model whose coefficients depend on time."""
+    if which == "mollow":
+        (coeffs, gen), initial, horizon = canonical, E0, HORIZON
+    else:
+        coeffs = build_coefficients(random_model(np.random.default_rng(303)))
+        gen, initial, horizon = LindbladPropagator(coeffs), np.array([1.0, 0j, 0j]), 1.0
+    checks = horizon * np.array([0.25, 0.5, 1.0])
+    grid = TimeGrid.covering(horizon, DT)
+    new = run_nonlinear_ensemble(coeffs, initial, dt=DT, nsteps=grid.nsteps, ntraj=4096,
+                                 base_seed=454545, record_times=checks)
+    old = replace(new, psi=_normalized_em_states(coeffs, initial, grid, new.ntraj, 454545,
+                                                 grid.checkpoints(checks)))
+    series = {label: apriori_from_trajectories(ens) for label, ens in (("new", new), ("old", old))}
+    rho_exact = master_series(gen, np.outer(initial, initial.conj()), grid.times)
+    for m, n in enumerate(grid.index(checks)):
+        for label, ser in series.items():
+            dist = trace_distance(ser.rho[m], rho_exact[n])
+            assert dist <= 3.0 * _trace_sigma(ser, m) + C_TRACE * DT, (label, m, dist)
+        dist = trace_distance(series["new"].rho[m], series["old"].rho[m])
+        sigma = np.hypot(_trace_sigma(series["new"], m), _trace_sigma(series["old"], m))
+        assert dist <= 3.0 * sigma + C_TRACE * DT, (m, dist)
 
 
 def test_criterion_04_closed_form_decay():
@@ -281,21 +354,22 @@ def test_criterion_08_mollow_spectrum():
     report(8, bool(ok), "; ".join(details))
 
 
-def _overlap_defects(coeffs, dt: float, dw: np.ndarray) -> np.ndarray:
-    """1 - |<psihat_lin|psihat_nl>| at the final time, given shared noise."""
+def _path_defects(coeffs, dt: float, dw: np.ndarray) -> np.ndarray:
+    """max over the grid of |psihat_lin - psihat_nl| per path: the normalized
+    path driven by the linear path's innovation against that path's psihat."""
     npaths, nst, _ = dw.shape
-    table = coeffs.tabulate(dt * np.arange(nst + 1))
+    ops = _step_ops(*coeffs.tabulate(dt * np.arange(nst + 1)), dt)
     psi0 = np.broadcast_to(E0[None, :, None], (1, 2, npaths))
+    every = np.arange(nst + 1)
     # the paths as one G = 1 stack, stepped through the whole table as one block
-    linear = _Stack(psi0, 2, dt, np.arange(nst + 1), nonlinear=False)
-    linear.advance(_step_ops(*table, dt, nonlinear=False), dw.transpose(1, 2, 0)[:, None])
+    linear = _Stack(psi0, 2, dt, every, nonlinear=False)
+    linear.advance(ops, dw.transpose(1, 2, 0)[:, None])
     psi, weight, drift, w_path, _ = linear.result()
     dw_hat = np.diff(w_path - 2.0 * drift, axis=1).transpose(1, 2, 0)[:, None]
-    normalized = _Stack(psi0, 2, dt, np.array([nst]), nonlinear=True)
-    normalized.advance(_step_ops(*table, dt, nonlinear=True), dw_hat)
+    normalized = _Stack(psi0, 2, dt, every, nonlinear=True)
+    normalized.advance(ops, dw_hat)
     psihat = normalized.result()[0]
-    lin_hat = psi[:, -1] / np.sqrt(weight[:, -1])[:, None]
-    return 1.0 - np.abs(np.einsum("bk,bk->b", lin_hat.conj(), psihat[:, 0]))
+    return np.abs(psi / np.sqrt(weight)[..., None] - psihat).max(axis=(1, 2))
 
 
 def test_criterion_09_nonlinear_linear_consistency(canonical):
@@ -303,25 +377,18 @@ def test_criterion_09_nonlinear_linear_consistency(canonical):
     npaths, nst = 100, 1000
     dw = np.stack([generate_wiener(818181, DT, nst, 2, stream=s).increments
                    for s in range(npaths)])
-    # Brownian-bridge refinement: the same paths at half the step, so the
-    # defect ratio isolates the discretization order from sampling noise
+    # Brownian-bridge refinement: the same paths at half the step
     xi = 0.5 * np.stack([generate_wiener(828282, DT, nst, 2, stream=s).increments
                          for s in range(npaths)])
     dw_half = np.empty((npaths, 2 * nst, 2))
     dw_half[:, 0::2] = 0.5 * dw + xi
     dw_half[:, 1::2] = 0.5 * dw - xi
-    defects = _overlap_defects(coeffs, DT, dw)
-    defects_half = _overlap_defects(coeffs, DT / 2, dw_half)
-    ratio = defects_half.mean() / defects.mean()
-    # the C*dt bound holding at both resolutions plus the shrink factor pins
-    # the O(dt) scaling of the defect
-    ok = bool(np.all(defects <= C_OVERLAP * DT))
-    ok &= bool(np.all(defects_half <= C_OVERLAP * DT / 2))
-    ok &= ratio <= 0.7
-    report(9, bool(ok),
-           f"overlap >= 1 - {C_OVERLAP}*dt on {npaths} paths at both steps; "
-           f"mean defect {defects.mean():.2e} -> {defects_half.mean():.2e}, "
-           f"ratio {ratio:.2f} <= 0.7")
+    # both equations step the map M_n, the normalized one on the output
+    # increments, so the two states agree in exact arithmetic, phase included
+    worst = [_path_defects(coeffs, dt, inc).max() for dt, inc in ((DT, dw), (DT / 2, dw_half))]
+    report(9, max(worst) <= PATH_TOL,
+           f"|psihat_lin - psihat_nl| <= {PATH_TOL:g} on {npaths} paths at every grid time: "
+           f"max {worst[0]:.1e} at dt, {worst[1]:.1e} at dt/2")
 
 
 def test_criterion_10_determinism(tmp_path, monkeypatch):

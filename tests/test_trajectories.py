@@ -241,18 +241,16 @@ def test_wiener_path_increments_are_read_only(mollow_coeffs):
 
 def test_linear_nonlinear_path_consistency(mollow_coeffs):
     """Driving the normalized equation with the innovation extracted from a
-    linear path reproduces the normalized linear state up to a phase."""
+    linear path reproduces that path's psihat, phase included, to rounding."""
     dt, nsteps = 1e-3, 1000
-    defects = []
     for s in range(5):
         path = generate_wiener(500 + s, dt, nsteps, 2)
         lin = integrate_linear(mollow_coeffs, E0, path)
         innov = WienerPath(dt=dt, nsteps=nsteps, nchannels=2,
                            increments=np.diff(lin.innovation[0], axis=0))
         nl = integrate_nonlinear(mollow_coeffs, E0, innov)
-        overlap = abs(np.vdot(lin.psihat[0, -1], nl.psihat[0, -1]))
-        defects.append(1.0 - overlap)
-    assert max(defects) <= 50 * dt
+        assert max_abs(lin.psihat - nl.psihat) <= 1e-12
+        assert max_abs(lin.w_path - nl.w_path) <= 1e-12
 
 
 def test_weight_floor_freezes_trajectory(monkeypatch):
@@ -408,21 +406,15 @@ def test_weighted_vs_nonlinear_functional_agreement(mollow_coeffs):
 
 
 def _reference_step(k, r, dt, psi, dw_n, nonlinear):
-    """One Euler-Maruyama step, transcribed plainly, before renormalization.
+    """One step of the map M_n, transcribed plainly, before renormalization.
 
     Linear:     psi += -i K psi dt + sum_j R_j psi dW_j.
-    Normalized: psi += -i Khat psi dt + sum_j (R_j - m_j) psi dW_j with
-    m_j = <psi|R_j psi> (unit-norm psi) and
-    Khat = (K+K^*)/2 - (i/2) sum_j (R_j^*R_j - 2 conj(m_j) R_j + |m_j|^2).
+    Normalized: the same map on the output increments
+                dY_j = dWhat_j + 2 dt Re <psi|R_j psi> (unit-norm psi).
     """
-    if not nonlinear:
-        return psi - 1j * dt * (k @ psi) + sum(dw_n[j] * (r[j] @ psi) for j in range(len(r)))
-    m = [np.vdot(psi, rj @ psi) for rj in r]
-    khat = 0.5 * (k + k.conj().T) - 0.5j * sum(
-        rj.conj().T @ rj - 2.0 * np.conj(mj) * rj + abs(mj) ** 2 * np.eye(len(psi))
-        for rj, mj in zip(r, m))
-    return psi - 1j * dt * (khat @ psi) + sum(
-        dw_n[j] * (r[j] @ psi - m[j] * psi) for j in range(len(r)))
+    if nonlinear:
+        dw_n = [dw_j + 2.0 * dt * np.vdot(psi, rj @ psi).real for dw_j, rj in zip(dw_n, r)]
+    return psi - 1j * dt * (k @ psi) + sum(dw_j * (rj @ psi) for dw_j, rj in zip(dw_n, r))
 
 
 def _reference_paths(k, r, dt, psi0, dw, nonlinear):
@@ -449,8 +441,9 @@ def _reference_paths(k, r, dt, psi0, dw, nonlinear):
 
 @pytest.mark.parametrize("which", ["mollow", "random"])
 def test_steppers_match_per_step_transcription(which, mollow_coeffs):
-    """The stacked-operator kernels are an algebraic rewrite of the textbook
-    Euler-Maruyama steps: equal to rounding on a time-dependent model too."""
+    """The stacked-operator kernel is an algebraic rewrite of the textbook
+    step map of either equation: equal to rounding on a time-dependent
+    model too."""
     rng = np.random.default_rng(61)
     coeffs = mollow_coeffs if which == "mollow" else build_coefficients(random_model(rng))
     d, nchan = coeffs.dim, coeffs.nchannels
@@ -462,7 +455,7 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
     for nonlinear in (False, True):
         # the batch as a G = 1 stack, stepped through the whole table as one block
         stack = _Stack(psi0[None], nchan, dt, every, nonlinear=nonlinear)
-        stack.advance(_step_ops(*table, dt, nonlinear), dw[:, None])
+        stack.advance(_step_ops(*table, dt), dw[:, None])
         psi, _, drift, _, frozen = stack.result()
         ref_psi, ref_rexp = _reference_paths(*table, dt, psi0, dw, nonlinear)
         # the drift integral int_0^t Re <R_j> ds, left-point sums of the reference <R_j>
@@ -479,7 +472,9 @@ def test_nonlinear_partial_freeze(monkeypatch):
     others are stepped exactly as they would be on their own."""
     coeffs = build_coefficients(simple_model(channels=(2.0 * SIGMA_MINUS,)))
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    dt, nsteps, ntraj, floor = 0.01, 30, 12, 0.992
+    # ||M psihat||^2 moves at O(sqrt(dt)): its minima over the 12 paths span
+    # 0.63-0.88, and 0.74 lies between the 7th (0.730) and 8th (0.751)
+    dt, nsteps, ntraj, floor = 0.01, 30, 12, 0.74
     monkeypatch.setattr(trajectories, "WEIGHT_FLOOR", floor)
     grid = dt * np.arange(nsteps + 1)
     ens = run_nonlinear_ensemble(coeffs, psi0, dt=dt, nsteps=nsteps, ntraj=ntraj,
@@ -512,7 +507,7 @@ def test_block_noise_and_tables_match_whole_path(mollow_coeffs, monkeypatch):
     monkeypatch.setattr(trajectories, "_BLOCK_STEPS", 16)
     grid, groups, lanes, first = TimeGrid(1e-3, 50), 2, 3, 5
     noise = _lane_noise(8, first, groups, lanes, 2, grid.h)
-    blocks = list(_blocks(mollow_coeffs, grid, True))
+    blocks = list(_blocks(mollow_coeffs, grid))
     assert [len(ops) for ops, _ in blocks] == [16, 16, 16, 3]
     dw = [noise(steps) for _, steps in blocks]
     assert [len(block) for block in dw] == [16, 16, 16, 2]
@@ -521,11 +516,15 @@ def test_block_noise_and_tables_match_whole_path(mollow_coeffs, monkeypatch):
     for b in range(groups * lanes):
         path = generate_wiener(8, grid.h, 50, 2, stream=first + b)
         assert np.array_equal(dw[:, b // lanes, :, b % lanes], path.increments)
-    full = _step_ops(*mollow_coeffs.tabulate(grid.times), grid.h, nonlinear=True)
+    full = _step_ops(*mollow_coeffs.tabulate(grid.times), grid.h)
     assert np.array_equal(np.concatenate([ops for ops, _ in blocks]), full)
 
 
-FREEZING = {False: (run_linear_ensemble, 0.25), True: (run_nonlinear_ensemble, 0.98)}
+# Floors that freeze some paths, not all, and none in the first chunk.  The
+# normalized paths' minima of ||M psihat||^2 run from 0.611 to 0.900; 0.645
+# freezes those at 0.611, 0.631, 0.634 and 0.637 (trajectories 12, 35, 10
+# and 23), below the next minimum, 0.651.
+FREEZING = {False: (run_linear_ensemble, 0.25), True: (run_nonlinear_ensemble, 0.645)}
 LOCKSTEP_LANES = trajectories._LOCKSTEP_LANES
 
 
