@@ -34,23 +34,30 @@ A single path is an ensemble of one, recorded at every grid time, with
 both W and What: :func:`integrate_linear` and :func:`integrate_nonlinear`
 differ from the ensemble runs only in taking a given :class:`WienerPath`.
 
-Kernel layout: trajectories are the lanes of a (G, d, C) stack, G chunks
-of C states each, every chunk column-major as a (d, C) array.  The
-per-step operators are stacked as
+Kernel layout: trajectories are the lanes of a (G, 2d, C) real stack, G
+chunks of C states each, every chunk column-major as a (2d, C) array whose
+rows are [Re psi; Im psi].  On these rows a complex d x d operator A acts
+as the real block [[Re A, -Im A], [Im A, Re A]], and the per-step operators
+are stacked as the blocks of
 
-    ops[n] = [-i dt K(t_n); R_1(t_n); ...; R_J(t_n)],    shape ((J+1)d, d),
+    [-i dt K(t_n); R_1(t_n); ...; R_J(t_n)],    shape ((J+1)2d, 2d),
 
-so that one product ``ops[n] @ psi`` yields -i dt K psi and every R_j psi.
-numpy makes that product one (d, C) matrix product per chunk, so a
-chunk's results do not depend on how many chunks share its stack.  A step
-M_n psi then costs that product plus a few elementwise operations on
-(G, J, C) arrays, for every lane of the stack at once.  One stack class
-and one step table serve both equations.  They share the product, the
-forms <psi|R_j psi>, the drift integral int_0^t Re <R_j> ds, the sum W,
-the checkpoint records of psi, ||psi||^2, the drift integral and W, and
-the freeze bookkeeping, and differ only in dY, in the renormalization
-after each normalized step and in the state a freezing path keeps.  The
-freeze masks are applied only once some path has frozen.
+so that one real product ``ops[n] @ psi`` yields -i dt K psi and every
+R_j psi, split into real and imaginary rows.  Re <psi|R_j psi>, the
+update sum_j dY_j R_j psi and ||psi||^2 are each one real contraction over
+the 2d rows: the step does no complex arithmetic, and nothing computes
+the imaginary part of <psi|R_j psi>, which no step reads.  numpy makes the
+product one (2d, C) matrix product per chunk, so a chunk's results do not
+depend on how many chunks share its stack.  A step M_n psi then costs
+that product plus a few operations on (G, J, C) arrays, for every lane of
+the stack at once.  The checkpoint records of psi are complex d-vectors
+again.  One stack class and one step table serve both equations.  They
+share the product, the forms Re <psi|R_j psi>, the drift integral
+int_0^t Re <R_j> ds, the sum W, the checkpoint records of psi, ||psi||^2,
+the drift integral and W, and the freeze bookkeeping, and differ only in
+dY, in the renormalization after each normalized step and in the state a
+freezing path keeps.  The freeze masks are applied only once some path
+has frozen.
 
 Lockstep engine: each process steps one contiguous span of whole chunks.
 Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
@@ -203,15 +210,18 @@ class Ensemble:
 
 
 def _step_ops(k: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
-    """Per-step operator stack ops[n] = [-i dt K_n; R_1(t_n); ...; R_J(t_n)]
+    """Per-step real block table of [-i dt K_n; R_1(t_n); ...; R_J(t_n)]
     from the K table (n, d, d) and R table (n, J, d, d) of
     ``Coefficients.tabulate``.
 
-    Shape (n, (J+1)d, d), so that ``ops[n] @ psi`` gives the drift term
-    -i dt K_n psi and every R_j psi in one product.
+    Shape (n, (J+1)2d, 2d): each operator A is the block
+    [[Re A, -Im A], [Im A, Re A]], so that ``ops[n] @ psi`` on a real stack
+    [Re psi; Im psi] gives the drift term -i dt K_n psi and every R_j psi,
+    each as its rows [Re; Im], in one product.
     """
     n, nchan, d, _ = r.shape
-    return np.concatenate([(-1j * dt) * k, r.reshape(n, nchan * d, d)], axis=1)
+    a = np.concatenate([(-1j * dt) * k[:, None], r], axis=1)
+    return np.block([[a.real, -a.imag], [a.imag, a.real]]).reshape(n, (nchan + 1) * 2 * d, 2 * d)
 
 
 def _blocks(coeffs: Coefficients, grid: TimeGrid):
@@ -230,8 +240,8 @@ def _blocks(coeffs: Coefficients, grid: TimeGrid):
 
 
 def _sq_norm(psi: np.ndarray) -> np.ndarray:
-    """||psi||^2 per lane of a (G, d, C) stack, shape (G, 1, C)."""
-    return np.einsum("gkc,gkc->gc", psi.conj(), psi).real[:, None]
+    """||psi||^2 per lane of a real (G, 2d, C) stack [Re psi; Im psi], shape (G, 1, C)."""
+    return np.einsum("gkc,gkc->gc", psi, psi)[:, None]
 
 
 def _lanes_first(rec: np.ndarray) -> np.ndarray:
@@ -241,19 +251,20 @@ def _lanes_first(rec: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """State of a (G, d, C) stack under the step map M_n (module docstring),
-    stepped one block at a time.
+    """State of a stack of complex (G, d, C) initial states under the step map
+    M_n (module docstring), held as the real (G, 2d, C) stack [Re psi; Im psi]
+    and stepped one block at a time.
 
     ``nonlinear`` selects the normalized equation, whose states are
     renormalized after every step; otherwise the stack steps the linear one.
     ``advance(ops, dw)`` runs one block: ``ops`` holds the block's rows of
-    the step table (:func:`_step_ops`), ``dw`` the increments of its steps,
-    shape (L, G, J, C).  The final block has one row of ``ops`` more than
-    increments; its last row evaluates the final time.  ``result()`` returns
-    the records at ``record_idx`` lane-first: the states (G*C, nrec, d), the
-    weights ||psi||^2 (G*C, nrec; 1 for the normalized equation), the drift
-    integrals int_0^t Re <R_j> ds and the noise W (each (G*C, nrec, J)), then
-    the per-lane freeze step (-1 if never frozen).
+    the real block table (:func:`_step_ops`), ``dw`` the increments of its
+    steps, shape (L, G, J, C).  The final block has one row of ``ops`` more
+    than increments; its last row evaluates the final time.  ``result()``
+    returns the records at ``record_idx`` lane-first: the complex states
+    (G*C, nrec, d), the weights ||psi||^2 (G*C, nrec; 1 for the normalized
+    equation), the drift integrals int_0^t Re <R_j> ds and the noise W (each
+    (G*C, nrec, J)), then the per-lane freeze step (-1 if never frozen).
 
     A path freezes at the first step whose squared norm (a normalized
     path's ||M_n psihat||^2) falls below WEIGHT_FLOOR times its initial
@@ -265,7 +276,7 @@ class _Stack:
                  nonlinear: bool):
         groups, d, lanes = psi0.shape
         self.dt, self.nonlinear, self.n = dt, nonlinear, 0
-        self.psi = np.ascontiguousarray(psi0, dtype=complex)
+        self.psi = np.concatenate([psi0.real, psi0.imag], axis=1)
         self.weight = _sq_norm(self.psi)
         if nonlinear:
             self.psi = self.psi / np.sqrt(self.weight)
@@ -278,20 +289,19 @@ class _Stack:
         self.w = np.zeros((groups, nchan, lanes))
         self.frozen_step = np.full((groups, 1, lanes), -1, dtype=np.int64)
         self.rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
-        # records of psi, ||psi||^2, the drift integral and W, in result() order
-        self.records = [np.empty((len(record_idx), groups, *inner, lanes), dtype=dtype)
-                        for inner, dtype in (((d,), complex), ((), float), ((nchan,), float),
-                                             ((nchan,), float))]
+        # records of [Re psi; Im psi], ||psi||^2, the drift integral and W
+        self.records = [np.empty((len(record_idx), groups, *inner, lanes))
+                        for inner in ((2 * d,), (), (nchan,), (nchan,))]
 
     def advance(self, ops: np.ndarray, dw: np.ndarray):
-        groups, d, lanes = self.psi.shape
+        groups, rows, lanes = self.psi.shape
         nchan, dt, floor, nonlinear = self.drift.shape[1], self.dt, self.floor, self.nonlinear
         psi, weight, drift, w, active, n = (self.psi, self.weight, self.drift, self.w,
                                             self.active, self.n)
         for i, op in enumerate(ops):
-            y = (op @ psi).reshape(groups, nchan + 1, d, lanes)
+            y = (op @ psi).reshape(groups, nchan + 1, rows, lanes)
             rpsi = y[:, 1:]
-            rexp = (psi.conj()[:, None] * rpsi).sum(axis=2)
+            rexp = np.einsum("gkc,gjkc->gjc", psi, rpsi)    # Re <psi|R_j psi>
             if not nonlinear:                        # a normalized psi has unit norm
                 rexp = rexp / weight if active is None else np.where(
                     weight > 0, rexp / np.where(weight > 0, weight, 1.0), 0.0)
@@ -302,10 +312,10 @@ class _Stack:
             if i == len(dw):
                 break
             dw_n = dw[i]
-            d_drift = dt * rexp.real
+            d_drift = dt * rexp
             # the normalized equation steps on the output increments dWhat + 2 dt Re <R>
             dy = dw_n + 2.0 * d_drift if nonlinear else dw_n
-            psi_new = psi + (y[:, 0] + (dy[:, :, None] * rpsi).sum(axis=1))
+            psi_new = psi + (y[:, 0] + np.einsum("gjc,gjkc->gkc", dy, rpsi))
             w = w + dw_n
             nn = _sq_norm(psi_new)
             newly_frozen = nn < floor if active is None else active & (nn < floor)
@@ -331,7 +341,12 @@ class _Stack:
                                                                           active, n)
 
     def result(self) -> list[np.ndarray]:
-        return [*map(_lanes_first, self.records), self.frozen_step.reshape(-1)]
+        rows, *rest = map(_lanes_first, self.records)
+        re, im = np.split(rows, 2, axis=-1)
+        # part by part: re + 1j * im would turn an im of -0.0 into +0.0
+        psi = np.empty(re.shape, dtype=complex)
+        psi.real, psi.imag = re, im
+        return [psi, *rest, self.frozen_step.reshape(-1)]
 
 
 def _run_stacks(stacks, coeffs: Coefficients, grid: TimeGrid) -> list[list[np.ndarray]]:

@@ -49,6 +49,7 @@ from qsde.statistics import (
     mc_mean_output,
     mc_second_moment,
     spectrum_scan,
+    standard_error,
     wiener_law_tests,
 )
 from qsde.trajectories import (
@@ -168,7 +169,7 @@ def test_criterion_03_trajectory_master_equivalence(canonical, mollow_linear, mo
             m = int(np.argmin(np.abs(series.times - t)))
             n = int(round(t / DT))
             dist = trace_distance(series.rho[m], rho_exact[n])
-            bound = 3.0 * _trace_sigma(series, m) + C_TRACE * DT
+            bound = 3.0 * _trace_sigma(series.stderr[m]) + C_TRACE * DT
             ok &= dist <= bound
             detail.append(f"{label} t={t}: {dist:.4f}<={bound:.4f}")
     # weak-order-1 evidence: with the bias dominant (coarse steps), halving
@@ -188,9 +189,20 @@ def test_criterion_03_trajectory_master_equivalence(canonical, mollow_linear, mo
     report(3, bool(ok), "; ".join(detail))
 
 
-def _trace_sigma(series, m: int) -> float:
-    """Criterion 03's standard error of a trace distance at checkpoint m."""
-    return np.sqrt(2) / 2 * np.sqrt(np.sum(series.stderr[m] ** 2))
+def _trace_sigma(stderr) -> float:
+    """Criterion 03's standard error of a trace distance, from the error bars
+    of the density matrix entries."""
+    return np.sqrt(2) / 2 * np.sqrt(np.sum(stderr ** 2))
+
+
+def _paired_stderr(a, b, m: int) -> np.ndarray:
+    """Error bars of the entries of the averaged-state difference of two
+    ensembles of the same paths at checkpoint m, from the per-path
+    difference of |psi><psi|: the shared noise cancels in it, which the two
+    ensembles' own error bars would count twice."""
+    proj_a, proj_b = (np.einsum("bk,bl->bkl", e.psi[:, m], e.psi[:, m].conj()) for e in (a, b))
+    diff = proj_a - proj_b
+    return np.sqrt(standard_error(diff.real) ** 2 + standard_error(diff.imag) ** 2)
 
 
 def _normalized_em_states(coeffs, initial, grid, ntraj, base_seed, record_idx):
@@ -230,9 +242,10 @@ def _normalized_em_states(coeffs, initial, grid, ntraj, base_seed, record_idx):
 def test_step_map_and_euler_routes_meet_criterion_03(which, canonical):
     """The normalized equation's step map M_n and the Euler-Maruyama route it
     replaced, driven by the same innovation noise, give averaged states
-    that agree within 3 sigma + C_TRACE dt at the checkpoints, and each
-    meets criterion 03's rule against master_series, on the canonical
-    Mollow model and on a model whose coefficients depend on time."""
+    that agree within 3 sigma + C_TRACE dt at the checkpoints, sigma the
+    standard error of the paired difference, and each meets criterion 03's
+    rule against master_series, on the canonical Mollow model and on a
+    model whose coefficients depend on time."""
     if which == "mollow":
         (coeffs, gen), initial, horizon = canonical, E0, HORIZON
     else:
@@ -249,9 +262,9 @@ def test_step_map_and_euler_routes_meet_criterion_03(which, canonical):
     for m, n in enumerate(grid.index(checks)):
         for label, ser in series.items():
             dist = trace_distance(ser.rho[m], rho_exact[n])
-            assert dist <= 3.0 * _trace_sigma(ser, m) + C_TRACE * DT, (label, m, dist)
+            assert dist <= 3.0 * _trace_sigma(ser.stderr[m]) + C_TRACE * DT, (label, m, dist)
         dist = trace_distance(series["new"].rho[m], series["old"].rho[m])
-        sigma = np.hypot(_trace_sigma(series["new"], m), _trace_sigma(series["old"], m))
+        sigma = _trace_sigma(_paired_stderr(new, old, m))
         assert dist <= 3.0 * sigma + C_TRACE * DT, (m, dist)
 
 

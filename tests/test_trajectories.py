@@ -439,13 +439,19 @@ def _reference_paths(k, r, dt, psi0, dw, nonlinear):
     return np.array(states), np.array(expects)
 
 
-@pytest.mark.parametrize("which", ["mollow", "random"])
+# (d, J) of the time-dependent random models: a misplaced block of the real
+# step table shows only where d differs from J or from 2
+TRANSCRIPTION_MODELS = {"random": (3, 2), "random-d1-j1": (1, 1), "random-d4-j3": (4, 3)}
+
+
+@pytest.mark.parametrize("which", ["mollow", *TRANSCRIPTION_MODELS])
 def test_steppers_match_per_step_transcription(which, mollow_coeffs):
     """The stacked-operator kernel is an algebraic rewrite of the textbook
-    step map of either equation: equal to rounding on a time-dependent
-    model too."""
+    step map of either equation: equal to rounding on time-dependent
+    models of several sizes too."""
     rng = np.random.default_rng(61)
-    coeffs = mollow_coeffs if which == "mollow" else build_coefficients(random_model(rng))
+    coeffs = mollow_coeffs if which == "mollow" else build_coefficients(
+        random_model(rng, *TRANSCRIPTION_MODELS[which]))
     d, nchan = coeffs.dim, coeffs.nchannels
     dt, nsteps, batch = 1e-3, 400, 3
     table = coeffs.tabulate(dt * np.arange(nsteps + 1))
@@ -465,6 +471,62 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
         assert np.all(frozen == -1)
         assert max_abs(psi - ref_psi) <= 1e-12 * scale
         assert max_abs(drift - ref_drift) <= 1e-12 * max(1.0, max_abs(ref_drift))
+
+
+@pytest.mark.parametrize("d, nchan", [(1, 1), (2, 2), (3, 2), (4, 3)])
+def test_step_table_is_the_real_block_form(d, nchan):
+    """The step table times [Re psi; Im psi] gives the complex rows
+    [-i dt K psi; R_j psi] split into real and imaginary parts, and a
+    linear stack's drift after one step is dt Re <psi|R_j psi> / ||psi||^2:
+    each within twice the rounding bound of a 2d-term dot product,
+    4 d eps times the sum of the terms' magnitudes."""
+    rng = np.random.default_rng(100 * d + nchan)
+    nrows, dt, lanes, eps = 3, 1e-2, 5, np.finfo(float).eps
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    k, r, psi = cnormal(nrows, d, d), cnormal(nrows, nchan, d, d), cnormal(d, lanes)
+    ops = _step_ops(k, r, dt)
+    assert ops.dtype == float and ops.shape == (nrows, (nchan + 1) * 2 * d, 2 * d)
+
+    def magnitudes(z):
+        return np.abs(z.real) + np.abs(z.imag)
+
+    rows = np.concatenate([psi.real, psi.imag])
+    for n in range(nrows):
+        ops_c = np.concatenate([-1j * dt * k[n], *r[n]])
+        want = ops_c @ psi
+        bound = 4 * d * eps * (magnitudes(ops_c) @ magnitudes(psi))
+        got = (ops[n] @ rows).reshape(nchan + 1, 2, d, lanes)
+        assert np.all(np.abs(got[:, 0] - want.real.reshape(nchan + 1, d, lanes))
+                      <= bound.reshape(nchan + 1, d, lanes))
+        assert np.all(np.abs(got[:, 1] - want.imag.reshape(nchan + 1, d, lanes))
+                      <= bound.reshape(nchan + 1, d, lanes))
+    stack = _Stack(psi[None], nchan, dt, np.arange(2), nonlinear=False)
+    stack.advance(ops[:2], np.zeros((1, 1, nchan, lanes)))
+    drift = stack.result()[2][:, 1]
+    sq_norm = np.sum(np.abs(psi) ** 2, axis=0)
+    for j in range(nchan):
+        rpsi = r[0, j] @ psi
+        want = dt * np.einsum("kc,kc->c", psi.conj(), rpsi).real / sq_norm
+        scale = np.sum(magnitudes(psi) * (magnitudes(r[0, j]) @ magnitudes(psi)), axis=0)
+        assert np.all(np.abs(drift[:, j] - want) <= 4 * d * eps * dt * scale / sq_norm)
+
+
+def test_real_stack_round_trip_is_exact():
+    """Complex initial states go into the real stack [Re psi; Im psi] and
+    come back as complex records bit for bit, signed zeros included."""
+    rng = np.random.default_rng(5)
+    psi0 = np.empty((2, 3, 4), dtype=complex)
+    psi0.real, psi0.imag = rng.normal(size=psi0.shape), rng.normal(size=psi0.shape)
+    psi0.real[:, 0, :2], psi0.imag[:, 1, 1:3] = -0.0, -0.0
+    psi0.real[:, 2, 3], psi0.imag[:, 2, 0] = 0.0, 0.0
+    stack = _Stack(psi0, 1, 1e-2, np.arange(1), nonlinear=False)
+    stack.advance(_step_ops(np.zeros((1, 3, 3)), np.zeros((1, 1, 3, 3)), 1e-2),
+                  np.zeros((0, 2, 1, 4)))
+    psi = stack.result()[0]
+    assert psi.tobytes() == np.moveaxis(psi0, 2, 1).reshape(8, 1, 3).tobytes()
 
 
 def test_nonlinear_partial_freeze(monkeypatch):
