@@ -116,7 +116,7 @@ def _run_verify(cfg: RunConfig, bundle: ResultBundle):
     bundle.checks.append(judge(
         "weight-identity", report.residuals, 0.0, slack=report.bounds,
         detail=f"max residual {report.max_residual:.3e} vs tol {IDENTITY_TOL:.1e} "
-               "x max(1, max-entry of sum_j R_j^* R_j)")[0])
+               "x max(1, max-entry of sum_j R_j^* R_j) + ||V^* V - I|| ||sum_j L_j^* L_j||")[0])
     bounds = operator_norm_bounds(coeffs, cfg.run.horizon)
     bundle.tables["norm_bounds"] = Table(
         columns=("horizon", "sup_rr", "sup_k"),

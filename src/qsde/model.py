@@ -49,7 +49,8 @@ GRID_TOL = 1e-9
 NORM_BOUND_POINTS = 101
 # A grid's step count, and so each of its indices, fits an int64.
 NSTEPS_MAX = np.iinfo(np.int64).max
-# WeightIdentityReport.bounds = IDENTITY_TOL x max(1, max-entry of sum_j R_j^* R_j).
+# WeightIdentityReport.bounds = IDENTITY_TOL x max(1, max-entry of sum_j R_j^* R_j),
+# plus the detection matrix's unitarity defect (verify_weight_identity).
 IDENTITY_TOL = 1e-11
 
 
@@ -315,7 +316,7 @@ def build_coefficients(model: SystemModel) -> Coefficients:
 @dataclass(frozen=True)
 class WeightIdentityReport:
     """Residuals of -i(K^* - K) = sum_j R_j^* R_j on a time grid, each
-    with its bound IDENTITY_TOL * max(1, max-entry of sum_j R_j^* R_j)."""
+    with its bound (:func:`verify_weight_identity`)."""
 
     times: np.ndarray
     residuals: np.ndarray
@@ -343,8 +344,14 @@ def verify_weight_identity(coeffs: Coefficients, times) -> WeightIdentityReport:
 
     The residual at t is judged relative to the channels' scale: its bound
     is IDENTITY_TOL * max(1, max-entry of sum_j R_j^* R_j(t)), since
-    rounding in K and R grows with their entries.  A failure is reported,
-    not raised: hand-built coefficients may violate the identity on purpose.
+    rounding in K and R grows with their entries, plus the part a detection
+    matrix V that is unitary only to UNITARY_TOL contributes.  With
+    D = V V^* - I the identity's two sides differ by
+    sum_{i,m} D_im L_i^* L_m (in the frame), whose entries are at most
+    ||D||_2 ||sum_j L_j^* L_j||_2, and ||V V^* - I||_2 = ||V^* V - I||_2.
+    So the identity fails only on a defect of the coefficients, not on a
+    matrix the model accepted.  A failure is reported, not raised:
+    hand-built coefficients may violate the identity on purpose.
     ValueError unless ``times`` is a non-empty list of finite times.
     """
     times = np.asarray(times, dtype=float)
@@ -352,9 +359,14 @@ def verify_weight_identity(coeffs: Coefficients, times) -> WeightIdentityReport:
         raise ValueError(f"times must be a non-empty list of finite times, got {times!r}")
     r = coeffs.r_table(times)
     scale = np.abs(_sum_rr(r)).max(axis=(-2, -1))
-    return WeightIdentityReport(times=times,
-                                residuals=weight_identity_residual(coeffs.k_table(times), r),
-                                bounds=IDENTITY_TOL * np.maximum(1.0, scale))
+    model, v = coeffs.model, coeffs.model.detection.matrix
+    # ||V^* V - I||_2; diagonal-phase detection is unitary by construction
+    defect = 0.0 if model.detection.kind == "diagonal-phase" else np.linalg.norm(
+        v.conj().T @ v - np.eye(len(v)), 2)
+    return WeightIdentityReport(
+        times=times, residuals=weight_identity_residual(coeffs.k_table(times), r),
+        bounds=IDENTITY_TOL * np.maximum(1.0, scale)
+        + defect * np.linalg.norm(_sum_rr(np.stack(model.channels)), 2))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,19 @@ Rouchon & Ralph (2015), Phys. Rev. A 91:012118.  Both schemes are weak
 order 1, and a normalized path driven by a linear path's innovation is
 that path's psi / ||psi||, up to rounding.
 
+The increments dW (What for the normalized equation) are the three-point
+increments of the simplified weak Euler scheme (Kloeden & Platen 1992,
+Numerical Solution of SDEs, sec. 14.1): iid, -a or +a with probability p
+each and 0 otherwise, p = 715827883 / 2^32 (1/6 rounded up to 2^-32) and
+a = sqrt(dt / (2p)).  Their mean, variance and third moment equal the
+Gaussian's: 0, dt and 0; the fourth moment is 3 dt^2 (1 - 4.7e-10) and
+the fifth 0.  The linear step is affine in each step's increments, so
+E_ref[psi psi^*] after every step, and with it the mean weight and the
+averaged state, equals Gaussian Euler-Maruyama's exactly, as does every
+expectation of degree at most 3 in each step's increments.  The
+normalized route differs from its Gaussian form at O(dt), the scheme's own
+order.
+
 The two describe one physical law, tied by the Girsanov weight ||psi||^2,
 so an ensemble of either is states plus importance weights: one
 :class:`Ensemble`, whose weights are exactly 1 for the normalized equation.
@@ -76,7 +89,11 @@ worker.
 
 Reproducibility: every trajectory owns a Philox counter-based stream keyed
 by (seed, trajectory index), so for a given chunk size ensembles are
-bit-reproducible regardless of stacking, worker count or scheduling.  One
+bit-reproducible regardless of stacking, worker count or scheduling.  Its
+increments, in (step, channel) order, are the 32-bit halves of the
+stream's raw 64-bit words, low half first, each mapped to the three-point
+law (uniform u below 715827883 gives -a, from 2^32 - 715827883 on +a).
+The halves are taken by value, so no number depends on byte order.  One
 function draws every increment, so ``generate_wiener(seed, dt, n, J,
 stream=b)`` is trajectory b's noise in an ensemble with ``base_seed=seed``,
 by construction.
@@ -109,19 +126,25 @@ WEIGHT_FLOOR = 1e-12
 
 # Lockstep layout (module docstring): whole chunks are stacked up to this many
 # lanes, and noise and step table are made this many grid times at a time.  A
-# stack's block of noise, drawn through a buffer of the same size, then takes
-# at most 2 x max(1024, chunk_size) x 128 x J doubles (4 MB for two channels
-# and chunks of up to 1024 lanes), at any horizon.
+# stack's block of noise, with the raw words, halves and signs it is cut from,
+# then peaks at about 18.3 bytes per increment, for max(1024, chunk_size) x 128
+# x J increments (4.8 MB for two channels and chunks of up to 1024 lanes), at
+# any horizon.
+# _BLOCK_STEPS must be even: then every block but the last holds an even
+# number of increments, two per Philox word, and a lane's blocks use the words
+# of its whole-path draw (_lane_noise).
 _LOCKSTEP_LANES = 1024
 _BLOCK_STEPS = 128
 
 # The Philox key is two 64-bit words, (seed, stream); wider values are rejected, not wrapped.
 _KEY_MAX = (1 << 64) - 1
 
+# P(+a) = P(-a) = _THREE_POINT_LO / 2**32 for the three-point increments (module docstring).
+_THREE_POINT_LO = 715_827_883     # ceil(2**32 / 6)
 
-def _philox_stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([int(seed), int(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+def _philox_stream(seed: int, stream: int) -> np.random.Philox:
+    return np.random.Philox(key=np.array([int(seed), int(stream)], dtype=np.uint64))
 
 
 def _check_counts(dt: float, **counts):
@@ -136,8 +159,10 @@ def _check_counts(dt: float, **counts):
 class WienerPath:
     """Discretized multi-channel Brownian increments.
 
-    ``increments[n, j] = W_j(t_{n+1}) - W_j(t_n)``, drawn iid Normal(0, dt)
-    by :func:`generate_wiener`, bit-reproducible from its arguments.  A
+    ``increments[n, j] = W_j(t_{n+1}) - W_j(t_n)``, drawn by
+    :func:`generate_wiener` as iid three-point increments (module
+    docstring: mean 0, variance dt, third moment 0), bit-reproducible from
+    its arguments.  An integrator steps any finite increments.  A
     path, drawn or built by hand, is checked on construction: ValueError
     unless the counts and ``dt`` are valid and ``increments`` is a finite
     (nsteps, nchannels) array.  The path keeps a read-only copy of the
@@ -162,8 +187,9 @@ class WienerPath:
 
 
 def generate_wiener(seed: int, dt: float, nsteps: int, nchannels: int, stream: int = 0) -> WienerPath:
-    """Draw a Wiener path from the counter-based stream (seed, stream), as a
-    one-lane stack of the ensemble's noise source."""
+    """Draw a path of three-point increments (mean 0, variance dt; module
+    docstring) from the counter-based stream (seed, stream), as a one-lane
+    stack of the ensemble's noise source."""
     _check_counts(dt, nsteps=nsteps, nchannels=nchannels)
     _check_integers(0, _KEY_MAX, seed=seed, stream=stream)
     increments = _lane_noise(seed, stream, 1, 1, nchannels, dt)(slice(0, nsteps))[:, 0, :, 0]
@@ -449,21 +475,33 @@ def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: 
                 dt: float) -> Callable[[slice], np.ndarray]:
     """Noise source of the (G, ., C) stack of trajectories first, first + 1, ...
 
-    ``noise(steps)`` returns the increments of a slice of steps, shape
-    (L, G, J, C), and must be called for consecutive slices.  Each lane
-    draws block after block from its own Philox stream, which yields the
-    numbers of one whole-path draw, bit for bit.
+    ``noise(steps)`` returns the increments of a slice of steps, a
+    C-contiguous (L, G, J, C) array, and must be called for consecutive
+    slices.  Each lane draws its increments in (step, channel) order from
+    its own Philox stream, two per raw 64-bit word, low half first, each
+    half mapped to the three-point law.  A slice of an odd number of
+    increments drops the high half of its last word, so drawing block after
+    block yields the numbers of one whole-path draw, bit for bit, as long as
+    only the last slice is odd (_BLOCK_STEPS is even).
     """
     streams = [_philox_stream(base_seed, first + b) for b in range(groups * lanes)]
-    sigma = np.sqrt(dt)
+    lo, hi = _THREE_POINT_LO, 2**32 - _THREE_POINT_LO
+    atom = np.sqrt(dt * 2.0**31 / lo)        # a = sqrt(dt / (2p)): the variance is dt
 
     def noise(steps: slice) -> np.ndarray:
-        z = np.empty((groups * lanes, steps.stop - steps.start, nchannels))
-        for b, rng in enumerate(streams):
-            rng.standard_normal(out=z[b])
-        dw = np.empty((z.shape[1], groups, nchannels, lanes))
-        np.multiply(z.reshape(groups, lanes, *z.shape[1:]).transpose(2, 0, 3, 1), sigma, out=dw)
-        return dw
+        nsteps = steps.stop - steps.start
+        words = np.empty((groups * lanes, -(-nsteps * nchannels // 2)), dtype=np.uint64)
+        for b, bits in enumerate(streams):
+            words[b] = bits.random_raw(words.shape[1])
+        # split by value, not through a uint32 view, so no number depends on byte order
+        u = np.empty((*words.shape, 2), dtype=np.uint32)
+        u[..., 0], u[..., 1] = words & 0xFFFFFFFF, words >> 32
+        u = u.reshape(len(words), -1)[:, :nsteps * nchannels]
+        sign = (u >= hi).view(np.int8) - (u < lo).view(np.int8)
+        # transposed as int8, then scaled: the step's contractions run about
+        # three times slower on a strided block
+        return atom * np.ascontiguousarray(
+            sign.reshape(groups, lanes, nsteps, nchannels).transpose(2, 0, 3, 1))
 
     return noise
 

@@ -142,6 +142,27 @@ def test_weight_identity_hand_built_failure():
     assert weight_identity_residual(np.stack([k, k_ok]), np.stack([r, r])).tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("eps", [0.0, 2e-11, 4.9e-11])
+@pytest.mark.parametrize("fault", [False, True], ids=["valid", "fault"])
+def test_weight_identity_accepts_every_detection_matrix_the_model_accepts(eps, fault,
+                                                                          monkeypatch):
+    """DetectionSpec accepts V unitary to UNITARY_TOL = 1e-10, and the
+    identity was judged to IDENTITY_TOL = 1e-11 alone: V = Q diag(1 + 2e-11, 1),
+    Q unitary, on two random channels gave residual 1.2e-10 and failed.  The
+    bound adds V's unitarity defect, so every V the model accepts passes,
+    while K -> K - 1e-9 i I still fails with each of them."""
+    rng = np.random.default_rng(4)
+    channels = tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    detection = DetectionSpec(kind="constant-unitary", matrix=q @ np.diag([1.0 + eps, 1.0]))
+    coeffs = build_coefficients(simple_model(channels=channels, detection=detection))
+    if fault:
+        k_table = coeffs.k_table
+        monkeypatch.setattr(coeffs, "k_table", lambda times: k_table(times) - 1e-9j * np.eye(2))
+    report = verify_weight_identity(coeffs, np.linspace(0.0, 2.0, 11))
+    assert bool((report.residuals <= report.bounds).all()) is not fault, report.max_residual
+
+
 def test_weight_identity_report_interface(mollow_coeffs, monkeypatch):
     """A report can fail: the times are a non-empty list of finite times (no
     times passed vacuously).  Its bounds use model.IDENTITY_TOL, here 1e-12."""

@@ -473,6 +473,41 @@ def test_steppers_match_per_step_transcription(which, mollow_coeffs):
         assert max_abs(drift - ref_drift) <= 1e-12 * max(1.0, max_abs(ref_drift))
 
 
+@pytest.mark.parametrize("law", ["engine", "planted"])
+def test_three_point_increments_give_gaussian_em_second_moments_exactly(law, mollow_coeffs):
+    """The linear step is affine in each step's increments, so E_ref[psi psi^*]
+    takes from their law only its means and covariances.  Every sequence of
+    atoms over three steps of two channels is a lane of one stack, 3^6 =
+    729 lanes weighted by their probabilities: their weighted mean of
+    psi psi^* equals the Gaussian Euler-Maruyama recursion
+    X <- A X A^* + dt sum_j R_j X R_j^*, A = I - i dt K(t_n), at every step,
+    to rounding (8.4e-15 here).  The planted law, p = 1/4 with
+    a = sqrt(3 dt), has variance 1.5 dt and misses it by 0.07."""
+    dt, nsteps, nchan = 0.05, 3, mollow_coeffs.nchannels
+    if law == "engine":     # the engine's P(+a) and atom +a, the largest of its draws
+        p = trajectories._THREE_POINT_LO / 2**32
+        atom = generate_wiener(1, dt, 1000, 1).increments.max()
+    else:
+        p, atom = 0.25, np.sqrt(3 * dt)
+    atoms, probs = np.array([-atom, 0.0, atom]), np.array([p, 1.0 - 2.0 * p, p])
+    seqs = np.array(list(itertools.product(range(3), repeat=nsteps * nchan)))
+    dw = atoms[seqs].T.reshape(nsteps, 1, nchan, len(seqs))
+    weight = probs[seqs].prod(axis=1)
+    k, r = mollow_coeffs.tabulate(dt * np.arange(nsteps + 1))
+    psi0 = np.broadcast_to(E0[None, :, None], (1, 2, len(seqs)))
+    stack = _Stack(psi0, nchan, dt, np.arange(nsteps + 1), nonlinear=False)
+    stack.advance(_step_ops(k, r, dt), dw)
+    psi = stack.result()[0]
+    mean = np.einsum("b,bni,bnj->nij", weight, psi, psi.conj())
+    exact = [np.outer(E0, E0.conj())]
+    for n in range(nsteps):
+        a, x = np.eye(2) - 1j * dt * k[n], exact[-1]
+        exact.append(a @ x @ a.conj().T + dt * sum(rj @ x @ rj.conj().T for rj in r[n]))
+    # rounding: a sum of n terms is off by at most about n eps times their size
+    gap, bound = max_abs(mean - np.array(exact)), len(seqs) * np.finfo(float).eps
+    assert bool(gap <= bound * max_abs(np.array(exact))) is (law == "engine"), gap
+
+
 @pytest.mark.parametrize("d, nchan", [(1, 1), (2, 2), (3, 2), (4, 3)])
 def test_step_table_is_the_real_block_form(d, nchan):
     """The step table times [Re psi; Im psi] gives the complex rows
@@ -535,7 +570,7 @@ def test_nonlinear_partial_freeze(monkeypatch):
     coeffs = build_coefficients(simple_model(channels=(2.0 * SIGMA_MINUS,)))
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     # ||M psihat||^2 moves at O(sqrt(dt)): its minima over the 12 paths span
-    # 0.63-0.88, and 0.74 lies between the 7th (0.730) and 8th (0.751)
+    # 0.719-0.867, and 0.74 lies between the 8th (0.722) and 9th (0.746)
     dt, nsteps, ntraj, floor = 0.01, 30, 12, 0.74
     monkeypatch.setattr(trajectories, "WEIGHT_FLOOR", floor)
     grid = dt * np.arange(nsteps + 1)
@@ -562,31 +597,42 @@ def test_nonlinear_partial_freeze(monkeypatch):
             assert max_abs(drift[b, n - 1:] - drift[b, n - 1]) <= 1e-15
 
 
-def test_block_noise_and_tables_match_whole_path(mollow_coeffs, monkeypatch):
-    """Blocks of 16 steps over a 50-step grid (a partial last block): each
+@pytest.mark.parametrize("nchan, nsteps", [(2, 50), (1, 51)])
+def test_block_noise_and_tables_match_whole_path(nchan, nsteps, mollow_coeffs, monkeypatch):
+    """Blocks of 16 steps over a 50- or 51-step grid (a partial last block;
+    with one channel its 3 increments use one and a half Philox words): each
     lane's increments equal its whole-path draw, and the block tables equal
     rows of the full-grid step table, bit for bit."""
     monkeypatch.setattr(trajectories, "_BLOCK_STEPS", 16)
-    grid, groups, lanes, first = TimeGrid(1e-3, 50), 2, 3, 5
-    noise = _lane_noise(8, first, groups, lanes, 2, grid.h)
+    grid, groups, lanes, first = TimeGrid(1e-3, nsteps), 2, 3, 5
+    noise = _lane_noise(8, first, groups, lanes, nchan, grid.h)
     blocks = list(_blocks(mollow_coeffs, grid))
-    assert [len(ops) for ops, _ in blocks] == [16, 16, 16, 3]
+    assert [len(ops) for ops, _ in blocks] == [16, 16, 16, nsteps - 47]
     dw = [noise(steps) for _, steps in blocks]
-    assert [len(block) for block in dw] == [16, 16, 16, 2]
+    assert [len(block) for block in dw] == [16, 16, 16, nsteps - 48]
     dw = np.concatenate(dw)
-    assert dw.shape == (50, groups, 2, lanes)
+    assert dw.shape == (nsteps, groups, nchan, lanes)
     for b in range(groups * lanes):
-        path = generate_wiener(8, grid.h, 50, 2, stream=first + b)
+        path = generate_wiener(8, grid.h, nsteps, nchan, stream=first + b)
         assert np.array_equal(dw[:, b // lanes, :, b % lanes], path.increments)
     full = _step_ops(*mollow_coeffs.tabulate(grid.times), grid.h)
     assert np.array_equal(np.concatenate([ops for ops, _ in blocks]), full)
 
 
+def test_lane_noise_is_a_c_contiguous_float_block():
+    """The step contracts each step's (G, J, C) increments with the states;
+    on a strided block, such as the transpose of a lane-major draw, those
+    contractions ran 2.8 times slower.  So the noise comes C-contiguous."""
+    dw = _lane_noise(8, 5, 2, 3, 2, 1e-3)(slice(0, 7))
+    assert dw.shape == (7, 2, 2, 3) and dw.dtype == np.float64 and dw.flags.c_contiguous
+
+
 # Floors that freeze some paths, not all, and none in the first chunk.  The
-# normalized paths' minima of ||M psihat||^2 run from 0.611 to 0.900; 0.645
-# freezes those at 0.611, 0.631, 0.634 and 0.637 (trajectories 12, 35, 10
-# and 23), below the next minimum, 0.651.
-FREEZING = {False: (run_linear_ensemble, 0.25), True: (run_nonlinear_ensemble, 0.645)}
+# normalized paths' minima of ||M psihat||^2 run from 0.7194106 to 0.867,
+# crowded near the lowest because the increments take three values; 0.71942
+# freezes only trajectory 23 (chunk 2), below the first chunk's lowest
+# minimum, 0.7194246 (trajectory 3).
+FREEZING = {False: (run_linear_ensemble, 0.25), True: (run_nonlinear_ensemble, 0.71942)}
 LOCKSTEP_LANES = trajectories._LOCKSTEP_LANES
 
 

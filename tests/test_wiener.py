@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import qsde.trajectories as trajectories
 from qsde.trajectories import generate_wiener
 
 
@@ -10,6 +11,25 @@ def test_reproducibility_bit_exact():
     b = generate_wiener(7, 0.01, 3, 1)
     assert np.array_equal(a.increments, b.increments)
     assert a.increments.shape == (3, 1)
+
+
+def test_increments_are_raw_philox_halves_on_three_points():
+    """Increment i of a path is half i % 2 of raw word i // 2 of the Philox
+    stream keyed (seed, stream), the low half first, taken by value so that
+    no byte order enters; it is -a below LO, +a from 2^32 - LO on and 0
+    between, with p = LO / 2^32 and a = sqrt(dt / (2p)).  An odd count
+    drops the last word's high half.  The law has mean 0 and variance dt."""
+    dt, lo = 0.02, trajectories._THREE_POINT_LO
+    p = lo / 2**32
+    a = np.sqrt(dt / (2.0 * p))
+    words = np.random.Philox(key=np.array([5, 3], dtype=np.uint64)).random_raw(32)
+    halves = [int(word) >> shift & 0xFFFFFFFF for word in words for shift in (0, 32)][:63]
+    signs = [-1 if u < lo else 1 if u >= 2**32 - lo else 0 for u in halves]
+    assert set(signs) == {-1, 0, 1}
+    path = generate_wiener(5, dt, 21, 3, stream=3)
+    assert np.sign(path.increments).ravel().tolist() == signs
+    assert np.allclose(np.abs(path.increments)[path.increments != 0], a, rtol=1e-15, atol=0)
+    assert 2.0 * p * a**2 == pytest.approx(dt, rel=1e-15)
 
 
 def test_streams_differ_by_seed_and_index():
