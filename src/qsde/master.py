@@ -47,7 +47,7 @@ from .linalg import (
     spre,
     vectorize,
 )
-from .model import GRID_TOL, Coefficients
+from .model import GRID_TOL, PROBE_TIMES, Coefficients, _constant_at_probes
 
 __all__ = [
     "PositivityError",
@@ -66,9 +66,6 @@ DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-8
 POSITIVITY_FAIL = -1e-6
-# Largest change of L_*(t) across the probe times, relative to max(1, max|L_*(0)|),
-# of a generator taken as constant.
-PROBE_TOL = 1e-12
 # StationaryResult.bound = STATIONARY_RESIDUAL_TOL x max(1, max-entry of L_*).
 STATIONARY_RESIDUAL_TOL = 1e-10
 # _rk4_march yields blocks of this many steps, so that the steps and states it
@@ -132,26 +129,24 @@ def _lindblad(k: np.ndarray, r: np.ndarray) -> np.ndarray:
 class LindbladPropagator:
     """Generator family t -> L_*(t) with a cache for the constant case.
 
-    Time independence is probed numerically at a few incommensurate times;
-    models whose time dependence sits entirely in detection/frame phases
-    have a constant generator even though K(t), R_j(t) vary.  L_*(0), built
-    by ``_lindblad`` from ``Coefficients.k_at`` and ``r_at`` as
-    ``generator_at`` builds L_*(t), is kept as the generator of a constant
-    family; the other probe times are one stacked ``_lindblad`` of one K and
-    one R table, each compared with it.
+    Time independence is probed numerically at the incommensurate
+    ``model.PROBE_TIMES`` by ``model._constant_at_probes``, the rule the
+    trajectory engine applies to K and R; models whose time dependence sits
+    entirely in detection/frame phases have a constant generator even though
+    K(t), R_j(t) vary.  L_*(0), built by ``_lindblad`` from
+    ``Coefficients.k_at`` and ``r_at`` as ``generator_at`` builds L_*(t), is
+    kept as the generator of a constant family; the other probe times are
+    one stacked ``_lindblad`` of one K and one R table, each compared with it.
     """
-
-    _PROBE_TIMES = (0.0, 0.3331, 0.7177, 1.6183)
 
     def __init__(self, coeffs: Coefficients):
         self.coeffs = coeffs
         self.dim = coeffs.dim
         # Through k_at and r_at: the benchmark's model.k_at / model.r_at metrics count this build.
-        g0 = _lindblad(coeffs.k_at(self._PROBE_TIMES[0]), coeffs.r_at(self._PROBE_TIMES[0]))
-        scale = max(max_abs(g0), 1.0)
-        later = np.array(self._PROBE_TIMES[1:])
-        probes = _lindblad(coeffs.k_table(later), coeffs.r_table(later))
-        self.time_independent = max_abs(probes - g0) <= PROBE_TOL * scale
+        g0 = _lindblad(coeffs.k_at(PROBE_TIMES[0]), coeffs.r_at(PROBE_TIMES[0]))
+        later = np.array(PROBE_TIMES[1:])
+        self.time_independent = _constant_at_probes(
+            g0, _lindblad(coeffs.k_table(later), coeffs.r_table(later)))
         self._g0 = g0 if self.time_independent else None
 
     def generator_at(self, t: float) -> np.ndarray:

@@ -52,6 +52,13 @@ NSTEPS_MAX = np.iinfo(np.int64).max
 # WeightIdentityReport.bounds = IDENTITY_TOL x max(1, max-entry of sum_j R_j^* R_j),
 # plus the detection matrix's unitarity defect (verify_weight_identity).
 IDENTITY_TOL = 1e-11
+# The constancy probe of a coefficient family (_constant_at_probes): its values
+# at these times, t = 0 first and the others incommensurate, so that no time
+# dependence returns to its t = 0 value at all of them.
+PROBE_TIMES = (0.0, 0.3331, 0.7177, 1.6183)
+# Largest change across the probe times, relative to max(1, max-entry at t = 0),
+# of a family taken as constant.
+PROBE_TOL = 1e-12
 
 
 def _check_integers(lo: int, hi: float, **values):
@@ -60,6 +67,13 @@ def _check_integers(lo: int, hi: float, **values):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
             bound = f"of at least {lo}" if hi == np.inf else f"in [{lo}, {hi}]"
             raise ValueError(f"{name} must be an integer {bound}, got {v!r}")
+
+
+def _constant_at_probes(first: np.ndarray, later: np.ndarray) -> bool:
+    """Whether a family is constant: ``first`` is its value at PROBE_TIMES[0]
+    = 0, ``later`` the stack of its values at the other probe times, each
+    entry within PROBE_TOL x max(1, max-entry of ``first``) of its t = 0 value."""
+    return bool(max_abs(later - first) <= PROBE_TOL * max(max_abs(first), 1.0))
 
 
 @dataclass(frozen=True)
@@ -304,8 +318,9 @@ class Coefficients:
     def tabulate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pair (K table (n, d, d), R table (n, J, d, d)) on a time grid,
         each row as ``k_at`` and ``r_at`` give it at one time: the trajectory
-        engine's one source of coefficients, each block of its run grid
-        tabulated on its own."""
+        engine's one source of coefficients, tabulated on PROBE_TIMES once
+        per run and, unless K and R are constant, on each block of its run
+        grid on its own."""
         return self.k_table(times), self.r_table(times)
 
 

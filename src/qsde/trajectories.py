@@ -56,36 +56,46 @@ are stacked as the blocks of
     [-i dt K(t_n); R_1(t_n); ...; R_J(t_n)],    shape ((J+1)2d, 2d),
 
 so that one real product ``ops[n] @ psi`` yields -i dt K psi and every
-R_j psi, split into real and imaginary rows.  Re <psi|R_j psi>, the
-update sum_j dY_j R_j psi and ||psi||^2 are each one real contraction over
-the 2d rows: the step does no complex arithmetic, and nothing computes
-the imaginary part of <psi|R_j psi>, which no step reads.  numpy makes the
+R_j psi, split into real and imaginary rows.  Re <psi|R_j psi>, ||psi||^2
+and the update sum_j dY_j R_j psi are each one real contraction over the 2d
+rows: the step does no complex arithmetic, and nothing computes the
+imaginary part of <psi|R_j psi>, which no step reads.  numpy makes the
 product one (2d, C) matrix product per chunk, so a chunk's results do not
-depend on how many chunks share its stack.  A step M_n psi then costs
-that product plus a few operations on (G, J, C) arrays, for every lane of
-the stack at once.  The checkpoint records of psi are complex d-vectors
-again.  One stack class and one step table serve both equations.  They
-share the product, the forms Re <psi|R_j psi>, the drift integral
-int_0^t Re <R_j> ds, the sum W, the checkpoint records of psi, ||psi||^2,
-the drift integral and W, and the freeze bookkeeping, and differ only in
-dY, in the renormalization after each normalized step and in the state a
-freezing path keeps.  The freeze masks are applied only once some path
-has frozen.
+depend on how many chunks share its stack.  A step M_n psi then costs that
+product, the two forms, the update and the sum W, a few operations on
+(G, J, C) arrays for every lane of the stack at once.  It neither
+renormalizes a state nor tests the freeze floor: the map is linear, so a
+normalized path can step unnormalized, with dY taking Re <R_j> as
+Re <psi|R_j psi> / ||psi||^2, and be renormalized at the end of each block
+and in its records; its ||M_n psihat||^2 is then the ratio of successive
+squared norms.  The squared norms and the forms of a block are kept in a
+(L+1, G, J+1, C) table, and the freeze test, the drift integral
+int_0^t Re <R_j> ds and the records' weights are made from it once per
+block.  The checkpoint records of psi are complex d-vectors again.  One
+stack class, one step table and one loop body serve both equations: they
+differ only in dY, in the renormalization of a normalized path and in the
+state a freezing path keeps.  A block in which some path freezes is
+stepped again from its start with the freeze masks, which only select
+between a lane's stepped and kept values; once a path has frozen, later
+blocks are stepped with the masks from the start.
 
 Lockstep engine: each process steps one contiguous span of whole chunks.
 Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
 ragged last chunk is a stack of its own (G = 1).  Time runs in blocks of
-_BLOCK_STEPS grid points: per block the process tabulates the coefficients
-on the block's times once, by ``Coefficients.tabulate``, the engine's one
-source of K and R (each row equals the full-grid table's bit for bit, so
-the tables always lie on the run grid), and every stack in turn draws the
-block's increments, shape (L, G, J, C), and steps through it.  Each lane
-draws from its own stream block after block, which gives the numbers of one
-whole-path draw.  So a process holds its lanes' states, checkpoint
-records and streams, plus one block of step table and of one stack's
-noise: nothing grows with the horizon.  With several workers, the calling
-process steps the first span and a forked pool one span per further
-worker.
+_BLOCK_STEPS grid points.  ``Coefficients.tabulate`` is the engine's one
+source of K and R.  Once per run the engine asks whether they are constant
+(:func:`_constant_ops`: one call on ``model.PROBE_TIMES``, judged by the
+rule ``LindbladPropagator`` applies to L_*); if so, their t = 0 row of the
+step table serves every step.  Otherwise the process tabulates each block's
+times once (each row equals the full-grid table's bit for bit, so the
+tables always lie on the run grid).  Every stack in turn draws the block's
+increments, shape (L, G, J, C), and steps through it.  Each lane draws
+from its own stream block after block, which gives the numbers of one
+whole-path draw.  So a process holds its lanes' states, checkpoint records
+and streams, plus one block of step table, of one stack's noise and of the
+norms-and-forms table its stacks share: nothing grows with the horizon.
+With several workers, the calling process steps the first span and a
+forked pool one span per further worker.
 
 Reproducibility: every trajectory owns a Philox counter-based stream keyed
 by (seed, trajectory index), so for a given chunk size ensembles are
@@ -108,7 +118,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import Coefficients, TimeGrid, _check_integers
+from .model import PROBE_TIMES, Coefficients, TimeGrid, _check_integers, _constant_at_probes
 
 __all__ = [
     "WienerPath",
@@ -126,10 +136,11 @@ WEIGHT_FLOOR = 1e-12
 
 # Lockstep layout (module docstring): whole chunks are stacked up to this many
 # lanes, and noise and step table are made this many grid times at a time.  A
-# stack's block of noise, with the raw words, halves and signs it is cut from,
-# then peaks at about 18.3 bytes per increment, for max(1024, chunk_size) x 128
-# x J increments (4.8 MB for two channels and chunks of up to 1024 lanes), at
-# any horizon.
+# stack's block of noise takes 8 bytes per increment, about 12 while it is cut
+# from raw words, halves and signs, and the (L+1, G, J+1, C) table of squared
+# norms and forms that a process's stacks share another 8 (J+1) / J, for
+# max(1024, chunk_size) x 128 x J increments: tracing a span of one
+# 1024-lane stack with two channels peaks at 7.5 MB, at any horizon.
 # _BLOCK_STEPS must be even: then every block but the last holds an even
 # number of increments, two per Philox word, and a lane's blocks use the words
 # of its whole-path draw (_lane_noise).
@@ -250,24 +261,57 @@ def _step_ops(k: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
     return np.block([[a.real, -a.imag], [a.imag, a.real]]).reshape(n, (nchan + 1) * 2 * d, 2 * d)
 
 
-def _blocks(coeffs: Coefficients, grid: TimeGrid):
-    """Yield (ops, steps) for each block of _BLOCK_STEPS grid times.
+def _constant_ops(coeffs: Coefficients, dt: float) -> np.ndarray | None:
+    """The step table's one row, shape (1, (J+1)2d, 2d), if K(t) and the R_j(t)
+    are constant, else None.  Both come from one ``Coefficients.tabulate``
+    call on ``model.PROBE_TIMES``: the family is constant when K and R each
+    pass ``model._constant_at_probes``, the rule ``LindbladPropagator``
+    applies to L_*, and its row is then the t = 0 row, bit for bit."""
+    k, r = coeffs.tabulate(np.array(PROBE_TIMES))
+    if _constant_at_probes(k[0], k[1:]) and _constant_at_probes(r[0], r[1:]):
+        return _step_ops(k[:1], r[:1], dt)
+    return None
 
-    ``ops`` is the step table on the block's times, tabulated for that block
-    alone (its rows equal those of a full-grid table bit for bit), and
-    ``steps`` the slice of step indices whose increments the block uses.
-    The last block has one table row more than steps: the final time is
-    evaluated, not stepped.
+
+def _blocks(coeffs: Coefficients, grid: TimeGrid, constant: np.ndarray | None):
+    """Yield (ops, steps) for each block of up to _BLOCK_STEPS steps.
+
+    ``steps`` is the slice of step indices the block takes and ``ops`` the
+    step table's rows at their times.  Every block of a constant family
+    serves its one row ``constant`` (:func:`_constant_ops`), built once per
+    run; otherwise each block is tabulated on its own times, and its rows
+    equal those of a full-grid table bit for bit.
     """
-    for start in range(0, grid.nsteps + 1, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, grid.nsteps + 1)
-        yield (_step_ops(*coeffs.tabulate(grid.h * np.arange(start, stop)), grid.h),
-               slice(start, min(stop, grid.nsteps)))
+    for start in range(0, grid.nsteps, _BLOCK_STEPS):
+        steps = slice(start, min(start + _BLOCK_STEPS, grid.nsteps))
+        if constant is None:
+            ops = _step_ops(*coeffs.tabulate(grid.h * np.arange(start, steps.stop)), grid.h)
+        else:
+            ops = np.broadcast_to(constant, (steps.stop - start, *constant.shape[1:]))
+        yield ops, steps
 
 
 def _sq_norm(psi: np.ndarray) -> np.ndarray:
     """||psi||^2 per lane of a real (G, 2d, C) stack [Re psi; Im psi], shape (G, 1, C)."""
     return np.einsum("gkc,gkc->gc", psi, psi)[:, None]
+
+
+def _quotient(num: np.ndarray, den: np.ndarray, masked: bool) -> np.ndarray:
+    """num / den; with the freeze masks on, 0 where den is 0 (a frozen or
+    unfloored path's norm may vanish), with the same bits elsewhere."""
+    if not masked:
+        return num / den
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+
+def _scratch(pool: dict, shape: tuple) -> np.ndarray:
+    """An uninitialized float array of ``shape`` on memory that ``pool`` keeps
+    from one block to the next: block-sized arrays made afresh for every
+    block page-faulted anew, per 4 KiB, and doubled a span's page faults."""
+    size = int(np.prod(shape))
+    if pool.get("table", np.empty(0)).size < size:
+        pool["table"] = np.empty(size)
+    return pool["table"][:size].reshape(shape)
 
 
 def _lanes_first(rec: np.ndarray) -> np.ndarray:
@@ -281,90 +325,156 @@ class _Stack:
     M_n (module docstring), held as the real (G, 2d, C) stack [Re psi; Im psi]
     and stepped one block at a time.
 
-    ``nonlinear`` selects the normalized equation, whose states are
-    renormalized after every step; otherwise the stack steps the linear one.
-    ``advance(ops, dw)`` runs one block: ``ops`` holds the block's rows of
-    the real block table (:func:`_step_ops`), ``dw`` the increments of its
-    steps, shape (L, G, J, C).  The final block has one row of ``ops`` more
-    than increments; its last row evaluates the final time.  ``result()``
+    ``nonlinear`` selects the normalized equation; otherwise the stack steps
+    the linear one.  ``advance(ops, dw)`` runs one block: ``ops`` holds the
+    block's rows of the real block table (:func:`_step_ops`; rows past the
+    last step are not read), ``dw`` the increments of its steps, shape
+    (L, G, J, C).  ``record_idx`` are sorted grid indices.  ``result()``
     returns the records at ``record_idx`` lane-first: the complex states
     (G*C, nrec, d), the weights ||psi||^2 (G*C, nrec; 1 for the normalized
     equation), the drift integrals int_0^t Re <R_j> ds and the noise W (each
     (G*C, nrec, J)), then the per-lane freeze step (-1 if never frozen).
 
+    A step (:meth:`_pass`) neither renormalizes nor tests the floor (module
+    docstring, *Kernel layout*); :meth:`_close` finishes each block from
+    its table of squared norms and forms.  Between renormalizations a
+    normalized path's squared norm is the product of up to _BLOCK_STEPS
+    factors ||M_n psihat||^2, so it stays a finite normal double unless
+    these average beyond about 10^(+-2.3) over a block, far past the
+    scheme's stable steps.  ``scratch`` keeps the table's memory; stacks
+    stepped in turn share one.
+
     A path freezes at the first step whose squared norm (a normalized
     path's ||M_n psihat||^2) falls below WEIGHT_FLOOR times its initial
-    one.  A linear path keeps that first
-    state below the floor; a normalized path keeps its last state above it.
+    one.  A linear path keeps that first state below the floor; a
+    normalized path keeps its last state above it.  A block in which some
+    path freezes is stepped again from its start, with masks that only
+    select, so every other lane's numbers are those of the unmasked step.
     """
 
     def __init__(self, psi0: np.ndarray, nchan: int, dt: float, record_idx: np.ndarray,
-                 nonlinear: bool):
+                 nonlinear: bool, scratch: dict | None = None):
         groups, d, lanes = psi0.shape
         self.dt, self.nonlinear, self.n = dt, nonlinear, 0
+        self.scratch = {} if scratch is None else scratch
         self.psi = np.concatenate([psi0.real, psi0.imag], axis=1)
-        self.weight = _sq_norm(self.psi)
+        weight = _sq_norm(self.psi)
         if nonlinear:
-            self.psi = self.psi / np.sqrt(self.weight)
-            self.weight = np.ones_like(self.weight)
-        self.floor = WEIGHT_FLOOR * self.weight
+            self.psi = self.psi / np.sqrt(weight)
+            weight = np.ones_like(weight)
+        self.floor = WEIGHT_FLOOR * weight
         # None while no path is frozen: the masks are needed only after the
         # first freeze (or when a floor is zero and norms may vanish).
-        self.active = None if np.all(self.floor > 0) else np.ones(self.weight.shape, dtype=bool)
+        self.active = None if np.all(self.floor > 0) else np.ones(weight.shape, dtype=bool)
         self.drift = np.zeros((groups, nchan, lanes))
         self.w = np.zeros((groups, nchan, lanes))
         self.frozen_step = np.full((groups, 1, lanes), -1, dtype=np.int64)
-        self.rec_pos = {int(idx): pos for pos, idx in enumerate(record_idx)}
+        self.record_idx = np.asarray(record_idx)
         # records of [Re psi; Im psi], ||psi||^2, the drift integral and W
         self.records = [np.empty((len(record_idx), groups, *inner, lanes))
                         for inner in ((2 * d,), (), (nchan,), (nchan,))]
+        if self.record_idx[0] == 0:
+            for rec, value in zip(self.records, (self.psi, weight[:, 0], self.drift, self.w)):
+                rec[0] = value
 
     def advance(self, ops: np.ndarray, dw: np.ndarray):
+        nsteps, n = len(dw), self.n
+        if not nsteps:
+            return
+        # the record position of each recorded step count k = 1..L of the block
+        lo, hi = np.searchsorted(self.record_idx, [n + 1, n + nsteps + 1])
+        marks = {int(self.record_idx[pos]) - n: pos for pos in range(lo, hi)}
+        live = None if self.active is None else np.where(self.active, nsteps, 0)
+        psi, w, table = self._pass(ops, dw, live, marks)
+        nn = table[:, :, :1]
+        crossed = nn[1:] < (self.floor * nn[:-1] if self.nonlinear else self.floor)
+        if self.active is not None:
+            crossed &= self.active
+        newly = crossed.any(axis=0)
+        if newly.any():
+            first = crossed.argmax(axis=0)
+            self.frozen_step[newly] = n + 1 + first[newly]
+            self.active = ~newly if self.active is None else self.active & ~newly
+            # the steps a freezing path takes: a linear path keeps the step
+            # that froze it, a normalized path drops it
+            live = np.where(newly, first + (0 if self.nonlinear else 1),
+                            nsteps if live is None else live)
+            psi, w, table = self._pass(ops, dw, live, marks)
+        self._close(psi, w, table, live, marks)
+
+    def _pass(self, ops, dw, live, marks):
+        """Step the block from ``self.psi``, recording its states and W as
+        they come.  ``live`` holds each lane's number of steps taken (None:
+        all of them).  Returns the end states, the end W and the block's
+        table (L+1, G, J+1, C): row n holds ||psi||^2 before step n (row L
+        at the end) in column 0, and row n+1 step n's forms Re <psi|R_j psi>
+        in columns 1..J.  W is summed here, one in-place add a step: summed
+        per block in step order, it would need a copy of the noise block."""
         groups, rows, lanes = self.psi.shape
-        nchan, dt, floor, nonlinear = self.drift.shape[1], self.dt, self.floor, self.nonlinear
-        psi, weight, drift, w, active, n = (self.psi, self.weight, self.drift, self.w,
-                                            self.active, self.n)
-        for i, op in enumerate(ops):
-            y = (op @ psi).reshape(groups, nchan + 1, rows, lanes)
+        nchan, nonlinear, masked = self.drift.shape[1], self.nonlinear, live is not None
+        two_dt = 2.0 * self.dt
+        table = _scratch(self.scratch, (len(dw) + 1, groups, nchan + 1, lanes))
+        psi, w = self.psi, self.w.copy()
+        rec_psi, rec_w = self.records[0], self.records[3]
+        for i, dw_n in enumerate(dw):
+            y = (ops[i] @ psi).reshape(groups, nchan + 1, rows, lanes)
             rpsi = y[:, 1:]
-            rexp = np.einsum("gkc,gjkc->gjc", psi, rpsi)    # Re <psi|R_j psi>
-            if not nonlinear:                        # a normalized psi has unit norm
-                rexp = rexp / weight if active is None else np.where(
-                    weight > 0, rexp / np.where(weight > 0, weight, 1.0), 0.0)
-            pos = self.rec_pos.get(n)
-            if pos is not None:
-                for rec, value in zip(self.records, (psi, weight[:, 0], drift, w)):
-                    rec[pos] = value
-            if i == len(dw):
-                break
-            dw_n = dw[i]
-            d_drift = dt * rexp
+            rexp = np.einsum("gkc,gjkc->gjc", psi, rpsi, out=table[i + 1, :, 1:])
+            nn = np.einsum("gkc,gkc->gc", psi, psi, out=table[i, :, 0])[:, None]
             # the normalized equation steps on the output increments dWhat + 2 dt Re <R>
-            dy = dw_n + 2.0 * d_drift if nonlinear else dw_n
-            psi_new = psi + (y[:, 0] + np.einsum("gjc,gjkc->gkc", dy, rpsi))
-            w = w + dw_n
-            nn = _sq_norm(psi_new)
-            newly_frozen = nn < floor if active is None else active & (nn < floor)
-            n += 1
-            # the lanes whose step is kept: a linear path keeps the step that
-            # froze it, a normalized path drops it
-            taken = active
-            if newly_frozen.any():
-                self.frozen_step[newly_frozen] = n
-                active = ~newly_frozen if active is None else active & ~newly_frozen
+            dy = dw_n + rexp * _quotient(two_dt, nn, masked) if nonlinear else dw_n
+            # psi + (-i dt K psi + sum_j dY_j R_j psi), added in place
+            psi_new = np.einsum("gjc,gjkc->gkc", dy, rpsi)
+            psi_new += y[:, 0]
+            psi_new += psi
+            psi = psi_new if live is None else np.where(i < live, psi_new, psi)
+            np.add(w, dw_n, out=w)
+            pos = marks.get(i + 1)
+            if pos is not None:
+                rec_psi[pos], rec_w[pos] = psi, w
+        np.einsum("gkc,gkc->gc", psi, psi, out=table[-1, :, 0])
+        return psi, w, table
+
+    def _close(self, psi, w, table, live, marks):
+        """Finish the block from its table: the records' weights, the
+        normalized equation's renormalization of the end state and of the
+        recorded ones, and the drift integral.  A path frozen before the
+        block (live 0) keeps its state as it is."""
+        nsteps, masked, nonlinear = len(table) - 1, live is not None, self.nonlinear
+        nn = table[:, :, :1]
+
+        def unit(k):
+            """1 / ||psi|| after step count k of the block (1 on unmoved lanes)."""
+            inv = 1.0 / np.sqrt(nn[k])
+            return np.where(live > 0, inv, 1.0) if masked else inv
+
+        rec_psi, rec_weight, rec_drift, _ = self.records
+        for k, pos in marks.items():
             if nonlinear:
-                taken = active
-                psi_new = psi_new * (1.0 / np.sqrt(nn if taken is None
-                                                   else np.where(nn > 0, nn, 1.0)))
-            else:
-                weight = nn if taken is None else np.where(taken, nn, weight)
-            if taken is None:
-                psi, drift = psi_new, drift + d_drift
-            else:
-                psi = np.where(taken, psi_new, psi)
-                drift = drift + np.where(taken, d_drift, 0.0)
-        self.psi, self.weight, self.drift, self.w, self.active, self.n = (psi, weight, drift, w,
-                                                                          active, n)
+                rec_psi[pos] *= unit(k)
+            rec_weight[pos] = 1.0 if nonlinear else nn[k, :, 0]
+        self.psi = psi * unit(nsteps) if nonlinear else psi
+        # the drift increments dt Re <R_j> (the forms over ||psi||^2), after a
+        # row holding the drift at the block's start; column 0 is cleared
+        scale = _quotient(self.dt, nn[:-1], masked)
+        if masked:
+            scale = np.where(np.arange(nsteps)[:, None, None, None] < live, scale, 0.0)
+        np.multiply(table[1:, :, 1:], scale, out=table[1:, :, 1:])
+        table[:, :, 0] = 0.0
+        table[0, :, 1:] = self.drift
+        # Running sums, one segment between recorded steps at a time, each
+        # overwriting the segment's last row.  numpy adds the rows of an
+        # axis-0 reduction one after another when a row holds more than one
+        # number (here at least 2, with column 0), so every sum is taken in
+        # step order, whatever the records or the stacking.
+        start = 0
+        for k in sorted({*marks, nsteps}):
+            table[k] = np.add.reduce(table[start:k + 1], axis=0)
+            start = k
+        for k, pos in marks.items():
+            rec_drift[pos] = table[k, :, 1:]
+        self.drift, self.w = table[-1, :, 1:].copy(), w
+        self.n += nsteps
 
     def result(self) -> list[np.ndarray]:
         rows, *rest = map(_lanes_first, self.records)
@@ -375,11 +485,12 @@ class _Stack:
         return [psi, *rest, self.frozen_step.reshape(-1)]
 
 
-def _run_stacks(stacks, coeffs: Coefficients, grid: TimeGrid) -> list[list[np.ndarray]]:
+def _run_stacks(stacks, coeffs: Coefficients, grid: TimeGrid,
+                constant: np.ndarray | None) -> list[list[np.ndarray]]:
     """Step (stack, noise) pairs through the grid; ``noise(steps)`` returns the
-    increments of a slice of steps.  Each block's table is built once and
+    increments of a slice of steps.  Each block's table (:func:`_blocks`)
     serves every stack."""
-    for ops, steps in _blocks(coeffs, grid):
+    for ops, steps in _blocks(coeffs, grid, constant):
         for stack, noise in stacks:
             stack.advance(ops, noise(steps))
     return [stack.result() for stack, _ in stacks]
@@ -408,7 +519,8 @@ def _run_path(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath,
     record_idx = np.arange(path.nsteps + 1)
     stack = _Stack(psi0[None, :, None], path.nchannels, path.dt, record_idx, nonlinear)
     return _result(nonlinear, grid, record_idx, _run_stacks(
-        [(stack, lambda steps: path.increments[steps, None, :, None])], coeffs, grid))
+        [(stack, lambda steps: path.increments[steps, None, :, None])], coeffs, grid,
+        _constant_ops(coeffs, path.dt)))
 
 
 def integrate_linear(coeffs: Coefficients, psi0: np.ndarray, path: WienerPath) -> Ensemble:
@@ -493,11 +605,16 @@ def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: 
         words = np.empty((groups * lanes, -(-nsteps * nchannels // 2)), dtype=np.uint64)
         for b, bits in enumerate(streams):
             words[b] = bits.random_raw(words.shape[1])
-        # split by value, not through a uint32 view, so no number depends on byte order
+        # split by value, not through a uint32 view, so no number depends on
+        # byte order; one half at a time, and each array dropped once read,
+        # which keeps the peak of a block's noise memory low
         u = np.empty((*words.shape, 2), dtype=np.uint32)
-        u[..., 0], u[..., 1] = words & 0xFFFFFFFF, words >> 32
-        u = u.reshape(len(words), -1)[:, :nsteps * nchannels]
+        u[..., 0] = words & 0xFFFFFFFF
+        u[..., 1] = words >> 32
+        del words
+        u = u.reshape(len(u), -1)[:, :nsteps * nchannels]
         sign = (u >= hi).view(np.int8) - (u < lo).view(np.int8)
+        del u
         # transposed as int8, then scaled: the step's contractions run about
         # three times slower on a strided block
         return atom * np.ascontiguousarray(
@@ -506,24 +623,26 @@ def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: 
     return noise
 
 
-def _run_span(nonlinear: bool, coeffs: Coefficients, grid: TimeGrid, initial: np.ndarray,
-              base_seed: int, record_idx: np.ndarray, chunk_size: int,
-              first: int, stop: int) -> list[list[np.ndarray]]:
+def _run_span(nonlinear: bool, coeffs: Coefficients, grid: TimeGrid,
+              constant: np.ndarray | None, initial: np.ndarray, base_seed: int,
+              record_idx: np.ndarray, chunk_size: int, first: int,
+              stop: int) -> list[list[np.ndarray]]:
     """Step trajectories first..stop-1 (whole chunks of C = ``chunk_size``
     lanes, stacked up to _LOCKSTEP_LANES // C at a time; a ragged last chunk
-    is its own G = 1 stack), every stack block by block."""
+    is its own G = 1 stack), every stack block by block; ``constant`` is the
+    run's :func:`_constant_ops`."""
     per = max(1, _LOCKSTEP_LANES // chunk_size)
     full = (stop - first) // chunk_size
     shapes = [(first + g * chunk_size, min(per, full - g), chunk_size) for g in range(0, full, per)]
     if (stop - first) % chunk_size:
         shapes.append((first + full * chunk_size, 1, (stop - first) % chunk_size))
     dim, nchan, h = coeffs.dim, coeffs.nchannels, grid.h
-    stacks = []
+    stacks, scratch = [], {}
     for start, groups, lanes in shapes:
         psi0 = np.broadcast_to(initial[:, None], (groups, dim, lanes))
-        stacks.append((_Stack(psi0, nchan, h, record_idx, nonlinear),
+        stacks.append((_Stack(psi0, nchan, h, record_idx, nonlinear, scratch),
                        _lane_noise(base_seed, start, groups, lanes, nchan, h)))
-    return _run_stacks(stacks, coeffs, grid)
+    return _run_stacks(stacks, coeffs, grid, constant)
 
 
 def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps: int, ntraj: int,
@@ -536,7 +655,8 @@ def _ensemble(nonlinear: bool, coeffs: Coefficients, initial, dt: float, nsteps:
     _check_integers(0, _KEY_MAX, base_seed=base_seed)
     grid = TimeGrid(dt, nsteps)
     record_idx = grid.checkpoints(record_times)
-    step_span = partial(_run_span, nonlinear, coeffs, grid, _checked_initial(initial, coeffs.dim),
+    psi0 = _checked_initial(initial, coeffs.dim)
+    step_span = partial(_run_span, nonlinear, coeffs, grid, _constant_ops(coeffs, dt), psi0,
                         base_seed, record_idx, chunk_size)
     nchunks = -(-ntraj // chunk_size)
     nworkers = min(worker_count(), nchunks)

@@ -13,6 +13,8 @@ from qsde.config import parse_config
 from qsde.linalg import adjoint, matrix_exp, max_abs, vectorize
 from qsde.master import LindbladPropagator, PositivityError, master_series, stationary_state
 from qsde.model import (
+    PROBE_TIMES,
+    PROBE_TOL,
     DetectionSpec,
     DriveSpec,
     SystemModel,
@@ -600,10 +602,9 @@ def test_stacked_time_independence_probe_matches_per_time_loop(name):
     stack; its verdict and the bytes of L_*(0) are those of the per-time
     loop it replaced."""
     coeffs = build_coefficients(PROBE_MODELS[name])
-    times = LindbladPropagator._PROBE_TIMES
-    g0, *later = (master._lindblad(coeffs.k_at(t), coeffs.r_at(t)) for t in times)
+    g0, *later = (master._lindblad(coeffs.k_at(t), coeffs.r_at(t)) for t in PROBE_TIMES)
     scale = max(max_abs(g0), 1.0)
-    verdict = all(max_abs(g - g0) <= master.PROBE_TOL * scale for g in later)
+    verdict = all(max_abs(g - g0) <= PROBE_TOL * scale for g in later)
     gen = LindbladPropagator(coeffs)
     assert gen.time_independent is verdict
     assert verdict is (name in KERNEL_MODELS)

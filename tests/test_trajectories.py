@@ -8,12 +8,13 @@ import pytest
 import qsde.trajectories as trajectories
 from conftest import ConstantCoefficients, random_model, simple_model
 from qsde.linalg import matrix_exp, max_abs
-from qsde.model import TimeGrid, build_coefficients
-from qsde.mollow import SIGMA_MINUS
+from qsde.model import PROBE_TIMES, Coefficients, TimeGrid, build_coefficients
+from qsde.mollow import SIGMA_MINUS, build_mollow_model, canonical_config
 from qsde.trajectories import (
     WienerPath,
     _Stack,
     _blocks,
+    _constant_ops,
     _lane_noise,
     _step_ops,
     generate_wiener,
@@ -601,13 +602,17 @@ def test_nonlinear_partial_freeze(monkeypatch):
 def test_block_noise_and_tables_match_whole_path(nchan, nsteps, mollow_coeffs, monkeypatch):
     """Blocks of 16 steps over a 50- or 51-step grid (a partial last block;
     with one channel its 3 increments use one and a half Philox words): each
-    lane's increments equal its whole-path draw, and the block tables equal
-    rows of the full-grid step table, bit for bit."""
+    lane's increments equal its whole-path draw, bit for bit.  A
+    time-dependent model's block tables equal the rows of the full-grid step
+    table at the steps' times, bit for bit; every row a constant model's
+    blocks serve is its one row, the t = 0 row."""
     monkeypatch.setattr(trajectories, "_BLOCK_STEPS", 16)
     grid, groups, lanes, first = TimeGrid(1e-3, nsteps), 2, 3, 5
     noise = _lane_noise(8, first, groups, lanes, nchan, grid.h)
-    blocks = list(_blocks(mollow_coeffs, grid))
-    assert [len(ops) for ops, _ in blocks] == [16, 16, 16, nsteps - 47]
+    coeffs = build_coefficients(random_model(np.random.default_rng(nsteps)))
+    assert _constant_ops(coeffs, grid.h) is None
+    blocks = list(_blocks(coeffs, grid, None))
+    assert [len(ops) for ops, _ in blocks] == [16, 16, 16, nsteps - 48]
     dw = [noise(steps) for _, steps in blocks]
     assert [len(block) for block in dw] == [16, 16, 16, nsteps - 48]
     dw = np.concatenate(dw)
@@ -615,8 +620,14 @@ def test_block_noise_and_tables_match_whole_path(nchan, nsteps, mollow_coeffs, m
     for b in range(groups * lanes):
         path = generate_wiener(8, grid.h, nsteps, nchan, stream=first + b)
         assert np.array_equal(dw[:, b // lanes, :, b % lanes], path.increments)
-    full = _step_ops(*mollow_coeffs.tabulate(grid.times), grid.h)
+    full = _step_ops(*coeffs.tabulate(grid.times[:-1]), grid.h)
     assert np.array_equal(np.concatenate([ops for ops, _ in blocks]), full)
+    one = _constant_ops(mollow_coeffs, grid.h)
+    assert np.array_equal(one, _step_ops(*mollow_coeffs.tabulate(np.zeros(1)), grid.h))
+    constant = list(_blocks(mollow_coeffs, grid, one))
+    assert [steps for _, steps in constant] == [steps for _, steps in blocks]
+    for ops, steps in constant:
+        assert len(ops) == steps.stop - steps.start and all(np.array_equal(op, one[0]) for op in ops)
 
 
 def test_lane_noise_is_a_c_contiguous_float_block():
@@ -684,6 +695,136 @@ def test_masked_step_equals_unmasked_step_when_nothing_freezes(rng, monkeypatch)
         for field, value in vars(unmasked).items():
             if isinstance(value, np.ndarray):
                 assert getattr(masked, field).tobytes() == value.tobytes(), (nonlinear, field)
+
+
+# Floors at which some paths freeze on the first, a middle and the last step
+# of 4-step blocks: the freeze steps include 9, 10, 11 and 12 for the linear
+# equation at 0.4 and 1, 2, 3 and 4 for the normalized one at 0.75.
+EDGE_FLOORS = {False: 0.4, True: 0.75}
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_freezes_at_block_edges(nonlinear, monkeypatch):
+    """Blocks of 4 steps, 24 paths, floors that freeze paths on the first, a
+    middle and the last step of a block.  Each freeze step is the first
+    whose step map, transcribed plainly, falls below the floor; up to it the
+    path follows the transcription, and from it on keeps its state (a linear
+    path the first state below the floor, a normalized one its last state
+    above it) and its drift.  Every field equals the run in one block of the
+    default size: bit for bit for the linear equation, to rounding for the
+    normalized one, which is renormalized at other points."""
+    _, run = SINGLE[nonlinear]
+    coeffs = build_coefficients(simple_model(channels=(2.0 * SIGMA_MINUS,)))
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    dt, nsteps, ntraj, floor = 0.01, 30, 24, EDGE_FLOORS[nonlinear]
+    grid = dt * np.arange(nsteps + 1)
+    common = dict(dt=dt, nsteps=nsteps, ntraj=ntraj, base_seed=73, record_times=grid,
+                  chunk_size=8)
+    monkeypatch.setattr(trajectories, "WEIGHT_FLOOR", floor)
+    whole = run(coeffs, psi0, **common)
+    monkeypatch.setattr(trajectories, "_BLOCK_STEPS", 4)
+    ens = run(coeffs, psi0, **common)
+    positions = set(((ens.frozen_at[ens.frozen_at >= 0] - 1) % 4).tolist())
+    assert {0, 3} <= positions and positions & {1, 2}, positions
+    assert np.array_equal(ens.frozen_at, whole.frozen_at)
+    for field in ("psi", "weight", "w_path", "innovation"):
+        a, b = getattr(ens, field), getattr(whole, field)
+        assert np.array_equal(a, b) if not nonlinear else max_abs(a - b) <= 1e-14, field
+    drift = 0.5 * (ens.w_path - ens.innovation)
+    k, r = coeffs.tabulate(grid)
+    for b in range(ntraj):
+        increments = generate_wiener(73, dt, nsteps, 1, stream=b).increments
+        n = ens.frozen_at[b]
+        for i in range(nsteps if n < 0 else n):
+            psi_new = _reference_step(k[i], r[i], dt, ens.psi[b, i], increments[i], nonlinear)
+            sq_norm = np.vdot(psi_new, psi_new).real
+            assert (sq_norm < floor) == (i == n - 1), (b, i)
+            if i < n - 1 or n < 0 or not nonlinear:
+                want = psi_new / np.sqrt(sq_norm) if nonlinear else psi_new
+                assert max_abs(ens.psi[b, i + 1] - want) <= 1e-15
+        if n >= 0:
+            kept = n - 1 if nonlinear else n
+            assert np.all(ens.psi[b, kept:] == ens.psi[b, kept])
+            assert max_abs(drift[b, kept:] - drift[b, kept]) <= 1e-15
+
+
+def test_one_lane_one_channel_stacks_sum_in_step_order(monkeypatch):
+    """A stack of one lane and one channel is the case in which a row of the
+    block's running sums holds the fewest numbers: W is the increments'
+    running sum in step order, bit for bit, and chunks of one lane give the
+    same numbers stacked together (one worker) or alone (one per worker)."""
+    coeffs = build_coefficients(simple_model(channels=(SIGMA_MINUS,),
+                                             hamiltonian=np.diag([0.5, -0.5])))
+    path = generate_wiener(5, 1e-3, 300, 1)
+    for integrate in (integrate_linear, integrate_nonlinear):
+        single = integrate(coeffs, E0, path)
+        noise = single.innovation if integrate is integrate_nonlinear else single.w_path
+        assert np.array_equal(noise[0, 1:, 0], np.cumsum(path.increments[:, 0]))
+    # sparse records: the block's sums then run over whole segments of steps
+    common = dict(initial=E0, dt=1e-3, nsteps=300, ntraj=3, base_seed=5, chunk_size=1,
+                  record_times=[0.15, 0.3])
+    for run in (run_linear_ensemble, run_nonlinear_ensemble):
+        runs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("QSDE_WORKERS", workers)
+            runs.append(run(coeffs, **common))
+        for field, value in vars(runs[0]).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(runs[1], field).tobytes() == value.tobytes(), field
+
+
+def test_constant_models_build_one_step_table_per_run(mollow_coeffs, monkeypatch):
+    """The default Mollow preset has constant K and R_j in its frame; the
+    preset at nu = 12 != omega0 (heterodyne detection) and a random model do
+    not.  A run calls ``Coefficients.tabulate`` once on the probe times, and
+    for a time-dependent model once more per block, on the block's times: a
+    constant model's spans build no table of their own."""
+    assert _constant_ops(mollow_coeffs, 1e-3) is not None
+    heterodyne = build_coefficients(build_mollow_model(canonical_config(nu=12.0)))
+    for coeffs in (heterodyne, build_coefficients(random_model(np.random.default_rng(3)))):
+        assert _constant_ops(coeffs, 1e-3) is None
+    calls = []
+    original = Coefficients.tabulate
+
+    def spy(self, times):
+        calls.append(len(times))
+        return original(self, times)
+
+    monkeypatch.setattr(Coefficients, "tabulate", spy)
+    monkeypatch.setenv("QSDE_WORKERS", "1")
+    for coeffs, blocks in ((mollow_coeffs, []), (heterodyne, [128, 128, 44])):
+        for run in (run_linear_ensemble, run_nonlinear_ensemble):
+            calls.clear()
+            run(coeffs, E0, dt=1e-3, nsteps=300, ntraj=3, base_seed=1)
+            assert calls == [len(PROBE_TIMES), *blocks]
+
+
+def test_normalized_records_are_unit_between_block_renormalizations():
+    """A normalized path steps unnormalized through a block and is
+    renormalized at its end and in its records.  Every record has
+    |~||psi||^2 - 1| <= 4 d eps, weight exactly 1 and psihat equal to psi bit
+    for bit.  With a strong drive and damping at a large step (gamma dt =
+    0.2), the products of ||M_n psihat||^2 over a block, the squared norm a
+    path reaches before its renormalization, are far from 1 (beyond 10^5
+    here), and every number stays finite."""
+    dt, nsteps, ntraj = 0.01, 384, 16
+    coeffs = build_coefficients(build_mollow_model(canonical_config(big_omega=40.0, gamma=20.0)))
+    ens = run_nonlinear_ensemble(coeffs, E0, dt=dt, nsteps=nsteps, ntraj=ntraj, base_seed=3,
+                                 record_times=dt * np.arange(nsteps + 1), chunk_size=8)
+    assert np.all(ens.frozen_at == -1)
+    for field in ("psi", "w_path", "innovation"):
+        assert np.isfinite(getattr(ens, field)).all(), field
+    eps = np.finfo(float).eps
+    assert np.abs(np.sum(np.abs(ens.psi) ** 2, axis=-1) - 1.0).max() <= 4 * 2 * eps
+    assert np.all(ens.weight == 1.0) and ens.psihat.tobytes() == ens.psi.tobytes()
+    # ||M_n psihat_n||^2 of every path and step, from the records
+    k, r = coeffs.tabulate(dt * np.arange(nsteps))
+    psi, dw = ens.psi[:, :-1], np.diff(ens.innovation, axis=1)
+    rpsi = np.einsum("njkl,bnl->bnjk", r, psi)
+    dy = dw + 2.0 * dt * np.einsum("bnk,bnjk->bnj", psi.conj(), rpsi).real
+    mapped = psi - 1j * dt * np.einsum("nkl,bnl->bnk", k, psi) + np.einsum("bnj,bnjk->bnk", dy, rpsi)
+    block_products = np.log10(np.sum(np.abs(mapped) ** 2, axis=-1)).reshape(ntraj, -1, 128).sum(-1)
+    assert np.abs(block_products).max() > 5.0
 
 
 MALFORMED_INITIALS = {
