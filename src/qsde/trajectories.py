@@ -379,8 +379,6 @@ class _Stack:
 
     def advance(self, ops: np.ndarray, dw: np.ndarray):
         nsteps, n = len(dw), self.n
-        if not nsteps:
-            return
         # the record position of each recorded step count k = 1..L of the block
         lo, hi = np.searchsorted(self.record_idx, [n + 1, n + nsteps + 1])
         marks = {int(self.record_idx[pos]) - n: pos for pos in range(lo, hi)}
