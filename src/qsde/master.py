@@ -22,7 +22,10 @@ one formula, ``_lindblad``, builds L_* from K and R at one time or on a grid.
 One march, ``_rk4_march``, evolves every state, as an iterator over blocks
 of _STEP_BLOCK steps: each block's steps (exact steps E = e^{hG} for a
 constant generator G, else fourth-order Magnus steps, ``_magnus_steps``, one
-K and one R table per Gauss node) and the states they reach.
+K and one R table per Gauss node) and the states they reach.  A constant
+generator's states are one batched product per block of the powers
+E, ..., E^_STEP_BLOCK, built once per march by doubling, with the block's
+start state; Magnus steps are applied one after another.
 ``master_series`` concatenates the states; the two-time sums of
 ``statistics`` take each block's steps as their propagators and hold one
 block at a time.  A state at a single time t is the last entry of the series
@@ -178,16 +181,28 @@ def _magnus_steps(gen: LindbladPropagator, starts: np.ndarray, h: float) -> np.n
 def _rk4_march(gen: LindbladPropagator, v: np.ndarray, t0: float, nsteps: int, h: float):
     """March vec(rho) = ``v`` nsteps steps of h from t0, yielding (first,
     steps, states) per block of at most _STEP_BLOCK steps: the block's first
-    step index, its steps (the exact step e^{hG} of a constant generator G,
-    or Magnus steps built for the block) and the states (len(steps), d^2)
-    after each of them."""
+    step index, its steps (the exact step E = e^{hG} of a constant generator
+    G, or Magnus steps built for the block) and the states (len(steps), d^2)
+    after each of them.  A constant generator's block of n states is one
+    batched product of the powers E, E^2, ..., E^n with the block's start
+    state; the powers are built once per march, by doubling."""
     exact = matrix_exp(gen.generator_at(t0), h) if gen.time_independent else None
+    if exact is not None:
+        powers = np.empty((min(nsteps, _STEP_BLOCK), *exact.shape), dtype=complex)
+        powers[:1], m = exact, 1
+        while m < len(powers):
+            powers[m:2 * m] = powers[:min(m, len(powers) - m)] @ powers[m - 1]
+            m *= 2
     for first in range(0, nsteps, _STEP_BLOCK):
         starts = t0 + h * np.arange(first, min(first + _STEP_BLOCK, nsteps))
-        steps = [exact] * len(starts) if exact is not None else _magnus_steps(gen, starts, h)
-        states = np.empty((len(steps), len(v)), dtype=complex)
-        for k, step in enumerate(steps):
-            v = states[k] = step @ v
+        if exact is not None:
+            steps, states = [exact] * len(starts), powers[:len(starts)] @ v
+        else:
+            steps = _magnus_steps(gen, starts, h)
+            states = np.empty((len(steps), len(v)), dtype=complex)
+            for k, step in enumerate(steps):
+                states[k] = v = step @ v
+        v = states[-1]
         yield first, steps, states
 
 

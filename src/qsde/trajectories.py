@@ -53,31 +53,24 @@ rows are [Re psi; Im psi].  On these rows a complex d x d operator A acts
 as the real block [[Re A, -Im A], [Im A, Re A]], and the per-step operators
 are stacked as the blocks of
 
-    [-i dt K(t_n); R_1(t_n); ...; R_J(t_n)],    shape ((J+1)2d, 2d),
+    [I; R_1(t_n); ...; R_J(t_n); I - i dt K(t_n)],    shape ((J+2)2d, 2d).
 
-so that one real product ``ops[n] @ psi`` yields -i dt K psi and every
-R_j psi, split into real and imaginary rows.  Re <psi|R_j psi>, ||psi||^2
-and the update sum_j dY_j R_j psi are each one real contraction over the 2d
-rows: the step does no complex arithmetic, and nothing computes the
-imaginary part of <psi|R_j psi>, which no step reads.  numpy makes the
-product one (2d, C) matrix product per chunk, so a chunk's results do not
-depend on how many chunks share its stack.  A step M_n psi then costs that
-product, the two forms, the update and the sum W, a few operations on
-(G, J, C) arrays for every lane of the stack at once.  It neither
-renormalizes a state nor tests the freeze floor: the map is linear, so a
-normalized path can step unnormalized, with dY taking Re <R_j> as
-Re <psi|R_j psi> / ||psi||^2, and be renormalized at the end of each block
-and in its records; its ||M_n psihat||^2 is then the ratio of successive
-squared norms.  The squared norms and the forms of a block are kept in a
-(L+1, G, J+1, C) table, and the freeze test, the drift integral
-int_0^t Re <R_j> ds and the records' weights are made from it once per
-block.  The checkpoint records of psi are complex d-vectors again.  One
-stack class, one step table and one loop body serve both equations: they
-differ only in dY, in the renormalization of a normalized path and in the
-state a freezing path keeps.  A block in which some path freezes is
-stepped again from its start with the freeze masks, which only select
-between a lane's stepped and kept values; once a path has frozen, later
-blocks are stepped with the masks from the start.
+A step is one real product ``ops[n] @ psi``, giving psi, every R_j psi and
+(I - i dt K) psi; one contraction of psi with the first J+1 of these, giving
+||psi||^2 and every Re <psi|R_j psi> (no step reads the imaginary part, so
+nothing computes it); dY; one contraction of [dY_1, ..., dY_J, 1] with the
+last J+1, giving M_n psi; and the sum W.  numpy makes the product one
+(2d, C) matrix product per chunk, so a chunk's results do not depend on how
+many chunks share its stack.  A step neither renormalizes a state nor
+tests the freeze floor: the map is linear, so a normalized path can step
+unnormalized, with dY taking Re <R_j> as Re <psi|R_j psi> / ||psi||^2, and
+be renormalized at the end of each block and in its records; its
+||M_n psihat||^2 is then the ratio of successive squared norms.  The norms
+and forms of a block are kept in a (L+2, G, J+1, C) table, from which the
+freeze test, the drift integral int_0^t Re <R_j> ds and the records'
+weights are made once per block.  One stack class, one step table and one
+loop body serve both equations, which differ only in dY, in renormalizing
+and in the state a freezing path keeps (:class:`_Stack`).
 
 Lockstep engine: each process steps one contiguous span of whole chunks.
 Its full chunks are stacked up to _LOCKSTEP_LANES lanes at a time, and a
@@ -87,26 +80,26 @@ source of K and R.  Once per run the engine asks whether they are constant
 (:func:`_constant_ops`: one call on ``model.PROBE_TIMES``, judged by the
 rule ``LindbladPropagator`` applies to L_*); if so, their t = 0 row of the
 step table serves every step.  Otherwise the process tabulates each block's
-times once (each row equals the full-grid table's bit for bit, so the
-tables always lie on the run grid).  Every stack in turn draws the block's
-increments, shape (L, G, J, C), and steps through it.  Each lane draws
-from its own stream block after block, which gives the numbers of one
-whole-path draw.  So a process holds its lanes' states, checkpoint records
-and streams, plus one block of step table, of one stack's noise and of the
-norms-and-forms table its stacks share: nothing grows with the horizon.
-With several workers, the calling process steps the first span and a
-forked pool one span per further worker.
+times once (each row equals the full-grid table's bit for bit).  Every
+stack in turn takes the block's increments, shape (L, G, J, C), from its
+noise source, which draws words _REFILL_BLOCKS blocks at a time and holds
+them as int8 signs, and steps through them.  So a process holds its lanes'
+states, records, streams and signs, plus one block of step table, of one
+stack's noise and of the table its stacks share: nothing grows with the
+horizon.  With several workers, the calling process steps the first span
+and a forked pool one span per further worker.
 
 Reproducibility: every trajectory owns a Philox counter-based stream keyed
 by (seed, trajectory index), so for a given chunk size ensembles are
 bit-reproducible regardless of stacking, worker count or scheduling.  Its
 increments, in (step, channel) order, are the 32-bit halves of the
-stream's raw 64-bit words, low half first, each mapped to the three-point
-law (uniform u below 715827883 gives -a, from 2^32 - 715827883 on +a).
-The halves are taken by value, so no number depends on byte order.  One
-function draws every increment, so ``generate_wiener(seed, dt, n, J,
-stream=b)`` is trajectory b's noise in an ensemble with ``base_seed=seed``,
-by construction.
+stream's raw 64-bit words, low half first (taken by value, so no number
+depends on byte order), each mapped to the three-point law (uniform u
+below 715827883 gives -a, from 2^32 - 715827883 on +a).  Every refill of a
+lane's words starts at an even increment count, so its numbers are those
+of one whole-path draw, and ``generate_wiener(seed, dt, n, J, stream=b)``,
+drawn by the same function, is trajectory b's noise in an ensemble with
+``base_seed=seed``.
 """
 
 from __future__ import annotations
@@ -135,17 +128,15 @@ __all__ = [
 WEIGHT_FLOOR = 1e-12
 
 # Lockstep layout (module docstring): whole chunks are stacked up to this many
-# lanes, and noise and step table are made this many grid times at a time.  A
-# stack's block of noise takes 8 bytes per increment, about 12 while it is cut
-# from raw words, halves and signs, and the (L+1, G, J+1, C) table of squared
-# norms and forms that a process's stacks share another 8 (J+1) / J, for
-# max(1024, chunk_size) x 128 x J increments: tracing a span of one
-# 1024-lane stack with two channels peaks at 7.5 MB, at any horizon.
-# _BLOCK_STEPS must be even: then every block but the last holds an even
-# number of increments, two per Philox word, and a lane's blocks use the words
-# of its whole-path draw (_lane_noise).
+# lanes, step table and noise are made this many grid times at a time, and raw
+# words drawn this many blocks at a time.  Per increment of a block (of
+# max(1024, chunk_size) x 128 x J), a stack holds 8 bytes of noise (9 while
+# transposed) and 4 of signs, and its process's stacks share a table of 8 (J+1)/J:
+# tracing a span of one 1024-lane stack with two channels peaks at 8.2 MB, at any
+# horizon.  _BLOCK_STEPS must be even: a refill then holds whole Philox words.
 _LOCKSTEP_LANES = 1024
 _BLOCK_STEPS = 128
+_REFILL_BLOCKS = 4
 
 # The Philox key is two 64-bit words, (seed, stream); wider values are rejected, not wrapped.
 _KEY_MAX = (1 << 64) - 1
@@ -247,22 +238,23 @@ class Ensemble:
 
 
 def _step_ops(k: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
-    """Per-step real block table of [-i dt K_n; R_1(t_n); ...; R_J(t_n)]
+    """Per-step real block table of [I; R_1(t_n); ...; R_J(t_n); I - i dt K_n]
     from the K table (n, d, d) and R table (n, J, d, d) of
     ``Coefficients.tabulate``.
 
-    Shape (n, (J+1)2d, 2d): each operator A is the block
+    Shape (n, (J+2)2d, 2d): each operator A is the block
     [[Re A, -Im A], [Im A, Re A]], so that ``ops[n] @ psi`` on a real stack
-    [Re psi; Im psi] gives the drift term -i dt K_n psi and every R_j psi,
+    [Re psi; Im psi] gives psi itself, every R_j psi and (I - i dt K_n) psi,
     each as its rows [Re; Im], in one product.
     """
     n, nchan, d, _ = r.shape
-    a = np.concatenate([(-1j * dt) * k[:, None], r], axis=1)
-    return np.block([[a.real, -a.imag], [a.imag, a.real]]).reshape(n, (nchan + 1) * 2 * d, 2 * d)
+    eye = np.broadcast_to(np.eye(d), (n, 1, d, d))
+    a = np.concatenate([eye, r, eye + (-1j * dt) * k[:, None]], axis=1)
+    return np.block([[a.real, -a.imag], [a.imag, a.real]]).reshape(n, (nchan + 2) * 2 * d, 2 * d)
 
 
 def _constant_ops(coeffs: Coefficients, dt: float) -> np.ndarray | None:
-    """The step table's one row, shape (1, (J+1)2d, 2d), if K(t) and the R_j(t)
+    """The step table's one row, shape (1, (J+2)2d, 2d), if K(t) and the R_j(t)
     are constant, else None.  Both come from one ``Coefficients.tabulate``
     call on ``model.PROBE_TIMES``: the family is constant when K and R each
     pass ``model._constant_at_probes``, the rule ``LindbladPropagator``
@@ -291,11 +283,6 @@ def _blocks(coeffs: Coefficients, grid: TimeGrid, constant: np.ndarray | None):
         yield ops, steps
 
 
-def _sq_norm(psi: np.ndarray) -> np.ndarray:
-    """||psi||^2 per lane of a real (G, 2d, C) stack [Re psi; Im psi], shape (G, 1, C)."""
-    return np.einsum("gkc,gkc->gc", psi, psi)[:, None]
-
-
 def _quotient(num: np.ndarray, den: np.ndarray, masked: bool) -> np.ndarray:
     """num / den; with the freeze masks on, 0 where den is 0 (a frozen or
     unfloored path's norm may vanish), with the same bits elsewhere."""
@@ -304,14 +291,14 @@ def _quotient(num: np.ndarray, den: np.ndarray, masked: bool) -> np.ndarray:
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-def _scratch(pool: dict, shape: tuple) -> np.ndarray:
-    """An uninitialized float array of ``shape`` on memory that ``pool`` keeps
-    from one block to the next: block-sized arrays made afresh for every
-    block page-faulted anew, per 4 KiB, and doubled a span's page faults."""
+def _scratch(pool: dict, key: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float array of ``shape`` on memory that ``pool`` keeps under
+    ``key`` from one block to the next: block-sized arrays made afresh for
+    every block page-faulted anew, per 4 KiB, and doubled a span's page faults."""
     size = int(np.prod(shape))
-    if pool.get("table", np.empty(0)).size < size:
-        pool["table"] = np.empty(size)
-    return pool["table"][:size].reshape(shape)
+    if pool.get(key, np.empty(0)).size < size:
+        pool[key] = np.empty(size)
+    return pool[key][:size].reshape(shape)
 
 
 def _lanes_first(rec: np.ndarray) -> np.ndarray:
@@ -325,14 +312,14 @@ class _Stack:
     M_n (module docstring), held as the real (G, 2d, C) stack [Re psi; Im psi]
     and stepped one block at a time.
 
-    ``nonlinear`` selects the normalized equation; otherwise the stack steps
-    the linear one.  ``advance(ops, dw)`` runs one block: ``ops`` holds the
-    block's rows of the real block table (:func:`_step_ops`; rows past the
-    last step are not read), ``dw`` the increments of its steps, shape
-    (L, G, J, C).  ``record_idx`` are sorted grid indices.  ``result()``
-    returns the records at ``record_idx`` lane-first: the complex states
-    (G*C, nrec, d), the weights ||psi||^2 (G*C, nrec; 1 for the normalized
-    equation), the drift integrals int_0^t Re <R_j> ds and the noise W (each
+    ``nonlinear`` selects the normalized equation, else the linear one.
+    ``advance(ops, dw)`` runs one block: ``ops`` holds the block's rows of
+    the real block table (:func:`_step_ops`; rows past the last step are not
+    read), ``dw`` the increments of its steps, shape (L, G, J, C).
+    ``record_idx`` are sorted grid indices.  ``result()`` returns the
+    records at ``record_idx`` lane-first: the complex states (G*C, nrec, d),
+    the weights ||psi||^2 (G*C, nrec; 1 for the normalized equation), the
+    drift integrals int_0^t Re <R_j> ds and the noise W (each
     (G*C, nrec, J)), then the per-lane freeze step (-1 if never frozen).
 
     A step (:meth:`_pass`) neither renormalizes nor tests the floor (module
@@ -341,15 +328,16 @@ class _Stack:
     normalized path's squared norm is the product of up to _BLOCK_STEPS
     factors ||M_n psihat||^2, so it stays a finite normal double unless
     these average beyond about 10^(+-2.3) over a block, far past the
-    scheme's stable steps.  ``scratch`` keeps the table's memory; stacks
-    stepped in turn share one.
+    scheme's stable steps.  ``scratch`` keeps the memory of the table and of
+    the update's coefficients; stacks stepped in turn share one.
 
     A path freezes at the first step whose squared norm (a normalized
     path's ||M_n psihat||^2) falls below WEIGHT_FLOOR times its initial
     one.  A linear path keeps that first state below the floor; a
     normalized path keeps its last state above it.  A block in which some
     path freezes is stepped again from its start, with masks that only
-    select, so every other lane's numbers are those of the unmasked step.
+    select, so every other lane's numbers are those of the unmasked step;
+    once a path has frozen, later blocks are stepped with the masks.
     """
 
     def __init__(self, psi0: np.ndarray, nchan: int, dt: float, record_idx: np.ndarray,
@@ -358,7 +346,7 @@ class _Stack:
         self.dt, self.nonlinear, self.n = dt, nonlinear, 0
         self.scratch = {} if scratch is None else scratch
         self.psi = np.concatenate([psi0.real, psi0.imag], axis=1)
-        weight = _sq_norm(self.psi)
+        weight = np.einsum("gkc,gkc->gc", self.psi, self.psi)[:, None]
         if nonlinear:
             self.psi = self.psi / np.sqrt(weight)
             weight = np.ones_like(weight)
@@ -384,7 +372,7 @@ class _Stack:
         marks = {int(self.record_idx[pos]) - n: pos for pos in range(lo, hi)}
         live = None if self.active is None else np.where(self.active, nsteps, 0)
         psi, w, table = self._pass(ops, dw, live, marks)
-        nn = table[:, :, :1]
+        nn = table[1:, :, :1]
         crossed = nn[1:] < (self.floor * nn[:-1] if self.nonlinear else self.floor)
         if self.active is not None:
             crossed &= self.active
@@ -401,30 +389,30 @@ class _Stack:
         self._close(psi, w, table, live, marks)
 
     def _pass(self, ops, dw, live, marks):
-        """Step the block from ``self.psi``, recording its states and W as
-        they come.  ``live`` holds each lane's number of steps taken (None:
-        all of them).  Returns the end states, the end W and the block's
-        table (L+1, G, J+1, C): row n holds ||psi||^2 before step n (row L
-        at the end) in column 0, and row n+1 step n's forms Re <psi|R_j psi>
-        in columns 1..J.  W is summed here, one in-place add a step: summed
-        per block in step order, it would need a copy of the noise block."""
+        """Step the block from ``self.psi``, recording its states and W as they
+        come; ``live`` holds each lane's number of steps taken (None: all).
+        Returns the end states, the end W and the block's table
+        (L+2, G, J+1, C): row n+1 holds ||psi||^2 before step n and its forms
+        Re <psi|R_j psi>, row L+1 in column 0 the end's ||psi||^2.  W is summed
+        here, one add a step: summed per block in step order, it would need a
+        copy of the noise."""
         groups, rows, lanes = self.psi.shape
-        nchan, nonlinear, masked = self.drift.shape[1], self.nonlinear, live is not None
-        two_dt = 2.0 * self.dt
-        table = _scratch(self.scratch, (len(dw) + 1, groups, nchan + 1, lanes))
-        psi, w = self.psi, self.w.copy()
-        rec_psi, rec_w = self.records[0], self.records[3]
+        nchan, masked, two_dt = self.drift.shape[1], live is not None, 2.0 * self.dt
+        table = _scratch(self.scratch, "table", (len(dw) + 2, groups, nchan + 1, lanes))
+        # the update's coefficients [dY_1, ..., dY_J, 1]
+        coef = _scratch(self.scratch, "coef", (groups, nchan + 1, lanes))
+        coef[:, -1] = 1.0
+        psi, w, (rec_psi, _, _, rec_w) = self.psi, self.w.copy(), self.records
         for i, dw_n in enumerate(dw):
-            y = (ops[i] @ psi).reshape(groups, nchan + 1, rows, lanes)
-            rpsi = y[:, 1:]
-            rexp = np.einsum("gkc,gjkc->gjc", psi, rpsi, out=table[i + 1, :, 1:])
-            nn = np.einsum("gkc,gkc->gc", psi, psi, out=table[i, :, 0])[:, None]
-            # the normalized equation steps on the output increments dWhat + 2 dt Re <R>
-            dy = dw_n + rexp * _quotient(two_dt, nn, masked) if nonlinear else dw_n
-            # psi + (-i dt K psi + sum_j dY_j R_j psi), added in place
-            psi_new = np.einsum("gjc,gjkc->gkc", dy, rpsi)
-            psi_new += y[:, 0]
-            psi_new += psi
+            # y = [psi; R_1 psi; ...; R_J psi; (I - i dt K) psi]
+            y = (ops[i] @ psi).reshape(groups, nchan + 2, rows, lanes)
+            forms = np.einsum("gkc,gjkc->gjc", psi, y[:, :-1], out=table[i + 1])
+            if self.nonlinear:   # on the output increments dWhat + 2 dt Re <R>
+                np.add(dw_n, forms[:, 1:] * _quotient(two_dt, forms[:, :1], masked),
+                       out=coef[:, :-1])
+            else:
+                coef[:, :-1] = dw_n
+            psi_new = np.einsum("gjc,gjkc->gkc", coef, y[:, 1:])
             psi = psi_new if live is None else np.where(i < live, psi_new, psi)
             np.add(w, dw_n, out=w)
             pos = marks.get(i + 1)
@@ -438,8 +426,8 @@ class _Stack:
         normalized equation's renormalization of the end state and of the
         recorded ones, and the drift integral.  A path frozen before the
         block (live 0) keeps its state as it is."""
-        nsteps, masked, nonlinear = len(table) - 1, live is not None, self.nonlinear
-        nn = table[:, :, :1]
+        nsteps, masked, nonlinear = len(table) - 2, live is not None, self.nonlinear
+        nn = table[1:, :, :1]     # ||psi||^2 after step count k = 0..L of the block
 
         def unit(k):
             """1 / ||psi|| after step count k of the block (1 on unmoved lanes)."""
@@ -452,12 +440,13 @@ class _Stack:
                 rec_psi[pos] *= unit(k)
             rec_weight[pos] = 1.0 if nonlinear else nn[k, :, 0]
         self.psi = psi * unit(nsteps) if nonlinear else psi
-        # the drift increments dt Re <R_j> (the forms over ||psi||^2), after a
-        # row holding the drift at the block's start; column 0 is cleared
-        scale = _quotient(self.dt, nn[:-1], masked)
+        # the drift increments dt Re <R_j> (the forms over ||psi||^2, rows
+        # 1..L), after a row holding the drift at the block's start; column 0 is cleared
+        forms = table[1:-1]
+        scale = _quotient(self.dt, forms[:, :, :1], masked)
         if masked:
             scale = np.where(np.arange(nsteps)[:, None, None, None] < live, scale, 0.0)
-        np.multiply(table[1:, :, 1:], scale, out=table[1:, :, 1:])
+        np.multiply(forms[:, :, 1:], scale, out=forms[:, :, 1:])
         table[:, :, 0] = 0.0
         table[0, :, 1:] = self.drift
         # Running sums, one segment between recorded steps at a time, each
@@ -471,7 +460,7 @@ class _Stack:
             start = k
         for k, pos in marks.items():
             rec_drift[pos] = table[k, :, 1:]
-        self.drift, self.w = table[-1, :, 1:].copy(), w
+        self.drift, self.w = table[nsteps, :, 1:].copy(), w
         self.n += nsteps
 
     def result(self) -> list[np.ndarray]:
@@ -586,37 +575,48 @@ def _lane_noise(base_seed: int, first: int, groups: int, lanes: int, nchannels: 
     """Noise source of the (G, ., C) stack of trajectories first, first + 1, ...
 
     ``noise(steps)`` returns the increments of a slice of steps, a
-    C-contiguous (L, G, J, C) array, and must be called for consecutive
-    slices.  Each lane draws its increments in (step, channel) order from
-    its own Philox stream, two per raw 64-bit word, low half first, each
-    half mapped to the three-point law.  A slice of an odd number of
-    increments drops the high half of its last word, so drawing block after
-    block yields the numbers of one whole-path draw, bit for bit, as long as
-    only the last slice is odd (_BLOCK_STEPS is even).
+    C-contiguous (L, G, J, C) array; ValueError unless the slice starts
+    where the last one stopped (the first at step 0).  A refill draws each
+    lane's words (module docstring, *Reproducibility*) for _REFILL_BLOCKS
+    blocks of steps, or a longer slice rounded up to an even step count, in
+    one ``random_raw`` call, and holds them as int8 signs until slices have
+    read them.
     """
     streams = [_philox_stream(base_seed, first + b) for b in range(groups * lanes)]
     lo, hi = _THREE_POINT_LO, 2**32 - _THREE_POINT_LO
     atom = np.sqrt(dt * 2.0**31 / lo)        # a = sqrt(dt / (2p)): the variance is dt
+    # signs holds the increments of steps start..stop-1; the next slice starts at step ``at``
+    signs, start, stop, at = np.empty((len(streams), 0), dtype=np.int8), 0, 0, 0
+
+    def refill(out: np.ndarray):
+        """Cut each lane's next out.shape[1] (even) increments into ``out``,
+        2^14 raw words at a time."""
+        part = max(1, 2**15 // out.shape[1])
+        for g in range(0, len(out), part):
+            words = np.empty((len(out[g:g + part]), out.shape[1] // 2), dtype=np.uint64)
+            for b, row in enumerate(words):
+                row[:] = streams[g + b].random_raw(len(row))
+            # split by value, not through a uint32 view, so no number depends on byte order
+            u = np.empty((len(words), 2 * words.shape[1]), dtype=np.uint32)
+            u[:, 0::2], u[:, 1::2] = words & 0xFFFFFFFF, words >> 32
+            np.subtract((u >= hi).view(np.int8), (u < lo).view(np.int8), out=out[g:g + len(u)])
 
     def noise(steps: slice) -> np.ndarray:
-        nsteps = steps.stop - steps.start
-        words = np.empty((groups * lanes, -(-nsteps * nchannels // 2)), dtype=np.uint64)
-        for b, bits in enumerate(streams):
-            words[b] = bits.random_raw(words.shape[1])
-        # split by value, not through a uint32 view, so no number depends on
-        # byte order; one half at a time, and each array dropped once read,
-        # which keeps the peak of a block's noise memory low
-        u = np.empty((*words.shape, 2), dtype=np.uint32)
-        u[..., 0] = words & 0xFFFFFFFF
-        u[..., 1] = words >> 32
-        del words
-        u = u.reshape(len(u), -1)[:, :nsteps * nchannels]
-        sign = (u >= hi).view(np.int8) - (u < lo).view(np.int8)
-        del u
-        # transposed as int8, then scaled: the step's contractions run about
-        # three times slower on a strided block
+        nonlocal signs, start, stop, at
+        if steps.start != at:
+            raise ValueError(f"noise slices must be consecutive: step {at} next, not {steps.start}")
+        at = steps.stop
+        if steps.stop > stop:
+            held = signs[:, (steps.start - start) * nchannels:]
+            more = max(_REFILL_BLOCKS * _BLOCK_STEPS, steps.stop - stop + (steps.stop - stop) % 2)
+            if held.size or signs.shape[1] != more * nchannels:
+                signs = np.concatenate([held, np.empty((len(signs), more * nchannels), np.int8)], 1)
+            refill(signs[:, held.shape[1]:])
+            start, stop = steps.start, stop + more
+        block = signs[:, (steps.start - start) * nchannels:(steps.stop - start) * nchannels]
+        # transposed as int8, then scaled: on a strided block the step's contractions ran 3x slower
         return atom * np.ascontiguousarray(
-            sign.reshape(groups, lanes, nsteps, nchannels).transpose(2, 0, 3, 1))
+            block.reshape(groups, lanes, steps.stop - steps.start, nchannels).transpose(2, 0, 3, 1))
 
     return noise
 

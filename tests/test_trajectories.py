@@ -1,3 +1,4 @@
+import collections
 import itertools
 import multiprocessing
 from dataclasses import replace
@@ -512,10 +513,11 @@ def test_three_point_increments_give_gaussian_em_second_moments_exactly(law, mol
 @pytest.mark.parametrize("d, nchan", [(1, 1), (2, 2), (3, 2), (4, 3)])
 def test_step_table_is_the_real_block_form(d, nchan):
     """The step table times [Re psi; Im psi] gives the complex rows
-    [-i dt K psi; R_j psi] split into real and imaginary parts, and a
-    linear stack's drift after one step is dt Re <psi|R_j psi> / ||psi||^2:
-    each within twice the rounding bound of a 2d-term dot product,
-    4 d eps times the sum of the terms' magnitudes."""
+    [psi; R_j psi; (I - i dt K) psi] split into real and imaginary parts,
+    and a linear stack's drift after one step is dt Re <psi|R_j psi> /
+    ||psi||^2: each within twice the rounding bound of a 2d-term dot
+    product, 4 d eps times the sum of the terms' magnitudes.  The identity
+    rows give psi itself, equal in value."""
     rng = np.random.default_rng(100 * d + nchan)
     nrows, dt, lanes, eps = 3, 1e-2, 5, np.finfo(float).eps
 
@@ -524,21 +526,22 @@ def test_step_table_is_the_real_block_form(d, nchan):
 
     k, r, psi = cnormal(nrows, d, d), cnormal(nrows, nchan, d, d), cnormal(d, lanes)
     ops = _step_ops(k, r, dt)
-    assert ops.dtype == float and ops.shape == (nrows, (nchan + 1) * 2 * d, 2 * d)
+    assert ops.dtype == float and ops.shape == (nrows, (nchan + 2) * 2 * d, 2 * d)
 
     def magnitudes(z):
         return np.abs(z.real) + np.abs(z.imag)
 
     rows = np.concatenate([psi.real, psi.imag])
     for n in range(nrows):
-        ops_c = np.concatenate([-1j * dt * k[n], *r[n]])
+        ops_c = np.concatenate([np.eye(d), *r[n], np.eye(d) - 1j * dt * k[n]])
         want = ops_c @ psi
         bound = 4 * d * eps * (magnitudes(ops_c) @ magnitudes(psi))
-        got = (ops[n] @ rows).reshape(nchan + 1, 2, d, lanes)
-        assert np.all(np.abs(got[:, 0] - want.real.reshape(nchan + 1, d, lanes))
-                      <= bound.reshape(nchan + 1, d, lanes))
-        assert np.all(np.abs(got[:, 1] - want.imag.reshape(nchan + 1, d, lanes))
-                      <= bound.reshape(nchan + 1, d, lanes))
+        got = (ops[n] @ rows).reshape(nchan + 2, 2, d, lanes)
+        assert np.all(np.abs(got[:, 0] - want.real.reshape(nchan + 2, d, lanes))
+                      <= bound.reshape(nchan + 2, d, lanes))
+        assert np.all(np.abs(got[:, 1] - want.imag.reshape(nchan + 2, d, lanes))
+                      <= bound.reshape(nchan + 2, d, lanes))
+        assert np.array_equal(got[0], np.stack([psi.real, psi.imag]))
     stack = _Stack(psi[None], nchan, dt, np.arange(2), nonlinear=False)
     stack.advance(ops[:2], np.zeros((1, 1, nchan, lanes)))
     drift = stack.result()[2][:, 1]
@@ -628,6 +631,53 @@ def test_block_noise_and_tables_match_whole_path(nchan, nsteps, mollow_coeffs, m
     assert [steps for _, steps in constant] == [steps for _, steps in blocks]
     for ops, steps in constant:
         assert len(ops) == steps.stop - steps.start and all(np.array_equal(op, one[0]) for op in ops)
+
+
+@pytest.mark.parametrize("nchan", [1, 2, 3])
+def test_lane_noise_refills_match_whole_path(nchan, monkeypatch):
+    """Blocks of 16 steps draw their words in refills of _REFILL_BLOCKS = 4
+    blocks: over 201 steps each lane makes ceil(201 / 64) = 4 random_raw
+    calls (one per block made 13), and its increments equal its whole-path
+    draw, bit for bit, with one, two or three channels (the last slice holds
+    9, 18 and 27 increments, inside the fourth refill).  So do slices of
+    other lengths, some of which run across a refill's end."""
+    monkeypatch.setattr(trajectories, "_BLOCK_STEPS", 16)
+    calls, philox = collections.Counter(), trajectories._philox_stream
+
+    class CountedStream:
+        def __init__(self, seed, stream):
+            self.bits, self.stream = philox(seed, stream), stream
+
+        def random_raw(self, size):
+            calls[self.stream] += 1
+            return self.bits.random_raw(size)
+
+    monkeypatch.setattr(trajectories, "_philox_stream", CountedStream)
+    dt, nsteps, groups, lanes, first = 1e-3, 201, 2, 3, 5
+    refill = trajectories._REFILL_BLOCKS * 16
+    for cuts in (range(0, nsteps + 16, 16), (0, 63, 64, 100, 130, 131, 200, 201)):
+        calls.clear()
+        noise = _lane_noise(8, first, groups, lanes, nchan, dt)
+        dw = np.concatenate([noise(slice(a, min(b, nsteps))) for a, b in zip(cuts[:-1], cuts[1:])])
+        assert dw.shape == (nsteps, groups, nchan, lanes)
+        assert calls == {first + b: -(-nsteps // refill) for b in range(groups * lanes)}, calls
+        for b in range(groups * lanes):
+            path = generate_wiener(8, dt, nsteps, nchan, stream=first + b)
+            assert np.array_equal(dw[:, b // lanes, :, b % lanes], path.increments)
+
+
+def test_lane_noise_rejects_slices_out_of_order():
+    """The noise source holds the signs of a refill until slices have read
+    them, so a slice that does not start where the last one stopped (a
+    repeat, a gap, or a first slice after step 0) is a ValueError."""
+    noise = _lane_noise(8, 5, 2, 3, 2, 1e-3)
+    with pytest.raises(ValueError, match="step 0 next, not 16"):
+        noise(slice(16, 32))
+    noise(slice(0, 16))
+    for bad in (slice(0, 16), slice(8, 24), slice(32, 48)):
+        with pytest.raises(ValueError, match=f"step 16 next, not {bad.start}"):
+            noise(bad)
+    assert noise(slice(16, 32)).shape == (16, 2, 2, 3)
 
 
 def test_lane_noise_is_a_c_contiguous_float_block():
